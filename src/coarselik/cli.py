@@ -1,10 +1,12 @@
 """Command line: simulate, loglik, fit, and validate over file-based inputs.
 
 All numerical output is written with repr() floats, so repeated runs with
-the same inputs are byte-identical, whatever --threads is set to. Subjects
-are split into contiguous chunks for the thread pool; every per-subject
-value is computed independently of its chunk, so the partition cannot
-change any number, only the wall time.
+the same inputs are byte-identical. simulate, loglik and fit accept
+--threads, and only simulate uses it: its subjects are split into
+contiguous chunks for a thread pool, and each path depends only on the
+seed and its index, so the partition cannot change any number, only the
+wall time. loglik and fit run in one thread; loglik evaluates the whole
+dataset on one plan of fixed quadrature panels.
 
 Exit status: 0 on success, 1 when a requested computation flags a problem
 (a minus-infinite log-likelihood, a fit that did not converge, a failed
@@ -67,28 +69,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _per_subject(model, records, C, rel_tol, threads):
-    if threads > 1 and len(records) > 1:
-        spans = _chunks(len(records), threads)
-        out = np.empty(len(records))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [(lo, hi, pool.submit(per_subject_loglik, model, records[lo:hi],
-                                         C, rel_tol=rel_tol))
-                    for lo, hi in spans]
-            for lo, hi, fut in futs:
-                out[lo:hi] = fut.result()
-        return out
-    return per_subject_loglik(model, records, C, rel_tol=rel_tol)
-
-
 def _cmd_loglik(args) -> int:
     cfg = load_model_config(args.model)
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     data = read_dataset(args.data, cfg.component_names)
     model = cfg.build(_parse_theta(args.theta))
     with np.errstate(divide="ignore"):
-        per = _per_subject(model, list(data.records), scheme.horizon,
-                           args.tol, args.threads)
+        per = per_subject_loglik(model, list(data.records), scheme.horizon,
+                                 rel_tol=args.tol)
     lines = ["subject_id,loglik"]
     lines += [f"{sid},{repr(float(v))}" for sid, v in zip(data.subject_ids, per)]
     lines.append(f"total,{repr(float(per.sum()))}")
@@ -136,6 +124,9 @@ def _cmd_fit(args) -> int:
         print(f"{nm:<{width}}  {res.theta[nm]:.10g}{se}")
     print(f"loglik {res.loglik:.10g}  converged {res.converged}  "
           f"evaluations {res.n_evaluations}")
+    if res.n_tolerance_failures:
+        print(f"{res.n_tolerance_failures} evaluation(s) ran out of quadrature budget "
+              "and counted as -inf", file=sys.stderr)
     return 0 if res.converged else 1
 
 
@@ -161,7 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, required=True, help="number of subjects")
     sim.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
     sim.add_argument("--theta", help="comma-separated parameter values (else config theta)")
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1,
+                     help="threads drawing the cohort (output does not depend on it)")
     sim.add_argument("--out", required=True, help="cohort CSV path")
     sim.add_argument("--truth", help="also write true jump times to this CSV")
     sim.set_defaults(fn=_cmd_simulate)
@@ -172,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ll.add_argument("--data", required=True, help="cohort CSV")
     ll.add_argument("--theta", help="comma-separated parameter values (else config theta)")
     ll.add_argument("--tol", type=float, default=1e-8, help="relative quadrature tolerance")
-    ll.add_argument("--threads", type=int, default=1)
+    ll.add_argument("--threads", type=int, default=1,
+                    help="accepted for symmetry with simulate; has no effect")
     ll.add_argument("--out", help="also write the report to this CSV")
     ll.set_defaults(fn=_cmd_loglik)
 
@@ -182,7 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--data", required=True)
     fit.add_argument("--theta", help="starting values (else config theta)")
     fit.add_argument("--tol", type=float, default=1e-8)
-    fit.add_argument("--threads", type=int, default=1)
+    fit.add_argument("--threads", type=int, default=1,
+                     help="accepted for symmetry with simulate; has no effect")
     fit.add_argument("--out", help="write a JSON fit report here")
     fit.set_defaults(fn=_cmd_fit)
 

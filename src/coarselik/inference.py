@@ -27,12 +27,23 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
-from .likelihood import loglik_atom
+from .likelihood import _parse_atom, _switched_off_by, loglik_atom
 from .models import IntensityModel
-from .observation import Exact, Interval, PseudoAtomRecord, SurvivedBeyond
-from .quadrature import G_INDEX, G_WEIGHTS, K_NODES, K_WEIGHTS
+from .observation import PseudoAtomRecord
+from .quadrature import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_MAX_EVALS,
+    DEFAULT_REL_TOL,
+    G_INDEX,
+    G_WEIGHTS,
+    K_NODES,
+    K_WEIGHTS,
+)
 
 _MAX_PANEL = 1.0  # fixed panels never span more than this
+# the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
+_G7_ON_K15 = np.zeros_like(K_WEIGHTS)
+_G7_ON_K15[G_INDEX] = G_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -91,17 +102,30 @@ class FitResult:
     converged: bool
     grad_norm: float
     message: str
+    n_tolerance_failures: int = 0
 
 
 def dataset_loglik(model: IntensityModel, records: Sequence[PseudoAtomRecord],
                    C: float, **quad_opts) -> float:
     """Total log-likelihood of independent records under a fixed model."""
-    return float(sum(loglik_atom(model, rec, C, **quad_opts) for rec in records))
+    return float(per_subject_loglik(model, records, C, **quad_opts).sum())
 
 
 def per_subject_loglik(model: IntensityModel, records: Sequence[PseudoAtomRecord],
                        C: float, **quad_opts) -> np.ndarray:
-    return np.array([loglik_atom(model, rec, C, **quad_opts) for rec in records])
+    """Log-likelihood of each record under a fixed model.
+
+    Runs on the dataset plan of DatasetEvaluator, over a family with no
+    free parameters; `quad_opts` (rel_tol, abs_tol, max_evals) mean what
+    they mean for loglik_atom, which computes the records the fixed panels
+    cannot.
+    """
+    records = list(records)
+    if not records:
+        return np.empty(0)
+    fixed = ParametricFamily((), (), lambda _: model,
+                             fixed_breakpoints=tuple(model.breakpoints))
+    return DatasetEvaluator(fixed, records, C, **quad_opts).per_subject(())
 
 
 def _density_nodes(model, s_arr, flag_arr, C):
@@ -116,123 +140,124 @@ def _density_nodes(model, s_arr, flag_arr, C):
 
 
 class DatasetEvaluator:
-    """Batched log-likelihood of one dataset as a function of theta."""
+    """Batched log-likelihood of one dataset as a function of theta.
+
+    The quadrature options are those of loglik_atom: they set the error
+    check on the fixed panels and are passed to every fallback call.
+    """
 
     def __init__(self, family: ParametricFamily, records: Sequence[PseudoAtomRecord],
-                 C: float, rel_tol: float = 1e-8, abs_tol: float = 1e-12):
+                 C: float, rel_tol: float = DEFAULT_REL_TOL,
+                 abs_tol: float = DEFAULT_ABS_TOL, max_evals: int = DEFAULT_MAX_EVALS):
         self.family = family
         self.records = list(records)
         self.C = float(C)
-        self.rel_tol = rel_tol
-        self.abs_tol = abs_tol
+        self.quad_opts = {"rel_tol": rel_tol, "abs_tol": abs_tol, "max_evals": max_evals}
         self._cache: dict[tuple, float] = {}
         self.n_evaluations = 0
+        # objective evaluations whose quadrature budget ran out (scored -inf)
+        self.n_tolerance_failures = 0
         if not self.records:
             raise InvalidInputError("empty dataset")
-        p = self.records[0].p
         probe = family.build(family.from_search(np.zeros(family.k)))
-        if probe.p != p:
-            raise InvalidInputError(f"family builds {probe.p}-component models, records have {p}")
-        self.p = p
+        self.p = p = probe.p
         self._gates = [
-            [bool(_gated_by(probe.components[j], e)) for e in range(p)] for j in range(p)
+            [_switched_off_by(probe.components[j], e) for e in range(p)] for j in range(p)
         ]
         self._build_plan()
 
     def _build_plan(self):
-        from .likelihood import _parse_atom
-
         C, p = self.C, self.p
-        exact_rows = []     # (record_idx, s_vec, flag_vec)
-        quad_records = []   # fast 1-d records
-        slow = []           # everything else -> adaptive engine
+        exact_s, exact_f, exact_idx = [], [], []
+        slow = []           # two or more coarse components -> adaptive engine
+        # fast 1-d records: record index, coarse component, whether it adds a
+        # no-jump corner term, and the pinned coordinates of the others
+        quad_idx, quad_j, quad_corner, quad_s, quad_f = [], [], [], [], []
+        # edges between cuts of every fast record's range, and whose they are
+        seg_a, seg_b, seg_pos = [], [], []
+        breakpoints = self.family.fixed_breakpoints
         for i, rec in enumerate(self.records):
+            if rec.p != p:
+                raise InvalidInputError(f"record {i} has {rec.p} components, model has {p}")
             exact, interval, survived = _parse_atom(rec, C)
             n_coarse = len(interval) + len(survived)
-            if n_coarse == 0:
-                s = np.zeros(p)
-                fl = np.zeros(p, dtype=bool)
-                for j, t, f in exact:
-                    s[j], fl[j] = t, f
-                exact_rows.append((i, s, fl))
-            elif n_coarse == 1:
-                j, lo, hi, corner = (None, 0.0, 0.0, False)
-                if interval:
-                    j, lo, hi = interval[0]
-                else:
-                    j, v = survived[0]
-                    lo, hi, corner = v, C, True
-                cut = np.inf
-                for e, t, f in exact:
-                    if f and self._gates[j][e]:
-                        cut = min(cut, t)
-                quad_records.append((i, j, lo, min(hi, cut), corner, exact))
-            else:
+            if n_coarse > 1:
                 slow.append(i)
-        self._exact_idx = np.array([i for i, _, _ in exact_rows], dtype=int)
-        if exact_rows:
-            self._exact_s = np.stack([s for _, s, _ in exact_rows], axis=1)
-            self._exact_f = np.stack([f for _, _, f in exact_rows], axis=1)
-        self._slow = slow
-
-        # fixed panels: split at family breakpoints and pinned jump times,
-        # then subdivide so no panel exceeds _MAX_PANEL
-        node_t, node_w15, node_w7, node_rec = [], [], [], []
-        s_cols, f_cols = [], []
-        corner_cols, corner_flags, corner_idx = [], [], []
-        self._quad_idx = np.array([i for i, *_ in quad_records], dtype=int)
-        self._quad_pos = {}
-        for pos, (i, j, lo, hi, corner, exact) in enumerate(quad_records):
-            self._quad_pos[i] = pos
-            s_fix = np.zeros(p)
-            f_fix = np.zeros(p, dtype=bool)
+                continue
+            s = [0.0] * p
+            fl = [False] * p
             for e, t, f in exact:
-                s_fix[e], f_fix[e] = t, f
-            if corner:
-                col = s_fix.copy()
-                col[j] = C
-                corner_cols.append(col)
-                fc = f_fix.copy()
-                corner_flags.append(fc)
-                corner_idx.append(pos)
+                s[e], fl[e] = t, f
+            if n_coarse == 0:
+                exact_idx.append(i)
+                exact_s.append(s)
+                exact_f.append(fl)
+                continue
+            if interval:
+                j, lo, hi = interval[0]
+                corner = False
+            else:
+                j, lo = survived[0]
+                hi, corner = C, True
+            for e, t, f in exact:
+                if f and self._gates[j][e]:
+                    hi = min(hi, t)
+            pos = len(quad_idx)
+            quad_idx.append(i)
+            quad_j.append(j)
+            quad_corner.append(corner)
+            quad_s.append(s)
+            quad_f.append(fl)
             if hi > lo:
-                cuts = sorted(
-                    {c for c in self.family.fixed_breakpoints if lo < c < hi}
-                    | {t for e, t, f in exact if f and lo < t < hi}
-                )
+                # fixed panels split at family breakpoints and pinned jump times
+                cuts = sorted({c for c in breakpoints if lo < c < hi}
+                              | {t for _, t, f in exact if f and lo < t < hi})
                 edges = [lo] + cuts + [hi]
-                for a, b in zip(edges[:-1], edges[1:]):
-                    parts = max(1, int(np.ceil((b - a) / _MAX_PANEL)))
-                    sub = np.linspace(a, b, parts + 1)
-                    for aa, bb in zip(sub[:-1], sub[1:]):
-                        half = 0.5 * (bb - aa)
-                        x = 0.5 * (aa + bb) + half * K_NODES
-                        node_t.append(x)
-                        node_w15.append(half * K_WEIGHTS)
-                        w7 = np.zeros_like(K_WEIGHTS)
-                        w7[G_INDEX] = G_WEIGHTS
-                        node_w7.append(half * w7)
-                        node_rec.append(np.full(x.size, pos, dtype=int))
-                        cols = np.repeat(s_fix[:, None], x.size, axis=1)
-                        cols[j] = x
-                        fc = np.repeat(f_fix[:, None], x.size, axis=1)
-                        fc[j] = True
-                        s_cols.append(cols)
-                        f_cols.append(fc)
-        self._n_quad = len(quad_records)
-        if node_t:
-            self._node_t = np.concatenate(node_t)
-            self._node_w15 = np.concatenate(node_w15)
-            self._node_w7 = np.concatenate(node_w7)
-            self._node_rec = np.concatenate(node_rec)
-            self._node_s = np.concatenate(s_cols, axis=1)
-            self._node_f = np.concatenate(f_cols, axis=1)
-        else:
-            self._node_t = np.empty(0)
-        if corner_cols:
-            self._corner_s = np.stack(corner_cols, axis=1)
-            self._corner_f = np.stack(corner_flags, axis=1)
-            self._corner_idx = np.array(corner_idx, dtype=int)
+                seg_a += edges[:-1]
+                seg_b += edges[1:]
+                seg_pos += [pos] * (len(edges) - 1)
+
+        self._exact_idx = np.array(exact_idx, dtype=int)
+        if exact_idx:
+            self._exact_s = np.array(exact_s, dtype=float).T.copy()
+            self._exact_f = np.array(exact_f, dtype=bool).T.copy()
+        self._slow = slow
+        self._quad_idx = np.array(quad_idx, dtype=int)
+        self._n_quad = len(quad_idx)
+        quad_j = np.array(quad_j, dtype=int)
+        quad_s = np.array(quad_s, dtype=float).reshape(-1, p).T
+        quad_f = np.array(quad_f, dtype=bool).reshape(-1, p).T
+
+        # subdivide so no panel exceeds _MAX_PANEL; the sub-panel edges are
+        # those of np.linspace(a, b, parts + 1), k * step + a with the last
+        # one set to b, so the nodes do not depend on how they are built
+        a = np.array(seg_a, dtype=float)
+        b = np.array(seg_b, dtype=float)
+        parts = np.maximum(1, np.ceil((b - a) / _MAX_PANEL).astype(int))
+        seg = np.repeat(np.arange(a.size), parts)
+        k = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
+        step = ((b - a) / parts)[seg]
+        lo = k * step + a[seg]
+        hi = np.where(k + 1 == parts[seg], b[seg], (k + 1) * step + a[seg])
+        half = (0.5 * (hi - lo))[:, None]
+        self._node_t = ((0.5 * (lo + hi))[:, None] + half * K_NODES).ravel()
+        self._node_w15 = (half * K_WEIGHTS).ravel()
+        self._node_w7 = (half * _G7_ON_K15).ravel()
+        self._node_rec = np.repeat(np.array(seg_pos, dtype=int)[seg], K_NODES.size)
+        cols = np.arange(self._node_t.size)
+        # np.take keeps the (p, N) arrays C-ordered (x[:, idx] would not):
+        # the kernel reads one coordinate row at a time
+        self._node_s = np.take(quad_s, self._node_rec, axis=1)
+        self._node_s[quad_j[self._node_rec], cols] = self._node_t
+        self._node_f = np.take(quad_f, self._node_rec, axis=1)
+        self._node_f[quad_j[self._node_rec], cols] = True
+
+        corner = np.flatnonzero(quad_corner)
+        if corner.size:
+            self._corner_s = np.take(quad_s, corner, axis=1)
+            self._corner_s[quad_j[corner], np.arange(corner.size)] = C
+            self._corner_f = np.take(quad_f, corner, axis=1)
+            self._corner_idx = corner
         else:
             self._corner_s = None
 
@@ -259,15 +284,14 @@ class DatasetEvaluator:
                 np.add.at(integrals, self._corner_idx, cvals)
             with np.errstate(divide="ignore"):
                 vals = np.log(np.maximum(integrals, 0.0))
-            bad = errs > np.maximum(self.rel_tol * np.abs(integrals), 100 * self.abs_tol)
+            rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
+            bad = errs > np.maximum(rel_tol * np.abs(integrals), 100 * abs_tol)
             out[self._quad_idx] = vals
             for i in np.flatnonzero(bad):
                 rec_i = int(self._quad_idx[i])
-                out[rec_i] = loglik_atom(model, self.records[rec_i], self.C,
-                                         rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+                out[rec_i] = loglik_atom(model, self.records[rec_i], self.C, **self.quad_opts)
         for i in self._slow:
-            out[i] = loglik_atom(model, self.records[i], self.C,
-                                 rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+            out[i] = loglik_atom(model, self.records[i], self.C, **self.quad_opts)
         return out
 
     def total(self, theta) -> float:
@@ -279,17 +303,12 @@ class DatasetEvaluator:
         try:
             per = self.per_subject(theta)
         except ToleranceError:
+            self.n_tolerance_failures += 1
             per = np.array([-np.inf])
         tot = float(per.sum()) if np.all(np.isfinite(per)) else -np.inf
         if len(self._cache) < 65536:
             self._cache[key] = tot
         return tot
-
-
-def _gated_by(component, e: int) -> bool:
-    from .likelihood import _switched_off_by
-
-    return _switched_off_by(component, e)
 
 
 def _numeric_hessian(fn, u, h_scale=1e-4):
@@ -375,6 +394,10 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord], C: fl
         except np.linalg.LinAlgError:
             std_errors = None
 
+    message = f"nelder-mead: {nm.message}; bfgs: {bfgs.message}"
+    if ev.n_tolerance_failures:
+        message += (f"; {ev.n_tolerance_failures} evaluation(s) ran out of quadrature "
+                    "budget and counted as -inf")
     return FitResult(
         theta=dict(zip(family.param_names, theta_hat.tolist())),
         loglik=loglik,
@@ -382,5 +405,6 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord], C: fl
         n_evaluations=ev.n_evaluations,
         converged=bool(nm.success or bfgs.success) and grad_norm < 1e-3,
         grad_norm=grad_norm,
-        message=f"nelder-mead: {nm.message}; bfgs: {bfgs.message}",
+        message=message,
+        n_tolerance_failures=ev.n_tolerance_failures,
     )

@@ -132,10 +132,11 @@ def _adaptive(f, a, b, breakpoints, rel_tol, abs_tol, budget, inner_err_of=None)
     total = 0.0
     total_err = 0.0
     total_inner = 0.0
+    covered = False  # every initial panel is in the totals
 
-    def push(lo, hi):
+    def push(lo, hi, panel):
         nonlocal seq, total, total_err, total_inner
-        val, err, inner = _eval_panel(f, lo, hi, budget, inner_err_of)
+        val, err, inner = panel
         heapq.heappush(heap, (-err, seq, lo, hi, val, err, inner))
         seq += 1
         total += val
@@ -144,7 +145,8 @@ def _adaptive(f, a, b, breakpoints, rel_tol, abs_tol, budget, inner_err_of=None)
 
     try:
         for lo, hi in zip(edges[:-1], edges[1:]):
-            push(lo, hi)
+            push(lo, hi, _eval_panel(f, lo, hi, budget, inner_err_of))
+        covered = True
         while total_err > max(abs_tol, rel_tol * abs(total)):
             neg_err, _, lo, hi, val, err, inner = heapq.heappop(heap)
             mid = 0.5 * (lo + hi)
@@ -155,17 +157,22 @@ def _adaptive(f, a, b, breakpoints, rel_tol, abs_tol, budget, inner_err_of=None)
                 if all(item[0] == 0.0 for item in heap):
                     raise _BudgetExhausted
                 continue
+            # both halves are evaluated before the parent leaves the totals,
+            # so a budget that runs out here leaves them whole
+            left = _eval_panel(f, lo, mid, budget, inner_err_of)
+            right = _eval_panel(f, mid, hi, budget, inner_err_of)
             total -= val
             total_err -= err
             total_inner -= inner
-            push(lo, mid)
-            push(mid, hi)
+            push(lo, mid, left)
+            push(mid, hi, right)
     except _BudgetExhausted:
+        bound = total_err + total_inner if covered else np.inf
         raise ToleranceError(
             f"quadrature tolerance not reached within {budget.limit} evaluations "
-            f"(estimate {total!r}, error bound {total_err!r})",
+            f"(estimate {total!r}, error bound {bound!r})",
             value=total,
-            error_estimate=total_err + total_inner,
+            error_estimate=bound,
         ) from None
     return total, total_err, total_inner
 
@@ -184,7 +191,9 @@ def integrate_1d(
 
     Raises ToleranceError (carrying the best estimate) when the requested
     accuracy cannot be met within `max_evals` point evaluations, and
-    DomainError when the integrand produces a non-finite value.
+    DomainError when the integrand produces a non-finite value. The error
+    bound it carries is infinite if the budget ran out before every panel
+    between breakpoints had been evaluated once.
     """
     budget = _Budget(max_evals)
     value, err, _ = _adaptive(f, a, b, breakpoints, rel_tol, abs_tol, budget)
@@ -237,6 +246,9 @@ def integrate_nested(
     and a numpy array in the last (innermost) position. The evaluation budget
     is shared across all levels; the reported error adds the outer quadrature
     bound and the integrated bounds of every inner level (a conservative sum).
+    A ToleranceError, wherever the budget ran out, carries the outermost
+    level's estimate of the whole integral and its bound, as integrate_1d's
+    does.
     """
     dims = tuple(region.dims) if isinstance(region, IntegrationRegion) else tuple(region)
     if not dims:
@@ -267,7 +279,12 @@ def integrate_nested(
             vals = np.empty_like(x)
             errs = np.empty_like(x)
             for i, xi in enumerate(x):
-                vals[i], errs[i] = level(k + 1, outer + (float(xi),))
+                try:
+                    vals[i], errs[i] = level(k + 1, outer + (float(xi),))
+                except ToleranceError:
+                    # the shared budget ran out inside: this level reports
+                    # its own totals, which estimate the whole integral
+                    raise _BudgetExhausted from None
             err_box[x.tobytes()] = errs
             return vals
 

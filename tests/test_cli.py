@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import coarselik.cli as cli
 from coarselik.cli import main
 
 MODEL_JSON = {
@@ -126,13 +127,34 @@ def test_fit_round_trip(tmp_path, configs, capsys):
     code = main(["fit", "--model", model, "--scheme", scheme,
                  "--data", str(data), "--out", str(report_path)])
     assert code == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""
     report = json.loads(report_path.read_text())
     assert report["converged"] is True
     assert report["n_subjects"] == 150
     assert set(report["theta"]) == {"a01", "a02", "eta12"}
     assert set(report["std_errors"]) == {"a01", "a02", "eta12"}
     assert report["loglik"] < 0
+
+
+def test_fit_reports_tolerance_failures_on_stderr(tmp_path, configs, capsys, monkeypatch):
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme,
+                 "--n", "60", "--seed", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    real_fit = cli.fit_mle
+
+    def two_failures(*args, **kwargs):
+        res = real_fit(*args, **kwargs)
+        res.n_tolerance_failures = 2
+        return res
+
+    monkeypatch.setattr(cli, "fit_mle", two_failures)
+    code = main(["fit", "--model", model, "--scheme", scheme, "--data", str(data),
+                 "--threads", "2"])
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "2 evaluation(s) ran out of quadrature budget and counted as -inf\n")
 
 
 def test_validate_smoke(capsys):

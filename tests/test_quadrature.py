@@ -141,6 +141,19 @@ def test_nested_budget_shared():
                          region, rel_tol=1e-12, max_evals=900)
 
 
+@pytest.mark.parametrize("max_evals", [500, 2000, 5000, 20000])
+def test_nested_budget_failure_bounds_the_whole_integral(max_evals):
+    # the budget runs out inside an inner level (or, at 5000 and up, while
+    # the outer level refines); the error carried must still cover the
+    # distance to the true integral, not describe one inner integral
+    f = lambda x, y: np.exp(x + y) * (1.0 + np.sin(40.0 * x) * np.sin(40.0 * y))
+    s = (np.e * (np.sin(40.0) - 40.0 * np.cos(40.0)) + 40.0) / 1601.0
+    true = (np.e - 1.0) ** 2 + s * s   # 2.9576...
+    with pytest.raises(ToleranceError) as exc:
+        integrate_nested(f, (Dim(0.0, 1.0), Dim(0.0, 1.0)), max_evals=max_evals)
+    assert exc.value.error_estimate >= abs(exc.value.value - true)
+
+
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 @settings(max_examples=25, deadline=None)
 def test_linearity(c1, c2):

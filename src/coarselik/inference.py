@@ -8,14 +8,18 @@ landscape of coarse-data likelihoods) and polishes with BFGS on numeric
 gradients; standard errors come from a central-difference Hessian at the
 optimum, mapped back to the natural scale by the delta method.
 
-For datasets whose records have at most one coarse component (the common
-panel-plus-death shape), the likelihood is evaluated on precomputed fixed
-quadrature panels shared across the whole dataset: node positions depend
-only on the data and the family's fixed rate-change points, so each
-objective evaluation is a handful of vectorized kernel passes. The embedded
-lower-order rule is evaluated on the same nodes; records whose panel error
-exceeds the tolerance are recomputed with the adaptive engine, so the fast
-path never silently loses accuracy.
+Each record is laid out once into the corner terms of likelihood's
+expansion. A record with no corner term of two free coordinates (the common
+panel-plus-death shape, and records whose extra coarse parts a timed death
+cuts away) is evaluated on a plan shared across the whole dataset: a term
+with no free coordinate is one density point, a term with one free
+coordinate a line of fixed quadrature panels. Node positions depend only on
+the data and the family's fixed rate-change points, so each objective
+evaluation is two vectorized kernel passes. The embedded lower-order rule
+is evaluated on the same nodes; records whose panel error exceeds the
+tolerance, and records with a term of two or more free coordinates, are
+computed by the adaptive loglik_atom, so the fixed panels never silently
+lose accuracy.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
-from .likelihood import _parse_atom, _switched_off_by, loglik_atom
+from .likelihood import _density, _layout, loglik_atom
 from .models import IntensityModel
 from .observation import PseudoAtomRecord
 from .quadrature import (
@@ -116,9 +120,10 @@ def per_subject_loglik(model: IntensityModel, records: Sequence[PseudoAtomRecord
     """Log-likelihood of each record under a fixed model.
 
     Runs on the dataset plan of DatasetEvaluator, over a family with no
-    free parameters; `quad_opts` (rel_tol, abs_tol, max_evals) mean what
-    they mean for loglik_atom, which computes the records the fixed panels
-    cannot.
+    free parameters: records with no corner term of two free coordinates
+    take the fixed panels. `quad_opts` (rel_tol, abs_tol, max_evals) mean
+    what they mean for loglik_atom, which computes the records the fixed
+    panels cannot.
     """
     records = list(records)
     if not records:
@@ -126,17 +131,6 @@ def per_subject_loglik(model: IntensityModel, records: Sequence[PseudoAtomRecord
     fixed = ParametricFamily((), (), lambda _: model,
                              fixed_breakpoints=tuple(model.breakpoints))
     return DatasetEvaluator(fixed, records, C, **quad_opts).per_subject(())
-
-
-def _density_nodes(model, s_arr, flag_arr, C):
-    """Vectorized record density at stacked coordinates (p, N)."""
-    T_list = list(s_arr)
-    out = np.ones(s_arr.shape[1])
-    for j in range(s_arr.shape[0]):
-        if flag_arr[j].any():
-            r = model.rate(j, s_arr[j], T_list)
-            out = out * np.where(flag_arr[j], r, 1.0)
-    return out * np.exp(-model.total_cum(0.0, C, T_list))
 
 
 class DatasetEvaluator:
@@ -160,79 +154,65 @@ class DatasetEvaluator:
         if not self.records:
             raise InvalidInputError("empty dataset")
         probe = family.build(family.from_search(np.zeros(family.k)))
-        self.p = p = probe.p
-        self._gates = [
-            [_switched_off_by(probe.components[j], e) for e in range(p)] for j in range(p)
-        ]
-        self._build_plan()
+        self.p = probe.p
+        self._build_plan(probe)
 
-    def _build_plan(self):
+    def _build_plan(self, probe):
         C, p = self.C, self.p
-        exact_s, exact_f, exact_idx = [], [], []
-        slow = []           # two or more coarse components -> adaptive engine
-        # fast 1-d records: record index, coarse component, whether it adds a
-        # no-jump corner term, and the pinned coordinates of the others
-        quad_idx, quad_j, quad_corner, quad_s, quad_f = [], [], [], [], []
-        # edges between cuts of every fast record's range, and whose they are
-        seg_a, seg_b, seg_pos = [], [], []
-        breakpoints = self.family.fixed_breakpoints
+        slow = []           # a term with two or more free coordinates -> adaptive engine
+        # every other term: its record, pinned coordinates, flags, and free
+        # range (j, lo, hi), j = -1 for none
+        term_rec, term_s, term_f, term_free = [], [], [], []
+        no_range = (-1, 0.0, 0.0)
         for i, rec in enumerate(self.records):
-            if rec.p != p:
-                raise InvalidInputError(f"record {i} has {rec.p} components, model has {p}")
-            exact, interval, survived = _parse_atom(rec, C)
-            n_coarse = len(interval) + len(survived)
-            if n_coarse > 1:
+            try:
+                terms = _layout(probe, rec, C)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"record {i}: {exc}") from None
+            # the first term leaves every range free
+            if terms and len(terms[0][2]) > 1:
                 slow.append(i)
                 continue
-            s = [0.0] * p
-            fl = [False] * p
-            for e, t, f in exact:
-                s[e], fl[e] = t, f
-            if n_coarse == 0:
-                exact_idx.append(i)
-                exact_s.append(s)
-                exact_f.append(fl)
-                continue
-            if interval:
-                j, lo, hi = interval[0]
-                corner = False
-            else:
-                j, lo = survived[0]
-                hi, corner = C, True
-            for e, t, f in exact:
-                if f and self._gates[j][e]:
-                    hi = min(hi, t)
-            pos = len(quad_idx)
-            quad_idx.append(i)
-            quad_j.append(j)
-            quad_corner.append(corner)
-            quad_s.append(s)
-            quad_f.append(fl)
-            if hi > lo:
-                # fixed panels split at family breakpoints and pinned jump times
-                cuts = sorted({c for c in breakpoints if lo < c < hi}
-                              | {t for _, t, f in exact if f and lo < t < hi})
-                edges = [lo] + cuts + [hi]
-                seg_a += edges[:-1]
-                seg_b += edges[1:]
-                seg_pos += [pos] * (len(edges) - 1)
+            for s, flags, free in terms:
+                term_rec.append(i)
+                term_s.append(s)
+                term_f.append(flags)
+                term_free.append(free[0] if free else no_range)
 
-        self._exact_idx = np.array(exact_idx, dtype=int)
-        if exact_idx:
-            self._exact_s = np.array(exact_s, dtype=float).T.copy()
-            self._exact_f = np.array(exact_f, dtype=bool).T.copy()
         self._slow = slow
-        self._quad_idx = np.array(quad_idx, dtype=int)
-        self._n_quad = len(quad_idx)
-        quad_j = np.array(quad_j, dtype=int)
-        quad_s = np.array(quad_s, dtype=float).reshape(-1, p).T
-        quad_f = np.array(quad_f, dtype=bool).reshape(-1, p).T
+        rec = np.array(term_rec, dtype=int)
+        S = np.array(term_s, dtype=float).reshape(-1, p).T
+        F = np.array(term_f, dtype=bool).reshape(-1, p).T
+        free = np.array(term_free, dtype=float).reshape(-1, 3)
+        point = np.flatnonzero(free[:, 0] < 0)
+        line = np.flatnonzero(free[:, 0] >= 0)
+        # np.take keeps the (p, N) arrays C-ordered (x[:, idx] would not):
+        # the kernel reads one coordinate row at a time
+        self._point_rec = rec[point]
+        self._point_s = np.take(S, point, axis=1)
+        self._point_f = np.take(F, point, axis=1)
+
+        # a line of panels spans its range, split at the family's breakpoints
+        # and the term's pinned jump times (a free coordinate holds C, never
+        # inside a range); each row of cuts is sorted, repeats and values
+        # outside the range set to inf
+        lo, hi = free[line, 1:2], free[line, 2:3]
+        bps = np.asarray(self.family.fixed_breakpoints, dtype=float)
+        cuts = np.concatenate([np.where(F[:, line], S[:, line], np.nan).T,
+                               np.broadcast_to(bps, (line.size, bps.size))], axis=1)
+        cuts[~((lo < cuts) & (cuts < hi))] = np.inf
+        cuts.sort(axis=1)
+        cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf
+        cuts.sort(axis=1)
+        left = np.concatenate([lo, cuts], axis=1)
+        right = np.concatenate([cuts, hi], axis=1)
+        seg_line, col = np.nonzero(np.isfinite(left))
+        a = left[seg_line, col]
+        b = np.where(np.isfinite(right), right, hi)[seg_line, col]
 
         # subdivide so no panel exceeds _MAX_PANEL; the sub-panel edges are
         # those of np.linspace(a, b, parts + 1), k * step + a with the last
         # one set to b, so the nodes do not depend on how they are built
-        a = np.array(seg_a, dtype=float)
-        b = np.array(seg_b, dtype=float)
         parts = np.maximum(1, np.ceil((b - a) / _MAX_PANEL).astype(int))
         seg = np.repeat(np.arange(a.size), parts)
         k = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
@@ -243,54 +223,32 @@ class DatasetEvaluator:
         self._node_t = ((0.5 * (lo + hi))[:, None] + half * K_NODES).ravel()
         self._node_w15 = (half * K_WEIGHTS).ravel()
         self._node_w7 = (half * _G7_ON_K15).ravel()
-        self._node_rec = np.repeat(np.array(seg_pos, dtype=int)[seg], K_NODES.size)
-        cols = np.arange(self._node_t.size)
-        # np.take keeps the (p, N) arrays C-ordered (x[:, idx] would not):
-        # the kernel reads one coordinate row at a time
-        self._node_s = np.take(quad_s, self._node_rec, axis=1)
-        self._node_s[quad_j[self._node_rec], cols] = self._node_t
-        self._node_f = np.take(quad_f, self._node_rec, axis=1)
-        self._node_f[quad_j[self._node_rec], cols] = True
-
-        corner = np.flatnonzero(quad_corner)
-        if corner.size:
-            self._corner_s = np.take(quad_s, corner, axis=1)
-            self._corner_s[quad_j[corner], np.arange(corner.size)] = C
-            self._corner_f = np.take(quad_f, corner, axis=1)
-            self._corner_idx = corner
-        else:
-            self._corner_s = None
+        node_term = line[np.repeat(seg_line[seg], K_NODES.size)]
+        self._node_rec = rec[node_term]
+        self._node_s = np.take(S, node_term, axis=1)
+        self._node_s[free[node_term, 0].astype(int), np.arange(node_term.size)] = self._node_t
+        self._node_f = np.take(F, node_term, axis=1)
 
     def per_subject(self, theta) -> np.ndarray:
         """Per-record log-likelihood at natural-scale theta."""
         model = self.family.build(theta)
-        out = np.empty(len(self.records))
-        if self._exact_idx.size:
-            vals = _density_nodes(model, self._exact_s, self._exact_f, self.C)
-            with np.errstate(divide="ignore"):
-                out[self._exact_idx] = np.log(vals)
-        if self._n_quad:
-            integrals = np.zeros(self._n_quad)
-            errs = np.zeros(self._n_quad)
-            if self._node_t.size:
-                f = _density_nodes(model, self._node_s, self._node_f, self.C)
-                integrals = np.bincount(self._node_rec, weights=self._node_w15 * f,
-                                        minlength=self._n_quad)
-                low = np.bincount(self._node_rec, weights=self._node_w7 * f,
-                                  minlength=self._n_quad)
-                errs = np.abs(integrals - low)
-            if self._corner_s is not None:
-                cvals = _density_nodes(model, self._corner_s, self._corner_f, self.C)
-                np.add.at(integrals, self._corner_idx, cvals)
-            with np.errstate(divide="ignore"):
-                vals = np.log(np.maximum(integrals, 0.0))
-            rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
-            bad = errs > np.maximum(rel_tol * np.abs(integrals), 100 * abs_tol)
-            out[self._quad_idx] = vals
-            for i in np.flatnonzero(bad):
-                rec_i = int(self._quad_idx[i])
-                out[rec_i] = loglik_atom(model, self.records[rec_i], self.C, **self.quad_opts)
-        for i in self._slow:
+        n = len(self.records)
+        total = np.zeros(n)
+        err = np.zeros(n)
+        if self._node_t.size:
+            f = _density(model, self._node_s, self._node_f, self.C)
+            total = np.bincount(self._node_rec, weights=self._node_w15 * f, minlength=n)
+            low = np.bincount(self._node_rec, weights=self._node_w7 * f, minlength=n)
+            err = np.abs(total - low)
+        if self._point_rec.size:
+            np.add.at(total, self._point_rec,
+                      _density(model, self._point_s, self._point_f, self.C))
+        with np.errstate(divide="ignore"):
+            out = np.log(np.maximum(total, 0.0))
+        rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
+        redo = err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol)
+        redo[self._slow] = True
+        for i in np.flatnonzero(redo):
             out[i] = loglik_atom(model, self.records[i], self.C, **self.quad_opts)
         return out
 
@@ -315,20 +273,16 @@ def _numeric_hessian(fn, u, h_scale=1e-4):
     k = u.size
     H = np.empty((k, k))
     h = h_scale * np.maximum(np.abs(u), 1.0)
-
-    def f(v):
-        return fn(v)
-
-    f0 = f(u)
+    f0 = fn(u)
     for i in range(k):
         ei = np.zeros(k)
         ei[i] = h[i]
-        H[i, i] = (f(u + ei) - 2 * f0 + f(u - ei)) / h[i] ** 2
+        H[i, i] = (fn(u + ei) - 2 * f0 + fn(u - ei)) / h[i] ** 2
         for j in range(i + 1, k):
             ej = np.zeros(k)
             ej[j] = h[j]
             H[i, j] = H[j, i] = (
-                f(u + ei + ej) - f(u + ei - ej) - f(u - ei + ej) + f(u - ei - ej)
+                fn(u + ei + ej) - fn(u + ei - ej) - fn(u - ei + ej) + fn(u - ei - ej)
             ) / (4 * h[i] * h[j])
     return H
 
@@ -363,6 +317,9 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord], C: fl
     best = {"u": u0.copy(), "val": -ev.total(family.from_search(u0))}
 
     def objective(u):
+        # a finite-difference step off a -inf point can come back nan
+        if not np.all(np.isfinite(u)):
+            return np.inf
         val = -ev.total(family.from_search(u))
         if val < best["val"]:
             best["val"] = val
@@ -382,17 +339,19 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord], C: fl
     std_errors = None
     if compute_se:
         H = _numeric_hessian(lambda u: -ev.total(family.from_search(u)), u_hat)
-        try:
-            cov = np.linalg.inv(H)
-            se_u = np.sqrt(np.diag(cov))
-            if np.all(np.isfinite(se_u)):
-                se_nat = se_u.copy()
-                for i, tr in enumerate(family.transforms):
-                    if tr == "log":
-                        se_nat[i] = theta_hat[i] * se_u[i]
-                std_errors = dict(zip(family.param_names, se_nat.tolist()))
-        except np.linalg.LinAlgError:
-            std_errors = None
+        # a -inf inside the stencil leaves no curvature to invert
+        se_u = np.full(family.k, np.nan)
+        if np.all(np.isfinite(H)):
+            try:
+                se_u = np.sqrt(np.diag(np.linalg.inv(H)))
+            except np.linalg.LinAlgError:
+                pass
+        if np.all(np.isfinite(se_u)):
+            se_nat = se_u.copy()
+            for i, tr in enumerate(family.transforms):
+                if tr == "log":
+                    se_nat[i] = theta_hat[i] * se_u[i]
+            std_errors = dict(zip(family.param_names, se_nat.tolist()))
 
     message = f"nelder-mead: {nm.message}; bfgs: {bfgs.message}"
     if ev.n_tolerance_failures:

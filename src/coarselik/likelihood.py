@@ -16,12 +16,14 @@ coordinates the record leaves free:
 All terms are nonnegative, so the log of their sum is well defined, with
 -inf a legitimate value for impossible records rather than an error.
 
-Integrals run on the nested quadrature engine with panels split at model
-rate discontinuities, at every pinned jump time, and at the bounds of the
-other free coordinates, so integrand kinks always land on panel edges. When
-a pinned jump provably switches another component off (a death-style gate),
-that component's integration range is cut there; the discarded region
+When a pinned jump provably switches another component off (a death-style
+gate), that component's range is always cut there: the discarded region
 carries zero intensity, so the value is unchanged and panels are saved.
+This layout of a record into corner terms, and the density kernel, are
+shared with the dataset plan of inference.DatasetEvaluator. Here each term
+is integrated on the nested adaptive engine, with panels split at model
+rate discontinuities, at every pinned jump time, and at the bounds of the
+free ranges, so integrand kinks always land on panel edges.
 """
 
 from __future__ import annotations
@@ -42,17 +44,20 @@ from .quadrature import (
 )
 
 
-def _value_at(model: IntensityModel, times, jumped_flags, C: float):
+def _density(model: IntensityModel, s, flags, C: float):
     """Density factor: rates at flagged jump times, times exp(-Lambda(C)).
 
-    times entries may be scalars or broadcastable arrays.
+    Coordinates may be scalars or broadcastable arrays. A flag is a bool, or
+    a bool array that marks a jump point by point (one row of a batch).
     """
     out = 1.0
-    for j, flag in enumerate(jumped_flags):
-        if flag:
-            out = out * model.rate(j, times[j], times)
-    out = out * np.exp(-model.total_cum(0.0, C, times))
-    return out
+    for j, flag in enumerate(flags):
+        if isinstance(flag, np.ndarray):
+            if flag.any():
+                out = out * np.where(flag, model.rate(j, s[j], s), 1.0)
+        elif flag:
+            out = out * model.rate(j, s[j], s)
+    return out * np.exp(-model.total_cum(0.0, C, s))
 
 
 def f_theta(model: IntensityModel, s, C: float):
@@ -67,7 +72,7 @@ def f_theta(model: IntensityModel, s, C: float):
     for j, x in enumerate(s):
         if np.ndim(x) and not flags[j] and np.any(np.asarray(x) < C):
             raise InvalidInputError("mixed jump/no-jump coordinate arrays are not supported")
-    return _value_at(model, s, flags, C)
+    return _density(model, s, flags, C)
 
 
 def loglik_continuous(model: IntensityModel, history: JumpHistory) -> float:
@@ -77,7 +82,7 @@ def loglik_continuous(model: IntensityModel, history: JumpHistory) -> float:
     C = history.horizon
     times = [t for t, _ in history.times]
     flags = [obs for _, obs in history.times]
-    val = _value_at(model, times, flags, C)
+    val = _density(model, times, flags, C)
     with np.errstate(divide="ignore"):
         return float(np.log(val))
 
@@ -91,33 +96,69 @@ def _switched_off_by(component, e: int) -> bool:
     return False
 
 
-def _parse_atom(atom: PseudoAtomRecord, C: float):
-    """Split statuses into pinned coordinates and free ranges."""
-    exact: list[tuple[int, float, bool]] = []
-    interval: list[tuple[int, float, float]] = []
-    survived: list[tuple[int, float]] = []
+def _layout(model: IntensityModel, atom: PseudoAtomRecord, C: float):
+    """The record's corner terms, each as (s, flags, free).
+
+    s holds the pinned coordinates, C for a survivor taken not to have
+    jumped (and, as a placeholder, for free ones); flags marks jumps, free
+    coordinates included; free lists the (j, lo, hi) ranges, intervals
+    first, each cut where a pinned jump switches component j off. Terms
+    with an empty range are dropped, so an impossible record has none.
+    """
+    p = model.p
+    if atom.p != p:
+        raise InvalidInputError(f"record has {atom.p} components, model has {p}")
+    s = [C] * p
+    flags = [False] * p
+    jumps: list[tuple[int, float]] = []
+    ranges: list[tuple[int, float, float, bool]] = []   # (j, lo, hi, survivor)
     for j, st in enumerate(atom.statuses):
         if isinstance(st, Exact):
             if st.observed_jump:
                 if not (0 < st.time <= C):
                     raise InvalidInputError(f"component {j}: jump time {st.time} outside (0, {C}]")
+                jumps.append((j, st.time))
+                s[j] = st.time
+                flags[j] = True
             elif st.time != C:
                 raise InvalidInputError(
                     f"component {j}: no-jump-by-{st.time} with later times unobserved "
                     "should be SurvivedBeyond"
                 )
-            exact.append((j, st.time, st.observed_jump))
         elif isinstance(st, Interval):
             if st.upper > C:
                 raise InvalidInputError(f"component {j}: interval end {st.upper} beyond {C}")
-            interval.append((j, st.lower, st.upper))
+            ranges.append((j, st.lower, st.upper, False))
         elif isinstance(st, SurvivedBeyond):
             if not (0 <= st.time <= C):
                 raise InvalidInputError(f"component {j}: survival time {st.time} outside [0, {C}]")
-            survived.append((j, st.time))
+            ranges.append((j, st.time, C, True))
         else:
             raise InvalidInputError(f"component {j}: unknown status {st!r}")
-    return exact, interval, survived
+    if not ranges:
+        return [(s, flags, [])]
+    free, live = [], []     # ranges of every term; survivors' ranges
+    for j, lo, hi, survivor in ranges:
+        for e, t in jumps:
+            if t < hi and _switched_off_by(model.components[j], e):
+                hi = t
+        if hi > lo:
+            (live if survivor else free).append((j, lo, hi))
+            flags[j] = True
+        elif not survivor:
+            return []
+    terms = [(s, flags, free + live)]
+    if len(live) == 1:      # the common case, without the combinatorics
+        no_jump = flags.copy()
+        no_jump[live[0][0]] = False
+        return terms + [(s, no_jump, free)]
+    for r in range(1, len(live) + 1):
+        for pinned in combinations(live, r):
+            no_jump = flags.copy()
+            for j, _, _ in pinned:
+                no_jump[j] = False
+            terms.append((s, no_jump, free + [x for x in live if x not in pinned]))
+    return terms
 
 
 def loglik_atom(
@@ -128,101 +169,39 @@ def loglik_atom(
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
     max_evals: int = DEFAULT_MAX_EVALS,
-    tighten: bool = True,
 ) -> float:
     """Normalized log-likelihood of one coarse record over horizon C.
 
     The value exponentiates to the record's probability, as a density in the
-    coordinates of components with an observed exact jump time.
+    coordinates of components with an observed exact jump time. Each corner
+    term is integrated adaptively.
     """
-    if atom.p != model.p:
-        raise InvalidInputError(f"record has {atom.p} components, model has {model.p}")
-    exact, interval, survived = _parse_atom(atom, C)
-
-    if not interval and not survived:
-        times = [t for _, t, _ in exact]
-        flags = [f for _, _, f in exact]
-        order = [j for j, _, _ in exact]
-        s = [0.0] * model.p
-        fl = [False] * model.p
-        for k, j in enumerate(order):
-            s[j] = times[k]
-            fl[j] = flags[k]
-        with np.errstate(divide="ignore"):
-            return float(np.log(_value_at(model, s, fl, C)))
-
-    # integration range is cut where a pinned jump switches a component off
-    cut_for: dict[int, float] = {}
-    if tighten:
-        for (e, t, flag) in exact:
-            if not flag:
-                continue
-            for j, _, _ in interval:
-                if _switched_off_by(model.components[j], e):
-                    cut_for[j] = min(cut_for.get(j, np.inf), t)
-            for j, _ in survived:
-                if _switched_off_by(model.components[j], e):
-                    cut_for[j] = min(cut_for.get(j, np.inf), t)
-
-    pinned = {j: t for j, t, _ in exact}
-    pin_flags = {j: f for j, _, f in exact}
-    bound_times = sorted(
-        {t for _, t, _ in exact}
-        | {x for _, a, b in interval for x in (a, b)}
-        | {v for _, v in survived}
-    )
-    base_cuts = tuple(sorted(set(model.breakpoints) | set(bound_times)))
+    terms = _layout(model, atom, C)
+    # panels split at rate discontinuities, pinned times and range bounds
+    cuts = set(model.breakpoints)
+    for s, _, free in terms:
+        cuts.update(s)
+        cuts.update(x for _, lo, hi in free for x in (lo, hi))
+    cuts = tuple(sorted(cuts))
 
     total = 0.0
-    surv_idx = [j for j, _ in survived]
-    surv_from = {j: v for j, v in survived}
-    for r in range(len(survived) + 1):
-        for pinned_set in combinations(surv_idx, r):
-            free: list[tuple[int, float, float]] = []
-            for j, a, b in interval:
-                free.append((j, a, min(b, cut_for.get(j, np.inf))))
-            for j in surv_idx:
-                if j not in pinned_set:
-                    free.append((j, surv_from[j], min(C, cut_for.get(j, np.inf))))
-            if any(hi <= lo for _, lo, hi in free):
-                continue
-            term = _corner_term(model, C, pinned, pin_flags, pinned_set, free, base_cuts,
-                                rel_tol, abs_tol, max_evals)
-            total += term
+    for s, flags, free in terms:
+        if not free:
+            total += float(_density(model, s, flags, C))
+            continue
+
+        def integrand(*coords, s=s, flags=flags, order=[j for j, _, _ in free]):
+            x = list(s)
+            for j, c in zip(order, coords):
+                x[j] = c
+            val = _density(model, x, flags, C)
+            return val if np.ndim(val) else np.full(np.shape(coords[-1]), float(val))
+
+        dims = tuple(Dim(lo, hi, cuts) for _, lo, hi in free)
+        total += integrate_nested(integrand, dims, rel_tol=rel_tol, abs_tol=abs_tol,
+                                  max_evals=max_evals).value
     with np.errstate(divide="ignore"):
         return float(np.log(max(total, 0.0)))
-
-
-def _corner_term(model, C, pinned, pin_flags, pinned_set, free, base_cuts,
-                 rel_tol, abs_tol, max_evals) -> float:
-    """One term of the corner expansion: free coords integrated, rest pinned."""
-    s_fixed = [0.0] * model.p
-    flags = [False] * model.p
-    for j, t in pinned.items():
-        s_fixed[j] = t
-        flags[j] = pin_flags[j]
-    for j in pinned_set:
-        s_fixed[j] = C
-        flags[j] = False
-
-    if not free:
-        return float(_value_at(model, s_fixed, flags, C))
-
-    free_order = [j for j, _, _ in free]
-    for j in free_order:
-        flags[j] = True
-
-    def integrand(*coords):
-        s = list(s_fixed)
-        for k, j in enumerate(free_order):
-            s[j] = coords[k]
-        val = _value_at(model, s, flags, C)
-        return val if np.ndim(val) else np.full(np.shape(coords[-1]), float(val))
-
-    dims = tuple(Dim(lo, hi, breakpoints=base_cuts) for _, lo, hi in free)
-    result = integrate_nested(integrand, dims, rel_tol=rel_tol, abs_tol=abs_tol,
-                              max_evals=max_evals)
-    return result.value
 
 
 def conditional_loglik(model: IntensityModel, atom: PseudoAtomRecord, C: float,

@@ -85,11 +85,6 @@ class _Budget:
         return True
 
 
-def _interior_cuts(a: float, b: float, breakpoints) -> list[float]:
-    cuts = sorted({float(c) for c in breakpoints if a < c < b})
-    return cuts
-
-
 def _eval_panel(f, lo, hi, budget, inner_err_of=None):
     """One GK15 pass over [lo, hi]; returns (value, err, inner_err)."""
     half = 0.5 * (hi - lo)
@@ -125,7 +120,7 @@ def _adaptive(f, a, b, breakpoints, rel_tol, abs_tol, budget, inner_err_of=None)
         raise InvalidInputError(f"integration bounds must be ordered, got ({a}, {b})")
     if b == a:
         return 0.0, 0.0, 0.0
-    edges = [a] + _interior_cuts(a, b, breakpoints) + [b]
+    edges = [a] + sorted({float(c) for c in breakpoints if a < c < b}) + [b]
 
     heap: list = []
     seq = 0
@@ -206,14 +201,13 @@ class Dim:
 
     Bounds are either constants or callables of the tuple of outer variable
     values (outermost first). `breakpoints` are fixed interior cut candidates;
-    when `split_at_outer` is set, the current values of all outer variables
-    are added as cuts too, so diagonal kinks land on panel edges.
+    the current values of all outer variables are always added as cuts too,
+    so diagonal kinks land on panel edges.
     """
 
     lower: float | Callable[[tuple], float]
     upper: float | Callable[[tuple], float]
     breakpoints: tuple[float, ...] = ()
-    split_at_outer: bool = True
 
     def bounds(self, outer: tuple) -> tuple[float, float]:
         lo = self.lower(outer) if callable(self.lower) else self.lower
@@ -263,9 +257,7 @@ def integrate_nested(
     def level(k: int, outer: tuple) -> tuple[float, float]:
         dim = dims[k]
         lo, hi = dim.bounds(outer)
-        cuts = list(dim.breakpoints)
-        if dim.split_at_outer:
-            cuts.extend(outer)
+        cuts = (*dim.breakpoints, *outer)
         rel = rel_tol if k == 0 else rel_inner
         ab = abs_tol if k == 0 else abs_inner
         if k == n - 1:

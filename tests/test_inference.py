@@ -8,7 +8,9 @@ import pytest
 import coarselik.inference as inference
 from coarselik.baselines import Constant, PiecewiseConstant, Weibull
 from coarselik.catalog import (
+    DementiaParams,
     dementia_family,
+    dementia_model,
     illness_death,
     illness_death_family,
     panel_death_scheme,
@@ -156,10 +158,21 @@ AGREEMENT_CASES = {
         _rec(Interval(0.5, 2.0), Exact(3.0, False)),
         _rec(SurvivedBeyond(0.6), Exact(3.0, False)),
         _rec(Interval(0.0, 1.0), Exact(1.7, True)),
+        _rec(Exact(1.2, True), SurvivedBeyond(0.5)),    # illness time inside the range
+        _rec(Exact(1.6, True), SurvivedBeyond(0.5)),    # ... and on a breakpoint
     ], 0),
     "weibull_from_zero": (illness_death(Weibull(0.4, 0.7), 0.2, 0.5)[1], 2.0, [
         _rec(Interval(0.0, 1.0), Exact(2.0, False)),
     ], 1),
+    # dementia and institution are switched off by death (component 2): a
+    # survivor cut by the death time has only its no-jump term left
+    "dementia_death_cut": (dementia_model(DementiaParams(
+        0.3, 0.2, 0.25, eta_inst_dem=0.4, eta_dem_inst=0.5, eta_dem_death=0.6,
+        eta_inst_death=0.3, eta_both_death=-0.2)), 3.0, [
+        _rec(Interval(0.0, 1.0), SurvivedBeyond(2.2), Exact(2.2, True)),
+        _rec(Interval(1.0, 2.0), SurvivedBeyond(2.5), Exact(2.5, True)),
+        _rec(SurvivedBeyond(1.5), SurvivedBeyond(1.5), Exact(1.5, True)),
+    ], 0),
 }
 
 
@@ -207,9 +220,9 @@ def test_evaluator_counts_tolerance_failures():
     assert (ev.n_evaluations, ev.n_tolerance_failures) == (1, 1)
 
 
-def test_fit_reports_tolerance_failures(monkeypatch):
-    # two independent components with one shared rate; the two-coarse record
-    # always takes the fallback, whose third call here runs out of budget
+def shared_rate_pair():
+    """Two independent components with one shared rate, and three records;
+    the last has two free coordinates, so it always takes the fallback."""
     fam = ParametricFamily(
         ("rate",), ("log",),
         lambda th: IntensityModel((MultiplicativeComponent(0, Constant(th[0])),
@@ -218,6 +231,12 @@ def test_fit_reports_tolerance_failures(monkeypatch):
     records = [_rec(Exact(0.2, True), Exact(0.3, True)),
                _rec(Exact(0.5, True), Exact(2.0, False)),
                _rec(Interval(0.5, 1.5), Interval(0.0, 1.0))]
+    return fam, records
+
+
+def test_fit_reports_tolerance_failures(monkeypatch):
+    # the fallback's third call here runs out of budget
+    fam, records = shared_rate_pair()
     calls = []
 
     def third_call_fails(model, atom, C, **quad_opts):
@@ -235,3 +254,23 @@ def test_fit_reports_tolerance_failures(monkeypatch):
     assert res.n_tolerance_failures == 1
     assert res.message.endswith("; 1 evaluation(s) ran out of quadrature budget "
                                 "and counted as -inf")
+
+
+def test_fit_survives_non_finite_search_points(monkeypatch):
+    # the fallback runs out of budget above rate 0.6, so the likelihood is
+    # -inf there; a 3-point gradient step into it comes back with a nan
+    # search point, which is scored +inf without building a model
+    fam, records = shared_rate_pair()
+
+    def fails_above(model, atom, C, **quad_opts):
+        if model.components[0].baseline.value > 0.6:
+            raise ToleranceError("budget spent", value=0.0, error_estimate=np.inf)
+        return loglik_atom(model, atom, C, **quad_opts)
+
+    monkeypatch.setattr(inference, "loglik_atom", fails_above)
+    res = fit_mle(fam, records, 2.0, [0.5])
+    assert res.theta["rate"] <= 0.6
+    assert np.isfinite(res.loglik)
+    assert res.n_tolerance_failures > 0
+    # the Hessian stencil reaches past 0.6: no standard error can be had
+    assert res.std_errors is None

@@ -2,10 +2,8 @@
 
 All numerical output is written with repr() floats, so repeated runs with
 the same inputs are byte-identical. simulate, loglik and fit accept
---threads, and only simulate uses it: its subjects are split into
-contiguous chunks for a thread pool, and each path depends only on the
-seed and its index, so the partition cannot change any number, only the
-wall time. loglik and fit run in one thread; loglik evaluates the whole
+--threads and ignore it: every command runs in one thread. simulate draws
+the whole cohort in one vectorized call, and loglik evaluates the whole
 dataset on one plan of fixed quadrature panels.
 
 Exit status: 0 on success, 1 when a requested computation flags a problem
@@ -18,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,11 +24,6 @@ from .inference import fit_mle, per_subject_loglik
 from .io import load_model_config, load_scheme_config, read_dataset, write_dataset, write_truth
 from .simulate import coarsen_cohort, record_from_codes, simulate_cohort
 from .validate import run_all
-
-
-def _chunks(n: int, threads: int):
-    size = -(-n // max(threads, 1))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _parse_theta(text: str | None):
@@ -49,17 +41,7 @@ def _cmd_simulate(args) -> int:
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     model = cfg.build(_parse_theta(args.theta))
     n = args.n
-    times = np.empty((n, model.p))
-    spans = _chunks(n, args.threads)
-    if args.threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futs = [(lo, hi, pool.submit(simulate_cohort, model, scheme.horizon,
-                                         hi - lo, args.seed, lo))
-                    for lo, hi in spans]
-            for lo, hi, fut in futs:
-                times[lo:hi] = fut.result()
-    else:
-        times[:] = simulate_cohort(model, scheme.horizon, n, args.seed)
+    times = simulate_cohort(model, scheme.horizon, n, args.seed)
     kind, x1, x2, flag = coarsen_cohort(scheme, times)
     records = [record_from_codes(kind[i], x1[i], x2[i], flag[i]) for i in range(n)]
     write_dataset(args.out, records, component_names=cfg.component_names)
@@ -153,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
     sim.add_argument("--theta", help="comma-separated parameter values (else config theta)")
     sim.add_argument("--threads", type=int, default=1,
-                     help="threads drawing the cohort (output does not depend on it)")
+                     help="accepted for compatibility; has no effect")
     sim.add_argument("--out", required=True, help="cohort CSV path")
     sim.add_argument("--truth", help="also write true jump times to this CSV")
     sim.set_defaults(fn=_cmd_simulate)
@@ -165,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ll.add_argument("--theta", help="comma-separated parameter values (else config theta)")
     ll.add_argument("--tol", type=float, default=1e-8, help="relative quadrature tolerance")
     ll.add_argument("--threads", type=int, default=1,
-                    help="accepted for symmetry with simulate; has no effect")
+                    help="accepted for compatibility; has no effect")
     ll.add_argument("--out", help="also write the report to this CSV")
     ll.set_defaults(fn=_cmd_loglik)
 
@@ -176,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--theta", help="starting values (else config theta)")
     fit.add_argument("--tol", type=float, default=1e-8)
     fit.add_argument("--threads", type=int, default=1,
-                     help="accepted for symmetry with simulate; has no effect")
+                     help="accepted for compatibility; has no effect")
     fit.add_argument("--out", help="write a JSON fit report here")
     fit.set_defaults(fn=_cmd_fit)
 

@@ -326,11 +326,15 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord], C: fl
             best["u"] = np.asarray(u, dtype=float).copy()
         return val
 
-    nm = minimize(objective, u0, method="Nelder-Mead",
-                  options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter,
-                           "maxfev": 8 * max_iter})
-    bfgs = minimize(objective, best["u"], method="BFGS", jac="3-point",
-                    options={"gtol": 1e-5, "maxiter": 200})
+    # a -inf log-likelihood is a legitimate objective value (+inf); the
+    # finite differences and the line search that meet one do inf - inf
+    # arithmetic and recover from it, so their warnings carry no news
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        nm = minimize(objective, u0, method="Nelder-Mead",
+                      options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter,
+                               "maxfev": 8 * max_iter})
+        bfgs = minimize(objective, best["u"], method="BFGS", jac="3-point",
+                        options={"gtol": 1e-5, "maxiter": 200})
     grad_norm = float(np.max(np.abs(bfgs.jac))) if bfgs.jac is not None else np.inf
     u_hat = best["u"]
     theta_hat = family.from_search(u_hat)

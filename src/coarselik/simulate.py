@@ -8,9 +8,12 @@ random stream keyed by the seed, so subject i's draws depend only on
 (seed, i): cohorts can be generated in any chunking, on any thread count,
 with bit-identical results, and a single path can be re-drawn in isolation.
 
-The inversion is closed-form when every baseline is time-constant, a
-segment walk when baselines are step functions, and a fixed-iteration
-bisection otherwise (deterministic, resolution ~1e-13 of the horizon).
+The inversion (Bender, Augustin & Blettner 2005) walks the rate breakpoints
+to the segment where the target is crossed, solves there as if the total
+rate were constant (exact for constant and step baselines), and polishes
+the solution by bracketed Newton steps, falling back to bisection when a
+step leaves the bracket. Each subject stops once its step falls below
+1e-13 of the horizon, so its result depends on nothing but its own draws.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HazardInversionError, InvalidInputError
-from .models import IntensityModel, JumpHistory, MultiplicativeComponent, PatternTableComponent
+from .models import IntensityModel, JumpHistory
 from .observation import (
     Exact,
     Interval,
@@ -31,7 +34,8 @@ from .observation import (
 )
 
 _CHUNK = 1 << 17
-_BISECT_ITERS = 64
+_STEP_TOL = 1e-13  # Newton steps stop below this fraction of the horizon
+_MAX_STEPS = 100  # a safety cap: Newton needs a handful of steps
 
 
 @dataclass(frozen=True)
@@ -71,89 +75,70 @@ def subject_uniforms(seed: int, start: int, n: int, p: int) -> np.ndarray:
     return u[:, : 2 * p]
 
 
-def _baselines(model: IntensityModel):
-    for comp in model.components:
-        if isinstance(comp, MultiplicativeComponent):
-            yield comp.baseline
-        elif isinstance(comp, PatternTableComponent):
-            for _, base in comp.entries:
-                yield base
-        else:
-            raise InvalidInputError(f"cannot inspect baselines of {type(comp).__name__}")
+def _rates(model: IntensityModel, t, T_list) -> list:
+    """Pre-jump intensities at t, one array per component; a finite entry
+    of T_list is a past jump, and that component's own rate no longer counts."""
+    return [np.where(np.isfinite(T_list[j]), 0.0, model.rate(j, t, T_list))
+            for j in range(model.p)]
 
 
-def _inversion_mode(model: IntensityModel) -> str:
-    bases = list(_baselines(model))
-    if all(getattr(b, "time_constant", False) for b in bases):
-        return "linear"
-    if all(hasattr(b, "grid") or getattr(b, "time_constant", False) for b in bases):
-        return "grid"
-    return "bisect"
-
-
-def _rates_at(model: IntensityModel, t, T, jumped) -> np.ndarray:
-    """Stacked pre-jump intensities, zero for components already jumped."""
-    cols = []
-    for j in range(model.p):
-        r = model.rate(j, t, T)
-        cols.append(np.where(jumped[:, j], 0.0, r))
-    return np.stack(cols, axis=1)
-
-
-def _invert_total(model, t0, T, E, C, mode):
+def _invert_total(model, t0, T, E, C):
     """Smallest t with total integrated intensity over (t0, t] equal to E.
 
     Returns (t_star, solved): solved False where the target exceeds the
     total over (t0, C] (no further jump by the horizon).
     """
-    T_list = list(T.T) if isinstance(T, np.ndarray) else T
-    jumped = [np.isfinite(x) for x in T_list]
+    T_list = list(T.T)
     total_to_C = np.asarray(model.total_cum(t0, C, T_list), dtype=float)
     solved = total_to_C >= E
 
-    def total_rate(t):
-        # a finite entry is a past jump; its own pre-jump rate no longer counts
-        rate = np.zeros_like(t0)
-        for j in range(model.p):
-            rate = rate + np.where(jumped[j], 0.0, model.rate(j, t, T_list))
-        return rate
+    # 1. walk the rate breakpoints to the segment (lo, hi] where E is crossed
+    lo, hi, cum_lo = t0, np.full_like(t0, C), np.zeros_like(t0)
+    prev, cum_prev = t0, np.zeros_like(t0)
+    walking = solved.copy()
+    for e in (b for b in model.breakpoints if b < C):
+        edge = np.maximum(t0, e)
+        cum_edge = np.asarray(model.total_cum(t0, edge, T_list), dtype=float)
+        crosses = walking & (cum_edge >= E)
+        lo = np.where(crosses, np.maximum(t0, prev), lo)
+        hi = np.where(crosses, edge, hi)
+        cum_lo = np.where(crosses, cum_prev, cum_lo)
+        walking &= ~crosses
+        prev, cum_prev = e, cum_edge
+    lo = np.where(walking, np.maximum(t0, prev), lo)
+    cum_lo = np.where(walking, cum_prev, cum_lo)
 
-    if mode == "linear":
-        rate = total_rate(np.nextafter(t0, np.inf))
+    # 2. solve as if the total rate were constant on the segment: exact for
+    # constant and step baselines
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = lo + (E - cum_lo) / sum(_rates(model, 0.5 * (lo + hi), T_list))
+
+    # 3. polish by bracketed Newton steps, bisecting where a step leaves
+    # (lo, hi]; each subject stops at its own convergence, so its result
+    # depends on nothing but its own inputs
+    tol = _STEP_TOL * C
+    idx = np.flatnonzero(solved)
+    for it in range(_MAX_STEPS):
+        if not idx.size:
+            break
+        Ti = [x[idx] for x in T_list]
+        t = t_star[idx]
+        excess = np.asarray(model.total_cum(t0[idx], t, Ti), dtype=float) - E[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_star = t0 + np.where(rate > 0, E / rate, np.inf)
-        return np.where(solved, t_star, np.inf), solved
-
-    if mode == "grid":
-        edges = [b for b in model.breakpoints if b < C] + [C]
-        prev_edge = t0
-        cum_prev = np.zeros_like(t0)
-        t_star = np.full_like(t0, np.inf)
-        done = ~solved
-        for e in edges:
-            hi = np.maximum(t0, e)
-            cum_here = np.asarray(model.total_cum(t0, hi, T_list), dtype=float)
-            crosses = ~done & (cum_here >= E)
-            if crosses.any():
-                seg_lo = np.maximum(t0, prev_edge)
-                rate = total_rate(0.5 * (seg_lo + hi))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_cand = seg_lo + (E - cum_prev) / rate
-                t_star = np.where(crosses, t_cand, t_star)
-                done = done | crosses
-            prev_edge = e
-            cum_prev = cum_here
-        return np.where(solved, t_star, np.inf), solved
-
-    lo = t0.copy()
-    hi = np.full_like(t0, C)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        val = np.asarray(model.total_cum(t0, mid, T_list), dtype=float)
-        take_hi = val >= E
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return np.where(solved, hi, np.inf), solved
+            step = excess / sum(_rates(model, t, Ti))
+        done = np.abs(step) < tol
+        # a constant-rate solution that passes the first check is exact
+        # already; a polished one takes its last Newton step
+        if it:
+            t_star[idx[done]] = t[done] - step[done]
+        keep = ~done
+        idx, t, step, excess = idx[keep], t[keep], step[keep], excess[keep]
+        hi[idx] = np.where(excess >= 0, t, hi[idx])
+        lo[idx] = np.where(excess < 0, t, lo[idx])
+        t_new = t - step
+        inside = (t_new > lo[idx]) & (t_new <= hi[idx])
+        t_star[idx] = np.where(inside, t_new, 0.5 * (lo[idx] + hi[idx]))
+    return np.where(solved, t_star, np.inf), solved
 
 
 def simulate_cohort(model: IntensityModel, C: float, n: int, seed: int,
@@ -161,16 +146,14 @@ def simulate_cohort(model: IntensityModel, C: float, n: int, seed: int,
     """Jump-time matrix (n, p) for subjects start..start+n-1 (inf = no jump)."""
     if n < 0 or start < 0:
         raise InvalidInputError("subject counts and start index must be nonnegative")
-    p = model.p
-    mode = _inversion_mode(model)
-    out = np.empty((n, p))
+    out = np.empty((n, model.p))
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
-        out[lo:lo + m] = _simulate_chunk(model, C, m, seed, start + lo, mode)
+        out[lo:lo + m] = _simulate_chunk(model, C, m, seed, start + lo)
     return out
 
 
-def _simulate_chunk(model, C, n, seed, start, mode):
+def _simulate_chunk(model, C, n, seed, start):
     p = model.p
     U = subject_uniforms(seed, start, n, p)
     T = np.full((n, p), np.inf)
@@ -181,16 +164,14 @@ def _simulate_chunk(model, C, n, seed, start, mode):
             break
         idx = np.flatnonzero(active)
         E = -np.log1p(-U[idx, 2 * r])
-        t_star, solved = _invert_total(model, t0[idx], T[idx], E, C, mode)
+        t_star, solved = _invert_total(model, t0[idx], T[idx], E, C)
         hit = solved & (t_star <= C)
         if not hit.any():
             active[idx] = False
             continue
         sub = idx[hit]
         ts = t_star[hit]
-        T_list = list(T[sub].T)
-        jumped = np.isfinite(T[sub])
-        rates = _rates_at(model, ts, T_list, jumped)
+        rates = np.stack(_rates(model, ts, list(T[sub].T)), axis=1)
         totals = rates.sum(axis=1)
         if np.any(totals <= 0):
             raise HazardInversionError("zero total intensity at a solved jump time")
@@ -299,6 +280,8 @@ def mc_check(model: IntensityModel, scheme: ObservationScheme, atom: PseudoAtomR
     Returns (estimate, standard_error, matches). Zero matches return a
     one-sided 95% bound as the error.
     """
+    if n_paths < 1:
+        raise InvalidInputError(f"need at least one path, got {n_paths}")
     if bin_width <= 0:
         raise InvalidInputError(f"bin width must be positive, got {bin_width}")
     targets = list(atom.statuses)

@@ -177,3 +177,10 @@ def test_errors_exit_with_two(tmp_path, configs, capsys):
                  "--theta", "alpha"])
     assert code == 2
     assert "--theta" in capsys.readouterr().err
+
+    # an empty cohort is refused by the writer, a negative count by the simulator
+    for n in ("0", "-3"):
+        code = main(["simulate", "--model", model, "--scheme", scheme,
+                     "--n", n, "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err

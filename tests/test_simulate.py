@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from coarselik.baselines import PiecewiseConstant, Weibull
 from coarselik.catalog import illness_death, panel_death_scheme
 from coarselik.errors import InvalidInputError
+from coarselik.models import IntensityModel, MultiplicativeComponent
 from coarselik.observation import Exact, Interval, PseudoAtomRecord, coarsen
 from coarselik.oracle import transition_matrix
 from coarselik.simulate import (
@@ -20,6 +22,7 @@ from coarselik.simulate import (
 )
 
 SPEC, MODEL = illness_death(0.1, 0.2, 0.4)
+WEIBULL_MODEL = illness_death(Weibull(0.3, 1.4), Weibull(0.2, 0.8), Weibull(0.5, 1.2))[1]
 
 
 def test_same_seed_same_cohort():
@@ -36,12 +39,45 @@ def test_uniform_stream_is_counter_addressed():
     assert np.array_equal(part, whole[4:7])
 
 
-def test_chunked_generation_matches_one_shot():
-    a = simulate_cohort(MODEL, 10.0, 23, seed=5)
-    b = simulate_cohort(MODEL, 10.0, 23, seed=5, chunk=7)
+@pytest.mark.parametrize("model", [MODEL, WEIBULL_MODEL], ids=["constant", "weibull"])
+def test_chunked_generation_matches_one_shot(model):
+    a = simulate_cohort(model, 10.0, 23, seed=5)
+    b = simulate_cohort(model, 10.0, 23, seed=5, chunk=7)
     assert np.array_equal(a, b)
-    tail = simulate_cohort(MODEL, 10.0, 9, seed=5, start=14)
+    tail = simulate_cohort(model, 10.0, 9, seed=5, start=14)
     assert np.array_equal(tail, a[14:])
+
+
+def _first_jumps(baseline, C, n, seed):
+    """One-component jump times and the unit exponential each one inverts."""
+    model = IntensityModel([MultiplicativeComponent(0, baseline)])
+    times = simulate_cohort(model, C, n, seed)[:, 0]
+    return times, -np.log1p(-subject_uniforms(seed, 0, n, 1)[:, 0])
+
+
+def _assert_roots(times, root, C):
+    assert np.array_equal(np.isinf(times), root > C)
+    hit = np.isfinite(times)
+    assert hit.any() and not hit.all()
+    assert np.max(np.abs(times[hit] - root[hit])) <= 1e-13 * C
+
+
+@pytest.mark.parametrize("shape", [0.3, 0.7, 1.5, 3.0])
+def test_weibull_inversion_matches_closed_form_root(shape):
+    a, C = 0.5, 2.0
+    times, E = _first_jumps(Weibull(a, shape), C, 4000, seed=31)
+    _assert_roots(times, (E / a) ** (1.0 / shape), C)
+
+
+def test_step_inversion_matches_closed_form_root():
+    # a zero-rate stretch leaves the cumulative hazard flat: the root is the
+    # first time it reaches E, never inside the flat stretch
+    edges, rates = np.array([0.0, 0.4, 0.9, 1.5]), np.array([0.5, 0.0, 1.2, 0.3])
+    C = 2.0
+    times, E = _first_jumps(PiecewiseConstant(edges[1:], rates), C, 4000, seed=32)
+    cum = np.concatenate(([0.0], np.cumsum(rates[:-1] * np.diff(edges))))
+    i = np.searchsorted(cum, E, side="left") - 1
+    _assert_roots(times, edges[i] + (E - cum[i]) / rates[i], C)
 
 
 def test_single_path_equals_cohort_row():
@@ -87,3 +123,8 @@ def test_input_validation():
         simulate_cohort(MODEL, 10.0, -1, seed=0)
     with pytest.raises(InvalidInputError):
         simulate_cohort(MODEL, 10.0, 5, seed=0, start=-2)
+    scheme = panel_death_scheme([1.0], 2.0)
+    atom = PseudoAtomRecord((Interval(0.0, 1.0), Exact(2.0, False)))
+    for n_paths in (0, -5):
+        with pytest.raises(InvalidInputError):
+            mc_check(MODEL, scheme, atom, n_paths=n_paths, seed=1)

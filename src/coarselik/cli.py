@@ -36,6 +36,13 @@ def _parse_theta(text: str | None):
                              f"got {text!r}") from None
 
 
+def _read_data(args, cfg):
+    data = read_dataset(args.data, cfg.component_names)
+    if data.covariates:     # no model slot reads one
+        raise CoarselikError(f"{args.data}: unused covariate column(s) {', '.join(data.covariates)}")
+    return data
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_model_config(args.model)
     scheme = load_scheme_config(args.scheme, cfg.component_names)
@@ -54,7 +61,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_loglik(args) -> int:
     cfg = load_model_config(args.model)
     scheme = load_scheme_config(args.scheme, cfg.component_names)
-    data = read_dataset(args.data, cfg.component_names)
+    data = _read_data(args, cfg)
     model = cfg.build(_parse_theta(args.theta))
     with np.errstate(divide="ignore"):
         per = per_subject_loglik(model, list(data.records), scheme.horizon,
@@ -81,7 +88,7 @@ def _cmd_fit(args) -> int:
         raise CoarselikError(f"{args.model}: no free parameters to fit "
                              "(every slot in the config is a literal number)")
     scheme = load_scheme_config(args.scheme, cfg.component_names)
-    data = read_dataset(args.data, cfg.component_names)
+    data = _read_data(args, cfg)
     init = cfg.theta_from(_parse_theta(args.theta))
     res = fit_mle(cfg.family, list(data.records), scheme.horizon, init,
                   rel_tol=args.tol)

@@ -9,17 +9,16 @@ gradients; standard errors come from a central-difference Hessian at the
 optimum, mapped back to the natural scale by the delta method.
 
 Each record is laid out once into the corner terms of likelihood's
-expansion. A record with no corner term of two free coordinates (the common
-panel-plus-death shape, and records whose extra coarse parts a timed death
-cuts away) is evaluated on a plan shared across the whole dataset: a term
-with no free coordinate is one density point, a term with one free
-coordinate a line of fixed quadrature panels. Node positions depend only on
-the data and the family's fixed rate-change points, so each objective
-evaluation is two vectorized kernel passes. The embedded lower-order rule
-is evaluated on the same nodes; records whose panel error exceeds the
-tolerance, and records with a term of two or more free coordinates, are
-computed by the adaptive loglik_atom, so the fixed panels never silently
-lose accuracy.
+expansion, and every term is evaluated on one plan shared across the whole
+dataset: a point of weight 1 for a term with no free coordinate, else fixed
+quadrature panels nested one level per free coordinate, each level pinning
+its coordinate at its nodes. Panels are cut at the family's fixed
+rate-change points, at pinned jump times (earlier levels' nodes among
+them) and at the later levels' range bounds, so kinks lie on panel edges.
+Node positions depend only on the data and those rate-change points, so an
+objective evaluation is one vectorized kernel pass. A record whose embedded
+lower-order rules miss the tolerance, or whose plan would pass a node
+budget, is computed by the adaptive loglik_atom.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ from .quadrature import (
 )
 
 _MAX_PANEL = 1.0  # fixed panels never span more than this
+_MAX_RECORD_NODES = 20_000  # a record whose plan would pass this takes loglik_atom
 # the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
-_G7_ON_K15 = np.zeros_like(K_WEIGHTS)
-_G7_ON_K15[G_INDEX] = G_WEIGHTS
+_G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
 
 
 @dataclass(frozen=True)
@@ -120,10 +119,9 @@ def per_subject_loglik(model: IntensityModel, records: Sequence[PseudoAtomRecord
     """Log-likelihood of each record under a fixed model.
 
     Runs on the dataset plan of DatasetEvaluator, over a family with no
-    free parameters: records with no corner term of two free coordinates
-    take the fixed panels. `quad_opts` (rel_tol, abs_tol, max_evals) mean
-    what they mean for loglik_atom, which computes the records the fixed
-    panels cannot.
+    free parameters. `quad_opts` (rel_tol, abs_tol, max_evals) mean what
+    they mean for loglik_atom, which computes the records whose panel error
+    misses the tolerance or whose plan would pass the node budget.
     """
     records = list(records)
     if not records:
@@ -136,8 +134,8 @@ def per_subject_loglik(model: IntensityModel, records: Sequence[PseudoAtomRecord
 class DatasetEvaluator:
     """Batched log-likelihood of one dataset as a function of theta.
 
-    The quadrature options are those of loglik_atom: they set the error
-    check on the fixed panels and are passed to every fallback call.
+    The quadrature options are those of loglik_atom: they set the panels'
+    error check and go to the fallback, also for a record past the budget.
     """
 
     def __init__(self, family: ParametricFamily, records: Sequence[PseudoAtomRecord],
@@ -147,6 +145,8 @@ class DatasetEvaluator:
         self.records = list(records)
         self.C = float(C)
         self.quad_opts = {"rel_tol": rel_tol, "abs_tol": abs_tol, "max_evals": max_evals}
+        if not (all(np.isfinite(x) and x > 0 for x in (rel_tol, abs_tol)) and max_evals >= 1):
+            raise InvalidInputError(f"need rel_tol, abs_tol finite > 0, max_evals >= 1: {self.quad_opts}")
         self._cache: dict[tuple, float] = {}
         self.n_evaluations = 0
         # objective evaluations whose quadrature budget ran out (scored -inf)
@@ -158,96 +158,100 @@ class DatasetEvaluator:
         self._build_plan(probe)
 
     def _build_plan(self, probe):
-        C, p = self.C, self.p
-        slow = []           # a term with two or more free coordinates -> adaptive engine
-        # every other term: its record, pinned coordinates, flags, and free
-        # range (j, lo, hi), j = -1 for none
-        term_rec, term_s, term_f, term_free = [], [], [], []
-        no_range = (-1, 0.0, 0.0)
+        C, p, n = self.C, self.p, len(self.records)
+        # every term: its record, pinned coordinates, flags, and free ranges
+        # (j, lo, hi), outermost first
+        term_rec, term_s, term_f, term_n, term_free = [], [], [], [], []
         for i, rec in enumerate(self.records):
             try:
                 terms = _layout(probe, rec, C)
             except InvalidInputError as exc:
                 raise InvalidInputError(f"record {i}: {exc}") from None
-            # the first term leaves every range free
-            if terms and len(terms[0][2]) > 1:
-                slow.append(i)
-                continue
             for s, flags, free in terms:
                 term_rec.append(i)
                 term_s.append(s)
                 term_f.append(flags)
-                term_free.append(free[0] if free else no_range)
+                term_n.append(len(free))
+                term_free.extend(free)
 
-        self._slow = slow
         rec = np.array(term_rec, dtype=int)
-        S = np.array(term_s, dtype=float).reshape(-1, p).T
-        F = np.array(term_f, dtype=bool).reshape(-1, p).T
-        free = np.array(term_free, dtype=float).reshape(-1, 3)
-        point = np.flatnonzero(free[:, 0] < 0)
-        line = np.flatnonzero(free[:, 0] >= 0)
-        # np.take keeps the (p, N) arrays C-ordered (x[:, idx] would not):
-        # the kernel reads one coordinate row at a time
-        self._point_rec = rec[point]
-        self._point_s = np.take(S, point, axis=1)
-        self._point_f = np.take(F, point, axis=1)
-
-        # a line of panels spans its range, split at the family's breakpoints
-        # and the term's pinned jump times (a free coordinate holds C, never
-        # inside a range); each row of cuts is sorted, repeats and values
-        # outside the range set to inf
-        lo, hi = free[line, 1:2], free[line, 2:3]
+        # C-ordered (p, N) arrays: the kernel reads one coordinate row at a time
+        S = np.ascontiguousarray(np.array(term_s, dtype=float).reshape(-1, p).T)
+        F = np.ascontiguousarray(np.array(term_f, dtype=bool).reshape(-1, p).T)
+        # R[k, row] is the row's k-th free range, (-1, 0, 0) past its last
+        nfree = np.array(term_n, dtype=int)
+        R = np.full((nfree.max(initial=0), nfree.size, 3), [-1.0, 0.0, 0.0])
+        R[np.arange(len(term_free)) - np.repeat(np.cumsum(nfree) - nfree, nfree),
+          np.repeat(np.arange(nfree.size), nfree)] = np.array(term_free, dtype=float).reshape(-1, 3)
+        # W[0] is a row's K15 weight, W[1 + k] its weight with level k on G7
+        W = np.ones((1 + R.shape[0], nfree.size))
         bps = np.asarray(self.family.fixed_breakpoints, dtype=float)
-        cuts = np.concatenate([np.where(F[:, line], S[:, line], np.nan).T,
-                               np.broadcast_to(bps, (line.size, bps.size))], axis=1)
-        cuts[~((lo < cuts) & (cuts < hi))] = np.inf
-        cuts.sort(axis=1)
-        cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf
-        cuts.sort(axis=1)
-        left = np.concatenate([lo, cuts], axis=1)
-        right = np.concatenate([cuts, hi], axis=1)
-        seg_line, col = np.nonzero(np.isfinite(left))
-        a = left[seg_line, col]
-        b = np.where(np.isfinite(right), right, hi)[seg_line, col]
+        over = np.zeros(n, dtype=bool)
+        for level in range(R.shape[0]):
+            line = np.flatnonzero(R[0, :, 0] >= 0)
+            keep = np.flatnonzero(R[0, :, 0] < 0)
+            # a line of panels spans the row's range, split at the family's
+            # breakpoints, the row's pinned jump times (earlier levels' nodes
+            # among them; a free coordinate holds C, never inside a range) and
+            # the later levels' range bounds; each row of cuts is sorted,
+            # repeats and values outside the range set to inf
+            lo, hi = R[0, line, 1:2], R[0, line, 2:3]
+            cuts = np.concatenate([np.where(F[:, line], S[:, line], np.nan).T,
+                                   np.broadcast_to(bps, (line.size, bps.size)),
+                                   *R[1:, line, 1:]], axis=1)
+            cuts[~((lo < cuts) & (cuts < hi))] = np.inf
+            cuts.sort(axis=1)
+            cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf
+            cuts.sort(axis=1)
+            left = np.concatenate([lo, cuts], axis=1)
+            right = np.concatenate([cuts, hi], axis=1)
+            seg_line, col = np.nonzero(np.isfinite(left))
+            a = left[seg_line, col]
+            b = np.where(np.isfinite(right), right, hi)[seg_line, col]
+            parts = np.maximum(1, np.ceil((b - a) / _MAX_PANEL).astype(int))
 
-        # subdivide so no panel exceeds _MAX_PANEL; the sub-panel edges are
-        # those of np.linspace(a, b, parts + 1), k * step + a with the last
-        # one set to b, so the nodes do not depend on how they are built
-        parts = np.maximum(1, np.ceil((b - a) / _MAX_PANEL).astype(int))
-        seg = np.repeat(np.arange(a.size), parts)
-        k = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
-        step = ((b - a) / parts)[seg]
-        lo = k * step + a[seg]
-        hi = np.where(k + 1 == parts[seg], b[seg], (k + 1) * step + a[seg])
-        half = (0.5 * (hi - lo))[:, None]
-        self._node_t = ((0.5 * (lo + hi))[:, None] + half * K_NODES).ravel()
-        self._node_w15 = (half * K_WEIGHTS).ravel()
-        self._node_w7 = (half * _G7_ON_K15).ravel()
-        node_term = line[np.repeat(seg_line[seg], K_NODES.size)]
-        self._node_rec = rec[node_term]
-        self._node_s = np.take(S, node_term, axis=1)
-        self._node_s[free[node_term, 0].astype(int), np.arange(node_term.size)] = self._node_t
-        self._node_f = np.take(F, node_term, axis=1)
+            # a record whose plan would pass the node budget leaves the plan
+            seg_rec = rec[line[seg_line]]
+            over |= np.bincount(rec[keep], minlength=n) + K_NODES.size * np.bincount(
+                seg_rec, parts, minlength=n) > _MAX_RECORD_NODES
+            parts[over[seg_rec]] = 0
+            keep = keep[~over[rec[keep]]]
+
+            # subdivide so no panel exceeds _MAX_PANEL; the sub-panel edges are
+            # those of np.linspace(a, b, parts + 1), k * step + a with the last
+            # one set to b, so the nodes do not depend on how they are built
+            seg = np.repeat(np.arange(a.size), parts)
+            k = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
+            step = (b - a)[seg] / parts[seg]
+            lo = k * step + a[seg]
+            hi = np.where(k + 1 == parts[seg], b[seg], (k + 1) * step + a[seg])
+            half = (0.5 * (hi - lo))[:, None]
+            node_t = ((0.5 * (lo + hi))[:, None] + half * K_NODES).ravel()
+
+            # pin the coordinate at the nodes; new rows go before the kept
+            # ones, so a record sums its nodes before its points
+            parent = line[np.repeat(seg_line[seg], K_NODES.size)]
+            w = np.take(W, parent, axis=1) * (half * K_WEIGHTS).ravel()
+            w[1 + level] = W[0, parent] * (half * _G7_ON_K15).ravel()
+            W = np.concatenate([w, np.take(W, keep, axis=1)], axis=1)
+            idx = np.concatenate([parent, keep])
+            rec, S, F = rec[idx], np.take(S, idx, axis=1), np.take(F, idx, axis=1)
+            S[R[0, parent, 0].astype(int), np.arange(parent.size)] = node_t
+            R = R[1:, idx]
+        self._rec, self._s, self._f, self._w, self._over_budget = rec, S, F, W, over
 
     def per_subject(self, theta) -> np.ndarray:
         """Per-record log-likelihood at natural-scale theta."""
         model = self.family.build(theta)
         n = len(self.records)
-        total = np.zeros(n)
-        err = np.zeros(n)
-        if self._node_t.size:
-            f = _density(model, self._node_s, self._node_f, self.C)
-            total = np.bincount(self._node_rec, weights=self._node_w15 * f, minlength=n)
-            low = np.bincount(self._node_rec, weights=self._node_w7 * f, minlength=n)
-            err = np.abs(total - low)
-        if self._point_rec.size:
-            np.add.at(total, self._point_rec,
-                      _density(model, self._point_s, self._point_f, self.C))
+        f = _density(model, self._s, self._f, self.C)
+        # the K15 sums; the error adds each level's |K15 - G7|
+        total, *low = (np.bincount(self._rec, weights=w * f, minlength=n) for w in self._w)
+        err = sum(np.abs(total - x) for x in low)
         with np.errstate(divide="ignore"):
             out = np.log(np.maximum(total, 0.0))
         rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
-        redo = err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol)
-        redo[self._slow] = True
+        redo = self._over_budget | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol))
         for i in np.flatnonzero(redo):
             out[i] = loglik_atom(model, self.records[i], self.C, **self.quad_opts)
         return out

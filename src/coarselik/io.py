@@ -82,6 +82,14 @@ class Dataset:
         return len(self.records)
 
 
+def _labels(labels, n: int, prefix: str, what: str) -> list[str]:
+    """n distinct labels as strings; None numbers them from prefix0."""
+    labels = [f"{prefix}{i}" for i in range(n)] if labels is None else [str(x) for x in labels]
+    if len(labels) != n or len(set(labels)) != n:
+        raise InvalidInputError(f"need one distinct {what}")
+    return labels
+
+
 def write_dataset(path, records, *, subject_ids=None, component_names=None,
                   covariates=None) -> None:
     """Write coarse records as one CSV row per subject and component."""
@@ -91,16 +99,8 @@ def write_dataset(path, records, *, subject_ids=None, component_names=None,
     p = records[0].p
     if any(r.p != p for r in records):
         raise InvalidInputError("records disagree on the number of components")
-    if subject_ids is None:
-        subject_ids = [str(i) for i in range(len(records))]
-    subject_ids = [str(s) for s in subject_ids]
-    if len(subject_ids) != len(records) or len(set(subject_ids)) != len(subject_ids):
-        raise InvalidInputError("need one distinct subject_id per record")
-    if component_names is None:
-        component_names = [f"comp{j}" for j in range(p)]
-    component_names = [str(c) for c in component_names]
-    if len(component_names) != p or len(set(component_names)) != p:
-        raise InvalidInputError("need one distinct name per component")
+    subject_ids = _labels(subject_ids, len(records), "", "subject_id per record")
+    component_names = _labels(component_names, p, "comp", "name per component")
     covariates = {str(k): [float(x) for x in v] for k, v in (covariates or {}).items()}
     for name, vals in covariates.items():
         if len(vals) != len(records):
@@ -230,15 +230,13 @@ def write_truth(path, times, *, subject_ids=None, component_names=None) -> None:
     if times.ndim != 2:
         raise InvalidInputError("times must be an (n, p) matrix")
     n, p = times.shape
-    if subject_ids is None:
-        subject_ids = [str(i) for i in range(n)]
-    if component_names is None:
-        component_names = [f"comp{j}" for j in range(p)]
+    subject_ids = _labels(subject_ids, n, "", "subject_id per row")
+    component_names = _labels(component_names, p, "comp", "name per column")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject_id"] + [str(c) for c in component_names])
+        w.writerow(["subject_id"] + component_names)
         for i in range(n):
-            row = [str(subject_ids[i])]
+            row = [subject_ids[i]]
             row += ["" if not np.isfinite(t) else _fmt(t) for t in times[i]]
             w.writerow(row)
 

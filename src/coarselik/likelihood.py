@@ -20,10 +20,10 @@ When a pinned jump provably switches another component off (a death-style
 gate), that component's range is always cut there: the discarded region
 carries zero intensity, so the value is unchanged and panels are saved.
 This layout of a record into corner terms, and the density kernel, are
-shared with the dataset plan of inference.DatasetEvaluator. Here each term
-is integrated on the nested adaptive engine, with panels split at model
-rate discontinuities, at every pinned jump time, and at the bounds of the
-free ranges, so integrand kinks always land on panel edges.
+shared with inference.DatasetEvaluator, which falls back to this reference.
+Here each term is integrated on the nested adaptive engine, with panels
+split at model rate discontinuities, at every pinned jump time, and at the
+bounds of the free ranges, so integrand kinks always land on panel edges.
 """
 
 from __future__ import annotations

@@ -178,9 +178,39 @@ def test_errors_exit_with_two(tmp_path, configs, capsys):
     assert code == 2
     assert "--theta" in capsys.readouterr().err
 
+    # the embedded error check needs a finite, positive tolerance
+    data = tmp_path / "one.csv"
+    data.write_text(
+        "subject_id,component,status,t1,t2\n"
+        "s,illness,interval,0.0,1.0\n"
+        "s,death,exact_censored,2.0,\n")
+    for cmd in ("loglik", "fit"):
+        for tol in ("0", "-1", "nan", "inf"):
+            code = main([cmd, "--model", model, "--scheme", scheme, "--data", str(data),
+                         "--tol", tol])
+            assert code == 2
+            assert "rel_tol" in capsys.readouterr().err
+
     # an empty cohort is refused by the writer, a negative count by the simulator
     for n in ("0", "-3"):
         code = main(["simulate", "--model", model, "--scheme", scheme,
                      "--n", n, "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_unused_covariate_columns_exit_with_two(tmp_path, configs, capsys):
+    # no model slot reads a covariate column, so a cohort carrying one is refused
+    model, scheme = configs
+    data = tmp_path / "cov.csv"
+    data.write_text(
+        "subject_id,component,status,t1,t2,age,sex\n"
+        "s,illness,interval,0.0,1.0,61.5,1.0\n"
+        "s,death,exact_censored,2.0,,61.5,1.0\n")
+    for cmd in ("loglik", "fit"):
+        code = main([cmd, "--model", model, "--scheme", scheme, "--data", str(data)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "age, sex" in captured.err

@@ -1,6 +1,7 @@
 """Maximum likelihood over parametric intensity families."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +125,10 @@ def _rec(*statuses):
     return PseudoAtomRecord(statuses)
 
 
+DEMENTIA = dementia_model(DementiaParams(
+    0.3, 0.2, 0.25, eta_inst_dem=0.4, eta_dem_inst=0.5, eta_dem_death=0.6,
+    eta_inst_death=0.3, eta_both_death=-0.2))
+
 # (model, horizon, records, how many records the fixed panels must hand to
 # loglik_atom); illness (component 0) is switched off by death (component 1)
 AGREEMENT_CASES = {
@@ -152,7 +157,15 @@ AGREEMENT_CASES = {
         _rec(Interval(0.5, 1.0), SurvivedBeyond(2.0)),
         _rec(Interval(0.0, 1.0), Interval(1.0, 2.0)),
         _rec(SurvivedBeyond(1.0), SurvivedBeyond(1.5)),
-    ], 3),
+    ], 0),
+    # the inner range's lower bound 1.2 and the breakpoint 0.75 lie inside the
+    # outer range, where the inner integral has kinks
+    "coarse_2d_inner_bound": (illness_death(PiecewiseConstant((0.75, 1.6), (0.2, 0.6, 0.3)),
+                                            PiecewiseConstant((0.75, 1.6), (0.1, 0.4, 0.2)),
+                                            0.8)[1], 3.0, [
+        _rec(Interval(0.0, 2.0), SurvivedBeyond(1.2)),
+        _rec(Interval(0.5, 1.5), Interval(1.2, 2.5)),
+    ], 0),
     "piecewise": (illness_death(PiecewiseConstant((0.75, 1.6), (0.2, 0.6, 0.3)),
                                 PiecewiseConstant((0.75, 1.6), (0.1, 0.4, 0.2)),
                                 0.8)[1], 3.0, [
@@ -167,12 +180,16 @@ AGREEMENT_CASES = {
     ], 1),
     # dementia and institution are switched off by death (component 2): a
     # survivor cut by the death time has only its no-jump term left
-    "dementia_death_cut": (dementia_model(DementiaParams(
-        0.3, 0.2, 0.25, eta_inst_dem=0.4, eta_dem_inst=0.5, eta_dem_death=0.6,
-        eta_inst_death=0.3, eta_both_death=-0.2)), 3.0, [
+    "dementia_death_cut": (DEMENTIA, 3.0, [
         _rec(Interval(0.0, 1.0), SurvivedBeyond(2.2), Exact(2.2, True)),
         _rec(Interval(1.0, 2.0), SurvivedBeyond(2.5), Exact(2.5, True)),
         _rec(SurvivedBeyond(1.5), SurvivedBeyond(1.5), Exact(1.5, True)),
+    ], 0),
+    # two survivors both live until the death: a term of two free coordinates
+    "dementia_2d": (DEMENTIA, 3.0, [
+        _rec(SurvivedBeyond(0.5), SurvivedBeyond(1.0), Exact(2.5, True)),
+        _rec(SurvivedBeyond(1.0), SurvivedBeyond(1.0), Exact(2.8, True)),
+        _rec(SurvivedBeyond(0.0), SurvivedBeyond(0.5), Exact(1.7, True)),
     ], 0),
 }
 
@@ -223,15 +240,16 @@ def test_evaluator_counts_tolerance_failures():
 
 def shared_rate_pair():
     """Two independent components with one shared rate, and three records;
-    the last has two free coordinates, so it always takes the fallback."""
+    the last integrates a Weibull singularity at 0, which the fixed panels
+    cannot meet the tolerance on, so it always takes the fallback."""
     fam = ParametricFamily(
         ("rate",), ("log",),
-        lambda th: IntensityModel((MultiplicativeComponent(0, Constant(th[0])),
+        lambda th: IntensityModel((MultiplicativeComponent(0, Weibull(th[0], 0.7)),
                                    MultiplicativeComponent(1, Constant(th[0])))),
     )
     records = [_rec(Exact(0.2, True), Exact(0.3, True)),
                _rec(Exact(0.5, True), Exact(2.0, False)),
-               _rec(Interval(0.5, 1.5), Interval(0.0, 1.0))]
+               _rec(Interval(0.0, 1.0), Exact(2.0, False))]
     return fam, records
 
 
@@ -264,7 +282,7 @@ def test_fit_survives_non_finite_search_points(monkeypatch):
     fam, records = shared_rate_pair()
 
     def fails_above(model, atom, C, **quad_opts):
-        if model.components[0].baseline.value > 0.6:
+        if model.components[1].baseline.value > 0.6:
             raise ToleranceError("budget spent", value=0.0, error_estimate=np.inf)
         return loglik_atom(model, atom, C, **quad_opts)
 
@@ -279,3 +297,70 @@ def test_fit_survives_non_finite_search_points(monkeypatch):
     assert res.n_tolerance_failures > 0
     # the Hessian stencil reaches past 0.6: no standard error can be had
     assert res.std_errors is None
+
+
+def test_record_past_the_node_budget_takes_the_fallback(monkeypatch):
+    # three intervals of length 6 would need 1.5 million plan nodes; the
+    # record leaves the plan before they are built
+    fam = dementia_family()
+    record = _rec(Interval(0.2, 6.2), Interval(0.3, 6.3), Interval(0.5, 6.5))
+    calls = []
+
+    def stand_in(model, atom, C, **quad_opts):
+        calls.append(atom)
+        return -7.0
+
+    monkeypatch.setattr(inference, "loglik_atom", stand_in)
+    tracemalloc.start()
+    try:
+        ev = DatasetEvaluator(fam, [record], 7.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert ev.per_subject(fam.from_search(np.zeros(fam.k))).tolist() == [-7.0]
+    assert calls == [record]
+
+
+def test_per_subject_makes_one_kernel_pass(monkeypatch):
+    # points, lines and a term of two free coordinates share one node set
+    model = illness_death(0.35, 0.25, 0.8)[1]
+    records = [_rec(Exact(0.4, True), Exact(1.2, True)),
+               _rec(Interval(0.5, 1.0), Exact(3.0, False)),
+               _rec(SurvivedBeyond(1.0), SurvivedBeyond(1.5))]
+    ev = DatasetEvaluator(ParametricFamily((), (), lambda _: model), records, 3.0)
+    calls = []
+    real = IntensityModel.total_cum
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("no record should take the fallback")
+
+    monkeypatch.setattr(IntensityModel, "total_cum", counted)
+    monkeypatch.setattr(inference, "loglik_atom", no_fallback)
+    got = ev.per_subject(())
+    assert len(calls) == 1
+    monkeypatch.undo()
+    np.testing.assert_allclose(got, [loglik_atom(model, rec, 3.0) for rec in records],
+                               rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    *[(tol, v) for tol in ("rel_tol", "abs_tol") for v in (0.0, -1.0, np.nan, np.inf)],
+    ("max_evals", 0),
+])
+def test_evaluator_rejects_bad_quadrature_options(name, value):
+    # the embedded error check is the only way to the fallback, so its
+    # options must mean something
+    fam = exponential_family()
+    records = [PseudoAtomRecord((Interval(0.0, 1.0),))]
+    with pytest.raises(InvalidInputError, match=name):
+        DatasetEvaluator(fam, records, 2.0, **{name: value})
+    with pytest.raises(InvalidInputError, match=name):
+        per_subject_loglik(fam.build([0.5]), records, 2.0, **{name: value})
+    if name != "max_evals":
+        with pytest.raises(InvalidInputError, match=name):
+            fit_mle(fam, records, 2.0, [0.5], **{name: value})

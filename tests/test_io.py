@@ -100,6 +100,21 @@ def test_truth_file_blank_means_no_jump(tmp_path):
         "1,,1.25\n")
 
 
+@pytest.mark.parametrize("labels", [
+    {"subject_ids": ["a"]},
+    {"subject_ids": ["a", "b", "c"]},
+    {"subject_ids": ["a", "a"]},
+    {"component_names": ["illness"]},
+    {"component_names": ["illness", "illness"]},
+])
+def test_truth_file_checks_its_labels(tmp_path, labels):
+    # one distinct id per row and one distinct name per column, as for cohorts
+    path = tmp_path / "truth.csv"
+    with pytest.raises(InvalidInputError, match="need one distinct"):
+        write_truth(path, np.array([[0.5, INF], [INF, 1.25]]), **labels)
+    assert not path.exists()
+
+
 MODEL_JSON = {
     "name": "progressive pair",
     "units": "years",

@@ -62,6 +62,7 @@ from .observation import (
     Interval,
     ObservationScheme,
     PseudoAtomRecord,
+    StatusCodes,
     SurvivedBeyond,
     classify_observation,
     coarsen,
@@ -95,7 +96,7 @@ __all__ = [
     "PatternTableComponent", "cumulative_intensity", "intensity_eval",
     "MarkovSpec", "encode_state", "markov_to_ojc",
     "ComponentSchedule", "Exact", "Interval", "ObservationScheme",
-    "PseudoAtomRecord", "SurvivedBeyond", "classify_observation", "coarsen",
+    "PseudoAtomRecord", "StatusCodes", "SurvivedBeyond", "classify_observation", "coarsen",
     "preprocess_death_censoring",
     "conditional_loglik", "f_theta", "loglik_atom", "loglik_continuous",
     "IntegrationRegion", "integrate_1d", "integrate_nested",

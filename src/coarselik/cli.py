@@ -3,8 +3,11 @@
 All numerical output is written with repr() floats, so repeated runs with
 the same inputs are byte-identical. simulate, loglik and fit accept
 --threads and ignore it: every command runs in one thread. simulate draws
-the whole cohort in one vectorized call, and loglik evaluates the whole
-dataset on one plan of fixed quadrature panels.
+the whole cohort in one vectorized call and writes its status codes column
+by column; loglik reads the dataset into status codes, evaluates it on one
+plan of fixed quadrature panels, and formats the results as columns too.
+No record object is built per subject, except for a record the plan hands
+to the adaptive fallback.
 
 Exit status: 0 on success, 1 when a requested computation flags a problem
 (a minus-infinite log-likelihood, a fit that did not converge, a failed
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import CoarselikError
 from .inference import fit_mle, per_subject_loglik
 from .io import load_model_config, load_scheme_config, read_dataset, write_dataset, write_truth
-from .simulate import coarsen_cohort, record_from_codes, simulate_cohort
+from .simulate import coarsen_cohort, simulate_cohort
 from .validate import run_all
 
 
@@ -47,14 +50,12 @@ def _cmd_simulate(args) -> int:
     cfg = load_model_config(args.model)
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     model = cfg.build(_parse_theta(args.theta))
-    n = args.n
-    times = simulate_cohort(model, scheme.horizon, n, args.seed)
-    kind, x1, x2, flag = coarsen_cohort(scheme, times)
-    records = [record_from_codes(kind[i], x1[i], x2[i], flag[i]) for i in range(n)]
-    write_dataset(args.out, records, component_names=cfg.component_names)
+    times = simulate_cohort(model, scheme.horizon, args.n, args.seed)
+    write_dataset(args.out, coarsen_cohort(scheme, times), component_names=cfg.component_names)
     if args.truth:
         write_truth(args.truth, times, component_names=cfg.component_names)
-    print(f"wrote {n} subjects to {args.out}" + (f" (truth: {args.truth})" if args.truth else ""))
+    print(f"wrote {args.n} subjects to {args.out}"
+          + (f" (truth: {args.truth})" if args.truth else ""))
     return 0
 
 
@@ -64,20 +65,18 @@ def _cmd_loglik(args) -> int:
     data = _read_data(args, cfg)
     model = cfg.build(_parse_theta(args.theta))
     with np.errstate(divide="ignore"):
-        per = per_subject_loglik(model, list(data.records), scheme.horizon,
-                                 rel_tol=args.tol)
-    lines = ["subject_id,loglik"]
-    lines += [f"{sid},{repr(float(v))}" for sid, v in zip(data.subject_ids, per)]
-    lines.append(f"total,{repr(float(per.sum()))}")
-    text = "\n".join(lines) + "\n"
+        per = per_subject_loglik(model, data.codes, scheme.horizon, rel_tol=args.tol)
+    rows = map(",".join, zip(data.subject_ids, map(repr, per.tolist())))
+    text = "\n".join(["subject_id,loglik", *rows, f"total,{float(per.sum())!r}"]) + "\n"
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-    bad = [sid for sid, v in zip(data.subject_ids, per) if not np.isfinite(v)]
-    if bad:
-        print(f"log-likelihood is minus infinity for {len(bad)} subject(s): "
-              f"{', '.join(bad[:10])}{'...' if len(bad) > 10 else ''}", file=sys.stderr)
+    bad = np.flatnonzero(~np.isfinite(per))
+    if bad.size:
+        print(f"log-likelihood is minus infinity for {bad.size} subject(s): "
+              f"{', '.join(data.subject_ids[i] for i in bad[:10])}"
+              f"{'...' if bad.size > 10 else ''}", file=sys.stderr)
         return 1
     return 0
 
@@ -90,8 +89,7 @@ def _cmd_fit(args) -> int:
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     data = _read_data(args, cfg)
     init = cfg.theta_from(_parse_theta(args.theta))
-    res = fit_mle(cfg.family, list(data.records), scheme.horizon, init,
-                  rel_tol=args.tol)
+    res = fit_mle(cfg.family, data.codes, scheme.horizon, init, rel_tol=args.tol)
     report = {
         "model": cfg.name,
         "n_subjects": data.n,

@@ -30,9 +30,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
-from .likelihood import _density, _layout, loglik_atom
+from .likelihood import _density, _layout_codes, loglik_atom
 from .models import IntensityModel
-from .observation import PseudoAtomRecord
+from .observation import PseudoAtomRecord, StatusCodes
 from .quadrature import (
     DEFAULT_ABS_TOL,
     DEFAULT_MAX_EVALS,
@@ -108,83 +108,79 @@ class FitResult:
     n_tolerance_failures: int = 0
 
 
-def dataset_loglik(model: IntensityModel, records: Sequence[PseudoAtomRecord],
+def _quad_opts(rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = DEFAULT_ABS_TOL,
+               max_evals: int = DEFAULT_MAX_EVALS) -> dict:
+    """loglik_atom's quadrature options, checked: they also set the panels'
+    error check, which needs finite positive tolerances."""
+    opts = {"rel_tol": rel_tol, "abs_tol": abs_tol, "max_evals": max_evals}
+    if not (all(np.isfinite(x) and x > 0 for x in (rel_tol, abs_tol)) and max_evals >= 1):
+        raise InvalidInputError(f"need rel_tol, abs_tol finite > 0, max_evals >= 1: {opts}")
+    return opts
+
+
+def dataset_loglik(model: IntensityModel,
+                   records: Sequence[PseudoAtomRecord] | StatusCodes,
                    C: float, **quad_opts) -> float:
     """Total log-likelihood of independent records under a fixed model."""
     return float(per_subject_loglik(model, records, C, **quad_opts).sum())
 
 
-def per_subject_loglik(model: IntensityModel, records: Sequence[PseudoAtomRecord],
+def per_subject_loglik(model: IntensityModel,
+                       records: Sequence[PseudoAtomRecord] | StatusCodes,
                        C: float, **quad_opts) -> np.ndarray:
-    """Log-likelihood of each record under a fixed model.
+    """Log-likelihood of each record (record objects or their StatusCodes)
+    under a fixed model.
 
     Runs on the dataset plan of DatasetEvaluator, over a family with no
     free parameters. `quad_opts` (rel_tol, abs_tol, max_evals) mean what
     they mean for loglik_atom, which computes the records whose panel error
     misses the tolerance or whose plan would pass the node budget.
     """
-    records = list(records)
-    if not records:
+    codes = StatusCodes.from_records(records)
+    if not len(codes.kind):
+        _quad_opts(**quad_opts)
         return np.empty(0)
     fixed = ParametricFamily((), (), lambda _: model,
                              fixed_breakpoints=tuple(model.breakpoints))
-    return DatasetEvaluator(fixed, records, C, **quad_opts).per_subject(())
+    return DatasetEvaluator(fixed, codes, C, **quad_opts).per_subject(())
 
 
 class DatasetEvaluator:
     """Batched log-likelihood of one dataset as a function of theta.
 
-    The quadrature options are those of loglik_atom: they set the panels'
-    error check and go to the fallback, also for a record past the budget.
+    The dataset is a sequence of records or their StatusCodes; a record
+    object is built only for a record that takes the fallback. The
+    quadrature options are those of loglik_atom: they set the panels' error
+    check and go to the fallback, also for a record past the budget.
     """
 
-    def __init__(self, family: ParametricFamily, records: Sequence[PseudoAtomRecord],
+    def __init__(self, family: ParametricFamily,
+                 records: Sequence[PseudoAtomRecord] | StatusCodes,
                  C: float, rel_tol: float = DEFAULT_REL_TOL,
                  abs_tol: float = DEFAULT_ABS_TOL, max_evals: int = DEFAULT_MAX_EVALS):
         self.family = family
-        self.records = list(records)
+        self.codes = StatusCodes.from_records(records)
+        self.n = len(self.codes.kind)
         self.C = float(C)
-        self.quad_opts = {"rel_tol": rel_tol, "abs_tol": abs_tol, "max_evals": max_evals}
-        if not (all(np.isfinite(x) and x > 0 for x in (rel_tol, abs_tol)) and max_evals >= 1):
-            raise InvalidInputError(f"need rel_tol, abs_tol finite > 0, max_evals >= 1: {self.quad_opts}")
+        self.quad_opts = _quad_opts(rel_tol, abs_tol, max_evals)
         self._cache: dict[tuple, float] = {}
         self.n_evaluations = 0
         # objective evaluations whose quadrature budget ran out (scored -inf)
         self.n_tolerance_failures = 0
-        if not self.records:
+        if not self.n:
             raise InvalidInputError("empty dataset")
         probe = family.build(family.from_search(np.zeros(family.k)))
         self.p = probe.p
         self._build_plan(probe)
 
     def _build_plan(self, probe):
-        C, p, n = self.C, self.p, len(self.records)
-        # every term: its record, pinned coordinates, flags, and free ranges
-        # (j, lo, hi), outermost first
-        term_rec, term_s, term_f, term_n, term_free = [], [], [], [], []
-        for i, rec in enumerate(self.records):
-            try:
-                terms = _layout(probe, rec, C)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"record {i}: {exc}") from None
-            for s, flags, free in terms:
-                term_rec.append(i)
-                term_s.append(s)
-                term_f.append(flags)
-                term_n.append(len(free))
-                term_free.extend(free)
-
-        rec = np.array(term_rec, dtype=int)
-        # C-ordered (p, N) arrays: the kernel reads one coordinate row at a time
-        S = np.ascontiguousarray(np.array(term_s, dtype=float).reshape(-1, p).T)
-        F = np.ascontiguousarray(np.array(term_f, dtype=bool).reshape(-1, p).T)
-        # R[k, row] is the row's k-th free range, (-1, 0, 0) past its last
-        nfree = np.array(term_n, dtype=int)
-        R = np.full((nfree.max(initial=0), nfree.size, 3), [-1.0, 0.0, 0.0])
-        R[np.arange(len(term_free)) - np.repeat(np.cumsum(nfree) - nfree, nfree),
-          np.repeat(np.arange(nfree.size), nfree)] = np.array(term_free, dtype=float).reshape(-1, 3)
+        n = self.n
+        # every term: its record, pinned coordinates and flags as C-ordered
+        # (p, N) arrays (the kernel reads one coordinate row at a time), and
+        # R[k, row], the row's k-th free range (j, lo, hi), outermost first
+        rec, S, F, R = _layout_codes(probe, self.codes, self.C)
         # W[0] is a row's K15 weight, W[1 + k] its weight with level k on G7
-        W = np.ones((1 + R.shape[0], nfree.size))
+        W = np.ones((1 + R.shape[0], rec.size))
         bps = np.asarray(self.family.fixed_breakpoints, dtype=float)
         over = np.zeros(n, dtype=bool)
         for level in range(R.shape[0]):
@@ -243,7 +239,7 @@ class DatasetEvaluator:
     def per_subject(self, theta) -> np.ndarray:
         """Per-record log-likelihood at natural-scale theta."""
         model = self.family.build(theta)
-        n = len(self.records)
+        n = self.n
         f = _density(model, self._s, self._f, self.C)
         # the K15 sums; the error adds each level's |K15 - G7|
         total, *low = (np.bincount(self._rec, weights=w * f, minlength=n) for w in self._w)
@@ -253,7 +249,7 @@ class DatasetEvaluator:
         rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
         redo = self._over_budget | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol))
         for i in np.flatnonzero(redo):
-            out[i] = loglik_atom(model, self.records[i], self.C, **self.quad_opts)
+            out[i] = loglik_atom(model, self.codes.record(i), self.C, **self.quad_opts)
         return out
 
     def total(self, theta) -> float:
@@ -291,8 +287,8 @@ def _numeric_hessian(fn, u, h_scale=1e-4):
     return H
 
 
-def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord], C: float,
-            init, *, rel_tol: float = 1e-8, abs_tol: float = 1e-12,
+def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | StatusCodes,
+            C: float, init, *, rel_tol: float = 1e-8, abs_tol: float = 1e-12,
             max_iter: int = 2000, compute_se: bool = True) -> FitResult:
     """Maximize the dataset log-likelihood over the family's parameters.
 

@@ -3,7 +3,13 @@
 All floats are written with repr(), which round-trips bit-exactly in
 Python 3, so write-then-read reproduces identical records and repeated
 writes of the same objects are byte-identical. CSVs use comma delimiters,
-period decimals, a mandatory header row, and "\n" line endings.
+period decimals, a mandatory header row, and "\n" line endings; labels are
+quoted as csv.writer quotes them.
+
+A cohort travels as StatusCodes, four (n, p) code arrays: write_dataset
+takes them (or record objects, converted once), read_dataset returns them
+in a Dataset, whose record objects are built only when asked for. Both
+work on whole columns, the writers a block of subjects at a time.
 
 A model config is JSON of the form
 
@@ -43,7 +49,11 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from io import StringIO
+from itertools import compress, count, repeat
 
 import numpy as np
 
@@ -53,92 +63,157 @@ from .inference import ParametricFamily
 from .models import IntensityModel, ModifierTerm, MultiplicativeComponent
 from .observation import (
     ComponentSchedule,
-    Exact,
-    Interval,
     ObservationScheme,
     PseudoAtomRecord,
-    SurvivedBeyond,
+    StatusCodes,
 )
 
 _STATUSES = ("exact", "exact_censored", "interval", "survived_beyond")
+_STATUS_INDEX = {s: i for i, s in enumerate(_STATUSES)}
+_KIND_OF_STATUS = np.array([0, 0, 1, 2], dtype=np.uint8)
 _BASE_COLUMNS = ("subject_id", "component", "status", "t1", "t2")
+_BLOCK = 4096  # subjects formatted at a time, so a writer's text stays small
+# a label holding none of these, and not empty, is written by csv.writer as it is
+_CSV_SPECIAL = frozenset(',"\r\n\t ')
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A cohort of coarse records plus their identifiers."""
+    """A cohort of coarse records, as StatusCodes, plus their identifiers."""
 
     subject_ids: tuple[str, ...]
     component_names: tuple[str, ...]
-    records: tuple[PseudoAtomRecord, ...]
+    codes: StatusCodes
     covariates: dict[str, tuple[float, ...]]
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.subject_ids)
+
+    @cached_property
+    def records(self) -> tuple[PseudoAtomRecord, ...]:
+        """The records as objects, built from the codes on first use."""
+        return self.codes.records()
 
 
 def _labels(labels, n: int, prefix: str, what: str) -> list[str]:
     """n distinct labels as strings; None numbers them from prefix0."""
-    labels = [f"{prefix}{i}" for i in range(n)] if labels is None else [str(x) for x in labels]
+    labels = list(map(f"{prefix}{{}}".format, range(n)) if labels is None else map(str, labels))
     if len(labels) != n or len(set(labels)) != n:
         raise InvalidInputError(f"need one distinct {what}")
+    return _no_carriage_return(labels)
+
+
+def _no_carriage_return(labels: list[str]) -> list[str]:
+    """csv.writer may leave a carriage return unquoted, and a reader takes
+    it for a line end: such a label is refused."""
+    if "\r" in "".join(labels):
+        bad = next(x for x in labels if "\r" in x)
+        raise InvalidInputError(f"label {bad!r} holds a carriage return")
     return labels
+
+
+def _csv_field(text: str) -> str:
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, "x"])
+    return buf.getvalue()[:-3]
+
+
+def _csv_fields(labels: list[str]) -> list[str]:
+    """Labels as csv.writer writes them within a row, quoted where it must."""
+    if all(labels) and not _CSV_SPECIAL.intersection("".join(labels)):
+        return labels
+    return list(map(_csv_field, labels))
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
+
+
+def _write_rows(path, header: list[str], n: int, columns) -> None:
+    """Write a header, then the rows of subjects lo:hi, a block at a time;
+    columns(lo, hi) gives them as columns of CSV-ready text."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _BLOCK):
+            fh.write("\n".join(map(",".join, zip(*columns(lo, lo + _BLOCK)))) + "\n")
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.argwhere(mask)[0])
+
+
+def _refuse_nan(nan: np.ndarray, subject_ids, component_names) -> None:
+    """A NaN time reads back as an error, or as no jump in a truth file."""
+    if nan.any():
+        i, j = _first(nan)
+        raise InvalidInputError(f"subject {subject_ids[i]!r}, component "
+                                f"{component_names[j]!r}: time is NaN")
 
 
 def write_dataset(path, records, *, subject_ids=None, component_names=None,
                   covariates=None) -> None:
-    """Write coarse records as one CSV row per subject and component."""
-    records = list(records)
-    if not records:
+    """Write a cohort as one CSV row per subject and component.
+
+    `records` is a sequence of records or their StatusCodes. A cohort that
+    read_dataset would refuse (no records, no components, NaN times or
+    covariates) is refused before the file is opened.
+    """
+    kind, x1, x2, flag = StatusCodes.from_records(records)
+    n, p = kind.shape
+    if not n:
         raise InvalidInputError("refusing to write an empty dataset")
-    p = records[0].p
-    if any(r.p != p for r in records):
-        raise InvalidInputError("records disagree on the number of components")
-    subject_ids = _labels(subject_ids, len(records), "", "subject_id per record")
+    if not p:
+        raise InvalidInputError("refusing to write records without components")
+    subject_ids = _labels(subject_ids, n, "", "subject_id per record")
     component_names = _labels(component_names, p, "comp", "name per component")
-    covariates = {str(k): [float(x) for x in v] for k, v in (covariates or {}).items()}
+    interval = kind == 1
+    _refuse_nan(np.isnan(x1) | (interval & np.isnan(x2)), subject_ids, component_names)
+    bad = ~np.isin(kind, (0, 1, 2)) | (interval & ~((0 <= x1) & (x1 < x2)))
+    if bad.any():
+        i, j = _first(bad)
+        raise InvalidInputError(f"subject {subject_ids[i]!r}, component {component_names[j]!r}: "
+                                f"no status has the codes ({kind[i, j]}, {x1[i, j]}, {x2[i, j]})")
+    covariates = {str(k): np.asarray(v, dtype=float) for k, v in (covariates or {}).items()}
     for name, vals in covariates.items():
-        if len(vals) != len(records):
-            raise InvalidInputError(f"covariate {name!r} has {len(vals)} values "
-                                    f"for {len(records)} subjects")
-    cov_names = sorted(covariates)
+        if vals.shape != (n,):
+            raise InvalidInputError(f"covariate {name!r} has {vals.size} values for {n} subjects")
+        if np.isnan(vals).any():
+            raise InvalidInputError(f"covariate {name!r}: NaN for subject "
+                                    f"{subject_ids[_first(np.isnan(vals))[0]]!r}")
+    cov_names = _no_carriage_return(sorted(covariates))
 
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(list(_BASE_COLUMNS) + cov_names)
-        for i, rec in enumerate(records):
-            extra = [_fmt(covariates[c][i]) for c in cov_names]
-            for j, st in enumerate(rec.statuses):
-                if isinstance(st, Exact):
-                    status = "exact" if st.observed_jump else "exact_censored"
-                    t1, t2 = _fmt(st.time), ""
-                elif isinstance(st, Interval):
-                    status, t1, t2 = "interval", _fmt(st.lower), _fmt(st.upper)
-                elif isinstance(st, SurvivedBeyond):
-                    status, t1, t2 = "survived_beyond", _fmt(st.time), ""
-                else:
-                    raise InvalidInputError(f"unserializable status {st!r}")
-                w.writerow([subject_ids[i], component_names[j], status, t1, t2] + extra)
+    subject_ids, names = _csv_fields(subject_ids), _csv_fields(component_names)
+    status = np.array(_STATUSES, dtype=object)[np.where(kind == 0, np.where(flag, 0, 1), kind + 1)]
+
+    def columns(lo, hi):
+        k = slice(lo, hi)
+        t2 = np.full(interval[k].shape, "", dtype=object)
+        t2[interval[k]] = _reprs(x2[k][interval[k]])
+        per_subject = [subject_ids[k]] + [_reprs(covariates[c][k]) for c in cov_names]
+        sid, *covs = (np.repeat(np.array(col, dtype=object), p).tolist() for col in per_subject)
+        return [sid, names * len(per_subject[0]), status[k].ravel().tolist(),
+                _reprs(x1[k].ravel()), t2.ravel().tolist(), *covs]
+
+    _write_rows(path, [*_BASE_COLUMNS, *_csv_fields(cov_names)], n, columns)
 
 
-def _parse_time(path, line_no, field, text) -> float:
+def _floats(texts) -> tuple[np.ndarray, int]:
+    """A text column as floats, and the index of its first text that is not
+    a number (len(texts) if none); the values from there on are NaN."""
+    vals: list[float] = []
     try:
-        val = float(text)
+        vals.extend(map(float, texts))
     except ValueError:
-        raise InvalidInputError(f"{path}: line {line_no}: field {field!r}: "
-                                f"not a number: {text!r}") from None
-    if np.isnan(val):
-        raise InvalidInputError(f"{path}: line {line_no}: field {field!r}: NaN")
-    return val
+        pass
+    bad = len(vals)
+    return np.array(vals + [np.nan] * (len(texts) - bad)), bad
 
 
 def read_dataset(path, component_names=None) -> Dataset:
-    """Read a cohort CSV back into records, preserving subject order."""
+    """Read a cohort CSV into StatusCodes, subjects in order of first
+    appearance; a subject's rows may come in any order, blank lines are
+    skipped. A malformed file is refused at its first faulty line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -153,75 +228,100 @@ def read_dataset(path, component_names=None) -> Dataset:
         cov_names = header[5:]
         if len(set(cov_names)) != len(cov_names):
             raise InvalidInputError(f"{path}: line 1: duplicate covariate columns")
+        rows = list(reader)
 
-        per_subject: dict[str, dict[str, object]] = {}
-        cov_vals: dict[str, list[float]] = {}
-        order: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5 + len(cov_names):
-                raise InvalidInputError(f"{path}: line {line_no}: expected "
-                                        f"{5 + len(cov_names)} fields, got {len(row)}")
-            sid, comp, status, t1, t2 = row[:5]
-            if status not in _STATUSES:
-                raise InvalidInputError(f"{path}: line {line_no}: field 'status': "
-                                        f"unknown status {status!r}")
-            if status != "interval" and t2 != "":
-                raise InvalidInputError(f"{path}: line {line_no}: field 't2': "
-                                        f"must be blank for status {status!r}")
-            try:
-                if status == "exact":
-                    st = Exact(_parse_time(path, line_no, "t1", t1), True)
-                elif status == "exact_censored":
-                    st = Exact(_parse_time(path, line_no, "t1", t1), False)
-                elif status == "interval":
-                    st = Interval(_parse_time(path, line_no, "t1", t1),
-                                  _parse_time(path, line_no, "t2", t2))
-                else:
-                    st = SurvivedBeyond(_parse_time(path, line_no, "t1", t1))
-            except InvalidInputError as err:
-                if str(err).startswith(str(path)):
-                    raise
-                raise InvalidInputError(f"{path}: line {line_no}: {err}") from None
-            if sid not in per_subject:
-                per_subject[sid] = {}
-                cov_vals[sid] = [float("nan")] * len(cov_names)
-                order.append(sid)
-                for k, text in enumerate(row[5:]):
-                    cov_vals[sid][k] = _parse_time(path, line_no, cov_names[k], text)
-            else:
-                for k, text in enumerate(row[5:]):
-                    v = _parse_time(path, line_no, cov_names[k], text)
-                    if v != cov_vals[sid][k]:
-                        raise InvalidInputError(
-                            f"{path}: line {line_no}: field {cov_names[k]!r}: "
-                            f"covariate changes within subject {sid!r}"
-                        )
-            if comp in per_subject[sid]:
-                raise InvalidInputError(f"{path}: line {line_no}: field 'component': "
-                                        f"duplicate component {comp!r} for subject {sid!r}")
-            per_subject[sid][comp] = st
+    # every check notes its first failing row; the error raised is that of
+    # the earliest row, and within a row that of the first check in this order
+    errors: list[tuple[int, int, str]] = []
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
+    line = np.flatnonzero(lens) + 2
+    rows, lens = list(compress(rows, lens)), lens[lens > 0]
 
-    if not order:
+    def note(r, order: int, text: str) -> None:
+        errors.append((r, order, f"{path}: line {line[r]}: {text}"))
+
+    def check(order: int, bad: np.ndarray, message) -> None:
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            note(hit[0], order, message(hit[0]))
+
+    def number(order: int, field: str, texts, where=None) -> np.ndarray:
+        """Parse a text column, of rows `where` (default: all)."""
+        vals, bad = _floats(texts)
+        where = np.arange(len(texts)) if where is None else where
+        if bad < len(texts):
+            note(where[bad], order, f"field {field!r}: not a number: {texts[bad]!r}")
+        nan = np.flatnonzero(np.isnan(vals[:bad]))
+        if nan.size:
+            note(where[nan[0]], order, f"field {field!r}: NaN")
+        return vals
+
+    width = 5 + len(cov_names)
+    wrong = np.flatnonzero(lens != width)
+    if wrong.size:
+        r = wrong[0]
+        note(r, 0, f"expected {width} fields, got {lens[r]}")
+        rows = rows[:r]
+    m = len(rows)
+    cols = list(zip(*rows)) or [()] * width
+    sid_col, comp_col, status_col, t1_col, t2_col = cols[:5]
+    st = np.fromiter(map(_STATUS_INDEX.get, status_col, repeat(4)), np.intp, m)
+    check(1, st == 4, lambda r: f"field 'status': unknown status {status_col[r]!r}")
+    interval = st == 2
+    check(2, ~interval & ~np.fromiter(map(operator.not_, t2_col), bool, m),
+          lambda r: f"field 't2': must be blank for status {status_col[r]!r}")
+    x1 = number(3, "t1", t1_col)
+    x2 = np.full(m, np.nan)
+    x2[interval] = number(4, "t2", list(compress(t2_col, interval.tolist())),
+                          np.flatnonzero(interval))
+    check(5, interval & ~((0 <= x1) & (x1 < x2)),
+          lambda r: f"interval ({float(x1[r])}, {float(x2[r])}] is empty or negative")
+
+    # subjects and components, numbered in order of first appearance
+    subjects = dict(zip(dict.fromkeys(sid_col), count()))
+    si = np.fromiter(map(subjects.__getitem__, sid_col), np.intp, m)
+    first = np.unique(si, return_index=True)[1]
+    covs = []
+    for k, name in enumerate(cov_names):
+        vals = number(6 + 2 * k, name, cols[5 + k])
+        check(7 + 2 * k, vals != vals[first][si],
+              lambda r, name=name: f"field {name!r}: covariate changes within subject "
+                                   f"{sid_col[r]!r}")
+        covs.append(vals)
+    seen = dict(zip(dict.fromkeys(comp_col), count()))
+    ci = np.fromiter(map(seen.__getitem__, comp_col), np.intp, m)
+    repeated = np.ones(m, dtype=bool)
+    repeated[np.unique(si * len(seen) + ci, return_index=True)[1]] = False
+    check(6 + 2 * len(cov_names), repeated,
+          lambda r: f"field 'component': duplicate component {comp_col[r]!r} "
+                    f"for subject {sid_col[r]!r}")
+    if errors:
+        raise InvalidInputError(min(errors)[2])
+
+    if not m:
         raise InvalidInputError(f"{path}: no data rows")
-    first = order[0]
-    names = list(per_subject[first]) if component_names is None else list(component_names)
+    names = ([comp_col[r] for r in np.flatnonzero(si == 0)] if component_names is None
+             else list(component_names))
     expected = set(names)
     if len(expected) != len(names):
         raise InvalidInputError("component names must be distinct")
-    records = []
-    for sid in order:
-        have = per_subject[sid]
-        if set(have) != expected:
-            missing = sorted(expected - set(have)) + sorted(set(have) - expected)
-            raise InvalidInputError(
-                f"{path}: subject {sid!r}: component set mismatch (offending: {missing})"
-            )
-        records.append(PseudoAtomRecord(tuple(have[c] for c in names)))
-    covariates = {c: tuple(cov_vals[sid][k] for sid in order)
-                  for k, c in enumerate(cov_names)}
-    return Dataset(tuple(order), tuple(names), tuple(records), covariates)
+    subject_ids = tuple(subjects)
+    n, p = len(subject_ids), len(names)
+    cj = np.fromiter(map(dict(zip(names, count())).get, comp_col, repeat(-1)), np.intp, m)
+    mismatch = (np.bincount(si, minlength=n) != p) | (np.bincount(si[cj < 0], minlength=n) > 0)
+    if mismatch.any():
+        s = int(np.argmax(mismatch))
+        have = {comp_col[r] for r in np.flatnonzero(si == s)}
+        missing = sorted(expected - have) + sorted(have - expected)
+        raise InvalidInputError(
+            f"{path}: subject {subject_ids[s]!r}: component set mismatch (offending: {missing})"
+        )
+    codes = StatusCodes(np.empty((n, p), dtype=np.uint8), np.empty((n, p)), np.empty((n, p)),
+                        np.empty((n, p), dtype=bool))
+    for out, vals in zip(codes, (_KIND_OF_STATUS[st], x1, x2, st == 0)):
+        out[si, cj] = vals
+    covariates = {c: tuple(vals[first].tolist()) for c, vals in zip(cov_names, covs)}
+    return Dataset(subject_ids, tuple(names), codes, covariates)
 
 
 def write_truth(path, times, *, subject_ids=None, component_names=None) -> None:
@@ -232,13 +332,16 @@ def write_truth(path, times, *, subject_ids=None, component_names=None) -> None:
     n, p = times.shape
     subject_ids = _labels(subject_ids, n, "", "subject_id per row")
     component_names = _labels(component_names, p, "comp", "name per column")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject_id"] + component_names)
-        for i in range(n):
-            row = [subject_ids[i]]
-            row += ["" if not np.isfinite(t) else _fmt(t) for t in times[i]]
-            w.writerow(row)
+    _refuse_nan(np.isnan(times), subject_ids, component_names)
+    subject_ids, finite = _csv_fields(subject_ids), np.isfinite(times)
+
+    def columns(lo, hi):
+        k = slice(lo, hi)
+        cells = np.full(times[k].shape, "", dtype=object)
+        cells[finite[k]] = _reprs(times[k][finite[k]])
+        return [subject_ids[k], *cells.T.tolist()]
+
+    _write_rows(path, ["subject_id", *_csv_fields(component_names)], n, columns)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,84 @@ def _layout(model: IntensityModel, atom: PseudoAtomRecord, C: float):
     return terms
 
 
+def _corner_pins(n_live: int) -> np.ndarray:
+    """Which of n_live survivors each corner term pins at C, in _layout's order."""
+    subsets = [c for r in range(n_live + 1) for c in combinations(range(n_live), r)]
+    pins = np.zeros((len(subsets), n_live), dtype=bool)
+    for t, c in enumerate(subsets):
+        pins[t, list(c)] = True
+    return pins
+
+
+def _layout_codes(model: IntensityModel, codes, C: float):
+    """_layout of every record of a coded cohort at once, in array form.
+
+    Returns (rec, S, F, R), one entry per corner term, records in order and
+    each record's terms in _layout's order: the term's record, its pinned
+    coordinates and flags as (p, terms) arrays, and R[k, term] its k-th free
+    range (j, lo, hi), (-1, 0, 0) past its last. Records are grouped by
+    their number of live survivors, which fixes the pattern of their terms.
+    """
+    kind, x1, x2, flag = codes
+    n, p = kind.shape
+    if p != model.p:
+        raise InvalidInputError(f"record 0: record has {p} components, model has {model.p}")
+    jump = (kind == 0) & flag
+    interval, survivor = kind == 1, kind == 2
+    problems = (
+        (jump & ~((0 < x1) & (x1 <= C)), "jump time {a} outside (0, {C}]"),
+        ((kind == 0) & ~flag & (x1 != C),
+         "no-jump-by-{a} with later times unobserved should be SurvivedBeyond"),
+        (interval & ~((0 <= x1) & (x1 < x2)), "interval ({a}, {b}] is empty or negative"),
+        (interval & (x2 > C), "interval end {b} beyond {C}"),
+        (survivor & ~((0 <= x1) & (x1 <= C)), "survival time {a} outside [0, {C}]"),
+        (~np.isin(kind, (0, 1, 2)), "unknown status code {k}"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in problems])
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), p)
+        text = next(text for mask, text in problems if mask[i, j])
+        raise InvalidInputError(f"record {i}: component {j}: " + text.format(
+            a=float(x1[i, j]), b=float(x2[i, j]), k=kind[i, j], C=C))
+
+    hi = np.where(interval, x2, C)
+    for j, component in enumerate(model.components):
+        for e in range(p):
+            if _switched_off_by(component, e):
+                hi[:, j] = np.where(jump[:, e] & (x1[:, e] < hi[:, j]), x1[:, e], hi[:, j])
+    live = (interval | survivor) & (hi > x1)
+    possible = ~(interval & ~live).any(axis=1)
+    live_survivor = survivor & live
+    n_live = live_survivor.sum(axis=1)
+    rows, pinned = [np.zeros(0, dtype=int)], [np.zeros((0, p), dtype=bool)]
+    for L in np.unique(n_live[possible]):
+        recs = np.flatnonzero(possible & (n_live == L))
+        pins = _corner_pins(L)
+        live_j = np.nonzero(live_survivor[recs])[1].reshape(recs.size, L)
+        mask = np.zeros((recs.size * len(pins), p), dtype=bool)
+        mask[np.arange(mask.shape[0])[:, None], np.repeat(live_j, len(pins), axis=0)] = \
+            np.tile(pins, (recs.size, 1))
+        rows.append(np.repeat(recs, len(pins)))
+        pinned.append(mask)
+    order = np.argsort(np.concatenate(rows), kind="stable")
+    rec, pinned = np.concatenate(rows)[order], np.concatenate(pinned)[order]
+
+    # free ranges: intervals first, then the survivors not pinned, each in
+    # component order
+    free = live[rec] & ~pinned
+    by_order = np.argsort(np.where(free, np.arange(p) + p * survivor[rec], 2 * p),
+                          axis=1, kind="stable")
+    n_free = free.sum(axis=1)
+    R = np.full((n_free.max(initial=0), rec.size, 3), [-1.0, 0.0, 0.0])
+    for k in range(R.shape[0]):
+        has = np.flatnonzero(n_free > k)
+        j = by_order[has, k]
+        R[k, has] = np.stack([j, x1[rec[has], j], hi[rec[has], j]], axis=1)
+    S = np.ascontiguousarray(np.where(jump, x1, C)[rec].T)
+    F = np.ascontiguousarray(((jump | live)[rec] & ~pinned).T)
+    return rec, S, F, R
+
+
 def loglik_atom(
     model: IntensityModel,
     atom: PseudoAtomRecord,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,68 @@ class PseudoAtomRecord:
     @property
     def p(self) -> int:
         return len(self.statuses)
+
+
+def record_from_codes(kind, x1, x2, flag) -> PseudoAtomRecord:
+    """One subject's coded row back into a record object."""
+    statuses = []
+    for k, a, b, f in zip(kind, x1, x2, flag):
+        if k == 0:
+            statuses.append(Exact(float(a), bool(f)))
+        elif k == 1:
+            statuses.append(Interval(float(a), float(b)))
+        else:
+            statuses.append(SurvivedBeyond(float(a)))
+    return PseudoAtomRecord(tuple(statuses))
+
+
+def _code(st) -> tuple:
+    if isinstance(st, Exact):
+        return 0, st.time, np.nan, st.observed_jump
+    if isinstance(st, Interval):
+        return 1, st.lower, st.upper, False
+    if isinstance(st, SurvivedBeyond):
+        return 2, st.time, np.nan, False
+    raise InvalidInputError(f"unserializable status {st!r}")
+
+
+class StatusCodes(NamedTuple):
+    """A cohort's records as four (n, p) arrays, one row per subject.
+
+    kind is 0 for Exact (x1 the time, flag set for an observed jump), 1 for
+    Interval (x1, x2] and 2 for SurvivedBeyond(x1); x2 is NaN and flag
+    False where they have no meaning. The tuple unpacks as
+    (kind, x1, x2, flag).
+    """
+
+    kind: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    flag: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "StatusCodes":
+        """The codes of a sequence of records; codes pass through, as arrays
+        of one (n, p) shape with float times and bool flags."""
+        if isinstance(records, cls):
+            codes = cls(np.asarray(records.kind), np.asarray(records.x1, dtype=float),
+                        np.asarray(records.x2, dtype=float), np.asarray(records.flag, dtype=bool))
+            if codes.kind.ndim != 2 or any(a.shape != codes.kind.shape for a in codes):
+                raise InvalidInputError("status codes need four (n, p) arrays of one shape")
+            return codes
+        records = list(records)
+        p = records[0].p if records else 0
+        if any(r.p != p for r in records):
+            raise InvalidInputError("records disagree on the number of components")
+        cols = list(zip(*map(_code, (st for r in records for st in r.statuses)))) or [()] * 4
+        return cls(*(np.array(c, dtype=t).reshape(len(records), p)
+                     for c, t in zip(cols, (np.uint8, float, float, bool))))
+
+    def record(self, i: int) -> PseudoAtomRecord:
+        return record_from_codes(self.kind[i], self.x1[i], self.x2[i], self.flag[i])
+
+    def records(self) -> tuple[PseudoAtomRecord, ...]:
+        return tuple(map(record_from_codes, *self))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,10 @@ from .observation import (
     Interval,
     ObservationScheme,
     PseudoAtomRecord,
+    StatusCodes,
     SurvivedBeyond,
     coarsen,
+    record_from_codes,  # re-exported: the per-record form of a coded row
 )
 
 _CHUNK = 1 << 17
@@ -192,10 +194,10 @@ def simulate_path(model: IntensityModel, C: float, seed: int, index: int = 0) ->
     return SimulatedPath(tuple(float(t) for t in times), C, seed, index)
 
 
-def coarsen_cohort(scheme: ObservationScheme, times: np.ndarray):
-    """Vectorized scheme application: per-component status code arrays.
+def coarsen_cohort(scheme: ObservationScheme, times: np.ndarray) -> StatusCodes:
+    """Vectorized scheme application: the cohort's records as StatusCodes.
 
-    Returns (kind, x1, x2, flag): kind 0 = exact (x1 = time, flag = jump
+    Unpacks as (kind, x1, x2, flag): kind 0 = exact (x1 = time, flag = jump
     observed), kind 1 = interval (x1, x2], kind 2 = survived beyond x1.
     """
     n, p = times.shape
@@ -250,20 +252,7 @@ def coarsen_cohort(scheme: ObservationScheme, times: np.ndarray):
         x1[:, j] = np.where(in_window, t, np.where(covered, C, np.where(detected, z, v)))
         x2[:, j] = np.where(detected & ~in_window & ~covered, e, np.nan)
         flag[:, j] = in_window
-    return kind, x1, x2, flag
-
-
-def record_from_codes(kind, x1, x2, flag) -> PseudoAtomRecord:
-    """One subject's coded row back into a record object."""
-    statuses = []
-    for k, a, b, f in zip(kind, x1, x2, flag):
-        if k == 0:
-            statuses.append(Exact(float(a), bool(f)))
-        elif k == 1:
-            statuses.append(Interval(float(a), float(b)))
-        else:
-            statuses.append(SurvivedBeyond(float(a)))
-    return PseudoAtomRecord(tuple(statuses))
+    return StatusCodes(kind, x1, x2, flag)
 
 
 def mc_check(model: IntensityModel, scheme: ObservationScheme, atom: PseudoAtomRecord,

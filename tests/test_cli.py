@@ -1,12 +1,23 @@
 """Command-line interface, exercised in process through main(argv)."""
 
+import csv
+import importlib.util
+import io
 import json
 import math
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coarselik.cli as cli
+import coarselik.io
 from coarselik.cli import main
+from coarselik.inference import per_subject_loglik
+from coarselik.io import load_model_config, load_scheme_config
+from coarselik.observation import Exact, Interval
+from coarselik.simulate import coarsen_cohort, record_from_codes, simulate_cohort
 
 MODEL_JSON = {
     "name": "illness-death",
@@ -59,6 +70,73 @@ def test_simulate_is_reproducible_and_thread_invariant(tmp_path, configs):
                  "--truth", str(truth)])
     assert code == 0
     assert len(truth.read_text().splitlines()) == 41
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+def per_row_csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def per_row_cohort(records, names) -> str:
+    """The cohort file as the per-row writer wrote it, record by record."""
+    def cells(st):
+        if isinstance(st, Exact):
+            return ["exact" if st.observed_jump else "exact_censored", repr(float(st.time)), ""]
+        if isinstance(st, Interval):
+            return ["interval", repr(float(st.lower)), repr(float(st.upper))]
+        return ["survived_beyond", repr(float(st.time)), ""]
+    return per_row_csv(["subject_id", "component", "status", "t1", "t2"],
+                       ([str(i), name, *cells(st)] for i, rec in enumerate(records)
+                        for name, st in zip(names, rec.statuses)))
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_column_outputs_match_the_per_row_reference(tmp_path, capsys, monkeypatch, workload):
+    # cohort, truth and loglik bytes of the column writers equal those of
+    # per-row formatting, on the benchmark's model and scheme configs; the
+    # writers format 300 subjects at a time here, the last block a short one
+    monkeypatch.setattr(coarselik.io, "_BLOCK", 300)
+    w = WORKLOADS[workload]
+    model, scheme = tmp_path / "model.json", tmp_path / "scheme.json"
+    model.write_text(json.dumps(w.model))
+    scheme.write_text(json.dumps(w.scheme))
+    cohort, truth = tmp_path / "cohort.csv", tmp_path / "truth.csv"
+    n, seed = 2000, 7001
+    assert main(["simulate", "--model", str(model), "--scheme", str(scheme), "--n", str(n),
+                 "--seed", str(seed), "--out", str(cohort), "--truth", str(truth)]) == 0
+    cfg = load_model_config(model)
+    sch = load_scheme_config(scheme, cfg.component_names)
+    times = simulate_cohort(cfg.build(), sch.horizon, n, seed)
+    kind, x1, x2, flag = coarsen_cohort(sch, times)
+    records = [record_from_codes(kind[i], x1[i], x2[i], flag[i]) for i in range(n)]
+    assert cohort.read_bytes().decode() == per_row_cohort(records, cfg.component_names)
+    assert truth.read_bytes().decode() == per_row_csv(
+        ["subject_id", *cfg.component_names],
+        ([str(i)] + ["" if not np.isfinite(t) else repr(float(t)) for t in row]
+         for i, row in enumerate(times)))
+
+    capsys.readouterr()
+    assert main(["loglik", "--model", str(model), "--scheme", str(scheme),
+                 "--data", str(cohort)]) == 0
+    per = per_subject_loglik(cfg.build(), records, sch.horizon)
+    lines = ["subject_id,loglik"] + [f"{i},{repr(float(v))}" for i, v in enumerate(per)]
+    assert capsys.readouterr().out == "\n".join(lines + [f"total,{repr(float(per.sum()))}"]) + "\n"
 
 
 def test_loglik_reproduces_worked_total(tmp_path, configs, capsys):

@@ -25,9 +25,17 @@ from coarselik.inference import (
     fit_mle,
     per_subject_loglik,
 )
-from coarselik.likelihood import loglik_atom
+from coarselik.likelihood import _layout, _layout_codes, loglik_atom
 from coarselik.models import IntensityModel, MultiplicativeComponent
-from coarselik.observation import Exact, Interval, PseudoAtomRecord, SurvivedBeyond
+from coarselik.observation import (
+    ComponentSchedule,
+    Exact,
+    Interval,
+    ObservationScheme,
+    PseudoAtomRecord,
+    StatusCodes,
+    SurvivedBeyond,
+)
 from coarselik.simulate import coarsen_cohort, record_from_codes, simulate_cohort
 
 
@@ -211,6 +219,58 @@ def test_per_subject_loglik_agrees_with_loglik_atom(case, monkeypatch):
     assert dataset_loglik(model, records, C) == pytest.approx(ref.sum(), rel=1e-9)
 
 
+def per_record_terms(model, records, C):
+    """The plan's term arrays as the per-record build made them: one
+    _layout call per record, its terms appended in order."""
+    term_rec, term_s, term_f, term_n, term_free = [], [], [], [], []
+    for i, rec in enumerate(records):
+        for s, flags, free in _layout(model, rec, C):
+            term_rec.append(i)
+            term_s.append(s)
+            term_f.append(flags)
+            term_n.append(len(free))
+            term_free.extend(free)
+    p = model.p
+    S = np.ascontiguousarray(np.array(term_s, dtype=float).reshape(-1, p).T)
+    F = np.ascontiguousarray(np.array(term_f, dtype=bool).reshape(-1, p).T)
+    nfree = np.array(term_n, dtype=int)
+    R = np.full((nfree.max(initial=0), nfree.size, 3), [-1.0, 0.0, 0.0])
+    R[np.arange(len(term_free)) - np.repeat(np.cumsum(nfree) - nfree, nfree),
+      np.repeat(np.arange(nfree.size), nfree)] = np.array(term_free, dtype=float).reshape(-1, 3)
+    return np.array(term_rec, dtype=int), S, F, R
+
+
+# two survivors read at visits and a timed death: records with 0, 1 and 2
+# live survivors, some cut by the death time
+_TWO_VISITED = ObservationScheme(
+    (ComponentSchedule(visits=(1.0, 2.0)), ComponentSchedule(visits=(1.5,)),
+     ComponentSchedule(windows=((0.0, 3.0),))), 3.0, death_component=2)
+PLAN_CASES = {
+    **{case: (model, C, records) for case, (model, C, records, _) in AGREEMENT_CASES.items()},
+    "three_d": (DEMENTIA, 2.0, [_rec(Interval(0.2, 1), Interval(0.3, 1.5), Interval(0.5, 1.8))]),
+    "node_budget": (DEMENTIA, 7.0, [_rec(Interval(0.2, 6.2), Interval(0.3, 6.3),
+                                         Interval(0.5, 6.5))]),
+    "dementia_cohort": (DEMENTIA, 3.0, panel_records(DEMENTIA, _TWO_VISITED, 200, seed=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_plan_from_codes_matches_the_per_record_plan(case, monkeypatch):
+    # the array layout of the codes gives the per-record plan, bit for bit
+    model, C, records = PLAN_CASES[case]
+    codes = StatusCodes.from_records(records)
+    for got, ref in zip(_layout_codes(model, codes, C), per_record_terms(model, records, C)):
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+    fam = ParametricFamily((), (), lambda _: model, tuple(model.breakpoints))
+    got = DatasetEvaluator(fam, codes, C)
+    monkeypatch.setattr(inference, "_layout_codes",
+                        lambda probe, codes, C: per_record_terms(probe, codes.records(), C))
+    ref = DatasetEvaluator(fam, records, C)
+    for name in ("_rec", "_s", "_f", "_w", "_over_budget"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
 def test_per_subject_loglik_passes_max_evals_to_the_fallback():
     model, C, records, _ = AGREEMENT_CASES["weibull_from_zero"]
     with pytest.raises(ToleranceError):
@@ -361,6 +421,8 @@ def test_evaluator_rejects_bad_quadrature_options(name, value):
         DatasetEvaluator(fam, records, 2.0, **{name: value})
     with pytest.raises(InvalidInputError, match=name):
         per_subject_loglik(fam.build([0.5]), records, 2.0, **{name: value})
+    with pytest.raises(InvalidInputError, match=name):
+        per_subject_loglik(fam.build([0.5]), [], 2.0, **{name: value})
     if name != "max_evals":
         with pytest.raises(InvalidInputError, match=name):
             fit_mle(fam, records, 2.0, [0.5], **{name: value})

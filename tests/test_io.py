@@ -1,5 +1,7 @@
 """CSV cohort files and JSON model/scheme configs."""
 
+import csv
+import io
 import json
 import math
 
@@ -14,7 +16,13 @@ from coarselik.io import (
     write_dataset,
     write_truth,
 )
-from coarselik.observation import Exact, Interval, PseudoAtomRecord, SurvivedBeyond
+from coarselik.observation import (
+    Exact,
+    Interval,
+    PseudoAtomRecord,
+    StatusCodes,
+    SurvivedBeyond,
+)
 
 INF = np.inf
 
@@ -88,6 +96,176 @@ def test_dataset_covariates_must_be_constant_within_subject(tmp_path):
         "a,y,exact,0.7,,61\n")
     with pytest.raises(InvalidInputError, match="covariate changes within subject"):
         read_dataset(path)
+
+
+def test_dataset_accepts_status_codes(tmp_path):
+    a, b = tmp_path / "records.csv", tmp_path / "codes.csv"
+    write_dataset(a, RECORDS)
+    write_dataset(b, StatusCodes.from_records(RECORDS))
+    assert a.read_bytes() == b.read_bytes()
+    ds = read_dataset(b)
+    assert ds.records == tuple(RECORDS)
+    for got, want in zip(ds.codes, StatusCodes.from_records(RECORDS)):
+        np.testing.assert_array_equal(got, want)
+
+
+H = "subject_id,component,status,t1,t2\n"
+
+
+@pytest.mark.parametrize("text, names, expected", [
+    (H + "b,death,exact,1.5,\na,illness,interval,0.0,1.0\n\n"
+     "b,illness,survived_beyond,1.0,\na,death,exact_censored,2.0,\n", ["illness", "death"],
+     {"b": (SurvivedBeyond(1.0), Exact(1.5, True)),
+      "a": (Interval(0.0, 1.0), Exact(2.0, False))}),
+    # without names, the first subject's rows set the component order
+    (H + "b,death,exact,1.5,\na,illness,interval,0.0,1.0\n\n"
+     "b,illness,survived_beyond,1.0,\na,death,exact_censored,2.0,\n", None,
+     {"b": (Exact(1.5, True), SurvivedBeyond(1.0)),
+      "a": (Exact(2.0, False), Interval(0.0, 1.0))}),
+])
+def test_dataset_rows_in_any_order(tmp_path, text, names, expected):
+    # subjects interleaved, blank lines, components out of the config's order
+    path = tmp_path / "cohort.csv"
+    path.write_text(text)
+    ds = read_dataset(path, names)
+    assert ds.subject_ids == tuple(expected)
+    assert ds.records == tuple(PseudoAtomRecord(v) for v in expected.values())
+
+
+COV = "subject_id,component,status,t1,t2,age\n"
+
+
+@pytest.mark.parametrize("text, names, message", [
+    ("", None, "empty file (header row is mandatory)"),
+    ("subject,component,status,t1,t2\n", None,
+     "line 1: header must start with subject_id,component,status,t1,t2, "
+     "got subject,component,status,t1,t2"),
+    ("subject_id,component,status,t1,t2,age,age\n", None, "line 1: duplicate covariate columns"),
+    (H, None, "no data rows"),
+    (H + "\n\n", None, "no data rows"),
+    (H + "a,x,exact,0.5,\na,y,intervall,0.1,0.2\n", None,
+     "line 3: field 'status': unknown status 'intervall'"),
+    (H + "a,x,exact,fast,\n", None, "line 2: field 't1': not a number: 'fast'"),
+    (H + "a,x,exact,0.5,\nb,x,exact,0.5,\nb,y,exact_censored,2.0,\n", ["x", "y"],
+     "subject 'a': component set mismatch (offending: ['y'])"),
+    (H + "a,x,exact,0.5,\na,x,exact,0.6,\n", None,
+     "line 3: field 'component': duplicate component 'x' for subject 'a'"),
+    (COV + "a,x,exact,0.5,,60\na,y,exact,0.7,,61\n", None,
+     "line 3: field 'age': covariate changes within subject 'a'"),
+    (H + "a,x,exact,0.5\n", None, "line 2: expected 5 fields, got 4"),
+    (H + "a,x,exact,0.5,\n\n\na,y,exact,0.5,,\n", None, "line 5: expected 5 fields, got 6"),
+    (H + "a,x,exact,0.5,1.0\n", None, "line 2: field 't2': must be blank for status 'exact'"),
+    (H + "a,x,exact,nan,\n", None, "line 2: field 't1': NaN"),
+    (H + "a,x,interval,0.5,\n", None, "line 2: field 't2': not a number: ''"),
+    (H + "a,x,interval,0.5,NaN\n", None, "line 2: field 't2': NaN"),
+    (H + "a,x,interval,0.5,0.5\n", None, "line 2: interval (0.5, 0.5] is empty or negative"),
+    (H + "a,x,interval,-1,0.5\n", None, "line 2: interval (-1.0, 0.5] is empty or negative"),
+    (H + "a,x,survived_beyond,,\n", None, "line 2: field 't1': not a number: ''"),
+    (COV + "a,x,exact,0.5,,old\n", None, "line 2: field 'age': not a number: 'old'"),
+    (COV + "a,x,exact,0.5,,nan\n", None, "line 2: field 'age': NaN"),
+    ("subject_id,component,status,t1,t2,age,w\na,x,exact,0.5,,60,1\na,y,exact,0.5,,60,x\n",
+     None, "line 3: field 'w': not a number: 'x'"),
+    ("subject_id,component,status,t1,t2,age,w\na,x,exact,0.5,,60,1\na,y,exact,0.5,,61,x\n",
+     None, "line 3: field 'age': covariate changes within subject 'a'"),
+    (H + "a,x,exact,0.5,\nb,y,exact,0.5,\n", None,
+     "subject 'b': component set mismatch (offending: ['x', 'y'])"),
+    (H + "a,x,exact,0.5,\na,y,exact,0.5,\nb,x,exact,0.5,\nb,z,exact,0.5,\n", None,
+     "subject 'b': component set mismatch (offending: ['y', 'z'])"),
+    (H + "a,x,exact,0.5,\na,y,exact,0.5,\n", ["x", "x"], "component names must be distinct"),
+    (H + "a,x,exact,0.5,\na,y,exact,0.5,\n", ["x", "y", "z"],
+     "subject 'a': component set mismatch (offending: ['z'])"),
+    # of two faults, the earlier line's is reported, and within a line the
+    # first in the order fields are checked
+    (H + "a,x,exact,0.5,\na,x,bogus,zz,\nb,x,exact,fast,\n", None,
+     "line 3: field 'status': unknown status 'bogus'"),
+    (H + "a,x,exact,zz,\nb,x,bogus,0.5,\n", None, "line 2: field 't1': not a number: 'zz'"),
+    (H + "a,x,interval,zz,1\nb,x,interval,0.1,yy\n", None,
+     "line 2: field 't1': not a number: 'zz'"),
+    (H + "a,x,interval,0.5,yy\nb,x,interval,2,1\n", None,
+     "line 2: field 't2': not a number: 'yy'"),
+    (H + "a,x,exact,0.5,\nb,x,exact,0.5,\na,x,exact,0.5\n", None,
+     "line 4: expected 5 fields, got 4"),
+    (H + "a,x,exact,0.5,\nb,x,exact,0.5,\na,x,exact,0.5,\nb,y,exact,,\n", None,
+     "line 4: field 'component': duplicate component 'x' for subject 'a'"),
+    (COV + "a,x,exact,0.5,,60\na,x,exact,0.5,,61\n", None,
+     "line 3: field 'age': covariate changes within subject 'a'"),
+    (COV + "a,x,exact,0.5,,60\nb,x,exact,0.5,,zz\na,y,exact,0.5,,61\n", None,
+     "line 3: field 'age': not a number: 'zz'"),
+])
+def test_dataset_messages_name_the_first_fault(tmp_path, text, names, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as exc:
+        read_dataset(path, names)
+    prefix = "" if message.startswith("component names") else f"{path}: "
+    assert str(exc.value) == prefix + message
+
+
+@pytest.mark.parametrize("records, covariates", [
+    ([PseudoAtomRecord((Exact(np.nan, True), Exact(2.0, False)))], None),
+    ([PseudoAtomRecord((SurvivedBeyond(np.nan), Exact(2.0, False)))], None),
+    (StatusCodes(np.array([[1, 0]], dtype=np.uint8), np.array([[0.0, 2.0]]),
+                 np.array([[np.nan, np.nan]]), np.array([[False, False]])), None),
+    (RECORDS, {"age": [61.5, np.nan, 58.0]}),
+    ([PseudoAtomRecord(())] * 2, None),
+], ids=["nan_exact", "nan_survivor", "nan_codes", "nan_covariate", "no_components"])
+def test_dataset_writer_refuses_what_the_reader_refuses(tmp_path, records, covariates):
+    # NaN times or covariates, and records without components, read back as
+    # errors ("NaN", "no data rows"): they are not written
+    path = tmp_path / "cohort.csv"
+    with pytest.raises(InvalidInputError):
+        write_dataset(path, records, covariates=covariates)
+    assert not path.exists()
+
+
+def reference_csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def test_labels_are_quoted_as_csv_writer_quotes_them(tmp_path):
+    ids = ["a,b", 'say "x"', "", "line\nbreak", " pad", "plain"]
+    names = ["ill, early", 'death "d"']
+    records = [PseudoAtomRecord((Exact(0.5, True), SurvivedBeyond(1.0)))] * len(ids)
+    path = tmp_path / "cohort.csv"
+    write_dataset(path, records, subject_ids=ids, component_names=names,
+                  covariates={"x,y": [1.0] * len(ids)})
+    assert path.read_bytes().decode() == reference_csv(
+        [["subject_id", "component", "status", "t1", "t2", "x,y"]]
+        + [[sid, name, status, t1, "", "1.0"] for sid in ids
+           for name, status, t1 in zip(names, ("exact", "survived_beyond"), ("0.5", "1.0"))])
+    assert read_dataset(path).subject_ids == tuple(ids)
+
+    truth = tmp_path / "truth.csv"
+    write_truth(truth, np.full((len(ids), 2), 0.25), subject_ids=ids, component_names=names)
+    assert truth.read_bytes().decode() == reference_csv(
+        [["subject_id", *names]] + [[sid, "0.25", "0.25"] for sid in ids])
+
+
+@pytest.mark.parametrize("labels", [
+    {"subject_ids": ["a", "b\rc"]},
+    {"component_names": ["ill\r", "death"]},
+    {"covariates": {"age\r": [1.0, 2.0]}},
+])
+def test_carriage_returns_in_labels_are_refused(tmp_path, labels):
+    # csv.writer leaves a carriage return unquoted, and the reader takes it
+    # for a line end, so the file would not read back
+    path = tmp_path / "cohort.csv"
+    with pytest.raises(InvalidInputError, match="carriage return"):
+        write_dataset(path, RECORDS[:2], **labels)
+    if "covariates" not in labels:
+        with pytest.raises(InvalidInputError, match="carriage return"):
+            write_truth(path, np.full((2, 2), 0.5), **labels)
+    assert not path.exists()
+
+
+def test_truth_file_refuses_nan(tmp_path):
+    # a NaN would be written blank, which reads back as "no jump"
+    path = tmp_path / "truth.csv"
+    with pytest.raises(InvalidInputError, match="NaN"):
+        write_truth(path, np.array([[0.5, INF], [np.nan, 1.25]]))
+    assert not path.exists()
 
 
 def test_truth_file_blank_means_no_jump(tmp_path):

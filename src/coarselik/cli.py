@@ -10,7 +10,7 @@ No record object is built per subject, except for a record the plan hands
 to the adaptive fallback.
 
 Exit status: 0 on success, 1 when a requested computation flags a problem
-(a minus-infinite log-likelihood, a fit that did not converge, a failed
+(a non-finite log-likelihood, a fit that did not converge, a failed
 validation check), 2 on malformed inputs or usage errors.
 """
 
@@ -64,7 +64,8 @@ def _cmd_loglik(args) -> int:
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     data = _read_data(args, cfg)
     model = cfg.build(_parse_theta(args.theta))
-    with np.errstate(divide="ignore"):
+    # a non-finite value is reported below, so the warnings carry no news
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         per = per_subject_loglik(model, data.codes, scheme.horizon, rel_tol=args.tol)
     rows = map(",".join, zip(data.subject_ids, map(repr, per.tolist())))
     text = "\n".join(["subject_id,loglik", *rows, f"total,{float(per.sum())!r}"]) + "\n"
@@ -72,13 +73,14 @@ def _cmd_loglik(args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-    bad = np.flatnonzero(~np.isfinite(per))
-    if bad.size:
-        print(f"log-likelihood is minus infinity for {bad.size} subject(s): "
-              f"{', '.join(data.subject_ids[i] for i in bad[:10])}"
-              f"{'...' if bad.size > 10 else ''}", file=sys.stderr)
-        return 1
-    return 0
+    for what, mask in (("minus infinity", per == -np.inf), ("nan", np.isnan(per)),
+                       ("plus infinity", per == np.inf)):
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            print(f"log-likelihood is {what} for {bad.size} subject(s): "
+                  f"{', '.join(data.subject_ids[i] for i in bad[:10])}"
+                  f"{'...' if bad.size > 10 else ''}", file=sys.stderr)
+    return 0 if np.all(np.isfinite(per)) else 1
 
 
 def _cmd_fit(args) -> int:

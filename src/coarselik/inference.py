@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
 from .likelihood import _density, _layout_codes, loglik_atom
@@ -325,6 +324,9 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
             best["val"] = val
             best["u"] = np.asarray(u, dtype=float).copy()
         return val
+
+    # only a fit needs scipy; importing it at module level slows every command's start-up
+    from scipy.optimize import minimize
 
     # a -inf log-likelihood is a legitimate objective value (+inf); the
     # finite differences and the line search that meet one do inf - inf

@@ -384,7 +384,7 @@ class _ParamRegistry:
                 raise InvalidInputError(f"{self.path}: field {field!r}: covariate form "
                                         "needs exactly the keys 'coef' and 'scale'")
             inner = self.slot(value["coef"], field + ".coef", "identity")
-            scale = float(value["scale"])
+            scale = _number(value["scale"], self.path, field + ".scale")
             return lambda theta: scale * inner(theta)
         return self.slot(value, field, "identity")
 
@@ -454,6 +454,19 @@ class ModelConfig:
         return self.family.build(self.theta_from(theta))
 
 
+def _number(value, path, field) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{path}: field {field!r}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, path, field) -> list:
+    # a string would otherwise be iterated character by character
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{path}: field {field!r}: need a list, got {value!r}")
+    return value
+
+
 def _component_index(names, value, path, field) -> int:
     if value not in names:
         raise InvalidInputError(f"{path}: field {field!r}: unknown component {value!r} "
@@ -492,14 +505,14 @@ def load_model_config(path) -> ModelConfig:
         base_maker, bps = _build_baseline(entry.get("baseline"), reg, field + ".baseline")
         all_bps.update(bps)
         gates = tuple(_component_index(names, g, path, field + ".gates")
-                      for g in entry.get("gates", []))
+                      for g in _list(entry.get("gates", []), path, field + ".gates"))
         terms = []
-        for m, mod in enumerate(entry.get("modifiers", [])):
+        for m, mod in enumerate(_list(entry.get("modifiers", []), path, field + ".modifiers")):
             mfield = f"{field}.modifiers[{m}]"
             if not isinstance(mod, dict) or "when" not in mod:
                 raise InvalidInputError(f"{path}: field {mfield!r}: needs a 'when' list")
             comps = tuple(_component_index(names, c, path, mfield + ".when")
-                          for c in mod["when"])
+                          for c in _list(mod["when"], path, mfield + ".when"))
             eta = reg.slot(mod.get("eta", 0.0), mfield + ".eta", "identity")
             gamma = reg.slot(mod.get("gamma", 0.0), mfield + ".gamma", "identity")
             terms.append((comps, eta, gamma))
@@ -529,7 +542,7 @@ def load_model_config(path) -> ModelConfig:
     if unknown:
         raise InvalidInputError(f"{path}: field 'theta': values for undeclared "
                                 f"parameters {unknown}")
-    defaults = {str(k): float(v) for k, v in theta_block.items()}
+    defaults = {str(k): _number(v, path, f"theta.{k}") for k, v in theta_block.items()}
 
     # reject silently ignored keys: typos should be loud
     known = {"name", "units", "components", "intensities", "theta"}
@@ -559,7 +572,7 @@ def load_scheme_config(path, component_names) -> ObservationScheme:
     stray = sorted(set(cfg) - known)
     if stray:
         raise InvalidInputError(f"{path}: unknown top-level keys {stray}")
-    horizon = float(cfg["horizon"])
+    horizon = _number(cfg["horizon"], path, "horizon")
     entries = cfg.get("schedules")
     if not isinstance(entries, list) or len(entries) != len(component_names):
         raise InvalidInputError(f"{path}: field 'schedules': need one entry per component "
@@ -573,8 +586,8 @@ def load_scheme_config(path, component_names) -> ObservationScheme:
         if schedules[j] is not None:
             raise InvalidInputError(f"{path}: field {field!r}: duplicate schedule "
                                     f"for component {component_names[j]!r}")
-        windows = entry.get("windows", [])
-        visits = entry.get("visits", [])
+        windows = _list(entry.get("windows", []), path, field + ".windows")
+        visits = _list(entry.get("visits", []), path, field + ".visits")
         try:
             schedules[j] = ComponentSchedule(
                 windows=tuple((float(a), float(b)) for a, b in windows),

@@ -16,6 +16,7 @@ baseline families are computed in closed form, not by quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -76,6 +77,9 @@ class ModifierTerm:
     def __post_init__(self):
         if not self.comps or len(set(self.comps)) != len(self.comps):
             raise InvalidInputError(f"modifier components must be distinct and non-empty: {self.comps}")
+        if not (math.isfinite(self.eta) and math.isfinite(self.gamma)):
+            raise InvalidInputError(f"modifier eta and gamma must be finite, "
+                                    f"got eta={self.eta}, gamma={self.gamma}")
         if self.gamma != 0.0 and len(self.comps) != 1:
             raise InvalidInputError("time-scaled modifiers apply to a single component only")
 
@@ -104,6 +108,8 @@ class MultiplicativeComponent:
         self.gates = tuple(gates)
         self.terms = tuple(terms)
         self.log_offset = float(log_offset)
+        if not math.isfinite(self.log_offset):
+            raise InvalidInputError(f"log_offset must be finite, got {self.log_offset}")
         self.breakpoints = tuple(baseline.breakpoints)
 
     def rate(self, t, T):

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .baselines import Constant, PiecewiseConstant
 from .errors import InconsistentObservationError, InvalidInputError, StiffnessError
@@ -72,6 +70,9 @@ def _ode_segment(spec: MarkovSpec, P: np.ndarray, lo: float, hi: float) -> np.nd
             return (y.reshape(K, K) @ spec.rate_matrix(lo + w * tau ** 4)).ravel() * jac
 
         span = (0.0, 1.0)
+    # only the cross-checks need scipy; importing it at module level slows start-up
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, span, P.ravel(), method="DOP853",
                     rtol=_ODE_RTOL, atol=_ODE_ATOL)
     if not sol.success:
@@ -88,6 +89,9 @@ def transition_matrix(spec: MarkovSpec, s: float, t: float) -> TransitionMatrix:
     if t > s:
         edges = _segment_edges(spec, s, t)
         if _piecewise_exponential(spec):
+            # only the cross-checks need scipy; importing it at module level slows start-up
+            from scipy.linalg import expm
+
             for lo, hi in zip(edges[:-1], edges[1:]):
                 A = spec.rate_matrix(0.5 * (lo + hi))
                 P = P @ expm(A * (hi - lo))

@@ -5,12 +5,15 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coarselik
 import coarselik.cli as cli
 import coarselik.io
 from coarselik.cli import main
@@ -194,6 +197,99 @@ def test_loglik_flags_impossible_subjects(tmp_path, configs, capsys):
     captured = capsys.readouterr()
     assert "-inf" in captured.out
     assert "impossible" in captured.err
+
+
+def test_loglik_names_nan_subjects_as_nan(tmp_path, configs, capsys):
+    # a finite eta whose exp overflows leaves nan log-likelihoods; they are
+    # reported as nan, apart from the subjects whose value is minus infinity
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme,
+                 "--n", "50", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["loglik", "--model", model, "--scheme", scheme, "--data", str(data),
+                 "--theta", "0.1,0.2,800"])
+    assert code == 1
+    captured = capsys.readouterr()
+    values = [float(line.split(",")[1]) for line in captured.out.splitlines()[1:-1]]
+    n_nan = sum(math.isnan(v) for v in values)
+    n_minus_inf = sum(v == -math.inf for v in values)
+    assert n_nan > 0
+    expected = [f"log-likelihood is nan for {n_nan} subject(s): "]
+    if n_minus_inf:
+        expected.insert(0, f"log-likelihood is minus infinity for {n_minus_inf} subject(s): ")
+    lines = captured.err.splitlines()
+    assert len(lines) == len(expected)
+    assert all(line.startswith(head) for line, head in zip(lines, expected))
+
+
+def test_non_finite_modifier_values_exit_with_two(tmp_path, configs, capsys):
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme,
+                 "--n", "20", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    for theta in ("0.1,0.2,inf", "0.1,0.2,-inf", "0.1,0.2,nan"):
+        for argv in (["simulate", "--n", "20", "--seed", "1", "--out", str(out)],
+                     ["loglik", "--data", str(data)],
+                     ["fit", "--data", str(data)]):
+            code = main([*argv, "--model", model, "--scheme", scheme, "--theta", theta])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "finite" in captured.err
+    assert not out.exists()
+
+
+def test_malformed_config_values_exit_with_two(tmp_path, configs, capsys):
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme,
+                 "--n", "20", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    bad_scheme = tmp_path / "bad_scheme.json"
+    bad_scheme.write_text(json.dumps(dict(SCHEME_JSON, horizon="abc")))
+    bad_model = tmp_path / "bad_model.json"
+    bad_model.write_text(json.dumps(dict(MODEL_JSON, theta=dict(MODEL_JSON["theta"], a01=None))))
+    for m, s, field in ((model, bad_scheme, "'horizon'"), (bad_model, scheme, "'theta.a01'")):
+        for cmd in ("loglik", "fit"):
+            code = main([cmd, "--model", str(m), "--scheme", str(s), "--data", str(data)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err
+
+
+STARTUP_GUARD = """\
+import sys
+import coarselik, coarselik.cli
+from coarselik.cli import main
+model, scheme, data, fitted = sys.argv[1:]
+common = ["--model", model, "--scheme", scheme]
+assert main(["simulate", *common, "--n", "60", "--seed", "3", "--out", data]) == 0
+assert main(["loglik", *common, "--data", data]) == 0
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert main(["fit", *common, "--data", data, "--out", fitted]) == 0
+print("scipy before fit:", before)
+print("scipy.optimize after fit:", "scipy.optimize" in sys.modules)
+"""
+
+
+def test_simulate_and_loglik_never_import_scipy(tmp_path, configs):
+    # a fresh interpreter: importing the package and running simulate and
+    # loglik loads no scipy module; fit then loads scipy.optimize, which
+    # shows that the check sees scipy when it is there
+    model, scheme = configs
+    src = Path(coarselik.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_GUARD, model, scheme,
+         str(tmp_path / "cohort.csv"), str(tmp_path / "fit.json")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "scipy before fit: []" in lines
+    assert "scipy.optimize after fit: True" in lines
 
 
 def test_fit_round_trip(tmp_path, configs, capsys):

@@ -385,6 +385,33 @@ def test_model_config_rejects_mistakes(tmp_path):
         load_model_config(path)
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("theta", "abc", r"'theta\.eta_ill': expected a number"),
+    ("theta", None, r"'theta\.eta_ill': expected a number"),
+    ("theta", True, r"'theta\.eta_ill': expected a number"),
+    ("gates", "death", r"'intensities\[0\]\.gates': need a list"),
+    ("when", "illness", r"'intensities\[1\]\.modifiers\[0\]\.when': need a list"),
+    ("modifiers", "x", r"'intensities\[1\]\.modifiers': need a list"),
+    ("scale", "abc", r"'intensities\[1\]\.log_offset\.scale': expected a number"),
+])
+def test_model_config_refuses_malformed_values(tmp_path, where, value, message):
+    bad = json.loads(json.dumps(MODEL_JSON))
+    if where == "theta":
+        bad["theta"]["eta_ill"] = value
+    elif where == "gates":
+        bad["intensities"][0]["gates"] = value
+    elif where == "when":
+        bad["intensities"][1]["modifiers"][0]["when"] = value
+    elif where == "modifiers":
+        bad["intensities"][1]["modifiers"] = value
+    else:
+        bad["intensities"][1]["log_offset"] = {"coef": "beta", "scale": value}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(InvalidInputError, match=message):
+        load_model_config(path)
+
+
 SCHEME_JSON = {
     "horizon": 2.0,
     "death_component": "death",
@@ -434,4 +461,23 @@ def test_scheme_config_rejects_mistakes(tmp_path):
     bad["schedules"][0]["visits"] = [1.0, 0.5]
     path.write_text(json.dumps(bad))
     with pytest.raises(InvalidInputError, match=r"schedules\[0\]"):
+        load_scheme_config(path, ["illness", "death"])
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("horizon", "abc", r"'horizon': expected a number"),
+    ("horizon", None, r"'horizon': expected a number"),
+    ("horizon", [1], r"'horizon': expected a number"),
+    ("visits", "123", r"'schedules\[0\]\.visits': need a list"),
+    ("windows", "0", r"'schedules\[1\]\.windows': need a list"),
+])
+def test_scheme_config_refuses_malformed_values(tmp_path, where, value, message):
+    bad = json.loads(json.dumps(SCHEME_JSON))
+    if where == "horizon":
+        bad["horizon"] = value
+    else:
+        bad["schedules"][0 if where == "visits" else 1][where] = value
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(InvalidInputError, match=message):
         load_scheme_config(path, ["illness", "death"])

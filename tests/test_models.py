@@ -75,6 +75,19 @@ def test_modifier_validation():
         MultiplicativeComponent(1, Constant(0.1), terms=(ModifierTerm((1,), 0.2),))
 
 
+@pytest.mark.parametrize("eta, gamma", [(INF, 0.0), (-INF, 0.0), (np.nan, 0.0),
+                                        (0.1, INF), (0.1, np.nan)])
+def test_modifier_values_must_be_finite(eta, gamma):
+    with pytest.raises(InvalidInputError, match="finite"):
+        ModifierTerm((0,), eta, gamma)
+
+
+@pytest.mark.parametrize("offset", [INF, -INF, np.nan])
+def test_log_offset_must_be_finite(offset):
+    with pytest.raises(InvalidInputError, match="log_offset"):
+        MultiplicativeComponent(1, Constant(0.1), log_offset=offset)
+
+
 def test_components_must_sit_at_their_own_index():
     with pytest.raises(InvalidInputError):
         IntensityModel((MultiplicativeComponent(1, Constant(0.1)),))

@@ -15,10 +15,15 @@ quadrature panels nested one level per free coordinate, each level pinning
 its coordinate at its nodes. Panels are cut at the family's fixed
 rate-change points, at pinned jump times (earlier levels' nodes among
 them) and at the later levels' range bounds, so kinks lie on panel edges.
-Node positions depend only on the data and those rate-change points, so an
-objective evaluation is one vectorized kernel pass. A record whose embedded
-lower-order rules miss the tolerance, or whose plan would pass a node
-budget, is computed by the adaptive loglik_atom.
+Node positions depend only on the data, those rate-change points and the
+model's structure (its gates cut the ranges), and so does the density's
+geometry (where each component is at risk, where its gates close and where
+its modifiers switch on): both are built once, and built again only for a
+theta whose model has another structure. An objective evaluation is one
+vectorized pass over the geometry that evaluates baselines, modifier
+effects and offsets. A record whose embedded lower-order rules miss the tolerance, or
+whose plan would pass a node budget, is computed by the adaptive
+loglik_atom.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
-from .likelihood import _density, _layout_codes, loglik_atom
+from .likelihood import _density_at, _density_geometry, _layout_codes, loglik_atom
 from .models import IntensityModel
 from .observation import PseudoAtomRecord, StatusCodes
 from .quadrature import (
@@ -234,12 +239,20 @@ class DatasetEvaluator:
             S[R[0, parent, 0].astype(int), np.arange(parent.size)] = node_t
             R = R[1:, idx]
         self._rec, self._s, self._f, self._w, self._over_budget = rec, S, F, W, over
+        # the density's theta-free arrays on the plan; the plan and they hold
+        # for every model of the probe's structure
+        self._structure = probe.structure
+        self._geometry = _density_geometry(probe, S, F, self.C)
 
     def per_subject(self, theta) -> np.ndarray:
         """Per-record log-likelihood at natural-scale theta."""
         model = self.family.build(theta)
         n = self.n
-        f = _density(model, self._s, self._f, self.C)
+        # a builder may change the structure with theta, and with its gates
+        # the cuts of the plan: never reuse a plan built for another one
+        if model.structure != self._structure:
+            self._build_plan(model)
+        f = _density_at(model, self._geometry)
         # the K15 sums; the error adds each level's |K15 - G7|
         total, *low = (np.bincount(self._rec, weights=w * f, minlength=n) for w in self._w)
         err = sum(np.abs(total - x) for x in low)

@@ -21,6 +21,10 @@ gate), that component's range is always cut there: the discarded region
 carries zero intensity, so the value is unchanged and panels are saved.
 This layout of a record into corner terms, and the density kernel, are
 shared with inference.DatasetEvaluator, which falls back to this reference.
+The kernel runs in the two phases of the model components: its geometry
+(rate geometries at the flagged jumps, cum geometries over (0, C]) depends
+on the coordinates alone, so the evaluator builds it once per plan and
+evaluates it per theta; _density composes both for one set of coordinates.
 Here each term is integrated on the nested adaptive engine, with panels
 split at model rate discontinuities, at every pinned jump time, and at the
 bounds of the free ranges, so integrand kinks always land on panel edges.
@@ -44,20 +48,40 @@ from .quadrature import (
 )
 
 
-def _density(model: IntensityModel, s, flags, C: float):
-    """Density factor: rates at flagged jump times, times exp(-Lambda(C)).
+def _density_geometry(model: IntensityModel, s, flags, C: float):
+    """The theta-free part of _density: for each component with a flagged
+    jump, its flags and its rate geometry at its own coordinate, and each
+    component's cum geometry over (0, C].
 
     Coordinates may be scalars or broadcastable arrays. A flag is a bool, or
     a bool array that marks a jump point by point (one row of a batch).
     """
-    out = 1.0
+    rates = []
     for j, flag in enumerate(flags):
         if isinstance(flag, np.ndarray):
             if flag.any():
-                out = out * np.where(flag, model.rate(j, s[j], s), 1.0)
+                rates.append((j, flag, model.components[j].rate_geometry(s[j], s)))
         elif flag:
-            out = out * model.rate(j, s[j], s)
-    return out * np.exp(-model.total_cum(0.0, C, s))
+            rates.append((j, None, model.components[j].rate_geometry(s[j], s)))
+    return rates, [comp.cum_geometry(0.0, C, s) for comp in model.components]
+
+
+def _density_at(model: IntensityModel, geometry):
+    """_density on a _density_geometry of a model of the same structure."""
+    rates, cums = geometry
+    out = 1.0
+    for j, flag, g in rates:
+        rate = model.components[j].rate_at(g)
+        out = out * (rate if flag is None else np.where(flag, rate, 1.0))
+    total_cum = 0.0
+    for comp, g in zip(model.components, cums):
+        total_cum = total_cum + comp.cum_at(g)
+    return out * np.exp(-total_cum)
+
+
+def _density(model: IntensityModel, s, flags, C: float):
+    """Density factor: rates at flagged jump times, times exp(-Lambda(C))."""
+    return _density_at(model, _density_geometry(model, s, flags, C))
 
 
 def f_theta(model: IntensityModel, s, C: float):

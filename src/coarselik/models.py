@@ -12,12 +12,24 @@ cut points matter, so any time at or beyond the evaluation horizon acts as
 Evaluation broadcasts: t, t0, t1 and the entries of T may be scalars or numpy
 arrays of a common broadcast shape. Cumulative hazards of the supplied
 baseline families are computed in closed form, not by quadrature.
+
+A component evaluates in two phases. rate_geometry and cum_geometry take
+the times alone and build what no parameter value changes: the range cut
+at the own jump and the gates, the gate masks, where each modifier (and
+each subset of modifiers) switches on, and the filled times a duration
+effect scales. rate_at and cum_at apply the parameter values to such a
+geometry: baseline rate and cum0, the exp(eta + gamma * T) multipliers and
+the offset. rate and cum are the two phases composed; a geometry serves any
+component of the same `structure`, so a batch whose times stay fixed (the
+nodes of a dataset plan) builds it once and evaluates it per parameter
+vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -90,6 +102,22 @@ def _as_times(T, p: int) -> list:
     return [np.asarray(x, dtype=float) if np.ndim(x) else float(x) for x in T]
 
 
+@lru_cache(maxsize=256)
+def _subset_table(term_comps: tuple[tuple[int, ...], ...]):
+    """The modifier subsets of cum's inclusion-exclusion, in a fixed order;
+    for each, the index of its set of components among the distinct sets.
+    A subset switches on once all its terms' components have jumped, so
+    subsets over the same components share where that happens. Cached:
+    a fit builds components of one structure for every theta."""
+    subsets = tuple(subset for r in range(1, len(term_comps) + 1)
+                    for subset in combinations(range(len(term_comps)), r))
+    index: dict[tuple[int, ...], int] = {}
+    union_of = tuple(index.setdefault(tuple(sorted({c for m in subset for c in term_comps[m]})),
+                                      len(index))
+                     for subset in subsets)
+    return subsets, union_of, tuple(index)
+
+
 class MultiplicativeComponent:
     """baseline(t) * prod(gates open) * prod(active modifier multipliers).
 
@@ -111,59 +139,127 @@ class MultiplicativeComponent:
         if not math.isfinite(self.log_offset):
             raise InvalidInputError(f"log_offset must be finite, got {self.log_offset}")
         self.breakpoints = tuple(baseline.breakpoints)
+        self._subsets, self._union_of, self._unions = _subset_table(
+            tuple(trm.comps for trm in self.terms))
 
-    def rate(self, t, T):
+    @property
+    def structure(self) -> tuple:
+        """What the geometry depends on: every value a theta sets is left out."""
+        return (MultiplicativeComponent, self.own, self.gates,
+                tuple(trm.comps for trm in self.terms))
+
+    def rate_geometry(self, t, T):
+        """The theta-free part of rate(t, T): the product of the gate masks,
+        and each modifier's active mask and its component's filled time."""
         t = np.asarray(t, dtype=float) if np.ndim(t) else t
-        out = self.baseline.rate(t) * np.exp(self.log_offset)
+        gates_open = None
         for g in self.gates:
-            out = out * (T[g] >= t)
+            open_g = T[g] >= t
+            gates_open = open_g if gates_open is None else gates_open & open_g
+        terms = []
         for trm in self.terms:
             active = True
             for c in trm.comps:
                 active = active & (T[c] < t)
+            terms.append((active, _filled(T, trm)))
+        return t, gates_open, terms
+
+    def rate_at(self, geometry):
+        """rate() on a rate_geometry of a component of the same structure."""
+        t, gates_open, terms = geometry
+        out = self.baseline.rate(t) * np.exp(self.log_offset)
+        if gates_open is not None:
+            out = out * gates_open
+        for trm, (active, Tc) in zip(self.terms, terms):
             if trm.gamma == 0.0:
                 mult = np.exp(trm.eta)
             else:
-                Tc = T[trm.comps[0]]
-                mult = np.exp(trm.eta + trm.gamma * np.where(np.isfinite(Tc), Tc, 0.0))
+                mult = np.exp(trm.eta + trm.gamma * Tc.value())
             out = out * np.where(active, mult, 1.0)
         return out
 
-    def cum(self, t0, t1, T):
+    def rate(self, t, T):
+        return self.rate_at(self.rate_geometry(t, T))
+
+    def cum_geometry(self, t0, t1, T):
+        """The theta-free part of cum(t0, t1, T): the range (lo, hi] cut at
+        the own jump and the gates, each modifier's filled time, and where
+        the modifiers of each set of components switch on, all clipped at 0
+        for cum0. lo is None where t0 <= 0 proves it 0 (cum0(0) is 0)."""
         hi = np.minimum(np.asarray(t1, dtype=float), T[self.own])
         for g in self.gates:
             hi = np.minimum(hi, T[g])
         lo = np.minimum(np.asarray(t0, dtype=float), hi)
-        bbar = self.baseline.cum0
-
-        trig, coef = [], []
-        for trm in self.terms:
-            tr = T[trm.comps[0]]
-            for c in trm.comps[1:]:
+        starts = []
+        for comps in self._unions:
+            tr = T[comps[0]]
+            for c in comps[1:]:
                 tr = np.maximum(tr, T[c])
+            start = np.maximum(tr, lo)
+            start = np.minimum(start, hi)
+            # a trigger at +inf never activates inside a finite range
+            start = np.where(np.isfinite(start), start, hi)
+            starts.append(np.maximum(start, 0.0))
+        lo_0 = None if np.ndim(t0) == 0 and t0 <= 0 else np.maximum(lo, 0.0)
+        return np.maximum(hi, 0.0), lo_0, [_filled(T, trm) for trm in self.terms], starts
+
+    def cum_at(self, geometry):
+        """cum() on a cum_geometry of a component of the same structure."""
+        hi_0, lo_0, fills, starts = geometry
+        bbar = self.baseline.cum0
+        coef = []
+        for trm, Tc in zip(self.terms, fills):
             if trm.gamma == 0.0:
                 c_m = np.exp(trm.eta)
             else:
-                Tc = T[trm.comps[0]]
-                c_m = np.exp(trm.eta + trm.gamma * np.where(np.isfinite(Tc), Tc, 0.0))
-            trig.append(tr)
+                c_m = np.exp(trm.eta + trm.gamma * Tc.value())
             coef.append(c_m - 1.0)
 
-        bbar_hi = bbar(np.maximum(hi, 0.0))
-        total = bbar_hi - bbar(np.maximum(lo, 0.0))
-        for r in range(1, len(self.terms) + 1):
-            for subset in combinations(range(len(self.terms)), r):
-                tr = trig[subset[0]]
-                cf = coef[subset[0]]
-                for m in subset[1:]:
-                    tr = np.maximum(tr, trig[m])
-                    cf = cf * coef[m]
-                start = np.maximum(tr, lo)
-                start = np.minimum(start, hi)
-                # a trigger at +inf never activates inside a finite range
-                start = np.where(np.isfinite(start), start, hi)
-                total = total + cf * (bbar_hi - bbar(np.maximum(start, 0.0)))
+        bbar_hi = bbar(hi_0)
+        total = bbar_hi if lo_0 is None else bbar_hi - bbar(lo_0)
+        increments = [bbar_hi - bbar(start) for start in starts]
+        for subset, k in zip(self._subsets, self._union_of):
+            cf = coef[subset[0]]
+            for m in subset[1:]:
+                cf = cf * coef[m]
+            total = total + _times_increment(cf, increments[k])
         return total * np.exp(self.log_offset)
+
+    def cum(self, t0, t1, T):
+        return self.cum_at(self.cum_geometry(t0, t1, T))
+
+
+class _FilledTime:
+    """A modifier component's jump times with 0 where it never jumped (what
+    gamma scales), filled on first use: a term whose gamma stays 0 never
+    needs them."""
+
+    __slots__ = ("_T", "_filled")
+
+    def __init__(self, T):
+        self._T, self._filled = T, None
+
+    def value(self):
+        if self._filled is None:
+            self._filled = np.where(np.isfinite(self._T), self._T, 0.0)
+        return self._filled
+
+
+def _filled(T, trm: ModifierTerm):
+    """The filled time of a single-component modifier; None for an
+    interaction term, whose gamma is 0."""
+    return _FilledTime(T[trm.comps[0]]) if len(trm.comps) == 1 else None
+
+
+def _times_increment(cf, increment):
+    """cf * increment, with an increment of 0 contributing 0 also where
+    exp(eta) overflowed cf to inf: a term that never switches on adds
+    nothing, however large its multiplier."""
+    finite = math.isfinite(cf) if np.ndim(cf) == 0 else np.isfinite(cf).all()
+    if finite:
+        return cf * increment
+    out = np.zeros(np.broadcast_shapes(np.shape(cf), np.shape(increment)))
+    return np.multiply(cf, increment, out=out, where=increment != 0.0)
 
 
 class PatternTableComponent:
@@ -203,27 +299,60 @@ class PatternTableComponent:
                 exit_ = np.minimum(exit_, T[l])
         return enter, exit_
 
-    def rate(self, t, T):
+    @property
+    def structure(self) -> tuple:
+        """What the geometry depends on: every value a theta sets is left out."""
+        return (PatternTableComponent, self.own, tuple(bits for bits, _ in self.entries))
+
+    def rate_geometry(self, t, T):
+        """The theta-free part of rate(t, T): each entry's window mask."""
         t = np.asarray(t, dtype=float) if np.ndim(t) else t
-        out = 0.0
-        for bits, base in self.entries:
+        masks = []
+        for bits, _ in self.entries:
             enter, exit_ = self._window(bits, T)
-            out = out + base.rate(t) * ((enter < t) & (t <= exit_))
+            masks.append((enter < t) & (t <= exit_))
+        return t, masks
+
+    def rate_at(self, geometry):
+        """rate() on a rate_geometry of a component of the same structure."""
+        t, masks = geometry
+        out = 0.0
+        for (_, base), inside in zip(self.entries, masks):
+            out = out + base.rate(t) * inside
         return out
 
-    def cum(self, t0, t1, T):
+    def rate(self, t, T):
+        return self.rate_at(self.rate_geometry(t, T))
+
+    def cum_geometry(self, t0, t1, T):
+        """The theta-free part of cum(t0, t1, T): each entry's range, clipped
+        at 0 for cum0; lo is None where t0 <= 0 and the entry's window opens
+        at 0, which prove it 0 (cum0(0) is 0)."""
         hi_own = np.minimum(np.asarray(t1, dtype=float), T[self.own])
+        t0_le_0 = np.ndim(t0) == 0 and t0 <= 0
         t0 = np.asarray(t0, dtype=float)
-        out = 0.0
-        for bits, base in self.entries:
+        ranges = []
+        for bits, _ in self.entries:
             enter, exit_ = self._window(bits, T)
             lo = np.maximum(t0, enter)
             hi = np.minimum(hi_own, exit_)
             lo = np.minimum(lo, hi)
             lo = np.where(np.isfinite(lo), lo, 0.0)
             hi = np.where(np.isfinite(hi), hi, 0.0)
-            out = out + np.maximum(base.cum0(np.maximum(hi, 0.0)) - base.cum0(np.maximum(lo, 0.0)), 0.0)
+            opens_at_0 = t0_le_0 and not any(bits)
+            ranges.append((np.maximum(hi, 0.0), None if opens_at_0 else np.maximum(lo, 0.0)))
+        return ranges
+
+    def cum_at(self, geometry):
+        """cum() on a cum_geometry of a component of the same structure."""
+        out = 0.0
+        for (_, base), (hi_0, lo_0) in zip(self.entries, geometry):
+            cum_hi = base.cum0(hi_0)
+            out = out + np.maximum(cum_hi if lo_0 is None else cum_hi - base.cum0(lo_0), 0.0)
         return out
+
+    def cum(self, t0, t1, T):
+        return self.cum_at(self.cum_geometry(t0, t1, T))
 
 
 class IntensityModel:
@@ -252,6 +381,11 @@ class IntensityModel:
 
     def cum(self, j: int, t0, t1, T):
         return self.components[j].cum(t0, t1, T)
+
+    @property
+    def structure(self) -> tuple:
+        """The components' structures: models that share it share geometry."""
+        return tuple(comp.structure for comp in self.components)
 
     def total_cum(self, t0, t1, T):
         out = 0.0

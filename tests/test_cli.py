@@ -1,7 +1,6 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import csv
-import importlib.util
 import io
 import json
 import math
@@ -15,6 +14,7 @@ import pytest
 
 import coarselik
 import coarselik.cli as cli
+from benchmark_workloads import workloads
 import coarselik.io
 from coarselik.cli import main
 from coarselik.inference import per_subject_loglik
@@ -75,16 +75,7 @@ def test_simulate_is_reproducible_and_thread_invariant(tmp_path, configs):
     assert len(truth.read_text().splitlines()) == 41
 
 
-def _benchmark_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = _benchmark_workloads()
+WORKLOADS = workloads.WORKLOADS
 
 
 def per_row_csv(header, rows) -> str:

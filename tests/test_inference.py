@@ -25,8 +25,9 @@ from coarselik.inference import (
     fit_mle,
     per_subject_loglik,
 )
-from coarselik.likelihood import _layout, _layout_codes, loglik_atom
-from coarselik.models import IntensityModel, MultiplicativeComponent
+from coarselik.io import load_model_config, load_scheme_config
+from coarselik.likelihood import _density, _layout, _layout_codes, loglik_atom
+from coarselik.models import IntensityModel, ModifierTerm, MultiplicativeComponent
 from coarselik.observation import (
     ComponentSchedule,
     Exact,
@@ -37,6 +38,8 @@ from coarselik.observation import (
     SurvivedBeyond,
 )
 from coarselik.simulate import coarsen_cohort, record_from_codes, simulate_cohort
+
+from benchmark_workloads import workloads
 
 
 def exponential_family():
@@ -383,29 +386,124 @@ def test_record_past_the_node_budget_takes_the_fallback(monkeypatch):
 
 
 def test_per_subject_makes_one_kernel_pass(monkeypatch):
-    # points, lines and a term of two free coordinates share one node set
+    # points, lines and a term of two free coordinates share one node set;
+    # its geometry is built once, with the evaluator, and each theta is one
+    # evaluation pass over it
     model = illness_death(0.35, 0.25, 0.8)[1]
     records = [_rec(Exact(0.4, True), Exact(1.2, True)),
                _rec(Interval(0.5, 1.0), Exact(3.0, False)),
                _rec(SurvivedBeyond(1.0), SurvivedBeyond(1.5))]
-    ev = DatasetEvaluator(ParametricFamily((), (), lambda _: model), records, 3.0)
-    calls = []
-    real = IntensityModel.total_cum
+    builds, passes = [], []
 
-    def counted(self, *args):
-        calls.append(args)
-        return real(self, *args)
+    def counted(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
 
     def no_fallback(*args, **kwargs):
         raise AssertionError("no record should take the fallback")
 
-    monkeypatch.setattr(IntensityModel, "total_cum", counted)
+    def no_total_cum(*args, **kwargs):
+        raise AssertionError("the per-theta pass reads the geometry, not total_cum")
+
+    monkeypatch.setattr(inference, "_density_geometry",
+                        counted(builds, inference._density_geometry))
+    monkeypatch.setattr(inference, "_density_at", counted(passes, inference._density_at))
     monkeypatch.setattr(inference, "loglik_atom", no_fallback)
+    ev = DatasetEvaluator(ParametricFamily((), (), lambda _: model), records, 3.0)
+    assert (len(builds), len(passes)) == (1, 0)
+    monkeypatch.setattr(IntensityModel, "total_cum", no_total_cum)
     got = ev.per_subject(())
-    assert len(calls) == 1
+    assert (len(builds), len(passes)) == (1, 1)
+    ev.per_subject(())
+    assert (len(builds), len(passes)) == (1, 2)
     monkeypatch.undo()
     np.testing.assert_allclose(got, [loglik_atom(model, rec, 3.0) for rec in records],
                                rtol=1e-9, atol=0.0)
+
+
+def _moved(theta, names, **values):
+    theta = theta.copy()
+    for name, value in values.items():
+        theta[names.index(name)] = value
+    return theta
+
+
+@pytest.mark.parametrize("workload, n, moves", [
+    ("weibull-hybrid", 60, [
+        {}, {"gamma12": 0.3}, {"gamma12": -0.3}, {"eta12": -0.5},
+        {"b01": 1.3, "b02": 0.8, "gamma12": 0.3}, {"b01": 1.0, "b02": 1.0},
+    ]),
+    ("dementia-visits", 12, [{}, {"a01": 0.3, "a02": 0.05, "a04": 0.4}]),
+])
+def test_geometry_holds_for_every_theta(workload, n, moves, tmp_path, monkeypatch):
+    # the geometry is built once, at a theta with gamma12 exactly 0; every
+    # other theta must give the bits of the density built afresh on the
+    # same plan arrays
+    w = workloads.WORKLOADS[workload]
+    workloads.write_configs(w, tmp_path / "model.json", tmp_path / "scheme.json")
+    cfg = load_model_config(tmp_path / "model.json")
+    scheme = load_scheme_config(tmp_path / "scheme.json", cfg.component_names)
+    records = workloads.sample_cohort(w, scheme, n, workloads.rng_for(w, 1, 2))
+    fam, theta = cfg.family, cfg.theta_from()
+    ev = DatasetEvaluator(fam, records, w.horizon)
+    names = list(fam.param_names)
+    thetas = [theta * 1.1, theta * 0.9] + [_moved(theta, names, **m) for m in moves]
+    for th in thetas:
+        got = ev.per_subject(th)
+        with monkeypatch.context() as m:
+            m.setattr(inference, "_density_at",
+                      lambda model, _: _density(model, ev._s, ev._f, ev.C))
+            ref = ev.per_subject(th)
+        assert np.array_equal(got, ref), th
+
+
+def switching_family(gated_from_the_start):
+    """Illness and death race independently on one side of eta = 0.25; on
+    the other, death switches illness off and illness multiplies death by
+    exp(eta). The probe, eta = 0, builds the one side or the other."""
+    def build(th):
+        a01, a02, eta = th
+        if (eta <= 0.25) != gated_from_the_start:
+            return IntensityModel((MultiplicativeComponent(0, Constant(a01)),
+                                   MultiplicativeComponent(1, Constant(a02))))
+        return IntensityModel((
+            MultiplicativeComponent(0, Constant(a01), gates=(1,)),
+            MultiplicativeComponent(1, Constant(a02), terms=(ModifierTerm((0,), eta),))))
+    return ParametricFamily(("a01", "a02", "eta"), ("log", "log", "identity"), build)
+
+
+@pytest.mark.parametrize("gated_from_the_start", [False, True])
+def test_structure_change_builds_its_own_plan(gated_from_the_start):
+    # the third record's illness range holds the death time, where a gate
+    # cuts it
+    fam = switching_family(gated_from_the_start)
+    records = [_rec(Exact(0.7, True), Exact(2.5, True)),
+               _rec(Interval(0.5, 1.5), Exact(2.0, True)),
+               _rec(Interval(1.0, 2.5), Exact(1.8, True)),
+               _rec(SurvivedBeyond(1.0), Exact(3.0, False)),
+               _rec(Interval(0.0, 1.0), SurvivedBeyond(2.0))]
+    ev = DatasetEvaluator(fam, records, 3.0)
+    for eta in (0.1, 0.7, 0.1, 0.7):
+        theta = np.array([0.35, 0.25, eta])
+        got = ev.per_subject(theta)
+        assert np.array_equal(got, DatasetEvaluator(fam, records, 3.0).per_subject(theta))
+        ref = [loglik_atom(fam.build(theta), rec, 3.0) for rec in records]
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("eta", [0.7, 700.0, 800.0, 1e300])
+def test_modifier_that_never_switches_on_cannot_overflow(eta):
+    # exp(eta) is inf above about 709; the never-ill record's death
+    # modifier never switches on, so the record keeps its closed form
+    model = IntensityModel((
+        MultiplicativeComponent(0, Constant(0.1), gates=(1,)),
+        MultiplicativeComponent(1, Constant(0.2), terms=(ModifierTerm((0,), eta),))))
+    record = _rec(Exact(10.0, False), Exact(10.0, False))
+    with np.errstate(over="ignore"):
+        assert loglik_atom(model, record, 10.0) == -3.0
+        assert per_subject_loglik(model, [record], 10.0).tolist() == [-3.0]
 
 
 @pytest.mark.parametrize("name, value", [

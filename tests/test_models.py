@@ -138,6 +138,18 @@ def test_cum_additivity():
     assert whole == pytest.approx(split, rel=1e-12)
 
 
+def test_cum_of_a_modifier_past_exp_overflow():
+    # a modifier that switches on inside the range keeps its exact product,
+    # inf once exp(eta) overflows; one that never does adds exactly nothing
+    T = [np.array([4.0, 10.0]), np.array([INF, INF])]
+    for eta, want in ((0.7, 0.2 * 10.0 + (np.exp(0.7) - 1.0) * (0.2 * 10.0 - 0.2 * 4.0)),
+                      (800.0, INF)):
+        death = MultiplicativeComponent(1, Constant(0.2), terms=(ModifierTerm((0,), eta),))
+        with np.errstate(over="ignore"):
+            got = death.cum(0.0, 10.0, T)
+        assert got.tolist() == [want, 2.0]
+
+
 def test_pattern_table_matches_multiplicative():
     # the same death intensity written as an explicit pattern table
     table = {

@@ -38,6 +38,7 @@ from .io import (
     load_scheme_config,
     read_dataset,
     write_dataset,
+    write_dataset_and_truth,
     write_truth,
 )
 from .likelihood import (
@@ -107,5 +108,5 @@ __all__ = [
     "DatasetEvaluator", "FitResult", "ParametricFamily", "dataset_loglik",
     "fit_mle", "per_subject_loglik",
     "Dataset", "ModelConfig", "load_model_config", "load_scheme_config",
-    "read_dataset", "write_dataset", "write_truth",
+    "read_dataset", "write_dataset", "write_dataset_and_truth", "write_truth",
 ]

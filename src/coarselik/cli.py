@@ -4,10 +4,15 @@ All numerical output is written with repr() floats, so repeated runs with
 the same inputs are byte-identical. simulate, loglik and fit accept
 --threads and ignore it: every command runs in one thread. simulate draws
 the whole cohort in one vectorized call and writes its status codes column
-by column; loglik reads the dataset into status codes, evaluates it on one
-plan of fixed quadrature panels, and formats the results as columns too.
-No record object is built per subject, except for a record the plan hands
-to the adaptive fallback.
+by column, the cohort and truth files together, each distinct float of a
+block formatted once for both; loglik reads the dataset into status codes,
+evaluates it on one plan of fixed quadrature panels, and formats the
+results as columns too. No record object is built per subject, except for
+a record the plan hands to the adaptive fallback.
+
+No output path (--out, --truth) may name an input file (--model, --scheme,
+--data) or another output: such a call is refused before anything is read
+or written.
 
 Exit status: 0 on success, 1 when a requested computation flags a problem
 (a non-finite log-likelihood, a fit that did not converge, a failed
@@ -18,13 +23,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from .errors import CoarselikError
 from .inference import fit_mle, per_subject_loglik
-from .io import load_model_config, load_scheme_config, read_dataset, write_dataset, write_truth
+from .io import load_model_config, load_scheme_config, read_dataset, write_dataset_and_truth
 from .simulate import coarsen_cohort, simulate_cohort
 from .validate import run_all
 
@@ -46,14 +52,33 @@ def _read_data(args, cfg):
     return data
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:     # one of them does not exist (yet)
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_overwrites(args) -> None:
+    """Refuse an output path that names an input file or an earlier output:
+    writing it would destroy the input, or interleave the two outputs."""
+    taken = list(args.inputs)
+    for out in args.outputs:
+        if getattr(args, out) is None:
+            continue
+        for other in taken:
+            if _same_file(getattr(args, out), getattr(args, other)):
+                raise CoarselikError(f"--{out} names the same file as --{other}")
+        taken.append(out)
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_model_config(args.model)
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     model = cfg.build(_parse_theta(args.theta))
     times = simulate_cohort(model, scheme.horizon, args.n, args.seed)
-    write_dataset(args.out, coarsen_cohort(scheme, times), component_names=cfg.component_names)
-    if args.truth:
-        write_truth(args.truth, times, component_names=cfg.component_names)
+    write_dataset_and_truth(args.out, coarsen_cohort(scheme, times), args.truth,
+                            times if args.truth else None, component_names=cfg.component_names)
     print(f"wrote {args.n} subjects to {args.out}"
           + (f" (truth: {args.truth})" if args.truth else ""))
     return 0
@@ -145,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="accepted for compatibility; has no effect")
     sim.add_argument("--out", required=True, help="cohort CSV path")
     sim.add_argument("--truth", help="also write true jump times to this CSV")
-    sim.set_defaults(fn=_cmd_simulate)
+    sim.set_defaults(fn=_cmd_simulate, inputs=("model", "scheme"), outputs=("out", "truth"))
 
     ll = sub.add_parser("loglik", help="per-subject and total log-likelihood of a dataset")
     ll.add_argument("--model", required=True)
@@ -156,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ll.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
     ll.add_argument("--out", help="also write the report to this CSV")
-    ll.set_defaults(fn=_cmd_loglik)
+    ll.set_defaults(fn=_cmd_loglik, inputs=("model", "scheme", "data"), outputs=("out",))
 
     fit = sub.add_parser("fit", help="maximum-likelihood fit of the model's free parameters")
     fit.add_argument("--model", required=True)
@@ -167,18 +192,19 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility; has no effect")
     fit.add_argument("--out", help="write a JSON fit report here")
-    fit.set_defaults(fn=_cmd_fit)
+    fit.set_defaults(fn=_cmd_fit, inputs=("model", "scheme", "data"), outputs=("out",))
 
     val = sub.add_parser("validate", help="run the engine's cross-check suites")
     val.add_argument("--n", type=int, default=100_000, help="Monte Carlo paths per cell")
     val.add_argument("--seed", type=int, default=31)
-    val.set_defaults(fn=_cmd_validate)
+    val.set_defaults(fn=_cmd_validate, inputs=(), outputs=())
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _refuse_overwrites(args)
         return args.fn(args)
     except CoarselikError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -11,6 +11,14 @@ takes them (or record objects, converted once), read_dataset returns them
 in a Dataset, whose record objects are built only when asked for. Both
 work on whole columns, the writers a block of subjects at a time.
 
+write_dataset_and_truth writes a cohort CSV and the truth CSV of its
+subjects together; write_dataset and write_truth are it with one file.
+Each distinct float of a block is formatted once, for both files: the
+values are keyed on their bits, so -0.0 keeps its own text, and a death
+time that is both a cohort t1 and a truth time is formatted once.
+Generated subject ids ("0", "1", ...) are made once and need none of the
+checks that ids passed in by a caller get.
+
 A model config is JSON of the form
 
     {
@@ -50,10 +58,13 @@ from __future__ import annotations
 import csv
 import json
 import operator
+from collections.abc import Callable
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cached_property
 from io import StringIO
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,12 +107,17 @@ class Dataset:
         return self.codes.records()
 
 
-def _labels(labels, n: int, prefix: str, what: str) -> list[str]:
-    """n distinct labels as strings; None numbers them from prefix0."""
-    labels = list(map(f"{prefix}{{}}".format, range(n)) if labels is None else map(str, labels))
+def _labels(labels, n: int, prefix: str, what: str) -> tuple[list[str], list[str]]:
+    """n distinct labels as strings, and as csv.writer writes them within a
+    row. None numbers them from prefix0: distinct, plain, and made once."""
+    if labels is None:
+        labels = list(map(str, range(n)))
+        labels = [prefix + x for x in labels] if prefix else labels
+        return labels, labels
+    labels = list(map(str, labels))
     if len(labels) != n or len(set(labels)) != n:
         raise InvalidInputError(f"need one distinct {what}")
-    return _no_carriage_return(labels)
+    return labels, _csv_fields(_no_carriage_return(labels))
 
 
 def _no_carriage_return(labels: list[str]) -> list[str]:
@@ -126,29 +142,156 @@ def _csv_fields(labels: list[str]) -> list[str]:
     return list(map(_csv_field, labels))
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    return list(map(repr, values.tolist()))
+def _reprs(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """repr() of every value of the float arrays, as object arrays of their
+    shapes. Each distinct value is formatted once, keyed on its bits, so
+    that -0.0 keeps its own text."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    bits, where = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[where]
+    ends = accumulate(a.size for a in arrays)
+    return [texts[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
-def _write_rows(path, header: list[str], n: int, columns) -> None:
-    """Write a header, then the rows of subjects lo:hi, a block at a time;
-    columns(lo, hi) gives them as columns of CSV-ready text."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+class _File(NamedTuple):
+    """A CSV file of one row per subject, or per subject and component:
+    floats(k) gives the float arrays of the subjects in slice k, and
+    columns(k, texts) the rows' columns of CSV-ready text, given the texts
+    of those arrays."""
+
+    path: object
+    header: list[str]
+    floats: Callable[[slice], list[np.ndarray]]
+    columns: Callable[[slice, list[np.ndarray]], list[list[str]]]
+
+
+def _write_files(files: list[_File], n: int) -> None:
+    """Write each file's header, then its rows, _BLOCK subjects at a time.
+    The floats of a block are formatted in one pass for all files, so a
+    value that two files share is formatted once."""
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(f.path, "w", newline="")) for f in files]
+        for fh, f in zip(handles, files):
+            fh.write(",".join(f.header) + "\n")
         for lo in range(0, n, _BLOCK):
-            fh.write("\n".join(map(",".join, zip(*columns(lo, lo + _BLOCK)))) + "\n")
+            k = slice(lo, lo + _BLOCK)
+            arrays = [f.floats(k) for f in files]
+            texts = iter(_reprs([a for arrs in arrays for a in arrs]))
+            for fh, f, arrs in zip(handles, files, arrays):
+                rows = zip(*f.columns(k, [next(texts) for _ in arrs]))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
-def _refuse_nan(nan: np.ndarray, subject_ids, component_names) -> None:
-    """A NaN time reads back as an error, or as no jump in a truth file."""
-    if nan.any():
-        i, j = _first(nan)
+def _refuse(bad: np.ndarray, subject_ids, component_names, what) -> None:
+    """Refuse the first flagged (subject, component) cell; what(i, j) says why."""
+    if bad.any():
+        i, j = _first(bad)
         raise InvalidInputError(f"subject {subject_ids[i]!r}, component "
-                                f"{component_names[j]!r}: time is NaN")
+                                f"{component_names[j]!r}: {what(i, j)}")
+
+
+def _cohort_file(path, codes: StatusCodes, subject_ids, component_names, cells,
+                 covariates) -> _File:
+    """The cohort CSV, after the checks that read_dataset would otherwise
+    fail: NaN times or covariates, codes of no status."""
+    kind, x1, x2, flag = codes
+    n, p = kind.shape
+    interval = kind == 1
+    _refuse(np.isnan(x1) | (interval & np.isnan(x2)), subject_ids, component_names,
+            lambda i, j: "time is NaN")
+    _refuse(~np.isin(kind, (0, 1, 2)) | (interval & ~((0 <= x1) & (x1 < x2))),
+            subject_ids, component_names,
+            lambda i, j: f"no status has the codes ({kind[i, j]}, {x1[i, j]}, {x2[i, j]})")
+    covariates = {str(k): np.asarray(v, dtype=float) for k, v in (covariates or {}).items()}
+    for name, vals in covariates.items():
+        if vals.shape != (n,):
+            raise InvalidInputError(f"covariate {name!r} has {vals.size} values for {n} subjects")
+        if np.isnan(vals).any():
+            raise InvalidInputError(f"covariate {name!r}: NaN for subject "
+                                    f"{subject_ids[_first(np.isnan(vals))[0]]!r}")
+    cov_names = _no_carriage_return(sorted(covariates))
+
+    sid_cells, name_cells = np.array(cells[0], dtype=object), cells[1]
+    # the component and status columns of a row, as one text
+    name_status = np.array([[f"{name},{s}" for s in _STATUSES] for name in name_cells],
+                           dtype=object)
+    name_status = name_status[np.arange(p), np.where(kind == 0, np.where(flag, 0, 1), kind + 1)]
+
+    def floats(k):
+        return [x1[k], x2[k][interval[k]], *(covariates[c][k] for c in cov_names)]
+
+    def columns(k, texts):
+        t1, t2_some, *covs = texts
+        t2 = np.full(t1.shape, "", dtype=object)
+        t2[interval[k]] = t2_some
+        return [np.repeat(sid_cells[k], p).tolist(), name_status[k].ravel().tolist(),
+                t1.ravel().tolist(), t2.ravel().tolist(),
+                *(np.repeat(c, p).tolist() for c in covs)]
+
+    return _File(path, [*_BASE_COLUMNS, *_csv_fields(cov_names)], floats, columns)
+
+
+def _truth_file(path, times: np.ndarray, subject_ids, component_names, cells) -> _File:
+    """The truth CSV, blank for no jump (+inf). A NaN or -inf time would be
+    written blank too, and read back as no jump: it is refused."""
+    _refuse(np.isnan(times) | (times == -np.inf), subject_ids, component_names,
+            lambda i, j: f"time is {'NaN' if np.isnan(times[i, j]) else '-inf'}")
+    finite = np.isfinite(times)
+    sid_cells, name_cells = cells
+
+    def floats(k):
+        return [times[k][finite[k]]]
+
+    def columns(k, texts):
+        t = np.full(times[k].shape, "", dtype=object)
+        t[finite[k]] = texts[0]
+        return [sid_cells[k], *t.T.tolist()]
+
+    return _File(path, ["subject_id", *name_cells], floats, columns)
+
+
+def write_dataset_and_truth(path, records, truth_path, times, *, subject_ids=None,
+                            component_names=None, covariates=None) -> None:
+    """Write a cohort CSV (`records` to `path`) and the truth CSV of the
+    same subjects (`times` to `truth_path`) together; pass None as
+    `records` or `times` to write only the other file.
+
+    Every check of both files runs before either is opened. The floats of a
+    block of subjects are formatted once for both files, so a death time
+    that is both a cohort `t1` and a truth time is formatted once.
+    """
+    if records is None and times is None:
+        raise InvalidInputError("neither records nor times to write")
+    if records is not None:
+        codes = StatusCodes.from_records(records)
+        n, p = codes.kind.shape
+        if not n:
+            raise InvalidInputError("refusing to write an empty dataset")
+        if not p:
+            raise InvalidInputError("refusing to write records without components")
+        what = "subject_id per record", "name per component"
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 2:
+            raise InvalidInputError("times must be an (n, p) matrix")
+        if records is None:
+            (n, p), what = times.shape, ("subject_id per row", "name per column")
+        elif times.shape != (n, p):
+            raise InvalidInputError(f"times for {times.shape[0]} subjects and "
+                                    f"{times.shape[1]} components; the records have {n} and {p}")
+    subject_ids, sid_cells = _labels(subject_ids, n, "", what[0])
+    component_names, name_cells = _labels(component_names, p, "comp", what[1])
+    labels = subject_ids, component_names, (sid_cells, name_cells)
+    files = []
+    if records is not None:
+        files.append(_cohort_file(path, codes, *labels, covariates))
+    if times is not None:
+        files.append(_truth_file(truth_path, times, *labels))
+    _write_files(files, n)
 
 
 def write_dataset(path, records, *, subject_ids=None, component_names=None,
@@ -159,43 +302,15 @@ def write_dataset(path, records, *, subject_ids=None, component_names=None,
     read_dataset would refuse (no records, no components, NaN times or
     covariates) is refused before the file is opened.
     """
-    kind, x1, x2, flag = StatusCodes.from_records(records)
-    n, p = kind.shape
-    if not n:
-        raise InvalidInputError("refusing to write an empty dataset")
-    if not p:
-        raise InvalidInputError("refusing to write records without components")
-    subject_ids = _labels(subject_ids, n, "", "subject_id per record")
-    component_names = _labels(component_names, p, "comp", "name per component")
-    interval = kind == 1
-    _refuse_nan(np.isnan(x1) | (interval & np.isnan(x2)), subject_ids, component_names)
-    bad = ~np.isin(kind, (0, 1, 2)) | (interval & ~((0 <= x1) & (x1 < x2)))
-    if bad.any():
-        i, j = _first(bad)
-        raise InvalidInputError(f"subject {subject_ids[i]!r}, component {component_names[j]!r}: "
-                                f"no status has the codes ({kind[i, j]}, {x1[i, j]}, {x2[i, j]})")
-    covariates = {str(k): np.asarray(v, dtype=float) for k, v in (covariates or {}).items()}
-    for name, vals in covariates.items():
-        if vals.shape != (n,):
-            raise InvalidInputError(f"covariate {name!r} has {vals.size} values for {n} subjects")
-        if np.isnan(vals).any():
-            raise InvalidInputError(f"covariate {name!r}: NaN for subject "
-                                    f"{subject_ids[_first(np.isnan(vals))[0]]!r}")
-    cov_names = _no_carriage_return(sorted(covariates))
+    write_dataset_and_truth(path, records, None, None, subject_ids=subject_ids,
+                            component_names=component_names, covariates=covariates)
 
-    subject_ids, names = _csv_fields(subject_ids), _csv_fields(component_names)
-    status = np.array(_STATUSES, dtype=object)[np.where(kind == 0, np.where(flag, 0, 1), kind + 1)]
 
-    def columns(lo, hi):
-        k = slice(lo, hi)
-        t2 = np.full(interval[k].shape, "", dtype=object)
-        t2[interval[k]] = _reprs(x2[k][interval[k]])
-        per_subject = [subject_ids[k]] + [_reprs(covariates[c][k]) for c in cov_names]
-        sid, *covs = (np.repeat(np.array(col, dtype=object), p).tolist() for col in per_subject)
-        return [sid, names * len(per_subject[0]), status[k].ravel().tolist(),
-                _reprs(x1[k].ravel()), t2.ravel().tolist(), *covs]
-
-    _write_rows(path, [*_BASE_COLUMNS, *_csv_fields(cov_names)], n, columns)
+def write_truth(path, times, *, subject_ids=None, component_names=None) -> None:
+    """Write ground-truth jump times, one row per subject, blank = no jump
+    (+inf). A NaN or -inf time is refused."""
+    write_dataset_and_truth(None, None, path, times, subject_ids=subject_ids,
+                            component_names=component_names)
 
 
 def _floats(texts) -> tuple[np.ndarray, int]:
@@ -322,26 +437,6 @@ def read_dataset(path, component_names=None) -> Dataset:
         out[si, cj] = vals
     covariates = {c: tuple(vals[first].tolist()) for c, vals in zip(cov_names, covs)}
     return Dataset(subject_ids, tuple(names), codes, covariates)
-
-
-def write_truth(path, times, *, subject_ids=None, component_names=None) -> None:
-    """Write ground-truth jump times, one row per subject, blank = no jump."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 2:
-        raise InvalidInputError("times must be an (n, p) matrix")
-    n, p = times.shape
-    subject_ids = _labels(subject_ids, n, "", "subject_id per row")
-    component_names = _labels(component_names, p, "comp", "name per column")
-    _refuse_nan(np.isnan(times), subject_ids, component_names)
-    subject_ids, finite = _csv_fields(subject_ids), np.isfinite(times)
-
-    def columns(lo, hi):
-        k = slice(lo, hi)
-        cells = np.full(times[k].shape, "", dtype=object)
-        cells[finite[k]] = _reprs(times[k][finite[k]])
-        return [subject_ids[k], *cells.T.tolist()]
-
-    _write_rows(path, ["subject_id", *_csv_fields(component_names)], n, columns)
 
 
 # ---------------------------------------------------------------------------

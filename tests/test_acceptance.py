@@ -308,6 +308,7 @@ def _dementia_cells():
     return cells
 
 
+@pytest.mark.slow
 def test_monte_carlo_record_probabilities():
     cells = _progressive_cells() + _dementia_cells()
     assert len(cells) == 100

@@ -18,8 +18,8 @@ from benchmark_workloads import workloads
 import coarselik.io
 from coarselik.cli import main
 from coarselik.inference import per_subject_loglik
-from coarselik.io import load_model_config, load_scheme_config
-from coarselik.observation import Exact, Interval
+from coarselik.io import load_model_config, load_scheme_config, write_dataset, write_truth
+from coarselik.observation import Exact, Interval, StatusCodes
 from coarselik.simulate import coarsen_cohort, record_from_codes, simulate_cohort
 
 MODEL_JSON = {
@@ -87,7 +87,7 @@ def per_row_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def per_row_cohort(records, names) -> str:
+def per_row_cohort(records, names, ids=None, covariates=None) -> str:
     """The cohort file as the per-row writer wrote it, record by record."""
     def cells(st):
         if isinstance(st, Exact):
@@ -95,9 +95,21 @@ def per_row_cohort(records, names) -> str:
         if isinstance(st, Interval):
             return ["interval", repr(float(st.lower)), repr(float(st.upper))]
         return ["survived_beyond", repr(float(st.time)), ""]
-    return per_row_csv(["subject_id", "component", "status", "t1", "t2"],
-                       ([str(i), name, *cells(st)] for i, rec in enumerate(records)
+    ids = list(map(str, range(len(records)))) if ids is None else ids
+    covariates = covariates or {}
+    cov = sorted(covariates)
+    return per_row_csv(["subject_id", "component", "status", "t1", "t2", *cov],
+                       ([sid, name, *cells(st), *(repr(float(covariates[c][i])) for c in cov)]
+                        for i, (sid, rec) in enumerate(zip(ids, records))
                         for name, st in zip(names, rec.statuses)))
+
+
+def per_row_truth(times, names, ids=None) -> str:
+    """The truth file as the per-row writer wrote it, blank for no jump."""
+    ids = list(map(str, range(len(times)))) if ids is None else ids
+    return per_row_csv(["subject_id", *names],
+                       ([sid] + ["" if t == math.inf else repr(float(t)) for t in row]
+                        for sid, row in zip(ids, times)))
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -120,10 +132,7 @@ def test_column_outputs_match_the_per_row_reference(tmp_path, capsys, monkeypatc
     kind, x1, x2, flag = coarsen_cohort(sch, times)
     records = [record_from_codes(kind[i], x1[i], x2[i], flag[i]) for i in range(n)]
     assert cohort.read_bytes().decode() == per_row_cohort(records, cfg.component_names)
-    assert truth.read_bytes().decode() == per_row_csv(
-        ["subject_id", *cfg.component_names],
-        ([str(i)] + ["" if not np.isfinite(t) else repr(float(t)) for t in row]
-         for i, row in enumerate(times)))
+    assert truth.read_bytes().decode() == per_row_truth(times, cfg.component_names)
 
     capsys.readouterr()
     assert main(["loglik", "--model", str(model), "--scheme", str(scheme),
@@ -131,6 +140,102 @@ def test_column_outputs_match_the_per_row_reference(tmp_path, capsys, monkeypatc
     per = per_subject_loglik(cfg.build(), records, sch.horizon)
     lines = ["subject_id,loglik"] + [f"{i},{repr(float(v))}" for i, v in enumerate(per)]
     assert capsys.readouterr().out == "\n".join(lines + [f"total,{repr(float(per.sum()))}"]) + "\n"
+
+
+# each value at least twice in a block, among them both zeros and repr()'s
+# switches between positional and exponent notation
+EDGE_VALUES = [-0.0, 0.0, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+               0.30000000000000004, 1.2345678901234567, 2.0 / 3.0, 2.0]
+
+
+def edge_times(n, rng):
+    """(n, 2) jump times drawn from EDGE_VALUES and +inf, one block with
+    -0.0 and 0.0 as illness and as death times, and the last subject alone
+    in the last block of a writer."""
+    times = rng.choice(EDGE_VALUES + [math.inf], size=(n, 2))
+    times[:4] = [[-0.0, 0.0], [0.0, -0.0], [1e16, 9999999999999998.0], [1e-4, 1e-4]]
+    times[-1] = [9.999999999999999e-05, -0.0]
+    return times
+
+
+def test_writers_match_the_per_row_reference_at_edge_values(tmp_path):
+    # the cohort's t1 and t2, its covariate and the truth times share values,
+    # 17-digit ones among them, across one block of coarselik.io._BLOCK
+    # subjects and a one-subject block after it
+    n = coarselik.io._BLOCK + 1
+    rng = np.random.default_rng(11)
+    times = edge_times(n, rng)
+    lo, hi = np.sort(rng.choice(EDGE_VALUES[1:], size=(2, n)), axis=0)
+    lo[:2] = [-0.0, 0.0]
+    hi = np.where(hi > lo, hi, 1e16 + 2.0 * (lo == 1e16))   # 1e16 + 2 is the next double
+    finite = np.isfinite(times[:, 0])
+    codes = StatusCodes(np.array([np.where(finite, 0, 2), np.ones(n)], dtype=np.uint8).T,
+                        np.array([np.where(finite, times[:, 0], 1.2345678901234567), lo]).T,
+                        np.array([np.full(n, np.nan), hi]).T,
+                        np.array([rng.random(n) < 0.5, np.zeros(n, dtype=bool)]).T)
+    ids = [f'"{i}", q' if i % 3 == 0 else f" {i}" if i % 3 == 1 else str(i) for i in range(n)]
+    names = ["ill, early", 'death "d"']
+    covariates = {"x,y": rng.choice(EDGE_VALUES, size=n)}
+    cohort, truth = tmp_path / "cohort.csv", tmp_path / "truth.csv"
+    write_dataset(cohort, codes, subject_ids=ids, component_names=names, covariates=covariates)
+    write_truth(truth, times, subject_ids=ids, component_names=names)
+    assert cohort.read_bytes().decode() == per_row_cohort(codes.records(), names, ids, covariates)
+    assert truth.read_bytes().decode() == per_row_truth(times, names, ids)
+
+
+def test_simulate_matches_the_per_row_reference_at_edge_values(tmp_path, monkeypatch):
+    # the CLI's cohort and truth files, from drawn times at the edge values
+    # and visits and a horizon among them
+    n = coarselik.io._BLOCK + 1
+    times = edge_times(n, np.random.default_rng(12))
+    monkeypatch.setattr(cli, "simulate_cohort", lambda model, horizon, n, seed: times)
+    model, scheme = tmp_path / "model.json", tmp_path / "scheme.json"
+    model.write_text(json.dumps(MODEL_JSON))
+    scheme.write_text(json.dumps({
+        "horizon": 1e16, "death_component": "death",
+        "schedules": [{"component": "illness",
+                       "visits": [9.999999999999999e-05, 1e-4, 0.30000000000000004,
+                                  1.2345678901234567, 9999999999999998.0]},
+                      {"component": "death", "windows": [[0.0, 1e16]]}]}))
+    cohort, truth = tmp_path / "cohort.csv", tmp_path / "truth.csv"
+    assert main(["simulate", "--model", str(model), "--scheme", str(scheme), "--n", str(n),
+                 "--seed", "1", "--out", str(cohort), "--truth", str(truth)]) == 0
+    sch = load_scheme_config(scheme, ["illness", "death"])
+    records = coarsen_cohort(sch, times).records()
+    assert cohort.read_bytes().decode() == per_row_cohort(records, ["illness", "death"])
+    assert truth.read_bytes().decode() == per_row_truth(times, ["illness", "death"])
+
+
+def test_simulate_refuses_a_truth_file_that_is_the_cohort_file(tmp_path, configs, capsys):
+    # the two files would interleave; refused before anything is written,
+    # under another spelling of the same path too
+    model, scheme = configs
+    same = tmp_path / "same.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme, "--n", "5", "--seed", "1",
+                 "--out", str(same), "--truth", os.path.join(tmp_path, ".", "same.csv")]) == 2
+    assert capsys.readouterr() == ("", "error: --truth names the same file as --out\n")
+    assert not same.exists()
+
+
+def test_outputs_never_overwrite_an_input(tmp_path, configs, capsys):
+    # an --out naming the cohort, model or scheme file would destroy it
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme, "--n", "20", "--seed", "1",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    files = {"data": str(data), "model": model, "scheme": scheme}
+    before = {path: Path(path).read_bytes() for path in files.values()}
+    for cmd in ("simulate", "loglik", "fit"):
+        inputs = ["--model", model, "--scheme", scheme]
+        inputs += (["--n", "5", "--seed", "1"] if cmd == "simulate" else ["--data", str(data)])
+        for opt, path in files.items():
+            if cmd == "simulate" and opt == "data":
+                continue
+            other = os.path.join(os.path.dirname(path), ".", os.path.basename(path))
+            assert main([cmd, *inputs, "--out", other]) == 2
+            assert capsys.readouterr() == ("", f"error: --out names the same file as --{opt}\n")
+    assert {path: Path(path).read_bytes() for path in files.values()} == before
 
 
 def test_loglik_reproduces_worked_total(tmp_path, configs, capsys):

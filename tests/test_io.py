@@ -14,6 +14,7 @@ from coarselik.io import (
     load_scheme_config,
     read_dataset,
     write_dataset,
+    write_dataset_and_truth,
     write_truth,
 )
 from coarselik.observation import (
@@ -266,6 +267,30 @@ def test_truth_file_refuses_nan(tmp_path):
     with pytest.raises(InvalidInputError, match="NaN"):
         write_truth(path, np.array([[0.5, INF], [np.nan, 1.25]]))
     assert not path.exists()
+
+
+def test_truth_file_refuses_minus_infinity(tmp_path):
+    # -inf would be written blank too, and a blank reads back as +inf
+    path = tmp_path / "truth.csv"
+    with pytest.raises(InvalidInputError, match="subject 'b', component 'death': time is -inf"):
+        write_truth(path, np.array([[0.5, INF], [1.0, -INF]]), subject_ids=["a", "b"],
+                    component_names=["illness", "death"])
+    assert not path.exists()
+
+
+def test_joint_writer_checks_both_files_before_writing_either(tmp_path):
+    # the cohort is fine, the truth times are not: neither file is written
+    cohort, truth = tmp_path / "cohort.csv", tmp_path / "truth.csv"
+    for times, match in ((np.array([[0.5, INF]] * 3), "3 subjects"),
+                         (np.array([[0.5, INF], [-INF, 1.5]]), "time is -inf")):
+        with pytest.raises(InvalidInputError, match=match):
+            write_dataset_and_truth(cohort, RECORDS[:2], truth, times)
+    assert not cohort.exists() and not truth.exists()
+    write_dataset_and_truth(cohort, RECORDS[:2], truth, np.array([[0.5, INF], [INF, 1.0]]))
+    write_dataset(tmp_path / "alone.csv", RECORDS[:2])
+    write_truth(tmp_path / "alone_truth.csv", np.array([[0.5, INF], [INF, 1.0]]))
+    assert cohort.read_bytes() == (tmp_path / "alone.csv").read_bytes()
+    assert truth.read_bytes() == (tmp_path / "alone_truth.csv").read_bytes()
 
 
 def test_truth_file_blank_means_no_jump(tmp_path):

@@ -21,9 +21,8 @@ geometry (where each component is at risk, where its gates close and where
 its modifiers switch on): both are built once, and built again only for a
 theta whose model has another structure. An objective evaluation is one
 vectorized pass over the geometry that evaluates baselines, modifier
-effects and offsets. A record whose embedded lower-order rules miss the tolerance, or
-whose plan would pass a node budget, is computed by the adaptive
-loglik_atom.
+effects and offsets. A record whose embedded lower-order rules miss the
+tolerance, or whose nodes would pass max_evals, is computed by loglik_atom.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .quadrature import (
 )
 
 _MAX_PANEL = 1.0  # fixed panels never span more than this
-_MAX_RECORD_NODES = 20_000  # a record whose plan would pass this takes loglik_atom
 # the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
 _G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
 
@@ -138,7 +136,7 @@ def per_subject_loglik(model: IntensityModel,
     Runs on the dataset plan of DatasetEvaluator, over a family with no
     free parameters. `quad_opts` (rel_tol, abs_tol, max_evals) mean what
     they mean for loglik_atom, which computes the records whose panel error
-    misses the tolerance or whose plan would pass the node budget.
+    misses the tolerance or whose nodes would pass max_evals.
     """
     codes = StatusCodes.from_records(records)
     if not len(codes.kind):
@@ -155,7 +153,8 @@ class DatasetEvaluator:
     The dataset is a sequence of records or their StatusCodes; a record
     object is built only for a record that takes the fallback. The
     quadrature options are those of loglik_atom: they set the panels' error
-    check and go to the fallback, also for a record past the budget.
+    check and go to the fallback. A record leaves the plan when its nodes,
+    one integrand evaluation each, would pass max_evals.
     """
 
     def __init__(self, family: ParametricFamily,
@@ -210,10 +209,10 @@ class DatasetEvaluator:
             b = np.where(np.isfinite(right), right, hi)[seg_line, col]
             parts = np.maximum(1, np.ceil((b - a) / _MAX_PANEL).astype(int))
 
-            # a record whose plan would pass the node budget leaves the plan
+            # a record whose nodes would pass max_evals leaves the plan
             seg_rec = rec[line[seg_line]]
             over |= np.bincount(rec[keep], minlength=n) + K_NODES.size * np.bincount(
-                seg_rec, parts, minlength=n) > _MAX_RECORD_NODES
+                seg_rec, parts, minlength=n) > self.quad_opts["max_evals"]
             parts[over[seg_rec]] = 0
             keep = keep[~over[rec[keep]]]
 

@@ -41,7 +41,8 @@ number (fixed) or a string naming a free parameter; log_offset also takes
 {"coef": name, "scale": z} for a covariate coefficient times a known
 covariate value. Positive slots get a log search transform, the rest are
 unconstrained. Piecewise grids are literal numbers, so every breakpoint is
-independent of the parameters.
+independent of the parameters. A key the loader does not read is refused,
+at every level of both configs, with its field path.
 
 A scheme config is JSON of the form
 
@@ -197,15 +198,19 @@ def _refuse(bad: np.ndarray, subject_ids, component_names, what) -> None:
 def _cohort_file(path, codes: StatusCodes, subject_ids, component_names, cells,
                  covariates) -> _File:
     """The cohort CSV, after the checks that read_dataset would otherwise
-    fail: NaN times or covariates, codes of no status."""
+    fail: times that are NaN, infinite or negative, NaN covariates, codes of
+    no status."""
     kind, x1, x2, flag = codes
     n, p = kind.shape
     interval = kind == 1
-    _refuse(np.isnan(x1) | (interval & np.isnan(x2)), subject_ids, component_names,
-            lambda i, j: "time is NaN")
+    t = np.where(np.isfinite(x1) & interval, x2, x1)
+    _refuse(~np.isfinite(x1) | (interval & ~np.isfinite(x2)), subject_ids, component_names,
+            lambda i, j: f"time is {'NaN' if np.isnan(t[i, j]) else float(t[i, j])}")
     _refuse(~np.isin(kind, (0, 1, 2)) | (interval & ~((0 <= x1) & (x1 < x2))),
             subject_ids, component_names,
             lambda i, j: f"no status has the codes ({kind[i, j]}, {x1[i, j]}, {x2[i, j]})")
+    _refuse(~interval & (x1 < 0), subject_ids, component_names,
+            lambda i, j: f"time {x1[i, j]} is negative")
     covariates = {str(k): np.asarray(v, dtype=float) for k, v in (covariates or {}).items()}
     for name, vals in covariates.items():
         if vals.shape != (n,):
@@ -299,8 +304,9 @@ def write_dataset(path, records, *, subject_ids=None, component_names=None,
     """Write a cohort as one CSV row per subject and component.
 
     `records` is a sequence of records or their StatusCodes. A cohort that
-    read_dataset would refuse (no records, no components, NaN times or
-    covariates) is refused before the file is opened.
+    read_dataset would refuse (no records, no components, NaN covariates,
+    times that are NaN, infinite or negative) is refused before the file is
+    opened.
     """
     write_dataset_and_truth(path, records, None, None, subject_ids=subject_ids,
                             component_names=component_names, covariates=covariates)
@@ -328,7 +334,8 @@ def _floats(texts) -> tuple[np.ndarray, int]:
 def read_dataset(path, component_names=None) -> Dataset:
     """Read a cohort CSV into StatusCodes, subjects in order of first
     appearance; a subject's rows may come in any order, blank lines are
-    skipped. A malformed file is refused at its first faulty line."""
+    skipped. A malformed file is refused at its first faulty line, an
+    infinite or negative time among its faults."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -386,9 +393,12 @@ def read_dataset(path, component_names=None) -> Dataset:
     check(2, ~interval & ~np.fromiter(map(operator.not_, t2_col), bool, m),
           lambda r: f"field 't2': must be blank for status {status_col[r]!r}")
     x1 = number(3, "t1", t1_col)
+    check(3, np.isinf(x1), lambda r: f"field 't1': time is {float(x1[r])}")
     x2 = np.full(m, np.nan)
     x2[interval] = number(4, "t2", list(compress(t2_col, interval.tolist())),
                           np.flatnonzero(interval))
+    check(4, np.isinf(x2), lambda r: f"field 't2': time is {float(x2[r])}")
+    check(5, ~interval & (x1 < 0), lambda r: f"field 't1': time {float(x1[r])} is negative")
     check(5, interval & ~((0 <= x1) & (x1 < x2)),
           lambda r: f"interval ({float(x1[r])}, {float(x2[r])}] is empty or negative")
 
@@ -484,11 +494,23 @@ class _ParamRegistry:
         return self.slot(value, field, "identity")
 
 
+def _known_keys(cfg: dict, known, path, field=None) -> None:
+    """Refuse the keys of `cfg` outside `known`: a typo would otherwise be
+    silently ignored. No field means the top level."""
+    stray = sorted(set(cfg) - set(known))
+    if stray:
+        where = "unknown top-level keys" if field is None else f"field {field!r}: unknown keys"
+        raise InvalidInputError(f"{path}: {where} {stray}")
+
+
 def _build_baseline(cfg, reg: _ParamRegistry, field: str):
     """Return (resolver theta -> baseline object, literal breakpoints)."""
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise InvalidInputError(f"{reg.path}: field {field!r}: baseline needs a 'family' key")
     fam = cfg["family"]
+    keys = {"constant": ("rate",), "weibull": ("a", "b"), "piecewise": ("grid", "rates")}
+    if fam in keys:
+        _known_keys(cfg, ("family", *keys[fam]), reg.path, field)
     if fam == "constant":
         rate = reg.slot(cfg.get("rate"), field + ".rate", "log")
         return (lambda th: Constant(rate(th))), ()
@@ -562,6 +584,10 @@ def _list(value, path, field) -> list:
     return value
 
 
+def _numbers(value, path, field) -> tuple[float, ...]:
+    return tuple(_number(v, path, f"{field}[{i}]") for i, v in enumerate(_list(value, path, field)))
+
+
 def _component_index(names, value, path, field) -> int:
     if value not in names:
         raise InvalidInputError(f"{path}: field {field!r}: unknown component {value!r} "
@@ -593,6 +619,8 @@ def load_model_config(path) -> ModelConfig:
         field = f"intensities[{k}]"
         if not isinstance(entry, dict):
             raise InvalidInputError(f"{path}: field {field!r}: must be an object")
+        _known_keys(entry, ("component", "baseline", "gates", "modifiers", "log_offset"),
+                    path, field)
         own = _component_index(names, entry.get("component"), path, field + ".component")
         if makers[own] is not None:
             raise InvalidInputError(f"{path}: field {field!r}: duplicate intensity "
@@ -606,6 +634,7 @@ def load_model_config(path) -> ModelConfig:
             mfield = f"{field}.modifiers[{m}]"
             if not isinstance(mod, dict) or "when" not in mod:
                 raise InvalidInputError(f"{path}: field {mfield!r}: needs a 'when' list")
+            _known_keys(mod, ("when", "eta", "gamma"), path, mfield)
             comps = tuple(_component_index(names, c, path, mfield + ".when")
                           for c in _list(mod["when"], path, mfield + ".when"))
             eta = reg.slot(mod.get("eta", 0.0), mfield + ".eta", "identity")
@@ -639,11 +668,7 @@ def load_model_config(path) -> ModelConfig:
                                 f"parameters {unknown}")
     defaults = {str(k): _number(v, path, f"theta.{k}") for k, v in theta_block.items()}
 
-    # reject silently ignored keys: typos should be loud
-    known = {"name", "units", "components", "intensities", "theta"}
-    stray = sorted(set(cfg) - known)
-    if stray:
-        raise InvalidInputError(f"{path}: unknown top-level keys {stray}")
+    _known_keys(cfg, ("name", "units", "components", "intensities", "theta"), path)
 
     return ModelConfig(
         name=str(cfg.get("name", "")),
@@ -663,10 +688,7 @@ def load_scheme_config(path, component_names) -> ObservationScheme:
             raise InvalidInputError(f"{path}: line {err.lineno}: invalid JSON: {err.msg}") from None
     if not isinstance(cfg, dict) or "horizon" not in cfg:
         raise InvalidInputError(f"{path}: field 'horizon': required")
-    known = {"horizon", "death_component", "schedules"}
-    stray = sorted(set(cfg) - known)
-    if stray:
-        raise InvalidInputError(f"{path}: unknown top-level keys {stray}")
+    _known_keys(cfg, ("horizon", "death_component", "schedules"), path)
     horizon = _number(cfg["horizon"], path, "horizon")
     entries = cfg.get("schedules")
     if not isinstance(entries, list) or len(entries) != len(component_names):
@@ -682,17 +704,13 @@ def load_scheme_config(path, component_names) -> ObservationScheme:
             raise InvalidInputError(f"{path}: field {field!r}: duplicate schedule "
                                     f"for component {component_names[j]!r}")
         windows = _list(entry.get("windows", []), path, field + ".windows")
-        visits = _list(entry.get("visits", []), path, field + ".visits")
+        windows = tuple(_numbers(w, path, f"{field}.windows[{i}]") for i, w in enumerate(windows))
+        visits = _numbers(entry.get("visits", []), path, field + ".visits")
         try:
-            schedules[j] = ComponentSchedule(
-                windows=tuple((float(a), float(b)) for a, b in windows),
-                visits=tuple(float(v) for v in visits),
-            )
-        except (InvalidInputError, TypeError, ValueError) as err:
+            schedules[j] = ComponentSchedule(windows=windows, visits=visits)
+        except (InvalidInputError, ValueError) as err:
             raise InvalidInputError(f"{path}: field {field!r}: {err}") from None
-        stray = sorted(set(entry) - {"component", "windows", "visits"})
-        if stray:
-            raise InvalidInputError(f"{path}: field {field!r}: unknown keys {stray}")
+        _known_keys(entry, ("component", "windows", "visits"), path, field)
     death = cfg.get("death_component")
     d = None if death is None else _component_index(component_names, death,
                                                     path, "death_component")

@@ -289,12 +289,35 @@ def test_per_subject_loglik_checks_record_width():
         per_subject_loglik(model, [_rec(Exact(0.5, True))], 2.0)
 
 
-def test_evaluator_counts_tolerance_failures():
-    # three interval components need about a million evaluations here, more
-    # than the default budget; the failure is scored -inf, and counted
+# three interval components under dementia_family(): 10 125 to 67 575 plan
+# nodes a record, within the default max_evals
+THREE_D = [_rec(Interval(0.2, 1), Interval(0.3, 1.5), Interval(0.5, 1.8)),
+           _rec(Interval(0.0, 0.5), Interval(0.25, 0.75), Interval(0.5, 1.0)),
+           _rec(Interval(0.1, 0.6), Interval(0.1, 0.6), Interval(0.1, 0.6)),
+           _rec(Interval(1.0, 1.5), Interval(0.2, 0.9), Interval(1.2, 1.9))]
+
+
+def test_three_d_records_stay_on_the_plan(monkeypatch):
+    # a record stays on the plan while its nodes fit in max_evals: no
+    # fallback, and the values of loglik_atom given a far larger budget
     fam = dementia_family()
-    record = _rec(Interval(0.2, 1), Interval(0.3, 1.5), Interval(0.5, 1.8))
-    ev = DatasetEvaluator(fam, [record], 2.0)
+    model = fam.build(fam.from_search(np.zeros(fam.k)))
+    calls = []
+    monkeypatch.setattr(inference, "loglik_atom", lambda *args, **kw: calls.append(args[1]))
+    got = per_subject_loglik(model, THREE_D, 2.0)
+    assert calls == []
+    ref = [loglik_atom(model, rec, 2.0, max_evals=2_000_000) for rec in THREE_D]
+    np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
+    assert got[0] == pytest.approx(-2.752668734764821, rel=1e-12)
+
+
+def test_evaluator_counts_tolerance_failures():
+    # three intervals of length 6 pass the default budget as plan nodes, and
+    # the fallback cannot settle them in it either; the failure is scored
+    # -inf, and counted
+    fam = dementia_family()
+    record = _rec(Interval(0.2, 6.2), Interval(0.3, 6.3), Interval(0.5, 6.5))
+    ev = DatasetEvaluator(fam, [record], 7.0)
     theta = fam.from_search(np.zeros(fam.k))
     assert ev.total(theta) == -np.inf
     assert ev.total(theta) == -np.inf   # cached: not evaluated twice
@@ -363,14 +386,15 @@ def test_fit_survives_non_finite_search_points(monkeypatch):
 
 
 def test_record_past_the_node_budget_takes_the_fallback(monkeypatch):
-    # three intervals of length 6 would need 1.5 million plan nodes; the
-    # record leaves the plan before they are built
+    # three intervals of length 6 would need 1.5 million plan nodes, more
+    # than the default max_evals; the record leaves the plan before they
+    # are built
     fam = dementia_family()
     record = _rec(Interval(0.2, 6.2), Interval(0.3, 6.3), Interval(0.5, 6.5))
     calls = []
 
     def stand_in(model, atom, C, **quad_opts):
-        calls.append(atom)
+        calls.append((atom, quad_opts["max_evals"]))
         return -7.0
 
     monkeypatch.setattr(inference, "loglik_atom", stand_in)
@@ -382,7 +406,20 @@ def test_record_past_the_node_budget_takes_the_fallback(monkeypatch):
         tracemalloc.stop()
     assert peak < 10e6
     assert ev.per_subject(fam.from_search(np.zeros(fam.k))).tolist() == [-7.0]
-    assert calls == [record]
+    assert calls == [(record, 100_000)]
+
+    # the budget is the user's: an interval of one panel has 15 nodes, and
+    # leaves the plan when max_evals is smaller; an exact record has one
+    model = illness_death(0.35, 0.25, 0.8)[1]
+    records = [_rec(Interval(0.5, 1.0), Exact(3.0, False)),
+               _rec(Exact(0.4, True), Exact(1.2, True))]
+    ref = per_subject_loglik(model, records, 3.0)
+    calls.clear()
+    assert per_subject_loglik(model, records, 3.0, max_evals=15).tolist() == ref.tolist()
+    assert calls == []
+    got = per_subject_loglik(model, records, 3.0, max_evals=14)
+    assert got.tolist() == [-7.0, ref[1]]
+    assert calls == [(records[0], 14)]
 
 
 def test_per_subject_makes_one_kernel_pass(monkeypatch):

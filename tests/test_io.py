@@ -192,6 +192,20 @@ COV = "subject_id,component,status,t1,t2,age\n"
      "line 3: field 'age': covariate changes within subject 'a'"),
     (COV + "a,x,exact,0.5,,60\nb,x,exact,0.5,,zz\na,y,exact,0.5,,61\n", None,
      "line 3: field 'age': not a number: 'zz'"),
+    # times that are never legal: infinite, or a negative time of a jump or
+    # of a survival
+    (H + "a,x,exact,-inf,\n", None, "line 2: field 't1': time is -inf"),
+    (H + "a,x,exact,0.5,\na,y,survived_beyond,inf,\n", None, "line 3: field 't1': time is inf"),
+    (H + "a,x,exact_censored,Infinity,\n", None, "line 2: field 't1': time is inf"),
+    (H + "a,x,interval,-inf,1\n", None, "line 2: field 't1': time is -inf"),
+    (H + "a,x,interval,0.5,inf\n", None, "line 2: field 't2': time is inf"),
+    (H + "a,x,exact,-0.5,\n", None, "line 2: field 't1': time -0.5 is negative"),
+    (H + "a,x,exact,0.5,\na,y,exact_censored,-1e-300,\n", None,
+     "line 3: field 't1': time -1e-300 is negative"),
+    (H + "a,x,exact,0.5,\na,y,survived_beyond,-2,\n", None,
+     "line 3: field 't1': time -2.0 is negative"),
+    (H + "a,x,survived_beyond,-2,\nb,x,exact,inf,\n", None,
+     "line 2: field 't1': time -2.0 is negative"),
 ])
 def test_dataset_messages_name_the_first_fault(tmp_path, text, names, message):
     path = tmp_path / "bad.csv"
@@ -217,6 +231,40 @@ def test_dataset_writer_refuses_what_the_reader_refuses(tmp_path, records, covar
     with pytest.raises(InvalidInputError):
         write_dataset(path, records, covariates=covariates)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("kind, x1, x2, message", [
+    (0, -INF, np.nan, "time is -inf"),
+    (0, INF, np.nan, "time is inf"),
+    (2, INF, np.nan, "time is inf"),
+    (1, 0.5, INF, "time is inf"),
+    (1, -INF, 0.5, "time is -inf"),
+    (0, -0.25, np.nan, "time -0.25 is negative"),
+    (2, -1e-300, np.nan, "time -1e-300 is negative"),
+])
+def test_dataset_writer_refuses_times_that_are_never_legal(tmp_path, kind, x1, x2, message):
+    # the reader refuses them at their line: the writer names the subject
+    # and component, and opens no file
+    codes = StatusCodes(np.array([[0, 0], [0, kind]], dtype=np.uint8),
+                        np.array([[0.5, 2.0], [0.5, x1]]), np.array([[np.nan] * 2, [np.nan, x2]]),
+                        np.array([[True, False], [True, False]]))
+    path = tmp_path / "cohort.csv"
+    with pytest.raises(InvalidInputError) as exc:
+        write_dataset(path, codes, subject_ids=["a", "b"], component_names=["illness", "death"])
+    assert str(exc.value) == f"subject 'b', component 'death': {message}"
+    assert not path.exists()
+
+
+def test_times_at_zero_stay_legal(tmp_path):
+    # 0.0 and -0.0 are times, not negative ones
+    codes = StatusCodes(np.array([[0, 2], [0, 1]], dtype=np.uint8),
+                        np.array([[-0.0, 0.0], [0.0, -0.0]]),
+                        np.array([[np.nan, np.nan], [np.nan, 1.0]]),
+                        np.array([[True, False], [False, False]]))
+    path = tmp_path / "cohort.csv"
+    write_dataset(path, codes)
+    for got, want in zip(read_dataset(path).codes, codes):
+        assert got.tobytes() == want.tobytes()
 
 
 def reference_csv(rows) -> str:
@@ -398,6 +446,33 @@ def test_model_config_rejects_mistakes(tmp_path):
     with pytest.raises(InvalidInputError, match="duplicate intensity"):
         load_model_config(path)
 
+    # a key the loader does not read is refused with its field path, at
+    # every level: a misspelt "gates" would drop the gate silently
+    for where, key, value, field in (
+            ([0], "gate", ["death"], "intensities[0]"),
+            ([1, "baseline"], "a", 0.3, "intensities[1].baseline"),
+            ([0, "baseline"], "scale", 1.0, "intensities[0].baseline"),
+            ([1, "modifiers", 0], "gama", 0.1, "intensities[1].modifiers[0]")):
+        bad = json.loads(json.dumps(MODEL_JSON))
+        entry = bad["intensities"]
+        for k in where:
+            entry = entry[k]
+        entry[key] = value
+        path.write_text(json.dumps(bad))
+        with pytest.raises(InvalidInputError) as exc:
+            load_model_config(path)
+        assert str(exc.value) == f"{path}: field {field!r}: unknown keys [{key!r}]"
+
+    # piecewise cuts are read from "grid"
+    bad = json.loads(json.dumps(MODEL_JSON))
+    bad["intensities"][1]["baseline"] = {"family": "piecewise", "breakpoints": [1.0],
+                                         "grid": [1.0], "rates": [0.1, 0.2]}
+    path.write_text(json.dumps(bad))
+    with pytest.raises(InvalidInputError) as exc:
+        load_model_config(path)
+    assert str(exc.value) == (f"{path}: field 'intensities[1].baseline': "
+                              "unknown keys ['breakpoints']")
+
     # one name cannot be both a positive baseline magnitude and a free effect
     bad = json.loads(json.dumps(MODEL_JSON))
     bad["intensities"][1]["modifiers"][0]["eta"] = "base_death"
@@ -495,6 +570,12 @@ def test_scheme_config_rejects_mistakes(tmp_path):
     ("horizon", [1], r"'horizon': expected a number"),
     ("visits", "123", r"'schedules\[0\]\.visits': need a list"),
     ("windows", "0", r"'schedules\[1\]\.windows': need a list"),
+    # scheme times are JSON numbers, as the horizon is
+    ("visits", ["1", "2.5"], r"'schedules\[0\]\.visits\[0\]': expected a number, got '1'"),
+    ("visits", [0.5, True], r"'schedules\[0\]\.visits\[1\]': expected a number, got True"),
+    ("windows", [[0.0, "2"]], r"'schedules\[1\]\.windows\[0\]\[1\]': expected a number"),
+    ("windows", [0.0, 2.0], r"'schedules\[1\]\.windows\[0\]': need a list"),
+    ("windows", [[0.0, 1.0, 2.0]], r"'schedules\[1\]': too many values to unpack"),
 ])
 def test_scheme_config_refuses_malformed_values(tmp_path, where, value, message):
     bad = json.loads(json.dumps(SCHEME_JSON))

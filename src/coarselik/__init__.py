@@ -76,7 +76,7 @@ from .oracle import (
     loglik_discrete_markov,
     transition_matrix,
 )
-from .quadrature import IntegrationRegion, integrate_1d, integrate_nested
+from .quadrature import Dim, integrate_1d, integrate_nested
 from .simulate import (
     SimulatedPath,
     coarsen_cohort,
@@ -100,7 +100,7 @@ __all__ = [
     "PseudoAtomRecord", "StatusCodes", "SurvivedBeyond", "classify_observation", "coarsen",
     "preprocess_death_censoring",
     "conditional_loglik", "f_theta", "loglik_atom", "loglik_continuous",
-    "IntegrationRegion", "integrate_1d", "integrate_nested",
+    "Dim", "integrate_1d", "integrate_nested",
     "TransitionMatrix", "illness_death_mixed_loglik", "loglik_continuous_markov",
     "loglik_discrete_markov", "transition_matrix",
     "SimulatedPath", "coarsen_cohort", "mc_check", "record_from_codes",

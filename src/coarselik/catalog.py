@@ -27,7 +27,6 @@ import numpy as np
 from .baselines import Constant
 from .errors import InvalidInputError
 from .inference import ParametricFamily
-from .likelihood import loglik_atom
 from .markov import MarkovSpec, markov_to_ojc
 from .models import IntensityModel, ModifierTerm, MultiplicativeComponent
 from .observation import (
@@ -206,15 +205,17 @@ def _death_factor(model, t3, d3, T):
 
 
 def dementia_reference_loglik(model: IntensityModel, atom: PseudoAtomRecord,
-                              C: float, *, rel_tol: float = 1e-9) -> float:
+                              C: float) -> float:
     """Literal iterated-integral likelihood of the four dementia record
     shapes; an independent check of the engine's corner expansion.
 
     The death component must be Exact; dementia and institution must each
     be Interval or SurvivedBeyond. All integrals stop at the death time
     (past which every intensity here vanishes), matching the printed
-    closed forms rather than the engine's horizon-bound rectangles.
+    closed forms rather than the engine's horizon-bound rectangles. Each
+    one-dimensional integral runs at a relative tolerance of 1e-9.
     """
+    rel_tol = 1e-9
     if model.p != 3 or atom.p != 3:
         raise InvalidInputError("expects the three-component dementia layout")
     st1, st2, st3 = atom.statuses

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .errors import CoarselikError
+from .errors import CoarselikError, InvalidStartError
 from .inference import fit_mle, per_subject_loglik
 from .io import load_model_config, load_scheme_config, read_dataset, write_dataset_and_truth
 from .simulate import coarsen_cohort, simulate_cohort
@@ -116,7 +116,12 @@ def _cmd_fit(args) -> int:
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     data = _read_data(args, cfg)
     init = cfg.theta_from(_parse_theta(args.theta))
-    res = fit_mle(cfg.family, data.codes, scheme.horizon, init, rel_tol=args.tol)
+    try:
+        res = fit_mle(cfg.family, data.codes, scheme.horizon, init, rel_tol=args.tol)
+    except InvalidStartError as err:    # name the subject by its id, as loglik does
+        sid = data.subject_ids[err.subject_index]
+        raise CoarselikError(f"{args.data}: log-likelihood is not finite at the starting "
+                             f"point (first offending subject: {sid})") from None
     report = {
         "model": cfg.name,
         "n_subjects": data.n,

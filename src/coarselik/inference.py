@@ -299,13 +299,14 @@ def _numeric_hessian(fn, u, h_scale=1e-4):
 
 
 def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | StatusCodes,
-            C: float, init, *, rel_tol: float = 1e-8, abs_tol: float = 1e-12,
-            max_iter: int = 2000, compute_se: bool = True) -> FitResult:
+            C: float, init, *, rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> FitResult:
     """Maximize the dataset log-likelihood over the family's parameters.
 
     `init` is a natural-scale vector (or name-keyed mapping). A starting
     point with minus-infinite log-likelihood is rejected up front, naming
-    the first subject whose record has zero probability there.
+    the first subject whose record has zero probability there. Nelder-Mead
+    (2000 iterations, 16000 evaluations at most) hands its best vertex to
+    BFGS, whose end point is the estimate and the Hessian's centre.
     """
     if isinstance(init, dict):
         missing = [nm for nm in family.param_names if nm not in init]
@@ -316,8 +317,9 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
     ev = DatasetEvaluator(family, records, C, rel_tol=rel_tol, abs_tol=abs_tol)
 
     u0 = family.to_search(init)
-    per0 = ev.per_subject(family.from_search(u0))
-    if not np.all(np.isfinite(per0)):
+    if not np.isfinite(ev.total(family.from_search(u0))):
+        # evaluated again only to name the subject; a ToleranceError raises here
+        per0 = ev.per_subject(family.from_search(u0))
         bad = int(np.flatnonzero(~np.isfinite(per0))[0])
         raise InvalidStartError(
             f"log-likelihood is {per0[bad]} at the starting point "
@@ -325,17 +327,11 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
             subject_index=bad,
         )
 
-    best = {"u": u0.copy(), "val": -ev.total(family.from_search(u0))}
-
     def objective(u):
         # a finite-difference step off a -inf point can come back nan
         if not np.all(np.isfinite(u)):
             return np.inf
-        val = -ev.total(family.from_search(u))
-        if val < best["val"]:
-            best["val"] = val
-            best["u"] = np.asarray(u, dtype=float).copy()
-        return val
+        return -ev.total(family.from_search(u))
 
     # only a fit needs scipy; importing it at module level slows every command's start-up
     from scipy.optimize import minimize
@@ -345,31 +341,30 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
     # arithmetic and recover from it, so their warnings carry no news
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         nm = minimize(objective, u0, method="Nelder-Mead",
-                      options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": max_iter,
-                               "maxfev": 8 * max_iter})
-        bfgs = minimize(objective, best["u"], method="BFGS", jac="3-point",
+                      options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000,
+                               "maxfev": 16000})
+        bfgs = minimize(objective, nm.x, method="BFGS", jac="3-point",
                         options={"gtol": 1e-5, "maxiter": 200})
     grad_norm = float(np.max(np.abs(bfgs.jac))) if bfgs.jac is not None else np.inf
-    u_hat = best["u"]
+    u_hat = bfgs.x
     theta_hat = family.from_search(u_hat)
     loglik = ev.total(theta_hat)
 
+    H = _numeric_hessian(lambda u: -ev.total(family.from_search(u)), u_hat)
+    # a -inf inside the stencil leaves no curvature to invert
+    se_u = np.full(family.k, np.nan)
+    if np.all(np.isfinite(H)):
+        try:
+            se_u = np.sqrt(np.diag(np.linalg.inv(H)))
+        except np.linalg.LinAlgError:
+            pass
     std_errors = None
-    if compute_se:
-        H = _numeric_hessian(lambda u: -ev.total(family.from_search(u)), u_hat)
-        # a -inf inside the stencil leaves no curvature to invert
-        se_u = np.full(family.k, np.nan)
-        if np.all(np.isfinite(H)):
-            try:
-                se_u = np.sqrt(np.diag(np.linalg.inv(H)))
-            except np.linalg.LinAlgError:
-                pass
-        if np.all(np.isfinite(se_u)):
-            se_nat = se_u.copy()
-            for i, tr in enumerate(family.transforms):
-                if tr == "log":
-                    se_nat[i] = theta_hat[i] * se_u[i]
-            std_errors = dict(zip(family.param_names, se_nat.tolist()))
+    if np.all(np.isfinite(se_u)):
+        se_nat = se_u.copy()
+        for i, tr in enumerate(family.transforms):
+            if tr == "log":
+                se_nat[i] = theta_hat[i] * se_u[i]
+        std_errors = dict(zip(family.param_names, se_nat.tolist()))
 
     message = f"nelder-mead: {nm.message}; bfgs: {bfgs.message}"
     if ev.n_tolerance_failures:

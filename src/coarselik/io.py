@@ -198,8 +198,8 @@ def _refuse(bad: np.ndarray, subject_ids, component_names, what) -> None:
 def _cohort_file(path, codes: StatusCodes, subject_ids, component_names, cells,
                  covariates) -> _File:
     """The cohort CSV, after the checks that read_dataset would otherwise
-    fail: times that are NaN, infinite or negative, NaN covariates, codes of
-    no status."""
+    fail: times that are NaN, infinite or negative, covariates that are NaN
+    or infinite, codes of no status."""
     kind, x1, x2, flag = codes
     n, p = kind.shape
     interval = kind == 1
@@ -215,9 +215,10 @@ def _cohort_file(path, codes: StatusCodes, subject_ids, component_names, cells,
     for name, vals in covariates.items():
         if vals.shape != (n,):
             raise InvalidInputError(f"covariate {name!r} has {vals.size} values for {n} subjects")
-        if np.isnan(vals).any():
-            raise InvalidInputError(f"covariate {name!r}: NaN for subject "
-                                    f"{subject_ids[_first(np.isnan(vals))[0]]!r}")
+        if not np.isfinite(vals).all():
+            i = _first(~np.isfinite(vals))[0]
+            raise InvalidInputError(f"covariate {name!r}: {'NaN' if np.isnan(vals[i]) else vals[i]}"
+                                    f" for subject {subject_ids[i]!r}")
     cov_names = _no_carriage_return(sorted(covariates))
 
     sid_cells, name_cells = np.array(cells[0], dtype=object), cells[1]
@@ -304,9 +305,9 @@ def write_dataset(path, records, *, subject_ids=None, component_names=None,
     """Write a cohort as one CSV row per subject and component.
 
     `records` is a sequence of records or their StatusCodes. A cohort that
-    read_dataset would refuse (no records, no components, NaN covariates,
-    times that are NaN, infinite or negative) is refused before the file is
-    opened.
+    read_dataset would refuse (no records, no components, covariates that
+    are NaN or infinite, times that are NaN, infinite or negative) is
+    refused before the file is opened.
     """
     write_dataset_and_truth(path, records, None, None, subject_ids=subject_ids,
                             component_names=component_names, covariates=covariates)
@@ -335,7 +336,7 @@ def read_dataset(path, component_names=None) -> Dataset:
     """Read a cohort CSV into StatusCodes, subjects in order of first
     appearance; a subject's rows may come in any order, blank lines are
     skipped. A malformed file is refused at its first faulty line, an
-    infinite or negative time among its faults."""
+    infinite or negative time and an infinite covariate among its faults."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -409,6 +410,8 @@ def read_dataset(path, component_names=None) -> Dataset:
     covs = []
     for k, name in enumerate(cov_names):
         vals = number(6 + 2 * k, name, cols[5 + k])
+        check(6 + 2 * k, np.isinf(vals),
+              lambda r, name=name, vals=vals: f"field {name!r}: covariate is {float(vals[r])}")
         check(7 + 2 * k, vals != vals[first][si],
               lambda r, name=name: f"field {name!r}: covariate changes within subject "
                                    f"{sid_col[r]!r}")
@@ -653,8 +656,7 @@ def load_model_config(path) -> ModelConfig:
     transforms = tuple(reg.transforms[nm] for nm in param_names)
 
     def build(theta):
-        return IntensityModel([mk(theta) for mk in makers],
-                              params=dict(zip(param_names, np.asarray(theta, dtype=float))))
+        return IntensityModel([mk(theta) for mk in makers])
 
     family = ParametricFamily(param_names, transforms, build,
                               fixed_breakpoints=tuple(sorted(all_bps)))

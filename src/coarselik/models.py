@@ -358,7 +358,7 @@ class PatternTableComponent:
 class IntensityModel:
     """Ordered collection of one-jump components sharing a history vector."""
 
-    def __init__(self, components, params: dict | None = None):
+    def __init__(self, components):
         components = tuple(components)
         for j, comp in enumerate(components):
             if comp.own != j:
@@ -366,7 +366,6 @@ class IntensityModel:
                     f"component at position {j} declares own index {comp.own}"
                 )
         self.components = components
-        self.params = dict(params) if params else {}
         bps: set[float] = set()
         for comp in components:
             bps.update(comp.breakpoints)

@@ -10,15 +10,15 @@ Refinement bisects the worst panel first (ties broken by insertion order), so
 results are bit-reproducible for identical inputs. Integrands must accept a
 numpy array of abscissae and return an array of the same shape.
 
-Panels never straddle a supplied breakpoint, and nested regions additionally
-split every inner dimension at each outer variable's current value, which
-keeps kinks of indicator-laden integrands on panel boundaries.
+Panels never straddle a supplied breakpoint, and nested integrals over boxes
+additionally split every inner dimension at each outer variable's current
+value, which keeps diagonal kinks of indicator-laden integrands on panel edges.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -197,54 +197,35 @@ def integrate_1d(
 
 @dataclass(frozen=True)
 class Dim:
-    """One integration variable.
+    """One integration variable over constant bounds (lower, upper].
+    `breakpoints` are fixed interior cut candidates; the current values of all
+    outer variables are always added as cuts too, so diagonal kinks land on
+    panel edges."""
 
-    Bounds are either constants or callables of the tuple of outer variable
-    values (outermost first). `breakpoints` are fixed interior cut candidates;
-    the current values of all outer variables are always added as cuts too,
-    so diagonal kinks land on panel edges.
-    """
-
-    lower: float | Callable[[tuple], float]
-    upper: float | Callable[[tuple], float]
+    lower: float
+    upper: float
     breakpoints: tuple[float, ...] = ()
-
-    def bounds(self, outer: tuple) -> tuple[float, float]:
-        lo = self.lower(outer) if callable(self.lower) else self.lower
-        hi = self.upper(outer) if callable(self.upper) else self.upper
-        return float(lo), float(hi)
-
-
-@dataclass(frozen=True)
-class IntegrationRegion:
-    """Ordered dimensions, outermost first; integration runs innermost-first."""
-
-    dims: tuple[Dim, ...]
-
-    def __post_init__(self):
-        if not self.dims:
-            raise InvalidInputError("region needs at least one dimension")
 
 
 def integrate_nested(
     f: Callable[..., np.ndarray],
-    region: IntegrationRegion | Sequence[Dim],
+    dims: Sequence[Dim],
     *,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> QuadResult:
-    """Iterated integral of f over a nested region.
+    """Iterated integral of f over a box of dimensions, outermost first.
 
     f is called as f(x_0, ..., x_{k-1}, x_last) with scalar outer coordinates
-    and a numpy array in the last (innermost) position. The evaluation budget
-    is shared across all levels; the reported error adds the outer quadrature
-    bound and the integrated bounds of every inner level (a conservative sum).
-    A ToleranceError, wherever the budget ran out, carries the outermost
-    level's estimate of the whole integral and its bound, as integrate_1d's
-    does.
+    and a numpy array in the last (innermost) position; integration runs
+    innermost-first. The evaluation budget is shared across all levels; the
+    reported error adds the outer quadrature bound and the integrated bounds
+    of every inner level (a conservative sum). A ToleranceError, wherever
+    the budget ran out, carries the outermost level's estimate of the whole
+    integral and its bound, as integrate_1d's does.
     """
-    dims = tuple(region.dims) if isinstance(region, IntegrationRegion) else tuple(region)
+    dims = tuple(dims)
     if not dims:
         raise InvalidInputError("region needs at least one dimension")
     budget = _Budget(max_evals)
@@ -256,14 +237,13 @@ def integrate_nested(
 
     def level(k: int, outer: tuple) -> tuple[float, float]:
         dim = dims[k]
-        lo, hi = dim.bounds(outer)
         cuts = (*dim.breakpoints, *outer)
         rel = rel_tol if k == 0 else rel_inner
         ab = abs_tol if k == 0 else abs_inner
         if k == n - 1:
             def fx(x):
                 return f(*outer, x)
-            val, qerr, _ = _adaptive(fx, lo, hi, cuts, rel, ab, budget)
+            val, qerr, _ = _adaptive(fx, dim.lower, dim.upper, cuts, rel, ab, budget)
             return val, qerr
         err_box: dict = {}
 
@@ -283,7 +263,7 @@ def integrate_nested(
         def inner_err_of(x):
             return err_box.pop(x.tobytes())
 
-        val, qerr, ierr = _adaptive(fx, lo, hi, cuts, rel, ab, budget, inner_err_of)
+        val, qerr, ierr = _adaptive(fx, dim.lower, dim.upper, cuts, rel, ab, budget, inner_err_of)
         return val, qerr + ierr
 
     value, err = level(0, ())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HazardInversionError, InvalidInputError
-from .models import IntensityModel, JumpHistory
+from .models import IntensityModel
 from .observation import (
     Exact,
     Interval,
@@ -35,7 +35,8 @@ from .observation import (
     record_from_codes,  # re-exported: the per-record form of a coded row
 )
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 17  # subjects simulated per vectorized pass
+_BIN_WIDTH = 0.05  # mc_check's bin around an exactly observed jump time
 _STEP_TOL = 1e-13  # Newton steps stop below this fraction of the horizon
 _MAX_STEPS = 100  # a safety cap: Newton needs a handful of steps
 
@@ -48,12 +49,6 @@ class SimulatedPath:
     horizon: float
     seed: int
     index: int
-
-    def as_history(self) -> JumpHistory:
-        C = self.horizon
-        return JumpHistory(
-            tuple((t, True) if t <= C else (C, False) for t in self.times), C
-        )
 
 
 def _block_words(p: int) -> int:
@@ -144,13 +139,14 @@ def _invert_total(model, t0, T, E, C):
 
 
 def simulate_cohort(model: IntensityModel, C: float, n: int, seed: int,
-                    start: int = 0, chunk: int = _CHUNK) -> np.ndarray:
-    """Jump-time matrix (n, p) for subjects start..start+n-1 (inf = no jump)."""
+                    start: int = 0) -> np.ndarray:
+    """Jump-time matrix (n, p) for subjects start..start+n-1 (inf = no jump),
+    drawn _CHUNK subjects at a time: the chunking never changes a draw."""
     if n < 0 or start < 0:
         raise InvalidInputError("subject counts and start index must be nonnegative")
     out = np.empty((n, model.p))
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
+    for lo in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - lo)
         out[lo:lo + m] = _simulate_chunk(model, C, m, seed, start + lo)
     return out
 
@@ -256,10 +252,10 @@ def coarsen_cohort(scheme: ObservationScheme, times: np.ndarray) -> StatusCodes:
 
 
 def mc_check(model: IntensityModel, scheme: ObservationScheme, atom: PseudoAtomRecord,
-             n_paths: int, seed: int, bin_width: float = 0.05,
-             chunk: int = _CHUNK):
+             n_paths: int, seed: int):
     """Monte Carlo estimate of a record's probability, as a density in the
-    coordinates of exactly observed jumps (each binned to bin_width).
+    coordinates of exactly observed jumps (each binned to a width of 0.05:
+    a path matches an exact jump time t when its own lies within 0.025 of t).
 
     A survival bound float-equal to an exactly observed death time means
     "watched until that death cut the schedule", so it is matched against
@@ -271,13 +267,11 @@ def mc_check(model: IntensityModel, scheme: ObservationScheme, atom: PseudoAtomR
     """
     if n_paths < 1:
         raise InvalidInputError(f"need at least one path, got {n_paths}")
-    if bin_width <= 0:
-        raise InvalidInputError(f"bin width must be positive, got {bin_width}")
     targets = list(atom.statuses)
     density_dims = sum(
         1 for st in targets if isinstance(st, Exact) and st.observed_jump
     )
-    factor = bin_width ** density_dims
+    factor = _BIN_WIDTH ** density_dims
     d = scheme.death_component
     death_tied = set()
     if d is not None and isinstance(targets[d], Exact) and targets[d].observed_jump:
@@ -285,16 +279,16 @@ def mc_check(model: IntensityModel, scheme: ObservationScheme, atom: PseudoAtomR
                       if j != d and isinstance(st, SurvivedBeyond)
                       and st.time == targets[d].time}
     matches = 0
-    for lo in range(0, n_paths, chunk):
-        m = min(chunk, n_paths - lo)
-        times = simulate_cohort(model, scheme.horizon, m, seed, start=lo, chunk=chunk)
+    for lo in range(0, n_paths, _CHUNK):
+        m = min(_CHUNK, n_paths - lo)
+        times = simulate_cohort(model, scheme.horizon, m, seed, start=lo)
         kind, x1, x2, flag = coarsen_cohort(scheme, times)
         ok = np.ones(m, dtype=bool)
         for j, st in enumerate(targets):
             if isinstance(st, Exact):
                 if st.observed_jump:
                     ok &= (kind[:, j] == 0) & flag[:, j]
-                    ok &= np.abs(x1[:, j] - st.time) <= 0.5 * bin_width
+                    ok &= np.abs(x1[:, j] - st.time) <= 0.5 * _BIN_WIDTH
                 else:
                     ok &= (kind[:, j] == 0) & ~flag[:, j]
             elif isinstance(st, Interval):

@@ -427,6 +427,40 @@ def test_fit_reports_tolerance_failures_on_stderr(tmp_path, configs, capsys, mon
         "2 evaluation(s) ran out of quadrature budget and counted as -inf\n")
 
 
+def test_fit_names_an_impossible_start_by_subject_id(tmp_path, capsys):
+    # p7 falls ill after its death, which gates illness: its record has
+    # probability zero, and fit names it as loglik does, not by its row
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "components": ["illness", "death"],
+        "intensities": [
+            {"component": "illness", "baseline": {"family": "constant", "rate": "a01"},
+             "gates": ["death"]},
+            {"component": "death", "baseline": {"family": "constant", "rate": "a02"}},
+        ],
+        "theta": {"a01": 0.1, "a02": 0.2},
+    }))
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({
+        "horizon": 5.0,
+        "death_component": "death",
+        "schedules": [{"component": "illness", "visits": [1.0, 2.0]},
+                      {"component": "death", "windows": [[0.0, 5.0]]}],
+    }))
+    data = tmp_path / "cohort.csv"
+    data.write_text(
+        "subject_id,component,status,t1,t2\n"
+        "p1,illness,survived_beyond,2.0,\n"
+        "p1,death,exact_censored,5.0,\n"
+        "p7,illness,interval,1.0,2.0\n"
+        "p7,death,exact,0.5,\n")
+    args = ["--model", str(model), "--scheme", str(scheme), "--data", str(data)]
+    assert main(["loglik", *args]) == 1
+    assert "p7" in capsys.readouterr().err
+    assert main(["fit", *args]) == 2
+    assert "first offending subject: p7)" in capsys.readouterr().err
+
+
 def test_validate_smoke(capsys):
     code = main(["validate", "--n", "3000", "--seed", "5"])
     out = capsys.readouterr().out

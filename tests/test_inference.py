@@ -101,6 +101,22 @@ def test_impossible_start_names_the_subject():
     assert exc.value.subject_index == 1
 
 
+def test_fit_runs_one_kernel_pass_per_evaluation(monkeypatch):
+    # the start is checked through the counted total: no pass of its own
+    fam = exponential_family()
+    records = [PseudoAtomRecord((Exact(0.5, True),)), PseudoAtomRecord((Exact(2.0, False),))]
+    calls = []
+    per_subject = DatasetEvaluator.per_subject
+
+    def counted(self, theta):
+        calls.append(theta)
+        return per_subject(self, theta)
+
+    monkeypatch.setattr(DatasetEvaluator, "per_subject", counted)
+    res = fit_mle(fam, records, 2.0, [0.2])
+    assert len(calls) == res.n_evaluations
+
+
 def test_panel_fit_recovers_truth():
     fam = illness_death_family("constant")
     truth = np.array([0.35, 0.25, 0.8])

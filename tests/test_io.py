@@ -164,6 +164,9 @@ COV = "subject_id,component,status,t1,t2,age\n"
     (H + "a,x,survived_beyond,,\n", None, "line 2: field 't1': not a number: ''"),
     (COV + "a,x,exact,0.5,,old\n", None, "line 2: field 'age': not a number: 'old'"),
     (COV + "a,x,exact,0.5,,nan\n", None, "line 2: field 'age': NaN"),
+    (COV + "a,x,exact,0.5,,inf\n", None, "line 2: field 'age': covariate is inf"),
+    (COV + "a,x,exact,0.5,,60\nb,x,exact,0.5,,-Infinity\n", None,
+     "line 3: field 'age': covariate is -inf"),
     ("subject_id,component,status,t1,t2,age,w\na,x,exact,0.5,,60,1\na,y,exact,0.5,,60,x\n",
      None, "line 3: field 'w': not a number: 'x'"),
     ("subject_id,component,status,t1,t2,age,w\na,x,exact,0.5,,60,1\na,y,exact,0.5,,61,x\n",
@@ -230,6 +233,18 @@ def test_dataset_writer_refuses_what_the_reader_refuses(tmp_path, records, covar
     path = tmp_path / "cohort.csv"
     with pytest.raises(InvalidInputError):
         write_dataset(path, records, covariates=covariates)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [INF, -INF])
+def test_dataset_writer_refuses_infinite_covariates(tmp_path, value):
+    # the reader refuses them at their line: the writer names the subject
+    # and covariate, and opens no file
+    path = tmp_path / "cohort.csv"
+    with pytest.raises(InvalidInputError) as exc:
+        write_dataset(path, RECORDS, subject_ids=["a", "b", "c"],
+                      covariates={"age": [61.5, value, 58.0]})
+    assert str(exc.value) == f"covariate 'age': {value} for subject 'b'"
     assert not path.exists()
 
 

@@ -12,6 +12,7 @@ from coarselik.errors import InvalidInputError
 from coarselik.models import IntensityModel, MultiplicativeComponent
 from coarselik.observation import Exact, Interval, PseudoAtomRecord, coarsen
 from coarselik.oracle import transition_matrix
+from coarselik import simulate
 from coarselik.simulate import (
     coarsen_cohort,
     mc_check,
@@ -40,9 +41,10 @@ def test_uniform_stream_is_counter_addressed():
 
 
 @pytest.mark.parametrize("model", [MODEL, WEIBULL_MODEL], ids=["constant", "weibull"])
-def test_chunked_generation_matches_one_shot(model):
+def test_chunked_generation_matches_one_shot(model, monkeypatch):
     a = simulate_cohort(model, 10.0, 23, seed=5)
-    b = simulate_cohort(model, 10.0, 23, seed=5, chunk=7)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    b = simulate_cohort(model, 10.0, 23, seed=5)
     assert np.array_equal(a, b)
     tail = simulate_cohort(model, 10.0, 9, seed=5, start=14)
     assert np.array_equal(tail, a[14:])

@@ -18,6 +18,7 @@ from .errors import (
     HazardInversionError,
     InconsistentObservationError,
     InvalidInputError,
+    InvalidRecordError,
     InvalidStartError,
     StiffnessError,
     ToleranceError,
@@ -90,8 +91,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoarselikError", "DomainError", "HazardInversionError",
-    "InconsistentObservationError", "InvalidInputError", "InvalidStartError",
-    "StiffnessError", "ToleranceError", "UnsupportedModelError",
+    "InconsistentObservationError", "InvalidInputError", "InvalidRecordError",
+    "InvalidStartError", "StiffnessError", "ToleranceError", "UnsupportedModelError",
     "Constant", "PiecewiseConstant", "Weibull",
     "IntensityModel", "JumpHistory", "ModifierTerm", "MultiplicativeComponent",
     "PatternTableComponent", "cumulative_intensity", "intensity_eval",

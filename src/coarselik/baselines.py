@@ -3,7 +3,9 @@
 A baseline is a nonnegative rate function of time together with its exact
 integrated hazard. All evaluation methods broadcast over numpy arrays, and
 `breakpoints` lists the interior times where the rate is discontinuous so
-that quadrature panels and ODE solves can align with them.
+that quadrature panels and ODE solves can align with them. `values` are the
+numbers a baseline is built from; rate_grad and cum0_grad return the
+derivatives of rate and cum0 with respect to each of them, in that order.
 """
 
 from __future__ import annotations
@@ -31,6 +33,16 @@ class Constant:
 
     def cum(self, t0, t1):
         return self.value * np.maximum(np.asarray(t1, dtype=float) - t0, 0.0)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return (self.value,)
+
+    def rate_grad(self, t):
+        return [np.ones(np.shape(t))]
+
+    def cum0_grad(self, t):
+        return [np.asarray(t, dtype=float)]
 
     def scaled(self, c: float) -> "Constant":
         return Constant(self.value * c)
@@ -66,6 +78,22 @@ class Weibull:
 
     def cum(self, t0, t1):
         return np.maximum(self.cum0(t1) - self.cum0(t0), 0.0)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return (self.a, self.b)
+
+    def rate_grad(self, t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            shape = np.where(t > 0, t ** (self.b - 1.0), 0.0)
+        log_t = np.log(np.where(t > 0, t, 1.0))
+        return [self.b * shape, self.a * shape * (1.0 + self.b * log_t)]
+
+    def cum0_grad(self, t):
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        power = t ** self.b
+        return [power, self.a * power * np.log(np.where(t > 0, t, 1.0))]
 
     def scaled(self, c: float) -> "Weibull":
         return Weibull(self.a * c, self.b)
@@ -115,6 +143,21 @@ class PiecewiseConstant:
 
     def cum(self, t0, t1):
         return np.maximum(self.cum0(t1) - self.cum0(t0), 0.0)
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.rates.tolist())
+
+    def rate_grad(self, t):
+        i = self._index(np.asarray(t, dtype=float))
+        return [(i == m).astype(float) for m in range(self.rates.size)]
+
+    def cum0_grad(self, t):
+        # the time (0, t] spends in each piece
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        ends = np.append(self.grid, np.inf)
+        return [np.clip(t - self._edges[m], 0.0, ends[m] - self._edges[m])
+                for m in range(self.rates.size)]
 
     def scaled(self, c: float) -> "PiecewiseConstant":
         return PiecewiseConstant(self.grid, self.rates * c)

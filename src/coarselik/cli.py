@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .errors import CoarselikError, InvalidStartError
+from .errors import CoarselikError, InvalidRecordError, InvalidStartError
 from .inference import fit_mle, per_subject_loglik
 from .io import load_model_config, load_scheme_config, read_dataset, write_dataset_and_truth
 from .simulate import coarsen_cohort, simulate_cohort
@@ -50,6 +50,16 @@ def _read_data(args, cfg):
     if data.covariates:     # no model slot reads one
         raise CoarselikError(f"{args.data}: unused covariate column(s) {', '.join(data.covariates)}")
     return data
+
+
+def _by_subject_id(args, data, evaluate):
+    """evaluate(), with a record it refuses named by its subject id, as a
+    non-finite log-likelihood is named, not by its row."""
+    try:
+        return evaluate()
+    except InvalidRecordError as err:
+        raise CoarselikError(f"{args.data}: subject {data.subject_ids[err.record_index]}: "
+                             f"{err.detail}") from None
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -91,7 +101,8 @@ def _cmd_loglik(args) -> int:
     model = cfg.build(_parse_theta(args.theta))
     # a non-finite value is reported below, so the warnings carry no news
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        per = per_subject_loglik(model, data.codes, scheme.horizon, rel_tol=args.tol)
+        per = _by_subject_id(args, data, lambda: per_subject_loglik(
+            model, data.codes, scheme.horizon, rel_tol=args.tol))
     rows = map(",".join, zip(data.subject_ids, map(repr, per.tolist())))
     text = "\n".join(["subject_id,loglik", *rows, f"total,{float(per.sum())!r}"]) + "\n"
     sys.stdout.write(text)
@@ -117,7 +128,8 @@ def _cmd_fit(args) -> int:
     data = _read_data(args, cfg)
     init = cfg.theta_from(_parse_theta(args.theta))
     try:
-        res = fit_mle(cfg.family, data.codes, scheme.horizon, init, rel_tol=args.tol)
+        res = _by_subject_id(args, data, lambda: fit_mle(
+            cfg.family, data.codes, scheme.horizon, init, rel_tol=args.tol))
     except InvalidStartError as err:    # name the subject by its id, as loglik does
         sid = data.subject_ids[err.subject_index]
         raise CoarselikError(f"{args.data}: log-likelihood is not finite at the starting "

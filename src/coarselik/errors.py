@@ -13,6 +13,16 @@ class InvalidInputError(CoarselikError):
     """Malformed or out-of-contract input (bad shapes, bounds, counts)."""
 
 
+class InvalidRecordError(InvalidInputError):
+    """A record the likelihood refuses. Carries the record's index and the
+    fault without it, so a caller can name the subject its own way."""
+
+    def __init__(self, record_index: int, detail: str):
+        super().__init__(f"record {record_index}: {detail}")
+        self.record_index = record_index
+        self.detail = detail
+
+
 class UnsupportedModelError(CoarselikError):
     """A model/state layout the package deliberately does not handle."""
 

@@ -2,11 +2,7 @@
 
 A ParametricFamily maps a natural-scale parameter vector to a model.
 Positive parameters are searched on the log scale (declared via
-transforms), which keeps the optimizer unconstrained. The search runs
-Nelder-Mead first (robust to the flat, occasionally minus-infinite
-landscape of coarse-data likelihoods) and polishes with BFGS on numeric
-gradients; standard errors come from a central-difference Hessian at the
-optimum, mapped back to the natural scale by the delta method.
+transforms), which keeps the optimizer unconstrained.
 
 Each record is laid out once into the corner terms of likelihood's
 expansion, and every term is evaluated on one plan shared across the whole
@@ -19,10 +15,28 @@ Node positions depend only on the data, those rate-change points and the
 model's structure (its gates cut the ranges), and so does the density's
 geometry (where each component is at risk, where its gates close and where
 its modifiers switch on): both are built once, and built again only for a
-theta whose model has another structure. An objective evaluation is one
-vectorized pass over the geometry that evaluates baselines, modifier
-effects and offsets. A record whose embedded lower-order rules miss the
-tolerance, or whose nodes would pass max_evals, is computed by loglik_atom.
+theta whose model has another structure. An evaluation is one vectorized
+pass over the geometry that evaluates baselines, modifier effects and
+offsets. A record whose embedded lower-order rules miss the tolerance, or
+whose nodes would pass max_evals, is computed by loglik_atom.
+
+Since nodes and weights do not depend on theta, a record's score is exact
+and comes from the pass that gives its value: its likelihood is
+sum_r w_r f_r over its nodes, and its score sum_r w_r f_r g_r / sum_r w_r f_r,
+g_r the derivatives of log f_r. The kernel gives those with respect to the
+model's values (baseline parameters, modifier eta and gamma, offsets); the
+family's map from theta to the values is differenced over models built at
+theta +- h_k e_k, 2k builds and no kernel pass, exact up to rounding for a
+value affine in theta, as every config family's is. A record on the
+fallback gets central differences of loglik_atom.
+
+fit_mle runs BFGS on that score. Its search variables are scaled by the
+BHHH matrix sum_i s_i s_i^T of the start's per-record scores, so its first
+step is the BHHH step, on the scale of the data's information about theta.
+Standard errors come from the Hessian by central differences of the score
+at a converged estimate (2k evaluations), mapped back to the natural scale
+by the delta method. n_evaluations counts value-and-score evaluations: the
+start's, BFGS's, and the Hessian's.
 """
 
 from __future__ import annotations
@@ -33,7 +47,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
-from .likelihood import _density_at, _density_geometry, _layout_codes, loglik_atom
+from .likelihood import (
+    _density_at,
+    _density_geometry,
+    _layout_codes,
+    _log_density_grad,
+    loglik_atom,
+)
 from .models import IntensityModel
 from .observation import PseudoAtomRecord, StatusCodes
 from .quadrature import (
@@ -47,6 +67,7 @@ from .quadrature import (
 )
 
 _MAX_PANEL = 1.0  # fixed panels never span more than this
+_STEP = 1e-5      # relative step of the score's central differences
 # the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
 _G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
 
@@ -147,6 +168,15 @@ def per_subject_loglik(model: IntensityModel,
     return DatasetEvaluator(fixed, codes, C, **quad_opts).per_subject(())
 
 
+def _difference(upper, centre, lower, h):
+    """(upper - lower) / 2h; a side that is None leaves the one-sided
+    difference with the centre, and nan where both are."""
+    width = h * ((upper is not None) + (lower is not None))
+    if not width:
+        return np.nan
+    return ((centre if upper is None else upper) - (centre if lower is None else lower)) / width
+
+
 class DatasetEvaluator:
     """Batched log-likelihood of one dataset as a function of theta.
 
@@ -166,9 +196,10 @@ class DatasetEvaluator:
         self.n = len(self.codes.kind)
         self.C = float(C)
         self.quad_opts = _quad_opts(rel_tol, abs_tol, max_evals)
-        self._cache: dict[tuple, float] = {}
+        self._last = None   # (theta, total_and_score's result) of the last point
         self.n_evaluations = 0
-        # objective evaluations whose quadrature budget ran out (scored -inf)
+        # evaluations, and stencil points of a fallback record's score, whose
+        # quadrature budget ran out (scored -inf)
         self.n_tolerance_failures = 0
         if not self.n:
             raise InvalidInputError("empty dataset")
@@ -243,9 +274,9 @@ class DatasetEvaluator:
         self._structure = probe.structure
         self._geometry = _density_geometry(probe, S, F, self.C)
 
-    def per_subject(self, theta) -> np.ndarray:
-        """Per-record log-likelihood at natural-scale theta."""
-        model = self.family.build(theta)
+    def _on_plan(self, model):
+        """The density on the plan, each record's K15 sum and its log, and
+        the records the fallback computes."""
         n = self.n
         # a builder may change the structure with theta, and with its gates
         # the cuts of the plan: never reuse a plan built for another one
@@ -259,43 +290,96 @@ class DatasetEvaluator:
             out = np.log(np.maximum(total, 0.0))
         rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
         redo = self._over_budget | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol))
-        for i in np.flatnonzero(redo):
+        return f, total, out, np.flatnonzero(redo)
+
+    def per_subject(self, theta) -> np.ndarray:
+        """Per-record log-likelihood at natural-scale theta."""
+        model = self.family.build(theta)
+        _, _, out, redo = self._on_plan(model)
+        for i in redo:
             out[i] = loglik_atom(model, self.codes.record(i), self.C, **self.quad_opts)
         return out
 
-    def total(self, theta) -> float:
+    def _theta_map(self, theta, model):
+        """The derivatives of model.values in theta, by central differences
+        over models built at theta +- h_k e_k (exact up to rounding where a
+        value is affine in theta), with those models and the steps h_k."""
+        theta = np.asarray(theta, dtype=float)
+        is_log = np.array([tr == "log" for tr in self.family.transforms])
+        h = _STEP * np.where(is_log, np.abs(theta), np.maximum(np.abs(theta), 1.0))
+        plus = [self.family.build(theta + hk * e) for hk, e in zip(h, np.eye(theta.size))]
+        minus = [self.family.build(theta - hk * e) for hk, e in zip(h, np.eye(theta.size))]
+        v0, structure = model.values, model.structure
+
+        def values(m):
+            # a builder may change the structure within the stencil: a side
+            # whose values do not line up is left out
+            v = m.values
+            return v if v.size == v0.size and m.structure == structure else None
+
+        J = np.empty((v0.size, theta.size))
+        for k, (mp, mm) in enumerate(zip(plus, minus)):
+            J[:, k] = _difference(values(mp), v0, values(mm), h[k])
+        return J, plus, minus, h
+
+    def total_and_score(self, theta):
+        """The total log-likelihood at natural-scale theta and each record's
+        score, its derivatives in theta as an (n, k) array; -inf (scores
+        nan) where a record is impossible or the quadrature budget ran out.
+
+        A record on the plan gets its score from the same pass as its value:
+        sum_r w_r f_r g_r / sum_r w_r f_r, g_r the derivatives of log f_r.
+        A record on the fallback gets central differences of loglik_atom.
+        Counted in n_evaluations; the last point is remembered.
+        """
         key = tuple(np.asarray(theta, dtype=float))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         self.n_evaluations += 1
         try:
-            per = self.per_subject(theta)
+            result = self._total_and_score(theta)
         except ToleranceError:
             self.n_tolerance_failures += 1
-            per = np.array([-np.inf])
-        tot = float(per.sum()) if np.all(np.isfinite(per)) else -np.inf
-        if len(self._cache) < 65536:
-            self._cache[key] = tot
-        return tot
+            result = (-np.inf, np.full((self.n, self.family.k), np.nan))
+        self._last = (key, result)
+        return result
 
+    def _total_and_score(self, theta):
+        model = self.family.build(theta)
+        f, total, out, redo = self._on_plan(model)
+        J, plus, minus, h = self._theta_map(theta, model)
+        grads = _log_density_grad(model, self._geometry)
+        wf = self._w[0] * f
+        score = np.empty((self.n, J.shape[1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(J.shape[1]):
+                g = sum(J[v, k] * grads[v] for v in np.flatnonzero(J[:, k]))
+                # where the density is 0 its log's derivatives are not finite
+                wfg = np.where(wf != 0.0, wf * g, 0.0)
+                score[:, k] = np.bincount(self._rec, weights=wfg, minlength=self.n) / total
+        for i in redo:
+            rec = self.codes.record(i)
+            out[i] = loglik_atom(model, rec, self.C, **self.quad_opts)
+            for k, (mp, mm, hk) in enumerate(zip(plus, minus, h)):
+                score[i, k] = _difference(self._stencil_point(mp, rec), out[i],
+                                          self._stencil_point(mm, rec), hk)
+        if not (np.all(np.isfinite(out)) and np.all(np.isfinite(score))):
+            return -np.inf, np.full_like(score, np.nan)
+        return float(out.sum()), score
 
-def _numeric_hessian(fn, u, h_scale=1e-4):
-    k = u.size
-    H = np.empty((k, k))
-    h = h_scale * np.maximum(np.abs(u), 1.0)
-    f0 = fn(u)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        H[i, i] = (fn(u + ei) - 2 * f0 + fn(u - ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                fn(u + ei + ej) - fn(u + ei - ej) - fn(u - ei + ej) + fn(u - ei - ej)
-            ) / (4 * h[i] * h[j])
-    return H
+    def _stencil_point(self, model, record) -> float | None:
+        """loglik_atom at a stencil point of a fallback record's score; None
+        where it is not finite, a spent budget counted as -inf."""
+        try:
+            value = loglik_atom(model, record, self.C, **self.quad_opts)
+        except ToleranceError:
+            self.n_tolerance_failures += 1
+            value = -np.inf
+        return value if np.isfinite(value) else None
+
+    def total(self, theta) -> float:
+        """The total log-likelihood of total_and_score."""
+        return self.total_and_score(theta)[0]
 
 
 def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | StatusCodes,
@@ -304,9 +388,10 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
 
     `init` is a natural-scale vector (or name-keyed mapping). A starting
     point with minus-infinite log-likelihood is rejected up front, naming
-    the first subject whose record has zero probability there. Nelder-Mead
-    (2000 iterations, 16000 evaluations at most) hands its best vertex to
-    BFGS, whose end point is the estimate and the Hessian's centre.
+    the first subject whose record has zero probability there. BFGS (200
+    iterations at most) runs on the exact score in search variables scaled
+    by the start's BHHH matrix; its end point is the estimate and the
+    centre of the score differences that give the Hessian.
     """
     if isinstance(init, dict):
         missing = [nm for nm in family.param_names if nm not in init]
@@ -315,9 +400,17 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
         init = [init[nm] for nm in family.param_names]
     init = np.asarray(init, dtype=float)
     ev = DatasetEvaluator(family, records, C, rel_tol=rel_tol, abs_tol=abs_tol)
+    is_log = np.array([tr == "log" for tr in family.transforms])
+
+    def loglik_and_score(u):
+        """The log-likelihood at search point u and each record's score in u."""
+        theta = family.from_search(u)
+        total, score = ev.total_and_score(theta)
+        return total, score * np.where(is_log, theta, 1.0)
 
     u0 = family.to_search(init)
-    if not np.isfinite(ev.total(family.from_search(u0))):
+    total0, score0 = loglik_and_score(u0)
+    if not np.isfinite(total0):
         # evaluated again only to name the subject; a ToleranceError raises here
         per0 = ev.per_subject(family.from_search(u0))
         bad = int(np.flatnonzero(~np.isfinite(per0))[0])
@@ -327,46 +420,62 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
             subject_index=bad,
         )
 
-    def objective(u):
-        # a finite-difference step off a -inf point can come back nan
+    # search u = u0 + M v with M = L^-T, L L^T the BHHH matrix at the start:
+    # the Hessian in v is about the identity there, so BFGS's first step is
+    # the BHHH step and its unit steps stay on the likelihood's own scale
+    try:
+        M = np.linalg.inv(np.linalg.cholesky(score0.T @ score0)).T
+    except np.linalg.LinAlgError:
+        M = np.eye(family.k)
+
+    def objective(v):
+        u = u0 + M @ v
+        # a line search that meets a -inf log-likelihood can come back nan
         if not np.all(np.isfinite(u)):
-            return np.inf
-        return -ev.total(family.from_search(u))
+            return np.inf, np.full(v.size, np.nan)
+        total, score = loglik_and_score(u)
+        return -total, -(M.T @ score.sum(axis=0))
 
     # only a fit needs scipy; importing it at module level slows every command's start-up
     from scipy.optimize import minimize
 
     # a -inf log-likelihood is a legitimate objective value (+inf); the
-    # finite differences and the line search that meet one do inf - inf
-    # arithmetic and recover from it, so their warnings carry no news
+    # line search that meets one does inf - inf arithmetic and recovers
+    # from it, so its warnings carry no news
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        nm = minimize(objective, u0, method="Nelder-Mead",
-                      options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000,
-                               "maxfev": 16000})
-        bfgs = minimize(objective, nm.x, method="BFGS", jac="3-point",
-                        options={"gtol": 1e-5, "maxiter": 200})
-    grad_norm = float(np.max(np.abs(bfgs.jac))) if bfgs.jac is not None else np.inf
-    u_hat = bfgs.x
+        bfgs = minimize(objective, np.zeros(family.k), jac=True, method="BFGS",
+                        options={"gtol": 1e-6, "maxiter": 200})
+    u_hat = u0 + M @ bfgs.x
+    loglik, score = loglik_and_score(u_hat)
+    grad = score.sum(axis=0)
+    grad_norm = float(np.max(np.abs(grad))) if np.all(np.isfinite(grad)) else np.inf
     theta_hat = family.from_search(u_hat)
-    loglik = ev.total(theta_hat)
+    # BFGS's own test is on the scaled gradient: about the distance to the
+    # optimum in standard errors, whatever the size of the data
+    converged = bool(bfgs.success) or grad_norm < 1e-3
 
-    H = _numeric_hessian(lambda u: -ev.total(family.from_search(u)), u_hat)
-    # a -inf inside the stencil leaves no curvature to invert
-    se_u = np.full(family.k, np.nan)
-    if np.all(np.isfinite(H)):
-        try:
-            se_u = np.sqrt(np.diag(np.linalg.inv(H)))
-        except np.linalg.LinAlgError:
-            pass
+    # standard errors at a converged estimate only, from the Hessian by
+    # central differences of the score; a -inf inside the stencil leaves no
+    # curvature to invert
     std_errors = None
-    if np.all(np.isfinite(se_u)):
-        se_nat = se_u.copy()
-        for i, tr in enumerate(family.transforms):
-            if tr == "log":
-                se_nat[i] = theta_hat[i] * se_u[i]
-        std_errors = dict(zip(family.param_names, se_nat.tolist()))
+    if converged:
+        h = 1e-4 * np.maximum(np.abs(u_hat), 1.0)
+        H = np.empty((family.k, family.k))
+        for k, step in enumerate(h * np.eye(family.k)):
+            H[:, k] = (loglik_and_score(u_hat - step)[1].sum(axis=0)
+                       - loglik_and_score(u_hat + step)[1].sum(axis=0)) / (2 * h[k])
+        H = 0.5 * (H + H.T)
+        se_u = np.full(family.k, np.nan)
+        if np.all(np.isfinite(H)):
+            try:
+                se_u = np.sqrt(np.diag(np.linalg.inv(H)))
+            except np.linalg.LinAlgError:
+                pass
+        if np.all(np.isfinite(se_u)):
+            se_nat = np.where(is_log, theta_hat * se_u, se_u)
+            std_errors = dict(zip(family.param_names, se_nat.tolist()))
 
-    message = f"nelder-mead: {nm.message}; bfgs: {bfgs.message}"
+    message = f"bfgs: {bfgs.message}"
     if ev.n_tolerance_failures:
         message += (f"; {ev.n_tolerance_failures} evaluation(s) ran out of quadrature "
                     "budget and counted as -inf")
@@ -375,7 +484,7 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
         loglik=loglik,
         std_errors=std_errors,
         n_evaluations=ev.n_evaluations,
-        converged=bool(nm.success or bfgs.success) and grad_norm < 1e-3,
+        converged=converged,
         grad_norm=grad_norm,
         message=message,
         n_tolerance_failures=ev.n_tolerance_failures,

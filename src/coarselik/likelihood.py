@@ -24,7 +24,9 @@ shared with inference.DatasetEvaluator, which falls back to this reference.
 The kernel runs in the two phases of the model components: its geometry
 (rate geometries at the flagged jumps, cum geometries over (0, C]) depends
 on the coordinates alone, so the evaluator builds it once per plan and
-evaluates it per theta; _density composes both for one set of coordinates.
+evaluates it per theta, the density with _density_at and the derivatives
+of its log with _log_density_grad; _density composes both phases for one
+set of coordinates.
 Here each term is integrated on the nested adaptive engine, with panels
 split at model rate discontinuities, at every pinned jump time, and at the
 bounds of the free ranges, so integrand kinks always land on panel edges.
@@ -36,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InconsistentObservationError, InvalidInputError
+from .errors import InconsistentObservationError, InvalidInputError, InvalidRecordError
 from .models import IntensityModel, JumpHistory, MultiplicativeComponent, PatternTableComponent
 from .observation import Exact, Interval, PseudoAtomRecord, SurvivedBeyond
 from .quadrature import (
@@ -77,6 +79,22 @@ def _density_at(model: IntensityModel, geometry):
     for comp, g in zip(model.components, cums):
         total_cum = total_cum + comp.cum_at(g)
     return out * np.exp(-total_cum)
+
+
+def _log_density_grad(model: IntensityModel, geometry):
+    """The derivatives of log _density_at with respect to model.values, one
+    array each, on the same geometry: each flagged rate's derivative over
+    the rate, minus each cum's derivative. Where a flagged rate is 0 the
+    density is 0 and the value is not finite."""
+    grads = [[-g for g in comp.cum_grad_at(gm)] for comp, gm in zip(model.components, geometry[1])]
+    for j, flag, g in geometry[0]:
+        comp = model.components[j]
+        rate = comp.rate_at(g)
+        for m, d in enumerate(comp.rate_grad_at(g)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = d / rate
+            grads[j][m] = grads[j][m] + (q if flag is None else np.where(flag, q, 0.0))
+    return [g for comp_grads in grads for g in comp_grads]
 
 
 def _density(model: IntensityModel, s, flags, C: float):
@@ -222,7 +240,7 @@ def _layout_codes(model: IntensityModel, codes, C: float):
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), p)
         text = next(text for mask, text in problems if mask[i, j])
-        raise InvalidInputError(f"record {i}: component {j}: " + text.format(
+        raise InvalidRecordError(i, f"component {j}: " + text.format(
             a=float(x1[i, j]), b=float(x2[i, j]), k=kind[i, j], C=C))
 
     hi = np.where(interval, x2, C)

@@ -22,7 +22,10 @@ geometry: baseline rate and cum0, the exp(eta + gamma * T) multipliers and
 the offset. rate and cum are the two phases composed; a geometry serves any
 component of the same `structure`, so a batch whose times stay fixed (the
 nodes of a dataset plan) builds it once and evaluates it per parameter
-vector.
+vector. `values` lists the numbers a component is built from (its
+baselines' values, each modifier's eta and gamma, the offset), and
+rate_grad_at and cum_grad_at return the derivatives of rate_at and cum_at
+with respect to each of them, in that order, on the same geometry.
 """
 
 from __future__ import annotations
@@ -171,15 +174,31 @@ class MultiplicativeComponent:
         if gates_open is not None:
             out = out * gates_open
         for trm, (active, Tc) in zip(self.terms, terms):
-            if trm.gamma == 0.0:
-                mult = np.exp(trm.eta)
-            else:
-                mult = np.exp(trm.eta + trm.gamma * Tc.value())
-            out = out * np.where(active, mult, 1.0)
+            out = out * np.where(active, _multiplier(trm, Tc), 1.0)
         return out
 
     def rate(self, t, T):
         return self.rate_at(self.rate_geometry(t, T))
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return (*self.baseline.values,
+                *(x for trm in self.terms for x in (trm.eta, trm.gamma)), self.log_offset)
+
+    def rate_grad_at(self, geometry):
+        """The derivatives of rate_at with respect to `values`."""
+        t, gates_open, terms = geometry
+        scale = np.exp(self.log_offset)
+        if gates_open is not None:
+            scale = scale * gates_open
+        for trm, (active, Tc) in zip(self.terms, terms):
+            scale = scale * np.where(active, _multiplier(trm, Tc), 1.0)
+        rate = self.baseline.rate(t) * scale
+        grads = [g * scale for g in self.baseline.rate_grad(t)]
+        for trm, (active, Tc) in zip(self.terms, terms):
+            d_eta = np.where(active, rate, 0.0)
+            grads += [d_eta, d_eta * Tc.value() if Tc is not None else 0.0]
+        return grads + [rate]
 
     def cum_geometry(self, t0, t1, T):
         """The theta-free part of cum(t0, t1, T): the range (lo, hi] cut at
@@ -207,13 +226,7 @@ class MultiplicativeComponent:
         """cum() on a cum_geometry of a component of the same structure."""
         hi_0, lo_0, fills, starts = geometry
         bbar = self.baseline.cum0
-        coef = []
-        for trm, Tc in zip(self.terms, fills):
-            if trm.gamma == 0.0:
-                c_m = np.exp(trm.eta)
-            else:
-                c_m = np.exp(trm.eta + trm.gamma * Tc.value())
-            coef.append(c_m - 1.0)
+        coef = [_multiplier(trm, Tc) - 1.0 for trm, Tc in zip(self.terms, fills)]
 
         bbar_hi = bbar(hi_0)
         total = bbar_hi if lo_0 is None else bbar_hi - bbar(lo_0)
@@ -227,6 +240,43 @@ class MultiplicativeComponent:
 
     def cum(self, t0, t1, T):
         return self.cum_at(self.cum_geometry(t0, t1, T))
+
+    def cum_grad_at(self, geometry):
+        """The derivatives of cum_at with respect to `values`."""
+        hi_0, lo_0, fills, starts = geometry
+        scale = np.exp(self.log_offset)
+        mult = [_multiplier(trm, Tc) for trm, Tc in zip(self.terms, fills)]
+        coef = [c - 1.0 for c in mult]
+        grad = self.baseline.cum0_grad
+        grad_hi = grad(hi_0)
+        base = grad_hi if lo_0 is None else [h - l for h, l in zip(grad_hi, grad(lo_0))]
+        bbar_hi = self.baseline.cum0(hi_0)
+        increments = [bbar_hi - self.baseline.cum0(start) for start in starts]
+        d_eta = [0.0] * len(self.terms)
+        for subset, k in zip(self._subsets, self._union_of):
+            cf = coef[subset[0]]
+            for m in subset[1:]:
+                cf = cf * coef[m]
+            base = [b + _times_increment(cf, h - s)
+                    for b, h, s in zip(base, grad_hi, grad(starts[k]))]
+            # d(prod of coef)/d eta_m is c_m times the product of the others
+            for m in subset:
+                others = mult[m]
+                for o in subset:
+                    if o != m:
+                        others = others * coef[o]
+                d_eta[m] = d_eta[m] + _times_increment(others, increments[k])
+        grads = [b * scale for b in base]
+        for d, Tc in zip(d_eta, fills):
+            grads += [d * scale, d * scale * Tc.value() if Tc is not None else 0.0]
+        return grads + [self.cum_at(geometry)]
+
+
+def _multiplier(trm: ModifierTerm, Tc):
+    """exp(eta + gamma * T) of a modifier, T its filled time."""
+    if trm.gamma == 0.0:
+        return np.exp(trm.eta)
+    return np.exp(trm.eta + trm.gamma * Tc.value())
 
 
 class _FilledTime:
@@ -324,6 +374,16 @@ class PatternTableComponent:
     def rate(self, t, T):
         return self.rate_at(self.rate_geometry(t, T))
 
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(x for _, base in self.entries for x in base.values)
+
+    def rate_grad_at(self, geometry):
+        """The derivatives of rate_at with respect to `values`."""
+        t, masks = geometry
+        return [g * inside for (_, base), inside in zip(self.entries, masks)
+                for g in base.rate_grad(t)]
+
     def cum_geometry(self, t0, t1, T):
         """The theta-free part of cum(t0, t1, T): each entry's range, clipped
         at 0 for cum0; lo is None where t0 <= 0 and the entry's window opens
@@ -353,6 +413,16 @@ class PatternTableComponent:
 
     def cum(self, t0, t1, T):
         return self.cum_at(self.cum_geometry(t0, t1, T))
+
+    def cum_grad_at(self, geometry):
+        """The derivatives of cum_at with respect to `values`."""
+        out = []
+        for (_, base), (hi_0, lo_0) in zip(self.entries, geometry):
+            grad_hi = base.cum0_grad(hi_0)
+            if lo_0 is not None:
+                grad_hi = [h - l for h, l in zip(grad_hi, base.cum0_grad(lo_0))]
+            out += grad_hi
+        return out
 
 
 class IntensityModel:
@@ -385,6 +455,11 @@ class IntensityModel:
     def structure(self) -> tuple:
         """The components' structures: models that share it share geometry."""
         return tuple(comp.structure for comp in self.components)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The components' values, one after another."""
+        return np.array([x for comp in self.components for x in comp.values])
 
     def total_cum(self, t0, t1, T):
         out = 0.0

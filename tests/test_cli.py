@@ -461,6 +461,42 @@ def test_fit_names_an_impossible_start_by_subject_id(tmp_path, capsys):
     assert "first offending subject: p7)" in capsys.readouterr().err
 
 
+def test_refused_record_is_named_by_subject_id(tmp_path, capsys):
+    # p7 dies at 12, after the horizon of 10: loglik and fit refuse the
+    # record and name it by its subject id, not by its row
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "components": ["illness", "death"],
+        "intensities": [
+            {"component": "illness", "baseline": {"family": "constant", "rate": "a01"},
+             "gates": ["death"]},
+            {"component": "death", "baseline": {"family": "constant", "rate": "a02"}},
+        ],
+        "theta": {"a01": 0.1, "a02": 0.2},
+    }))
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({
+        "horizon": 10.0,
+        "death_component": "death",
+        "schedules": [{"component": "illness", "visits": [1.0, 2.0]},
+                      {"component": "death", "windows": [[0.0, 10.0]]}],
+    }))
+    data = tmp_path / "cohort.csv"
+    data.write_text(
+        "subject_id,component,status,t1,t2\n"
+        "p1,illness,survived_beyond,2.0,\n"
+        "p1,death,exact_censored,10.0,\n"
+        "p7,illness,survived_beyond,2.0,\n"
+        "p7,death,exact,12,\n")
+    args = ["--model", str(model), "--scheme", str(scheme), "--data", str(data)]
+    for cmd in ("loglik", "fit"):
+        assert main([cmd, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {data}: subject p7: component 1: "
+                                "jump time 12.0 outside (0, 10.0]\n")
+
+
 def test_validate_smoke(capsys):
     code = main(["validate", "--n", "3000", "--seed", "5"])
     out = capsys.readouterr().out

@@ -102,19 +102,27 @@ def test_impossible_start_names_the_subject():
 
 
 def test_fit_runs_one_kernel_pass_per_evaluation(monkeypatch):
-    # the start is checked through the counted total: no pass of its own
+    # one geometry per fit; every counted evaluation, the start's and the
+    # Hessian's included, is one pass for the values and one for the score
     fam = exponential_family()
     records = [PseudoAtomRecord((Exact(0.5, True),)), PseudoAtomRecord((Exact(2.0, False),))]
-    calls = []
-    per_subject = DatasetEvaluator.per_subject
+    builds, values, scores = [], [], []
 
-    def counted(self, theta):
-        calls.append(theta)
-        return per_subject(self, theta)
+    def counted(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(DatasetEvaluator, "per_subject", counted)
+    monkeypatch.setattr(inference, "_density_geometry",
+                        counted(builds, inference._density_geometry))
+    monkeypatch.setattr(inference, "_density_at", counted(values, inference._density_at))
+    monkeypatch.setattr(inference, "_log_density_grad",
+                        counted(scores, inference._log_density_grad))
     res = fit_mle(fam, records, 2.0, [0.2])
-    assert len(calls) == res.n_evaluations
+    assert len(builds) == 1
+    assert len(values) == len(scores) == res.n_evaluations
+    assert res.n_evaluations > 2 * fam.k
 
 
 def test_panel_fit_recovers_truth():
@@ -379,8 +387,9 @@ def test_fit_reports_tolerance_failures(monkeypatch):
 
 def test_fit_survives_non_finite_search_points(monkeypatch):
     # the fallback runs out of budget above rate 0.6, so the likelihood is
-    # -inf there; a 3-point gradient step into it comes back with a nan
-    # search point, which is scored +inf without building a model
+    # -inf there, short of the optimum at 0.70; the line search that steps
+    # into it backs off, and a stencil point past 0.6 leaves a one-sided
+    # difference
     fam, records = shared_rate_pair()
 
     def fails_above(model, atom, C, **quad_opts):
@@ -397,7 +406,7 @@ def test_fit_survives_non_finite_search_points(monkeypatch):
     assert res.theta["rate"] <= 0.6
     assert np.isfinite(res.loglik)
     assert res.n_tolerance_failures > 0
-    # the Hessian stencil reaches past 0.6: no standard error can be had
+    # stopped at the edge, not at a stationary point: no standard error
     assert res.std_errors is None
 
 
@@ -510,6 +519,78 @@ def test_geometry_holds_for_every_theta(workload, n, moves, tmp_path, monkeypatc
                       lambda model, _: _density(model, ev._s, ev._f, ev.C))
             ref = ev.per_subject(th)
         assert np.array_equal(got, ref), th
+
+
+def _workload_case(name, n, tmp_path, seed=1, stream=2, **moves):
+    """The workload's config family, n records of its cohort sampler, its
+    horizon and its config theta with `moves` applied."""
+    w = workloads.WORKLOADS[name]
+    workloads.write_configs(w, tmp_path / "model.json", tmp_path / "scheme.json")
+    cfg = load_model_config(tmp_path / "model.json")
+    scheme = load_scheme_config(tmp_path / "scheme.json", cfg.component_names)
+    records = workloads.sample_cohort(w, scheme, n, workloads.rng_for(w, seed, stream))
+    return (cfg.family, records, w.horizon,
+            _moved(cfg.theta_from(), list(cfg.family.param_names), **moves))
+
+
+def _dementia_case(tmp_path):
+    _, records, C, _ = _workload_case("dementia-visits", 12, tmp_path)
+    return dementia_family(), records, C, np.array([0.15, 0.18, 0.12, 0.4, 0.5, 0.6, 0.3, -0.2])
+
+
+def _piecewise_case(tmp_path):
+    fam = illness_death_family("piecewise", grid=(0.8,))
+    truth = np.array([0.3, 0.4, 0.2, 0.3, 0.6, 0.9])
+    scheme = panel_death_scheme([0.5, 1.0, 1.5], 2.0)
+    return fam, panel_records(fam.build(truth), scheme, 40, seed=5), 2.0, truth * 1.2
+
+
+def _fallback_case(tmp_path):
+    # illness on Interval(0, 3] integrates its Weibull singularity at 0
+    # (shape 0.7), which the plan's fixed panels cannot settle
+    fam, records, C, theta = _workload_case("weibull-hybrid", 30, tmp_path)
+    return fam, records + [_rec(Interval(0.0, 3.0), Exact(6.0, True))], C, theta
+
+
+SCORE_CASES = {
+    "illness-death-panel": lambda tmp: _workload_case("illness-death-panel", 40, tmp, a01=0.15),
+    "dementia-visits": lambda tmp: _workload_case("dementia-visits", 12, tmp),
+    "weibull-hybrid": lambda tmp: _workload_case("weibull-hybrid", 40, tmp),
+    "dementia-family": _dementia_case,
+    "gamma12": lambda tmp: _workload_case("weibull-hybrid", 40, tmp, gamma12=0.3, b01=1.2),
+    "piecewise": _piecewise_case,
+    "fallback": _fallback_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORE_CASES))
+def test_score_matches_differences_of_the_total(case, tmp_path, monkeypatch):
+    fam, records, C, theta = SCORE_CASES[case](tmp_path)
+    fallback = []
+    monkeypatch.setattr(inference, "loglik_atom",
+                        lambda model, atom, *a, **kw: fallback.append(atom)
+                        or loglik_atom(model, atom, *a, **kw))
+    ev = DatasetEvaluator(fam, records, C)
+    total, score = ev.total_and_score(theta)
+    assert set(fallback) == ({records[-1]} if case == "fallback" else set())
+    assert np.isfinite(total) and score.shape == (len(records), fam.k)
+    h = 1e-6 * np.maximum(np.abs(theta), 0.1)
+    diffs = [(ev.total(theta + step) - ev.total(theta - step)) / (2 * hk)
+             for hk, step in zip(h, h * np.eye(fam.k))]
+    np.testing.assert_allclose(score.sum(axis=0), diffs, rtol=1e-6)
+
+
+@pytest.mark.parametrize("stream", [4, 6])
+def test_bhhh_start_keeps_weibull_fits_on_the_plan(stream, tmp_path, monkeypatch):
+    # unscaled, BFGS's first unit step leaves the data's range of theta, and
+    # many of these records miss the plan's error check there
+    fam, records, C, theta = _workload_case("weibull-hybrid", 200, tmp_path, 4001, stream)
+    fallback = []
+    monkeypatch.setattr(inference, "loglik_atom", lambda model, atom, *a, **kw:
+                        fallback.append(atom) or loglik_atom(model, atom, *a, **kw))
+    res = fit_mle(fam, records, C, theta)
+    assert res.converged and res.std_errors is not None
+    assert len(fallback) == 0
 
 
 def switching_family(gated_from_the_start):

@@ -4,8 +4,9 @@ A baseline is a nonnegative rate function of time together with its exact
 integrated hazard. All evaluation methods broadcast over numpy arrays, and
 `breakpoints` lists the interior times where the rate is discontinuous so
 that quadrature panels and ODE solves can align with them. `values` are the
-numbers a baseline is built from; rate_grad and cum0_grad return the
-derivatives of rate and cum0 with respect to each of them, in that order.
+numbers a baseline is built from; log_rate_grad and cum0_grad return the
+derivatives of log rate and of cum0 with respect to each of them, in that
+order.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class Constant:
     def values(self) -> tuple[float, ...]:
         return (self.value,)
 
-    def rate_grad(self, t):
-        return [np.ones(np.shape(t))]
+    def log_rate_grad(self, t):
+        with np.errstate(divide="ignore"):
+            return [1.0 / np.float64(self.value)]
 
     def cum0_grad(self, t):
         return [np.asarray(t, dtype=float)]
@@ -83,12 +85,9 @@ class Weibull:
     def values(self) -> tuple[float, ...]:
         return (self.a, self.b)
 
-    def rate_grad(self, t):
+    def log_rate_grad(self, t):
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            shape = np.where(t > 0, t ** (self.b - 1.0), 0.0)
-        log_t = np.log(np.where(t > 0, t, 1.0))
-        return [self.b * shape, self.a * shape * (1.0 + self.b * log_t)]
+        return [1.0 / self.a, 1.0 / self.b + np.log(np.where(t > 0, t, 1.0))]
 
     def cum0_grad(self, t):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
@@ -148,9 +147,11 @@ class PiecewiseConstant:
     def values(self) -> tuple[float, ...]:
         return tuple(self.rates.tolist())
 
-    def rate_grad(self, t):
+    def log_rate_grad(self, t):
         i = self._index(np.asarray(t, dtype=float))
-        return [(i == m).astype(float) for m in range(self.rates.size)]
+        with np.errstate(divide="ignore"):
+            inverse = 1.0 / self.rates
+        return [np.where(i == m, inverse[m], 0.0) for m in range(self.rates.size)]
 
     def cum0_grad(self, t):
         # the time (0, t] spends in each piece

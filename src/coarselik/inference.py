@@ -23,12 +23,13 @@ whose nodes would pass max_evals, is computed by loglik_atom.
 Since nodes and weights do not depend on theta, a record's score is exact
 and comes from the pass that gives its value: its likelihood is
 sum_r w_r f_r over its nodes, and its score sum_r w_r f_r g_r / sum_r w_r f_r,
-g_r the derivatives of log f_r. The kernel gives those with respect to the
-model's values (baseline parameters, modifier eta and gamma, offsets); the
-family's map from theta to the values is differenced over models built at
-theta +- h_k e_k, 2k builds and no kernel pass, exact up to rounding for a
-value affine in theta, as every config family's is. A record on the
-fallback gets central differences of loglik_atom.
+g_r the derivatives of log f_r. The family's map from theta to the model's
+values (baseline parameters, modifier eta and gamma, offsets) is
+differenced over models built at theta +- h_k e_k, 2k builds and no kernel
+pass, exact up to rounding for a value affine in theta, as every config
+family's is. The kernel then gives d log f_r in only the values that map
+reaches, from log rates and cums: no rate is built and nothing divided. A
+record on the fallback gets central differences of loglik_atom.
 
 fit_mle runs BFGS on that score. Its search variables are scaled by the
 BHHH matrix sum_i s_i s_i^T of the start's per-record scores, so its first
@@ -348,7 +349,7 @@ class DatasetEvaluator:
         model = self.family.build(theta)
         f, total, out, redo = self._on_plan(model)
         J, plus, minus, h = self._theta_map(theta, model)
-        grads = _log_density_grad(model, self._geometry)
+        grads = _log_density_grad(model, self._geometry, J.any(axis=1).tolist())
         wf = self._w[0] * f
         score = np.empty((self.n, J.shape[1]))
         with np.errstate(divide="ignore", invalid="ignore"):

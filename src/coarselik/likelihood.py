@@ -24,9 +24,10 @@ shared with inference.DatasetEvaluator, which falls back to this reference.
 The kernel runs in the two phases of the model components: its geometry
 (rate geometries at the flagged jumps, cum geometries over (0, C]) depends
 on the coordinates alone, so the evaluator builds it once per plan and
-evaluates it per theta, the density with _density_at and the derivatives
-of its log with _log_density_grad; _density composes both phases for one
-set of coordinates.
+evaluates it per theta, the density with _density_at and, in the values a
+caller needs, the derivatives of its log with _log_density_grad (log rates
+and cums, no rate); _density composes both phases for one set of
+coordinates.
 Here each term is integrated on the nested adaptive engine, with panels
 split at model rate discontinuities, at every pinned jump time, and at the
 bounds of the free ranges, so integrand kinks always land on panel edges.
@@ -81,19 +82,22 @@ def _density_at(model: IntensityModel, geometry):
     return out * np.exp(-total_cum)
 
 
-def _log_density_grad(model: IntensityModel, geometry):
-    """The derivatives of log _density_at with respect to model.values, one
-    array each, on the same geometry: each flagged rate's derivative over
-    the rate, minus each cum's derivative. Where a flagged rate is 0 the
-    density is 0 and the value is not finite."""
-    grads = [[-g for g in comp.cum_grad_at(gm)] for comp, gm in zip(model.components, geometry[1])]
+def _log_density_grad(model: IntensityModel, geometry, need):
+    """The derivatives of log _density_at with respect to the model.values
+    that `need` flags, a bool each, on the same geometry, and None for the
+    others: each flagged rate's log-derivative minus each cum's derivative.
+    Where a flagged rate is 0 the density is 0 and the value may not be
+    finite."""
+    needs, start = [], 0
+    for comp in model.components:
+        needs.append(need[start:start + len(comp.values)])
+        start += len(needs[-1])
+    grads = [[None if d is None else -d for d in comp.cum_grad_at(g, wanted)]
+             for comp, g, wanted in zip(model.components, geometry[1], needs)]
     for j, flag, g in geometry[0]:
-        comp = model.components[j]
-        rate = comp.rate_at(g)
-        for m, d in enumerate(comp.rate_grad_at(g)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = d / rate
-            grads[j][m] = grads[j][m] + (q if flag is None else np.where(flag, q, 0.0))
+        for m, d in enumerate(model.components[j].log_rate_grad_at(g, needs[j])):
+            if d is not None:
+                grads[j][m] = grads[j][m] + (d if flag is None else np.where(flag, d, 0.0))
     return [g for comp_grads in grads for g in comp_grads]
 
 

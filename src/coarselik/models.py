@@ -24,8 +24,9 @@ component of the same `structure`, so a batch whose times stay fixed (the
 nodes of a dataset plan) builds it once and evaluates it per parameter
 vector. `values` lists the numbers a component is built from (its
 baselines' values, each modifier's eta and gamma, the offset), and
-rate_grad_at and cum_grad_at return the derivatives of rate_at and cum_at
-with respect to each of them, in that order, on the same geometry.
+log_rate_grad_at and cum_grad_at return the derivatives of log rate_at and
+of cum_at with respect to each of them, in that order, on the same
+geometry: those of the values a `need` mask flags, None for the others.
 """
 
 from __future__ import annotations
@@ -185,20 +186,18 @@ class MultiplicativeComponent:
         return (*self.baseline.values,
                 *(x for trm in self.terms for x in (trm.eta, trm.gamma)), self.log_offset)
 
-    def rate_grad_at(self, geometry):
-        """The derivatives of rate_at with respect to `values`."""
-        t, gates_open, terms = geometry
-        scale = np.exp(self.log_offset)
-        if gates_open is not None:
-            scale = scale * gates_open
-        for trm, (active, Tc) in zip(self.terms, terms):
-            scale = scale * np.where(active, _multiplier(trm, Tc), 1.0)
-        rate = self.baseline.rate(t) * scale
-        grads = [g * scale for g in self.baseline.rate_grad(t)]
-        for trm, (active, Tc) in zip(self.terms, terms):
-            d_eta = np.where(active, rate, 0.0)
-            grads += [d_eta, d_eta * Tc.value() if Tc is not None else 0.0]
-        return grads + [rate]
+    def log_rate_grad_at(self, geometry, need):
+        """The derivatives of log rate_at with respect to the `values` that
+        `need` flags, a bool each, and None for the others: the baseline's,
+        each modifier's active mask (eta) and that times its filled time
+        (gamma), and 1 (the offset). Where a gate is closed they are those
+        of the open rate."""
+        t, _, terms = geometry
+        n_base = len(need) - 2 * len(terms) - 1
+        return (_wanted(self.baseline.log_rate_grad, t, need[:n_base])
+                + _term_grads([active for active, _ in terms], [Tc for _, Tc in terms],
+                              need[n_base:-1])
+                + [1.0 if need[-1] else None])
 
     def cum_geometry(self, t0, t1, T):
         """The theta-free part of cum(t0, t1, T): the range (lo, hi] cut at
@@ -241,35 +240,60 @@ class MultiplicativeComponent:
     def cum(self, t0, t1, T):
         return self.cum_at(self.cum_geometry(t0, t1, T))
 
-    def cum_grad_at(self, geometry):
-        """The derivatives of cum_at with respect to `values`."""
+    def cum_grad_at(self, geometry, need):
+        """The derivatives of cum_at with respect to the `values` that `need`
+        flags, a bool each, and None for the others."""
         hi_0, lo_0, fills, starts = geometry
+        n_base = len(need) - 2 * len(self.terms) - 1
+        need_base, need_terms = any(need[:n_base]), any(need[n_base:-1])
         scale = np.exp(self.log_offset)
         mult = [_multiplier(trm, Tc) for trm, Tc in zip(self.terms, fills)]
         coef = [c - 1.0 for c in mult]
         grad = self.baseline.cum0_grad
-        grad_hi = grad(hi_0)
-        base = grad_hi if lo_0 is None else [h - l for h, l in zip(grad_hi, grad(lo_0))]
-        bbar_hi = self.baseline.cum0(hi_0)
-        increments = [bbar_hi - self.baseline.cum0(start) for start in starts]
+        if need_base:
+            grad_hi = grad(hi_0)
+            base = grad_hi if lo_0 is None else [h - l for h, l in zip(grad_hi, grad(lo_0))]
+        if need_terms:
+            bbar_hi = self.baseline.cum0(hi_0)
+            increments = [bbar_hi - self.baseline.cum0(start) for start in starts]
         d_eta = [0.0] * len(self.terms)
-        for subset, k in zip(self._subsets, self._union_of):
-            cf = coef[subset[0]]
-            for m in subset[1:]:
-                cf = cf * coef[m]
-            base = [b + _times_increment(cf, h - s)
-                    for b, h, s in zip(base, grad_hi, grad(starts[k]))]
+        for subset, k in zip(self._subsets, self._union_of) if need_base or need_terms else ():
+            if need_base:
+                cf = coef[subset[0]]
+                for m in subset[1:]:
+                    cf = cf * coef[m]
+                base = [b + _times_increment(cf, h - s)
+                        for b, h, s in zip(base, grad_hi, grad(starts[k]))]
             # d(prod of coef)/d eta_m is c_m times the product of the others
-            for m in subset:
+            for m in subset if need_terms else ():
                 others = mult[m]
                 for o in subset:
                     if o != m:
                         others = others * coef[o]
                 d_eta[m] = d_eta[m] + _times_increment(others, increments[k])
-        grads = [b * scale for b in base]
-        for d, Tc in zip(d_eta, fills):
-            grads += [d * scale, d * scale * Tc.value() if Tc is not None else 0.0]
-        return grads + [self.cum_at(geometry)]
+        grads = [b * scale if wanted else None
+                 for b, wanted in zip(base, need)] if need_base else [None] * n_base
+        return (grads + _term_grads([d * scale for d in d_eta], fills, need[n_base:-1])
+                + [self.cum_at(geometry) if need[-1] else None])
+
+
+def _wanted(grad, t, need):
+    """The derivatives grad(t) that need flags, None for the others; grad
+    is not called when none is flagged."""
+    if not any(need):
+        return [None] * len(need)
+    return [g if wanted else None for g, wanted in zip(grad(t), need)]
+
+
+def _term_grads(d_eta, fills, need):
+    """Each modifier's derivatives, those need flags and None for the
+    others, from those in its eta: in its gamma they are those times its
+    filled time, and 0 for an interaction term."""
+    out = []
+    for m, (d, Tc) in enumerate(zip(d_eta, fills)):
+        out += [d if need[2 * m] else None,
+                None if not need[2 * m + 1] else 0.0 if Tc is None else d * Tc.value()]
+    return out
 
 
 def _multiplier(trm: ModifierTerm, Tc):
@@ -378,11 +402,16 @@ class PatternTableComponent:
     def values(self) -> tuple[float, ...]:
         return tuple(x for _, base in self.entries for x in base.values)
 
-    def rate_grad_at(self, geometry):
-        """The derivatives of rate_at with respect to `values`."""
+    def log_rate_grad_at(self, geometry, need):
+        """The derivatives of log rate_at with respect to the `values` that
+        `need` flags, a bool each, and None for the others. At most one
+        entry's window holds a time, and there they are its baseline's."""
         t, masks = geometry
-        return [g * inside for (_, base), inside in zip(self.entries, masks)
-                for g in base.rate_grad(t)]
+        grads = []
+        for (_, base), inside, wanted in zip(self.entries, masks, self._split(need)):
+            grads += [None if g is None else np.where(inside, g, 0.0)
+                      for g in _wanted(base.log_rate_grad, t, wanted)]
+        return grads
 
     def cum_geometry(self, t0, t1, T):
         """The theta-free part of cum(t0, t1, T): each entry's range, clipped
@@ -414,15 +443,25 @@ class PatternTableComponent:
     def cum(self, t0, t1, T):
         return self.cum_at(self.cum_geometry(t0, t1, T))
 
-    def cum_grad_at(self, geometry):
-        """The derivatives of cum_at with respect to `values`."""
+    def cum_grad_at(self, geometry, need):
+        """The derivatives of cum_at with respect to the `values` that `need`
+        flags, a bool each, and None for the others."""
         out = []
-        for (_, base), (hi_0, lo_0) in zip(self.entries, geometry):
-            grad_hi = base.cum0_grad(hi_0)
-            if lo_0 is not None:
-                grad_hi = [h - l for h, l in zip(grad_hi, base.cum0_grad(lo_0))]
+        for (_, base), (hi_0, lo_0), wanted in zip(self.entries, geometry, self._split(need)):
+            grad_hi = _wanted(base.cum0_grad, hi_0, wanted)
+            if lo_0 is not None and any(wanted):
+                grad_hi = [None if h is None else h - l
+                           for h, l in zip(grad_hi, base.cum0_grad(lo_0))]
             out += grad_hi
         return out
+
+    def _split(self, need):
+        """need cut into the entries' parts, one per baseline."""
+        parts, start = [], 0
+        for _, base in self.entries:
+            parts.append(need[start:start + len(base.values)])
+            start += len(base.values)
+        return parts
 
 
 class IntensityModel:

@@ -1,8 +1,10 @@
 """Maximum likelihood over parametric intensity families."""
 
+import json
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -552,6 +554,18 @@ def _fallback_case(tmp_path):
     return fam, records + [_rec(Interval(0.0, 3.0), Exact(6.0, True))], C, theta
 
 
+def _offset_case(tmp_path):
+    # death's log offset is a covariate coefficient times a known scale
+    _, records, C, _ = _workload_case("illness-death-panel", 40, tmp_path)
+    model = workloads.WORKLOADS["illness-death-panel"].model
+    illness, death = model["intensities"]
+    offset = {**death, "log_offset": {"coef": "beta", "scale": 0.7}}
+    (tmp_path / "offset.json").write_text(json.dumps(
+        {**model, "intensities": [illness, offset], "theta": {**model["theta"], "beta": 0.4}}))
+    cfg = load_model_config(tmp_path / "offset.json")
+    return cfg.family, records, C, cfg.theta_from()
+
+
 SCORE_CASES = {
     "illness-death-panel": lambda tmp: _workload_case("illness-death-panel", 40, tmp, a01=0.15),
     "dementia-visits": lambda tmp: _workload_case("dementia-visits", 12, tmp),
@@ -560,6 +574,7 @@ SCORE_CASES = {
     "gamma12": lambda tmp: _workload_case("weibull-hybrid", 40, tmp, gamma12=0.3, b01=1.2),
     "piecewise": _piecewise_case,
     "fallback": _fallback_case,
+    "offset": _offset_case,
 }
 
 
@@ -578,6 +593,29 @@ def test_score_matches_differences_of_the_total(case, tmp_path, monkeypatch):
     diffs = [(ev.total(theta + step) - ev.total(theta - step)) / (2 * hk)
              for hk, step in zip(h, h * np.eye(fam.k))]
     np.testing.assert_allclose(score.sum(axis=0), diffs, rtol=1e-6)
+
+
+def test_score_pass_builds_no_rate_or_cum_beyond_the_values_pass(tmp_path, monkeypatch):
+    # the score differentiates log rates, and forms a cum only for a free
+    # offset, which the dementia config has not
+    fam, records, C, theta = _workload_case("dementia-visits", 12, tmp_path)
+    ev = DatasetEvaluator(fam, records, C)
+    calls = Counter()
+    for name in ("rate_at", "cum_at"):
+        real = getattr(MultiplicativeComponent, name)
+        monkeypatch.setattr(MultiplicativeComponent, name,
+                            lambda self, g, name=name, real=real: calls.update([name])
+                            or real(self, g))
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("no record should take the fallback")
+
+    monkeypatch.setattr(inference, "loglik_atom", no_fallback)
+    ev.per_subject(theta)
+    values = dict(calls)
+    calls.clear()
+    ev.total_and_score(theta)
+    assert dict(calls) == values == {"rate_at": 3, "cum_at": 3}
 
 
 @pytest.mark.parametrize("stream", [4, 6])

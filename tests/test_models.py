@@ -202,3 +202,94 @@ def test_history_vector_and_jump_history_agree():
     a = intensity_eval(model, 2, 1.0, h)
     b = intensity_eval(model, 2, 1.0, [0.5, INF, INF])
     assert a == b
+
+
+def _baseline_from(base, v):
+    return PiecewiseConstant(base.grid, v) if isinstance(base, PiecewiseConstant) else type(base)(*v)
+
+
+def _rebuilt(comp, v):
+    """comp built again from another `values` vector v."""
+    if isinstance(comp, PatternTableComponent):
+        table, start = {}, 0
+        for bits, base in comp.entries:
+            table[bits] = _baseline_from(base, v[start:start + len(base.values)])
+            start += len(base.values)
+        return PatternTableComponent(comp.own, comp.p, table)
+    n = len(comp.baseline.values)
+    terms = tuple(ModifierTerm(trm.comps, v[n + 2 * i], v[n + 2 * i + 1])
+                  for i, trm in enumerate(comp.terms))
+    return MultiplicativeComponent(comp.own, _baseline_from(comp.baseline, v[:n]),
+                                   comp.gates, terms, v[-1])
+
+
+GRAD_CASES = {
+    "constant": MultiplicativeComponent(2, Constant(0.3), log_offset=0.2),
+    **{f"weibull-{b}": MultiplicativeComponent(2, Weibull(0.4, b), log_offset=-0.1)
+       for b in (0.7, 1.0, 1.3)},
+    # the middle piece is a literal zero rate, and nodes sit on both cuts
+    "piecewise": MultiplicativeComponent(2, PiecewiseConstant((1.0, 2.0), (0.3, 0.0, 0.5)),
+                                         log_offset=0.1),
+    "modifier-gamma": MultiplicativeComponent(
+        2, Weibull(0.4, 1.3), terms=(ModifierTerm((0,), 0.3, gamma=-0.4),), log_offset=0.1),
+    "interaction": MultiplicativeComponent(
+        2, Constant(0.2), terms=(ModifierTerm((0,), 0.2, gamma=0.1),
+                                 ModifierTerm((1,), -0.1, gamma=-0.2),
+                                 ModifierTerm((0, 1), 0.15)), log_offset=0.1),
+    "gated": MultiplicativeComponent(2, Constant(0.2), gates=(1,),
+                                     terms=(ModifierTerm((0,), 0.3, gamma=0.2),), log_offset=0.1),
+    "pattern-table": PatternTableComponent(2, 3, {
+        (0, 0, 0): Constant(0.2), (1, 0, 0): Weibull(0.3, 1.2),
+        (1, 1, 0): PiecewiseConstant((1.5,), (0.4, 0.6))}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAD_CASES))
+def test_derivatives_match_central_differences(case):
+    comp = GRAD_CASES[case]
+    t = np.array([0.2, 0.5, 1.0, 1.3, 2.0, 2.0, 2.5, 3.0, 3.0])
+    T = [np.array([INF, 0.3, 0.3, 1.1, 1.5, INF, 0.7, 2.9, 0.4]),
+         np.array([INF, INF, 0.6, 0.2, 1.8, 1.2, INF, 1.0, 2.0]),
+         np.array([INF, 0.4, INF, 1.2, INF, 1.9, 2.2, INF, 2.5])]
+    t0 = np.array([0.0, 0.1, 0.5, 0.0, 1.0, 0.3, 2.0, 0.0, 1.5])
+    v = np.array(comp.values)
+    # an interaction term's gamma stays 0, so it has no difference to take
+    fixed = np.zeros(v.size, dtype=bool)
+    if isinstance(comp, MultiplicativeComponent):
+        n = len(comp.baseline.values)
+        for i, trm in enumerate(comp.terms):
+            fixed[n + 2 * i + 1] = len(trm.comps) > 1
+    need = (~fixed).tolist()
+    rate_geometry, cum_geometry = comp.rate_geometry(t, T), comp.cum_geometry(t0, t, T)
+    log_rate_grad = comp.log_rate_grad_at(rate_geometry, need)
+    cum_grad = comp.cum_grad_at(cum_geometry, need)
+    # log rate exists where the rate is positive
+    positive = comp.rate_at(rate_geometry) > 0
+    assert positive.sum() >= 3
+    for m in range(v.size):
+        if fixed[m]:
+            assert log_rate_grad[m] is None and cum_grad[m] is None
+            continue
+        h = 1e-5 * max(abs(v[m]), 0.1)
+        # the zero rate takes a forward difference: cum is linear in it, and
+        # log rate does not depend on it where the rate is positive
+        up, down = v.copy(), v.copy()
+        up[m] += h
+        down[m] -= h if v[m] else 0.0
+        width = up[m] - down[m]
+        hi_comp, lo_comp = _rebuilt(comp, up), _rebuilt(comp, down)
+        log_rate_diff = (np.log(hi_comp.rate_at(rate_geometry)[positive])
+                         - np.log(lo_comp.rate_at(rate_geometry)[positive])) / width
+        cum_diff = (hi_comp.cum_at(cum_geometry) - lo_comp.cum_at(cum_geometry)) / width
+        np.testing.assert_allclose(np.broadcast_to(log_rate_grad[m], t.shape)[positive],
+                                   log_rate_diff, rtol=1e-6, atol=1e-9, err_msg=f"value {m}")
+        np.testing.assert_allclose(np.broadcast_to(cum_grad[m], t.shape), cum_diff,
+                                   rtol=1e-6, atol=1e-9, err_msg=f"value {m}")
+        # a value asked for alone gets the same bits, and nothing else is formed
+        alone = [k == m for k in range(v.size)]
+        for grads, full in ((comp.log_rate_grad_at(rate_geometry, alone), log_rate_grad),
+                            (comp.cum_grad_at(cum_geometry, alone), cum_grad)):
+            assert [k for k, g in enumerate(grads) if g is not None] == [m]
+            assert np.array_equal(grads[m], full[m])
+    assert comp.log_rate_grad_at(rate_geometry, [False] * v.size) == [None] * v.size
+    assert comp.cum_grad_at(cum_geometry, [False] * v.size) == [None] * v.size

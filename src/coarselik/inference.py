@@ -27,9 +27,10 @@ g_r the derivatives of log f_r. The family's map from theta to the model's
 values (baseline parameters, modifier eta and gamma, offsets) is
 differenced over models built at theta +- h_k e_k, 2k builds and no kernel
 pass, exact up to rounding for a value affine in theta, as every config
-family's is. The kernel then gives d log f_r in only the values that map
-reaches, from log rates and cums: no rate is built and nothing divided. A
-record on the fallback gets central differences of loglik_atom.
+family's is. The same kernel walk that gives f_r then gives d log f_r in
+only the values that map reaches, from log rates and cums: no rate or cum
+is built twice and nothing divided. A record on the fallback gets central
+differences of loglik_atom.
 
 fit_mle runs BFGS on that score. Its search variables are scaled by the
 BHHH matrix sum_i s_i s_i^T of the start's per-record scores, so its first
@@ -48,13 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
-from .likelihood import (
-    _density_at,
-    _density_geometry,
-    _layout_codes,
-    _log_density_grad,
-    loglik_atom,
-)
+from .likelihood import _density_at, _density_geometry, _layout_codes, loglik_atom
 from .models import IntensityModel
 from .observation import PseudoAtomRecord, StatusCodes
 from .quadrature import (
@@ -204,9 +199,7 @@ class DatasetEvaluator:
         self.n_tolerance_failures = 0
         if not self.n:
             raise InvalidInputError("empty dataset")
-        probe = family.build(family.from_search(np.zeros(family.k)))
-        self.p = probe.p
-        self._build_plan(probe)
+        self._build_plan(family.build(family.from_search(np.zeros(family.k))))
 
     def _build_plan(self, probe):
         n = self.n
@@ -275,31 +268,32 @@ class DatasetEvaluator:
         self._structure = probe.structure
         self._geometry = _density_geometry(probe, S, F, self.C)
 
-    def _on_plan(self, model):
-        """The density on the plan, each record's K15 sum and its log, and
-        the records the fallback computes."""
+    def _on_plan(self, model, need=None):
+        """One kernel pass on the plan: each record's log-likelihood (the
+        fallback's records computed by loglik_atom), the density at the
+        nodes, the derivatives of its log in the model values `need` flags
+        (None without), each record's K15 sum, and the fallback's records."""
         n = self.n
         # a builder may change the structure with theta, and with its gates
         # the cuts of the plan: never reuse a plan built for another one
         if model.structure != self._structure:
             self._build_plan(model)
-        f = _density_at(model, self._geometry)
+        f, grads = _density_at(model, self._geometry, need)
         # the K15 sums; the error adds each level's |K15 - G7|
         total, *low = (np.bincount(self._rec, weights=w * f, minlength=n) for w in self._w)
         err = sum(np.abs(total - x) for x in low)
         with np.errstate(divide="ignore"):
             out = np.log(np.maximum(total, 0.0))
         rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
-        redo = self._over_budget | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol))
-        return f, total, out, np.flatnonzero(redo)
+        redo = np.flatnonzero(self._over_budget
+                              | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol)))
+        for i in redo:
+            out[i] = loglik_atom(model, self.codes.record(i), self.C, **self.quad_opts)
+        return out, f, grads, total, redo
 
     def per_subject(self, theta) -> np.ndarray:
         """Per-record log-likelihood at natural-scale theta."""
-        model = self.family.build(theta)
-        _, _, out, redo = self._on_plan(model)
-        for i in redo:
-            out[i] = loglik_atom(model, self.codes.record(i), self.C, **self.quad_opts)
-        return out
+        return self._on_plan(self.family.build(theta))[0]
 
     def _theta_map(self, theta, model):
         """The derivatives of model.values in theta, by central differences
@@ -347,9 +341,8 @@ class DatasetEvaluator:
 
     def _total_and_score(self, theta):
         model = self.family.build(theta)
-        f, total, out, redo = self._on_plan(model)
         J, plus, minus, h = self._theta_map(theta, model)
-        grads = _log_density_grad(model, self._geometry, J.any(axis=1).tolist())
+        out, f, grads, total, redo = self._on_plan(model, J.any(axis=1).tolist())
         wf = self._w[0] * f
         score = np.empty((self.n, J.shape[1]))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -360,7 +353,6 @@ class DatasetEvaluator:
                 score[:, k] = np.bincount(self._rec, weights=wfg, minlength=self.n) / total
         for i in redo:
             rec = self.codes.record(i)
-            out[i] = loglik_atom(model, rec, self.C, **self.quad_opts)
             for k, (mp, mm, hk) in enumerate(zip(plus, minus, h)):
                 score[i, k] = _difference(self._stencil_point(mp, rec), out[i],
                                           self._stencil_point(mm, rec), hk)
@@ -383,6 +375,11 @@ class DatasetEvaluator:
         return self.total_and_score(theta)[0]
 
 
+# over the whole fit a -inf log-likelihood is a legitimate value: a start
+# that gives one (a cum overflowing, say) is rejected, and the line search
+# that meets one (a +inf objective) does inf - inf arithmetic and recovers
+# from it, so their warnings carry no news
+@np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | StatusCodes,
             C: float, init, *, rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> FitResult:
     """Maximize the dataset log-likelihood over the family's parameters.
@@ -440,12 +437,8 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
     # only a fit needs scipy; importing it at module level slows every command's start-up
     from scipy.optimize import minimize
 
-    # a -inf log-likelihood is a legitimate objective value (+inf); the
-    # line search that meets one does inf - inf arithmetic and recovers
-    # from it, so its warnings carry no news
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        bfgs = minimize(objective, np.zeros(family.k), jac=True, method="BFGS",
-                        options={"gtol": 1e-6, "maxiter": 200})
+    bfgs = minimize(objective, np.zeros(family.k), jac=True, method="BFGS",
+                    options={"gtol": 1e-6, "maxiter": 200})
     u_hat = u0 + M @ bfgs.x
     loglik, score = loglik_and_score(u_hat)
     grad = score.sum(axis=0)

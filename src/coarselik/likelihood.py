@@ -24,10 +24,10 @@ shared with inference.DatasetEvaluator, which falls back to this reference.
 The kernel runs in the two phases of the model components: its geometry
 (rate geometries at the flagged jumps, cum geometries over (0, C]) depends
 on the coordinates alone, so the evaluator builds it once per plan and
-evaluates it per theta, the density with _density_at and, in the values a
-caller needs, the derivatives of its log with _log_density_grad (log rates
-and cums, no rate); _density composes both phases for one set of
-coordinates.
+evaluates it per theta with _density_at, one walk that gives the density
+and, in the values a caller needs, the derivatives of its log (those of
+the log rates and the cums each component returns beside its value);
+_density composes both phases for one set of coordinates.
 Here each term is integrated on the nested adaptive engine, with panels
 split at model rate discontinuities, at every pinned jump time, and at the
 bounds of the free ranges, so integrand kinks always land on panel edges.
@@ -69,41 +69,35 @@ def _density_geometry(model: IntensityModel, s, flags, C: float):
     return rates, [comp.cum_geometry(0.0, C, s) for comp in model.components]
 
 
-def _density_at(model: IntensityModel, geometry):
-    """_density on a _density_geometry of a model of the same structure."""
+def _density_at(model: IntensityModel, geometry, need=None):
+    """_density on a _density_geometry of a model of the same structure, and
+    the derivatives of its log with respect to the model.values that `need`
+    flags, a bool each, and None for the others (None without a `need`):
+    each flagged rate's log-derivative minus each cum's derivative. Where a
+    flagged rate is 0 the density is 0 and a derivative may not be finite."""
     rates, cums = geometry
+    needs, start = [None] * model.p, 0
+    for j, comp in enumerate(model.components if need is not None else ()):
+        needs[j] = need[start:start + len(comp.values)]
+        start += len(needs[j])
+    total_cum, grads = 0.0, []
+    for comp, g, wanted in zip(model.components, cums, needs):
+        cum, d = comp.cum_at(g, wanted)
+        total_cum = total_cum + cum
+        grads.append(d and [None if x is None else -x for x in d])
     out = 1.0
     for j, flag, g in rates:
-        rate = model.components[j].rate_at(g)
+        rate, d = model.components[j].rate_at(g, needs[j])
         out = out * (rate if flag is None else np.where(flag, rate, 1.0))
-    total_cum = 0.0
-    for comp, g in zip(model.components, cums):
-        total_cum = total_cum + comp.cum_at(g)
-    return out * np.exp(-total_cum)
-
-
-def _log_density_grad(model: IntensityModel, geometry, need):
-    """The derivatives of log _density_at with respect to the model.values
-    that `need` flags, a bool each, on the same geometry, and None for the
-    others: each flagged rate's log-derivative minus each cum's derivative.
-    Where a flagged rate is 0 the density is 0 and the value may not be
-    finite."""
-    needs, start = [], 0
-    for comp in model.components:
-        needs.append(need[start:start + len(comp.values)])
-        start += len(needs[-1])
-    grads = [[None if d is None else -d for d in comp.cum_grad_at(g, wanted)]
-             for comp, g, wanted in zip(model.components, geometry[1], needs)]
-    for j, flag, g in geometry[0]:
-        for m, d in enumerate(model.components[j].log_rate_grad_at(g, needs[j])):
-            if d is not None:
-                grads[j][m] = grads[j][m] + (d if flag is None else np.where(flag, d, 0.0))
-    return [g for comp_grads in grads for g in comp_grads]
+        for m, x in enumerate(d or ()):
+            if x is not None:
+                grads[j][m] = grads[j][m] + (x if flag is None else np.where(flag, x, 0.0))
+    return out * np.exp(-total_cum), None if need is None else [x for d in grads for x in d]
 
 
 def _density(model: IntensityModel, s, flags, C: float):
     """Density factor: rates at flagged jump times, times exp(-Lambda(C))."""
-    return _density_at(model, _density_geometry(model, s, flags, C))
+    return _density_at(model, _density_geometry(model, s, flags, C))[0]
 
 
 def f_theta(model: IntensityModel, s, C: float):

@@ -23,10 +23,10 @@ the offset. rate and cum are the two phases composed; a geometry serves any
 component of the same `structure`, so a batch whose times stay fixed (the
 nodes of a dataset plan) builds it once and evaluates it per parameter
 vector. `values` lists the numbers a component is built from (its
-baselines' values, each modifier's eta and gamma, the offset), and
-log_rate_grad_at and cum_grad_at return the derivatives of log rate_at and
-of cum_at with respect to each of them, in that order, on the same
-geometry: those of the values a `need` mask flags, None for the others.
+baselines' values, each modifier's eta and gamma, the offset). rate_at and
+cum_at return a pair: the value, and with a `need` mask (a bool per value)
+the derivatives of log rate and of cum with respect to each value it
+flags, in that order, None for the others; without one, None.
 """
 
 from __future__ import annotations
@@ -168,36 +168,33 @@ class MultiplicativeComponent:
             terms.append((active, _filled(T, trm)))
         return t, gates_open, terms
 
-    def rate_at(self, geometry):
-        """rate() on a rate_geometry of a component of the same structure."""
+    def rate_at(self, geometry, need=None):
+        """rate() on a rate_geometry of a component of the same structure,
+        and the derivatives of its log that `need` flags: the baseline's,
+        each modifier's active mask (eta) and that times its filled time
+        (gamma), and 1 (the offset). Where a gate is closed they are those
+        of the open rate."""
         t, gates_open, terms = geometry
         out = self.baseline.rate(t) * np.exp(self.log_offset)
         if gates_open is not None:
             out = out * gates_open
         for trm, (active, Tc) in zip(self.terms, terms):
             out = out * np.where(active, _multiplier(trm, Tc), 1.0)
-        return out
+        if need is None:
+            return out, None
+        n_base = len(self.baseline.values)
+        return out, (_wanted(self.baseline.log_rate_grad, t, need[:n_base])
+                     + _term_grads([active for active, _ in terms], [Tc for _, Tc in terms],
+                                   need[n_base:-1])
+                     + [1.0 if need[-1] else None])
 
     def rate(self, t, T):
-        return self.rate_at(self.rate_geometry(t, T))
+        return self.rate_at(self.rate_geometry(t, T))[0]
 
     @property
     def values(self) -> tuple[float, ...]:
         return (*self.baseline.values,
                 *(x for trm in self.terms for x in (trm.eta, trm.gamma)), self.log_offset)
-
-    def log_rate_grad_at(self, geometry, need):
-        """The derivatives of log rate_at with respect to the `values` that
-        `need` flags, a bool each, and None for the others: the baseline's,
-        each modifier's active mask (eta) and that times its filled time
-        (gamma), and 1 (the offset). Where a gate is closed they are those
-        of the open rate."""
-        t, _, terms = geometry
-        n_base = len(need) - 2 * len(terms) - 1
-        return (_wanted(self.baseline.log_rate_grad, t, need[:n_base])
-                + _term_grads([active for active, _ in terms], [Tc for _, Tc in terms],
-                              need[n_base:-1])
-                + [1.0 if need[-1] else None])
 
     def cum_geometry(self, t0, t1, T):
         """The theta-free part of cum(t0, t1, T): the range (lo, hi] cut at
@@ -221,47 +218,30 @@ class MultiplicativeComponent:
         lo_0 = None if np.ndim(t0) == 0 and t0 <= 0 else np.maximum(lo, 0.0)
         return np.maximum(hi, 0.0), lo_0, [_filled(T, trm) for trm in self.terms], starts
 
-    def cum_at(self, geometry):
-        """cum() on a cum_geometry of a component of the same structure."""
+    def cum_at(self, geometry, need=None):
+        """cum() on a cum_geometry of a component of the same structure, and
+        its derivatives that `need` flags."""
         hi_0, lo_0, fills, starts = geometry
-        bbar = self.baseline.cum0
-        coef = [_multiplier(trm, Tc) - 1.0 for trm, Tc in zip(self.terms, fills)]
-
+        bbar, grad = self.baseline.cum0, self.baseline.cum0_grad
+        mult = [_multiplier(trm, Tc) for trm, Tc in zip(self.terms, fills)]
+        coef = [c - 1.0 for c in mult]
         bbar_hi = bbar(hi_0)
         total = bbar_hi if lo_0 is None else bbar_hi - bbar(lo_0)
         increments = [bbar_hi - bbar(start) for start in starts]
+        need_base = need_terms = False
+        if need is not None:
+            n_base = len(self.baseline.values)
+            need_base, need_terms = any(need[:n_base]), any(need[n_base:-1])
+            d_eta = [0.0] * len(self.terms)
+        if need_base:
+            grad_hi = grad(hi_0)
+            base = grad_hi if lo_0 is None else [h - l for h, l in zip(grad_hi, grad(lo_0))]
         for subset, k in zip(self._subsets, self._union_of):
             cf = coef[subset[0]]
             for m in subset[1:]:
                 cf = cf * coef[m]
             total = total + _times_increment(cf, increments[k])
-        return total * np.exp(self.log_offset)
-
-    def cum(self, t0, t1, T):
-        return self.cum_at(self.cum_geometry(t0, t1, T))
-
-    def cum_grad_at(self, geometry, need):
-        """The derivatives of cum_at with respect to the `values` that `need`
-        flags, a bool each, and None for the others."""
-        hi_0, lo_0, fills, starts = geometry
-        n_base = len(need) - 2 * len(self.terms) - 1
-        need_base, need_terms = any(need[:n_base]), any(need[n_base:-1])
-        scale = np.exp(self.log_offset)
-        mult = [_multiplier(trm, Tc) for trm, Tc in zip(self.terms, fills)]
-        coef = [c - 1.0 for c in mult]
-        grad = self.baseline.cum0_grad
-        if need_base:
-            grad_hi = grad(hi_0)
-            base = grad_hi if lo_0 is None else [h - l for h, l in zip(grad_hi, grad(lo_0))]
-        if need_terms:
-            bbar_hi = self.baseline.cum0(hi_0)
-            increments = [bbar_hi - self.baseline.cum0(start) for start in starts]
-        d_eta = [0.0] * len(self.terms)
-        for subset, k in zip(self._subsets, self._union_of) if need_base or need_terms else ():
             if need_base:
-                cf = coef[subset[0]]
-                for m in subset[1:]:
-                    cf = cf * coef[m]
                 base = [b + _times_increment(cf, h - s)
                         for b, h, s in zip(base, grad_hi, grad(starts[k]))]
             # d(prod of coef)/d eta_m is c_m times the product of the others
@@ -271,10 +251,17 @@ class MultiplicativeComponent:
                     if o != m:
                         others = others * coef[o]
                 d_eta[m] = d_eta[m] + _times_increment(others, increments[k])
+        scale = np.exp(self.log_offset)
+        total = total * scale
+        if need is None:
+            return total, None
         grads = [b * scale if wanted else None
                  for b, wanted in zip(base, need)] if need_base else [None] * n_base
-        return (grads + _term_grads([d * scale for d in d_eta], fills, need[n_base:-1])
-                + [self.cum_at(geometry) if need[-1] else None])
+        return total, (grads + _term_grads([d * scale for d in d_eta], fills, need[n_base:-1])
+                       + [total if need[-1] else None])
+
+    def cum(self, t0, t1, T):
+        return self.cum_at(self.cum_geometry(t0, t1, T))[0]
 
 
 def _wanted(grad, t, need):
@@ -387,31 +374,25 @@ class PatternTableComponent:
             masks.append((enter < t) & (t <= exit_))
         return t, masks
 
-    def rate_at(self, geometry):
-        """rate() on a rate_geometry of a component of the same structure."""
+    def rate_at(self, geometry, need=None):
+        """rate() on a rate_geometry of a component of the same structure,
+        and the derivatives of its log that `need` flags. At most one
+        entry's window holds a time, and there they are its baseline's."""
         t, masks = geometry
-        out = 0.0
-        for (_, base), inside in zip(self.entries, masks):
+        out, grads = 0.0, None if need is None else []
+        for (_, base), inside, wanted in zip(self.entries, masks, self._split(need)):
             out = out + base.rate(t) * inside
-        return out
+            if wanted is not None:
+                grads += [None if g is None else np.where(inside, g, 0.0)
+                          for g in _wanted(base.log_rate_grad, t, wanted)]
+        return out, grads
 
     def rate(self, t, T):
-        return self.rate_at(self.rate_geometry(t, T))
+        return self.rate_at(self.rate_geometry(t, T))[0]
 
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(x for _, base in self.entries for x in base.values)
-
-    def log_rate_grad_at(self, geometry, need):
-        """The derivatives of log rate_at with respect to the `values` that
-        `need` flags, a bool each, and None for the others. At most one
-        entry's window holds a time, and there they are its baseline's."""
-        t, masks = geometry
-        grads = []
-        for (_, base), inside, wanted in zip(self.entries, masks, self._split(need)):
-            grads += [None if g is None else np.where(inside, g, 0.0)
-                      for g in _wanted(base.log_rate_grad, t, wanted)]
-        return grads
 
     def cum_geometry(self, t0, t1, T):
         """The theta-free part of cum(t0, t1, T): each entry's range, clipped
@@ -432,31 +413,29 @@ class PatternTableComponent:
             ranges.append((np.maximum(hi, 0.0), None if opens_at_0 else np.maximum(lo, 0.0)))
         return ranges
 
-    def cum_at(self, geometry):
-        """cum() on a cum_geometry of a component of the same structure."""
-        out = 0.0
-        for (_, base), (hi_0, lo_0) in zip(self.entries, geometry):
+    def cum_at(self, geometry, need=None):
+        """cum() on a cum_geometry of a component of the same structure, and
+        its derivatives that `need` flags."""
+        out, grads = 0.0, None if need is None else []
+        for (_, base), (hi_0, lo_0), wanted in zip(self.entries, geometry, self._split(need)):
             cum_hi = base.cum0(hi_0)
             out = out + np.maximum(cum_hi if lo_0 is None else cum_hi - base.cum0(lo_0), 0.0)
-        return out
+            if wanted is not None:
+                grad_hi = _wanted(base.cum0_grad, hi_0, wanted)
+                if lo_0 is not None and any(wanted):
+                    grad_hi = [None if h is None else h - l
+                               for h, l in zip(grad_hi, base.cum0_grad(lo_0))]
+                grads += grad_hi
+        return out, grads
 
     def cum(self, t0, t1, T):
-        return self.cum_at(self.cum_geometry(t0, t1, T))
-
-    def cum_grad_at(self, geometry, need):
-        """The derivatives of cum_at with respect to the `values` that `need`
-        flags, a bool each, and None for the others."""
-        out = []
-        for (_, base), (hi_0, lo_0), wanted in zip(self.entries, geometry, self._split(need)):
-            grad_hi = _wanted(base.cum0_grad, hi_0, wanted)
-            if lo_0 is not None and any(wanted):
-                grad_hi = [None if h is None else h - l
-                           for h, l in zip(grad_hi, base.cum0_grad(lo_0))]
-            out += grad_hi
-        return out
+        return self.cum_at(self.cum_geometry(t0, t1, T))[0]
 
     def _split(self, need):
-        """need cut into the entries' parts, one per baseline."""
+        """need cut into the entries' parts, one per baseline; None each
+        without one."""
+        if need is None:
+            return [None] * len(self.entries)
         parts, start = [], 0
         for _, base in self.entries:
             parts.append(need[start:start + len(base.values)])

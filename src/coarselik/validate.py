@@ -50,19 +50,25 @@ class CheckResult:
         return f"{verdict}  {self.name}: observed {self.observed:.3e} <= {self.bound:.1e}{extra}"
 
 
+# the suites' fixed settings: trials, seeds and the bounds their worst
+# discrepancies must stay under
+_MARKOV_TRIALS, _MARKOV_SEED, _MARKOV_TOL = 25, 20260825, 1e-6
+_MC_Z_BOUND = 4.0
+_DEMENTIA_SEED, _DEMENTIA_TOL = 7, 1e-6
+
+
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-12)
 
 
-def markov_oracle_suite(trials: int = 25, seed: int = 20260825,
-                        tol: float = 1e-6) -> list[CheckResult]:
+def markov_oracle_suite() -> list[CheckResult]:
     """Engine vs transition-matrix likelihoods on illness-death records."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_MARKOV_SEED)
     shapes = ("never ill, died", "never ill, censored",
               "interval ill, died", "conditioned, interval ill, died")
     worst = {(k, s): 0.0 for k in ("constant", "weibull") for s in shapes}
     C, visits, T, v0 = 2.0, [0.0, 0.4, 0.9, 1.4], 1.7, 0.5
-    for trial in range(trials):
+    for trial in range(_MARKOV_TRIALS):
         if trial % 2 == 0:
             kind = "constant"
             rates = [Constant(rng.uniform(0.1, 1.2)) for _ in range(3)]
@@ -89,7 +95,7 @@ def markov_oracle_suite(trials: int = 25, seed: int = 20260825,
         for name, eng, orc in pairs:
             worst[(kind, name)] = max(worst[(kind, name)], _rel(eng, orc))
     return [
-        CheckResult(f"markov oracle / {kind} / {name}", obs <= tol, obs, tol)
+        CheckResult(f"markov oracle / {kind} / {name}", obs <= _MARKOV_TOL, obs, _MARKOV_TOL)
         for (kind, name), obs in worst.items()
     ]
 
@@ -142,8 +148,7 @@ def _mc_cells():
     return cells
 
 
-def monte_carlo_suite(n_paths: int = 100_000, seed: int = 31,
-                      z_bound: float = 4.0) -> list[CheckResult]:
+def monte_carlo_suite(n_paths: int = 100_000, seed: int = 31) -> list[CheckResult]:
     """Engine record probabilities vs simulated frequencies.
 
     Each cell is one coarse record; the engine value exponentiates to a
@@ -156,16 +161,15 @@ def monte_carlo_suite(n_paths: int = 100_000, seed: int = 31,
         est, se, matches = mc_check(model, scheme, atom, n_paths, seed + k)
         z = abs(engine - est) / se
         out.append(CheckResult(
-            f"monte carlo / {label}", z <= z_bound, z, z_bound,
+            f"monte carlo / {label}", z <= _MC_Z_BOUND, z, _MC_Z_BOUND,
             detail=f"engine {engine:.5e}, simulated {est:.5e}, {matches} matches",
         ))
     return out
 
 
-def dementia_reference_suite(draws: int = 50, seed: int = 7,
-                             tol: float = 1e-6) -> list[CheckResult]:
+def dementia_reference_suite(draws: int = 50) -> list[CheckResult]:
     """Generic corner expansion vs the iterated-integral transcription."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DEMENTIA_SEED)
     died = Exact(1.3, True)
     cens = Exact(2.0, False)
     shapes = [
@@ -193,7 +197,7 @@ def dementia_reference_suite(draws: int = 50, seed: int = 7,
             ref = dementia_reference_loglik(model, atom, 2.0)
             worst[name] = max(worst[name], _rel(eng, ref))
     return [
-        CheckResult(f"dementia reference / {name}", obs <= tol, obs, tol)
+        CheckResult(f"dementia reference / {name}", obs <= _DEMENTIA_TOL, obs, _DEMENTIA_TOL)
         for name, obs in worst.items()
     ]
 

@@ -406,6 +406,22 @@ def test_fit_round_trip(tmp_path, configs, capsys):
     assert report["loglik"] < 0
 
 
+def test_fit_is_reproducible_and_thread_invariant(tmp_path, configs, capsys):
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme,
+                 "--n", "150", "--seed", "3", "--out", str(data)]) == 0
+    capsys.readouterr()
+    outs = []
+    for name, threads in (("a.json", 1), ("b.json", 1), ("c.json", 3)):
+        report = tmp_path / name
+        assert main(["fit", "--model", model, "--scheme", scheme, "--data", str(data),
+                     "--out", str(report), "--threads", str(threads)]) == 0
+        outs.append((capsys.readouterr().out, report.read_bytes()))
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0][0] and outs[0][1]
+
+
 def test_fit_reports_tolerance_failures_on_stderr(tmp_path, configs, capsys, monkeypatch):
     model, scheme = configs
     data = tmp_path / "cohort.csv"

@@ -103,12 +103,22 @@ def test_impossible_start_names_the_subject():
     assert exc.value.subject_index == 1
 
 
+def test_overflowing_start_is_rejected_without_warnings():
+    # a start far out overflows the cumulative hazards: the fit rejects it
+    # as a -inf start, the suite's warning filter raising nothing before
+    fam = illness_death_family("constant")
+    scheme = panel_death_scheme([0.5, 1.0, 1.5], 2.0)
+    records = panel_records(fam.build([0.35, 0.25, 0.8]), scheme, 20, seed=3)
+    with pytest.raises(InvalidStartError):
+        fit_mle(fam, records, scheme.horizon, [1e308, 0.2, 0.3])
+
+
 def test_fit_runs_one_kernel_pass_per_evaluation(monkeypatch):
     # one geometry per fit; every counted evaluation, the start's and the
-    # Hessian's included, is one pass for the values and one for the score
+    # Hessian's included, is one kernel pass for the values and the score
     fam = exponential_family()
     records = [PseudoAtomRecord((Exact(0.5, True),)), PseudoAtomRecord((Exact(2.0, False),))]
-    builds, values, scores = [], [], []
+    builds, passes = [], []
 
     def counted(calls, real):
         def wrapper(*args):
@@ -118,12 +128,11 @@ def test_fit_runs_one_kernel_pass_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(inference, "_density_geometry",
                         counted(builds, inference._density_geometry))
-    monkeypatch.setattr(inference, "_density_at", counted(values, inference._density_at))
-    monkeypatch.setattr(inference, "_log_density_grad",
-                        counted(scores, inference._log_density_grad))
+    monkeypatch.setattr(inference, "_density_at", counted(passes, inference._density_at))
     res = fit_mle(fam, records, 2.0, [0.2])
     assert len(builds) == 1
-    assert len(values) == len(scores) == res.n_evaluations
+    assert len(passes) == res.n_evaluations
+    assert all(need is not None for _, _, need in passes)
     assert res.n_evaluations > 2 * fam.k
 
 
@@ -518,7 +527,7 @@ def test_geometry_holds_for_every_theta(workload, n, moves, tmp_path, monkeypatc
         got = ev.per_subject(th)
         with monkeypatch.context() as m:
             m.setattr(inference, "_density_at",
-                      lambda model, _: _density(model, ev._s, ev._f, ev.C))
+                      lambda model, _, need: (_density(model, ev._s, ev._f, ev.C), None))
             ref = ev.per_subject(th)
         assert np.array_equal(got, ref), th
 
@@ -604,8 +613,8 @@ def test_score_pass_builds_no_rate_or_cum_beyond_the_values_pass(tmp_path, monke
     for name in ("rate_at", "cum_at"):
         real = getattr(MultiplicativeComponent, name)
         monkeypatch.setattr(MultiplicativeComponent, name,
-                            lambda self, g, name=name, real=real: calls.update([name])
-                            or real(self, g))
+                            lambda self, g, need=None, name=name, real=real:
+                            calls.update([name]) or real(self, g, need))
 
     def no_fallback(*args, **kwargs):
         raise AssertionError("no record should take the fallback")

@@ -244,6 +244,10 @@ GRAD_CASES = {
 }
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("case", sorted(GRAD_CASES))
 def test_derivatives_match_central_differences(case):
     comp = GRAD_CASES[case]
@@ -261,10 +265,14 @@ def test_derivatives_match_central_differences(case):
             fixed[n + 2 * i + 1] = len(trm.comps) > 1
     need = (~fixed).tolist()
     rate_geometry, cum_geometry = comp.rate_geometry(t, T), comp.cum_geometry(t0, t, T)
-    log_rate_grad = comp.log_rate_grad_at(rate_geometry, need)
-    cum_grad = comp.cum_grad_at(cum_geometry, need)
+    rate, log_rate_grad = comp.rate_at(rate_geometry, need)
+    cum, cum_grad = comp.cum_at(cum_geometry, need)
+    # the value comes with the same bits whatever is asked for beside it
+    for (value, grads), full_value in ((comp.rate_at(rate_geometry), rate),
+                                       (comp.cum_at(cum_geometry), cum)):
+        assert grads is None and _bits(value) == _bits(full_value)
     # log rate exists where the rate is positive
-    positive = comp.rate_at(rate_geometry) > 0
+    positive = rate > 0
     assert positive.sum() >= 3
     for m in range(v.size):
         if fixed[m]:
@@ -278,18 +286,21 @@ def test_derivatives_match_central_differences(case):
         down[m] -= h if v[m] else 0.0
         width = up[m] - down[m]
         hi_comp, lo_comp = _rebuilt(comp, up), _rebuilt(comp, down)
-        log_rate_diff = (np.log(hi_comp.rate_at(rate_geometry)[positive])
-                         - np.log(lo_comp.rate_at(rate_geometry)[positive])) / width
-        cum_diff = (hi_comp.cum_at(cum_geometry) - lo_comp.cum_at(cum_geometry)) / width
+        log_rate_diff = (np.log(hi_comp.rate_at(rate_geometry)[0][positive])
+                         - np.log(lo_comp.rate_at(rate_geometry)[0][positive])) / width
+        cum_diff = (hi_comp.cum_at(cum_geometry)[0] - lo_comp.cum_at(cum_geometry)[0]) / width
         np.testing.assert_allclose(np.broadcast_to(log_rate_grad[m], t.shape)[positive],
                                    log_rate_diff, rtol=1e-6, atol=1e-9, err_msg=f"value {m}")
         np.testing.assert_allclose(np.broadcast_to(cum_grad[m], t.shape), cum_diff,
                                    rtol=1e-6, atol=1e-9, err_msg=f"value {m}")
         # a value asked for alone gets the same bits, and nothing else is formed
         alone = [k == m for k in range(v.size)]
-        for grads, full in ((comp.log_rate_grad_at(rate_geometry, alone), log_rate_grad),
-                            (comp.cum_grad_at(cum_geometry, alone), cum_grad)):
+        for (value, grads), full_value, full in ((comp.rate_at(rate_geometry, alone), rate,
+                                                  log_rate_grad),
+                                                 (comp.cum_at(cum_geometry, alone), cum, cum_grad)):
+            assert _bits(value) == _bits(full_value)
             assert [k for k, g in enumerate(grads) if g is not None] == [m]
             assert np.array_equal(grads[m], full[m])
-    assert comp.log_rate_grad_at(rate_geometry, [False] * v.size) == [None] * v.size
-    assert comp.cum_grad_at(cum_geometry, [False] * v.size) == [None] * v.size
+    for (value, grads), full_value in ((comp.rate_at(rate_geometry, [False] * v.size), rate),
+                                       (comp.cum_at(cum_geometry, [False] * v.size), cum)):
+        assert _bits(value) == _bits(full_value) and grads == [None] * v.size

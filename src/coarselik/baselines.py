@@ -6,28 +6,54 @@ integrated hazard. All evaluation methods broadcast over numpy arrays, and
 that quadrature panels and ODE solves can align with them. `values` are the
 numbers a baseline is built from; log_rate_grad and cum0_grad return the
 derivatives of log rate and of cum0 with respect to each of them, in that
-order.
+order, and with_values builds a baseline of the same family (and grid) from
+other values.
+
+Values may be stacked: each value is a number, or a (B, 1) array holding it
+at B parameter points, which broadcasts against times of one dimension to
+give (B, N) results, row b those of the baseline built from row b's values
+alone, bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 
+def _value(x):
+    """A value as a float, or a stack of them as a float array."""
+    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) and x.ndim else float(x)
+
+
+def _finite(x) -> bool:
+    """Whether a value, or every point of a stack, is finite."""
+    return math.isfinite(x) if isinstance(x, float) else bool(np.isfinite(x).all())
+
+
+def _all(test) -> bool:
+    """A comparison of a value, or whether it holds at every point of a stack."""
+    return test if isinstance(test, bool) else bool(test.all())
+
+
 class Constant:
     """Time-constant rate."""
 
     def __init__(self, rate: float):
-        if not np.isfinite(rate) or rate < 0:
+        rate = _value(rate)
+        if not (_finite(rate) and _all(rate >= 0)):
             raise InvalidInputError(f"constant rate must be finite and >= 0, got {rate}")
-        self.value = float(rate)
+        self.value = rate
         self.breakpoints: tuple[float, ...] = ()
         self.time_constant = True
 
     def rate(self, t):
-        return np.broadcast_to(np.float64(self.value), np.shape(t)).copy() if np.ndim(t) else self.value
+        if isinstance(self.value, float):
+            return np.broadcast_to(np.float64(self.value), np.shape(t)).copy() if np.ndim(t) else self.value
+        return np.broadcast_to(self.value, np.broadcast_shapes(self.value.shape, np.shape(t))).copy()
 
     def cum0(self, t):
         return self.value * np.asarray(t, dtype=float) if np.ndim(t) else self.value * float(t)
@@ -41,10 +67,13 @@ class Constant:
 
     def log_rate_grad(self, t):
         with np.errstate(divide="ignore"):
-            return [1.0 / np.float64(self.value)]
+            return [np.divide(1.0, self.value)]
 
     def cum0_grad(self, t):
         return [np.asarray(t, dtype=float)]
+
+    def with_values(self, values) -> "Constant":
+        return Constant(*values)
 
     def scaled(self, c: float) -> "Constant":
         return Constant(self.value * c)
@@ -57,20 +86,21 @@ class Weibull:
     """Weibull hazard a*b*t^(b-1) with integrated hazard a*t^b (a, b > 0)."""
 
     def __init__(self, a: float, b: float):
-        if not (np.isfinite(a) and a > 0 and np.isfinite(b) and b > 0):
+        a, b = _value(a), _value(b)
+        if not (_finite(a) and _finite(b) and _all(a > 0) and _all(b > 0)):
             raise InvalidInputError(f"weibull parameters must be positive, got a={a}, b={b}")
-        self.a = float(a)
-        self.b = float(b)
+        self.a = a
+        self.b = b
         self.breakpoints: tuple[float, ...] = ()
-        self.time_constant = b == 1.0
+        self.time_constant = _all(b == 1.0)
+        # the rate at t <= 0: a where b == 1, a pole where b < 1, else 0
+        self._at_0 = np.where(b == 1.0, a, np.where(b < 1.0, np.inf, 0.0))
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
-        if self.b == 1.0:
-            out = np.full(t.shape, self.a)
-        else:
-            with np.errstate(divide="ignore", over="ignore"):
-                out = np.where(t > 0, self.a * self.b * t ** (self.b - 1.0), np.inf if self.b < 1 else 0.0)
+        # where b == 1 this is a * 1 * t^0, which is a
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.where(t > 0, self.a * self.b * t ** (self.b - 1.0), self._at_0)
         return out if out.ndim else float(out)
 
     def cum0(self, t):
@@ -94,6 +124,9 @@ class Weibull:
         power = t ** self.b
         return [power, self.a * power * np.log(np.where(t > 0, t, 1.0))]
 
+    def with_values(self, values) -> "Weibull":
+        return Weibull(*values)
+
     def scaled(self, c: float) -> "Weibull":
         return Weibull(self.a * c, self.b)
 
@@ -105,13 +138,13 @@ class PiecewiseConstant:
     """Step-function rate: rates[i] on (grid[i-1], grid[i]], last rate beyond.
 
     grid lists the interior cut points (strictly increasing, > 0); rates has
-    one more entry than grid.
+    one more entry than grid, each a number or a (B, 1) stack.
     """
 
     def __init__(self, grid, rates):
         grid = np.asarray(grid, dtype=float)
         rates = np.asarray(rates, dtype=float)
-        if grid.ndim != 1 or rates.ndim != 1 or rates.size != grid.size + 1:
+        if grid.ndim != 1 or rates.ndim == 0 or len(rates) != grid.size + 1:
             raise InvalidInputError("need len(rates) == len(grid) + 1")
         if grid.size and (np.any(np.diff(grid) <= 0) or grid[0] <= 0 or not np.all(np.isfinite(grid))):
             raise InvalidInputError("grid must be finite, strictly increasing and > 0")
@@ -121,7 +154,9 @@ class PiecewiseConstant:
         self.rates = rates
         # integrated hazard at each cut point, so cum0 is a local update
         edges = np.concatenate(([0.0], grid))
-        self._cum_at_edge = np.concatenate(([0.0], np.cumsum(rates[:-1] * np.diff(edges))))
+        widths = np.diff(edges).reshape((-1,) + (1,) * (rates.ndim - 1))
+        self._cum_at_edge = np.concatenate((np.zeros((1,) + rates.shape[1:]),
+                                            np.cumsum(rates[:-1] * widths, axis=0)))
         self._edges = edges
         self.breakpoints = tuple(grid.tolist())
         self.time_constant = grid.size == 0
@@ -129,15 +164,22 @@ class PiecewiseConstant:
     def _index(self, t):
         return np.searchsorted(self.grid, t, side="left")
 
+    @staticmethod
+    def _pick(table, i):
+        """table[i], for a stacked table (m, B, 1) at an index array (N,) the
+        (B, N) array of each point's entries."""
+        return table[i] if table.ndim == 1 or np.ndim(i) == 0 else table[:, :, 0].T[:, i]
+
     def rate(self, t):
         t = np.asarray(t, dtype=float)
-        out = self.rates[self._index(t)]
+        out = self._pick(self.rates, self._index(t))
         return out if out.ndim else float(out)
 
     def cum0(self, t):
         t = np.asarray(t, dtype=float)
         i = self._index(t)
-        out = self._cum_at_edge[i] + self.rates[i] * (np.maximum(t, 0.0) - self._edges[i])
+        out = self._pick(self._cum_at_edge, i) + self._pick(self.rates, i) * (
+            np.maximum(t, 0.0) - self._edges[i])
         return out if out.ndim else float(out)
 
     def cum(self, t0, t1):
@@ -145,20 +187,23 @@ class PiecewiseConstant:
 
     @property
     def values(self) -> tuple[float, ...]:
-        return tuple(self.rates.tolist())
+        return tuple(self.rates)
 
     def log_rate_grad(self, t):
         i = self._index(np.asarray(t, dtype=float))
         with np.errstate(divide="ignore"):
             inverse = 1.0 / self.rates
-        return [np.where(i == m, inverse[m], 0.0) for m in range(self.rates.size)]
+        return [np.where(i == m, inverse[m], 0.0) for m in range(len(self.rates))]
 
     def cum0_grad(self, t):
         # the time (0, t] spends in each piece
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         ends = np.append(self.grid, np.inf)
         return [np.clip(t - self._edges[m], 0.0, ends[m] - self._edges[m])
-                for m in range(self.rates.size)]
+                for m in range(len(self.rates))]
+
+    def with_values(self, values) -> "PiecewiseConstant":
+        return PiecewiseConstant(self.grid, values)
 
     def scaled(self, c: float) -> "PiecewiseConstant":
         return PiecewiseConstant(self.grid, self.rates * c)

@@ -35,14 +35,21 @@ from .simulate import coarsen_cohort, simulate_cohort
 from .validate import run_all
 
 
-def _parse_theta(text: str | None):
-    if text is None:
-        return None
+def _theta(args, cfg) -> np.ndarray:
+    """The natural-scale parameters: --theta, else the config's theta block.
+    A --theta value that is not finite is refused by its parameter's name."""
+    if args.theta is None:
+        return cfg.theta_from()
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in args.theta.split(",") if x.strip() != ""]
     except ValueError:
         raise CoarselikError(f"--theta: expected a comma-separated list of numbers, "
-                             f"got {text!r}") from None
+                             f"got {args.theta!r}") from None
+    theta = cfg.theta_from(values)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise CoarselikError(f"--theta: {cfg.family.param_names[bad[0]]} is {float(theta[bad[0]])!r}")
+    return theta
 
 
 def _read_data(args, cfg):
@@ -54,12 +61,15 @@ def _read_data(args, cfg):
 
 def _by_subject_id(args, data, evaluate):
     """evaluate(), with a record it refuses named by its subject id, as a
-    non-finite log-likelihood is named, not by its row."""
+    non-finite log-likelihood is named, not by its row, and the component
+    at fault by its name."""
     try:
         return evaluate()
     except InvalidRecordError as err:
+        where = ("" if err.component is None
+                 else f"component {data.component_names[err.component]!r}: ")
         raise CoarselikError(f"{args.data}: subject {data.subject_ids[err.record_index]}: "
-                             f"{err.detail}") from None
+                             f"{where}{err.detail}") from None
 
 
 def _same_file(a: str, b: str) -> bool:
@@ -85,7 +95,7 @@ def _refuse_overwrites(args) -> None:
 def _cmd_simulate(args) -> int:
     cfg = load_model_config(args.model)
     scheme = load_scheme_config(args.scheme, cfg.component_names)
-    model = cfg.build(_parse_theta(args.theta))
+    model = cfg.build(_theta(args, cfg))
     times = simulate_cohort(model, scheme.horizon, args.n, args.seed)
     write_dataset_and_truth(args.out, coarsen_cohort(scheme, times), args.truth,
                             times if args.truth else None, component_names=cfg.component_names)
@@ -98,7 +108,7 @@ def _cmd_loglik(args) -> int:
     cfg = load_model_config(args.model)
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     data = _read_data(args, cfg)
-    model = cfg.build(_parse_theta(args.theta))
+    model = cfg.build(_theta(args, cfg))
     # a non-finite value is reported below, so the warnings carry no news
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         per = _by_subject_id(args, data, lambda: per_subject_loglik(
@@ -126,7 +136,7 @@ def _cmd_fit(args) -> int:
                              "(every slot in the config is a literal number)")
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     data = _read_data(args, cfg)
-    init = cfg.theta_from(_parse_theta(args.theta))
+    init = _theta(args, cfg)
     try:
         res = _by_subject_id(args, data, lambda: fit_mle(
             cfg.family, data.codes, scheme.horizon, init, rel_tol=args.tol))

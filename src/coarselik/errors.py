@@ -14,12 +14,15 @@ class InvalidInputError(CoarselikError):
 
 
 class InvalidRecordError(InvalidInputError):
-    """A record the likelihood refuses. Carries the record's index and the
-    fault without it, so a caller can name the subject its own way."""
+    """A record the likelihood refuses. Carries the record's index, the
+    index of the component at fault (None for the record as a whole) and the
+    fault without either, so a caller can name both its own way."""
 
-    def __init__(self, record_index: int, detail: str):
-        super().__init__(f"record {record_index}: {detail}")
+    def __init__(self, record_index: int, detail: str, component: int | None = None):
+        where = "" if component is None else f"component {component}: "
+        super().__init__(f"record {record_index}: {where}{detail}")
         self.record_index = record_index
+        self.component = component
         self.detail = detail
 
 

@@ -25,20 +25,31 @@ and comes from the pass that gives its value: its likelihood is
 sum_r w_r f_r over its nodes, and its score sum_r w_r f_r g_r / sum_r w_r f_r,
 g_r the derivatives of log f_r. The family's map from theta to the model's
 values (baseline parameters, modifier eta and gamma, offsets) is
-differenced over models built at theta +- h_k e_k, 2k builds and no kernel
-pass, exact up to rounding for a value affine in theta, as every config
-family's is. The same kernel walk that gives f_r then gives d log f_r in
-only the values that map reaches, from log rates and cums: no rate or cum
-is built twice and nothing divided. A record on the fallback gets central
-differences of loglik_atom.
+differenced over the models at theta +- h_k e_k, exact up to rounding for a
+value affine in theta, as every config family's is. The same kernel walk
+that gives f_r then gives d log f_r in only the values that map reaches,
+from log rates and cums: no rate or cum is built twice and nothing
+divided. A record on the fallback gets central differences of loglik_atom.
 
-fit_mle runs BFGS on that score. Its search variables are scaled by the
-BHHH matrix sum_i s_i s_i^T of the start's per-record scores, so its first
-step is the BHHH step, on the scale of the data's information about theta.
-Standard errors come from the Hessian by central differences of the score
-at a converged estimate (2k evaluations), mapped back to the natural scale
-by the delta method. n_evaluations counts value-and-score evaluations: the
-start's, BFGS's, and the Hessian's.
+Parameter points may be stacked: total_and_score takes B points at once.
+The models at all of them and at their stencils are one build, each value
+a (B, 1) stack (see models), for a family whose builder declares it takes
+stacks (builds_stacks, as config families do); another builder is called
+once per point and its models' values are stacked. The points of one
+structure are then one kernel pass, whose (B, N) arrays give each row the
+bits of that point's own pass, in blocks of rows of at most _STACK_NODES
+row-nodes (8 192; one row where the plan is larger). A point whose
+fallback runs out of budget, or whose value is not finite, is -inf alone.
+A single point is a stack of one.
+
+fit_mle runs BFGS on that score, one point an evaluation. Its search
+variables are scaled by the BHHH matrix sum_i s_i s_i^T of the start's
+per-record scores, so its first step is the BHHH step, on the scale of the
+data's information about theta. Standard errors come from the Hessian by
+central differences of the score at a converged estimate, its 2k points
+one stacked evaluation, mapped back to the natural scale by the delta
+method. n_evaluations counts value-and-score evaluations by their points:
+the start's, BFGS's, and the Hessian's 2k.
 """
 
 from __future__ import annotations
@@ -64,18 +75,30 @@ from .quadrature import (
 
 _MAX_PANEL = 1.0  # fixed panels never span more than this
 _STEP = 1e-5      # relative step of the score's central differences
+# a stack of parameter points is evaluated in blocks of rows, each block's
+# rows times the plan's nodes at most this (or one row), so that a (B, N)
+# float array stays within 64 KiB: past that the C allocator hands each
+# temporary freshly mapped pages, and a row costs more in a stack than alone
+_STACK_NODES = 8192
 # the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
 _G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
 
 
 @dataclass(frozen=True)
 class ParametricFamily:
-    """Named parameters, their search transforms, and a model builder."""
+    """Named parameters, their search transforms, and a model builder.
+
+    builds_stacks declares that the builder also takes a stack of B points,
+    theta as a (k, B, 1) array, and returns one model whose values are
+    (B, 1) stacks, as a config family's builder does. Another builder is
+    called once per point, and the evaluator stacks its models' values.
+    """
 
     param_names: tuple[str, ...]
     transforms: tuple[str, ...]
     builder: Callable[[np.ndarray], IntensityModel]
     fixed_breakpoints: tuple[float, ...] = ()
+    builds_stacks: bool = False
 
     def __post_init__(self):
         if len(self.param_names) != len(self.transforms):
@@ -87,6 +110,11 @@ class ParametricFamily:
     @property
     def k(self) -> int:
         return len(self.param_names)
+
+    @property
+    def is_log(self) -> np.ndarray:
+        """Which parameters are searched on the log scale."""
+        return np.array([tr == "log" for tr in self.transforms], dtype=bool)
 
     def build(self, theta) -> IntensityModel:
         theta = np.asarray(theta, dtype=float)
@@ -107,11 +135,10 @@ class ParametricFamily:
         return u
 
     def from_search(self, u) -> np.ndarray:
+        """Natural-scale theta of a search point (k,), or of each row of (B, k)."""
         u = np.asarray(u, dtype=float)
-        theta = u.copy()
-        for i, tr in enumerate(self.transforms):
-            if tr == "log":
-                theta[i] = np.exp(u[i])
+        theta, is_log = u.copy(), self.is_log
+        theta[..., is_log] = np.exp(u[..., is_log])
         return theta
 
 
@@ -263,102 +290,191 @@ class DatasetEvaluator:
             S[R[0, parent, 0].astype(int), np.arange(parent.size)] = node_t
             R = R[1:, idx]
         self._rec, self._s, self._f, self._w, self._over_budget = rec, S, F, W, over
+        # the bin of each row's nodes in _by_record, by number of rows
+        self._ids = {1: rec}
         # the density's theta-free arrays on the plan; the plan and they hold
         # for every model of the probe's structure
         self._structure = probe.structure
         self._geometry = _density_geometry(probe, S, F, self.C)
 
-    def _on_plan(self, model, need=None):
-        """One kernel pass on the plan: each record's log-likelihood (the
-        fallback's records computed by loglik_atom), the density at the
-        nodes, the derivatives of its log in the model values `need` flags
-        (None without), each record's K15 sum, and the fallback's records."""
-        n = self.n
-        # a builder may change the structure with theta, and with its gates
-        # the cuts of the plan: never reuse a plan built for another one
+    def _plan_for(self, model) -> int:
+        """The plan's number of nodes, the plan built again first for a
+        model of another structure: a builder may change the structure with
+        theta, and with its gates the cuts of the plan."""
         if model.structure != self._structure:
             self._build_plan(model)
+        return self._rec.size
+
+    def _by_record(self, x):
+        """Each row of x (R, N) summed over each record's nodes, as (R, n):
+        one np.bincount, each row in the order of one over the plan alone."""
+        R = len(x)
+        if R not in self._ids:
+            self._ids[R] = (self._rec + self.n * np.arange(R)[:, None]).ravel()
+        return np.bincount(self._ids[R], weights=x.ravel(), minlength=R * self.n).reshape(R, self.n)
+
+    def _on_plan(self, model, need=None):
+        """One kernel pass on the plan, for a model or a stack of B points
+        (B = 1 for a model of numbers): each record's log-likelihood on the
+        plan (B, n), the density at the nodes (B, N), the derivatives of its
+        log in the model values `need` flags (None without), each record's
+        K15 sum (B, n), and which records the fallback must compute (B, n)."""
+        self._plan_for(model)
         f, grads = _density_at(model, self._geometry, need)
+        f = np.atleast_2d(f)
         # the K15 sums; the error adds each level's |K15 - G7|
-        total, *low = (np.bincount(self._rec, weights=w * f, minlength=n) for w in self._w)
+        total, *low = (self._by_record(w * f) for w in self._w)
         err = sum(np.abs(total - x) for x in low)
         with np.errstate(divide="ignore"):
             out = np.log(np.maximum(total, 0.0))
         rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
-        redo = np.flatnonzero(self._over_budget
-                              | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol)))
-        for i in redo:
-            out[i] = loglik_atom(model, self.codes.record(i), self.C, **self.quad_opts)
+        redo = self._over_budget | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol))
         return out, f, grads, total, redo
+
+    def _fallback(self, model, out, redo):
+        """out with the records redo flags computed by loglik_atom."""
+        for i in np.flatnonzero(redo):
+            out[i] = loglik_atom(model, self.codes.record(i), self.C, **self.quad_opts)
+        return out
 
     def per_subject(self, theta) -> np.ndarray:
         """Per-record log-likelihood at natural-scale theta."""
-        return self._on_plan(self.family.build(theta))[0]
+        model = self.family.build(theta)
+        out, _, _, _, redo = self._on_plan(model)
+        return self._fallback(model, out[0], redo[0])
 
-    def _theta_map(self, theta, model):
-        """The derivatives of model.values in theta, by central differences
-        over models built at theta +- h_k e_k (exact up to rounding where a
-        value is affine in theta), with those models and the steps h_k."""
-        theta = np.asarray(theta, dtype=float)
-        is_log = np.array([tr == "log" for tr in self.family.transforms])
-        h = _STEP * np.where(is_log, np.abs(theta), np.maximum(np.abs(theta), 1.0))
-        plus = [self.family.build(theta + hk * e) for hk, e in zip(h, np.eye(theta.size))]
-        minus = [self.family.build(theta - hk * e) for hk, e in zip(h, np.eye(theta.size))]
-        v0, structure = model.values, model.structure
-
-        def values(m):
-            # a builder may change the structure within the stencil: a side
-            # whose values do not line up is left out
-            v = m.values
-            return v if v.size == v0.size and m.structure == structure else None
-
-        J = np.empty((v0.size, theta.size))
-        for k, (mp, mm) in enumerate(zip(plus, minus)):
-            J[:, k] = _difference(values(mp), v0, values(mm), h[k])
-        return J, plus, minus, h
+    def _build(self, thetas):
+        """The family's models at the rows of thetas (P, k), in groups of one
+        structure: (model, rows) pairs, the model holding the values of its
+        rows, in their order, as (B, 1) stacks."""
+        family = self.family
+        if family.builds_stacks:
+            return [(family.builder(thetas.T[:, :, None]), np.arange(len(thetas)))]
+        models = [family.build(theta) for theta in thetas]
+        rows: dict = {}
+        for p, model in enumerate(models):
+            rows.setdefault(model.structure, []).append(p)
+        return [(models[r[0]].with_values(np.stack([models[p].values for p in r], axis=1)),
+                 np.array(r)) for r in rows.values()]
 
     def total_and_score(self, theta):
         """The total log-likelihood at natural-scale theta and each record's
         score, its derivatives in theta as an (n, k) array; -inf (scores
         nan) where a record is impossible or the quadrature budget ran out.
+        theta may be a stack of points (B, k), which gives (B,) totals and
+        (B, n, k) scores, each row those of its point alone.
 
         A record on the plan gets its score from the same pass as its value:
         sum_r w_r f_r g_r / sum_r w_r f_r, g_r the derivatives of log f_r.
         A record on the fallback gets central differences of loglik_atom.
-        Counted in n_evaluations; the last point is remembered.
+        Counted in n_evaluations, one per point; the last single point is
+        remembered.
         """
-        key = tuple(np.asarray(theta, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2:
+            self.n_evaluations += len(theta)
+            totals, scores = zip(*self._total_and_score(theta))
+            return np.array(totals), np.array(scores)
+        key = tuple(theta)
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         self.n_evaluations += 1
-        try:
-            result = self._total_and_score(theta)
-        except ToleranceError:
-            self.n_tolerance_failures += 1
-            result = (-np.inf, np.full((self.n, self.family.k), np.nan))
+        result = self._total_and_score(theta[None])[0]
         self._last = (key, result)
         return result
 
-    def _total_and_score(self, theta):
-        model = self.family.build(theta)
-        J, plus, minus, h = self._theta_map(theta, model)
-        out, f, grads, total, redo = self._on_plan(model, J.any(axis=1).tolist())
+    def _total_and_score(self, thetas):
+        """total_and_score at each row of thetas (B, k), as B pairs.
+
+        The family's models at the rows and at their stencil points
+        theta +- h_j e_j are one build. The derivatives of the model values
+        in theta are central differences over the stencil (exact up to
+        rounding where a value is affine in theta); a side of another
+        structure is left out. The rows of each structure are then one
+        kernel pass per block of rows."""
+        B, k = thetas.shape
+        h = _STEP * np.where(self.family.is_log, np.abs(thetas), np.maximum(np.abs(thetas), 1.0))
+        steps = h[:, :, None] * np.eye(k)
+        points = np.concatenate([thetas, (thetas[:, None] + steps).reshape(-1, k),
+                                 (thetas[:, None] - steps).reshape(-1, k)])
+        groups = self._build(points)
+        group_of, pos_of = np.empty(len(points), dtype=int), np.empty(len(points), dtype=int)
+        for g, (_, rows) in enumerate(groups):
+            group_of[rows], pos_of[rows] = g, np.arange(rows.size)
+        values = [model.values for model, _ in groups]
+        plus = B + np.arange(B * k).reshape(B, k)
+        minus = plus + B * k
+
+        def point_model(p):
+            """The model at one point, of numbers."""
+            return groups[group_of[p]][0].with_values(values[group_of[p]][:, pos_of[p]])
+
+        results = [None] * B
+        for g in dict.fromkeys(group_of[:B].tolist()):
+            rows = np.flatnonzero(group_of[:B] == g)
+            V, centre = values[g], pos_of[rows]
+            # J[v, b, j]: d value v / d theta_j at row b; the centre stands in
+            # for a side of another structure, and with none left J is nan
+            up_ok, lo_ok = group_of[plus[rows]] == g, group_of[minus[rows]] == g
+            up = V[:, np.where(up_ok, pos_of[plus[rows]], centre[:, None])]
+            lo = V[:, np.where(lo_ok, pos_of[minus[rows]], centre[:, None])]
+            width = h[rows] * (up_ok.astype(int) + lo_ok)
+            J = (up - lo) / np.where(width > 0, width, np.nan)
+            size = max(1, _STACK_NODES // max(1, self._plan_for(groups[g][0])))
+            for start in range(0, rows.size, size):
+                block = slice(start, start + size)
+                Vb = V[:, centre[block]]
+                # a block of one row is a model of numbers
+                model = groups[g][0].with_values(Vb if Vb.shape[1] > 1 else Vb[:, 0])
+                for b, result in zip(rows[block], self._score_block(
+                        model, Vb, J[:, block], h[rows[block]],
+                        plus[rows[block]], minus[rows[block]], point_model)):
+                    results[b] = result
+        return results
+
+    def _score_block(self, model, V, J, h, plus, minus, point_model):
+        """Totals and scores of a block of rows of one structure: one kernel
+        pass for the model of their values V (V, B), with J (V, B, k) the
+        derivatives of the values in theta, h (B, k) the steps and plus and
+        minus (B, k) the rows' stencil points, as point_model takes them.
+        A point's own spent budget or non-finite value sinks it alone."""
+        B, k = h.shape
+        out, f, grads, total, redo = self._on_plan(model, J.any(axis=(1, 2)).tolist())
         wf = self._w[0] * f
-        score = np.empty((self.n, J.shape[1]))
+        score = np.empty((B, self.n, k))
+        reaches, every_row = J.any(axis=1), (J != 0.0).all(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for k in range(J.shape[1]):
-                g = sum(J[v, k] * grads[v] for v in np.flatnonzero(J[:, k]))
+            # one pass over the block per theta_j keeps every array (B, N)
+            for j in range(k):
+                # sum_v J[v, :, j] grads[v] over the v that reach theta_j, in
+                # their order; a row whose J[v, b, j] is 0 adds nothing
+                g = 0
+                for v in np.flatnonzero(reaches[:, j]):
+                    Jvj = J[v, :, j, None]
+                    term = Jvj * grads[v]
+                    g = g + (term if every_row[v, j] else np.where(Jvj != 0.0, term, 0.0))
                 # where the density is 0 its log's derivatives are not finite
                 wfg = np.where(wf != 0.0, wf * g, 0.0)
-                score[:, k] = np.bincount(self._rec, weights=wfg, minlength=self.n) / total
-        for i in redo:
-            rec = self.codes.record(i)
-            for k, (mp, mm, hk) in enumerate(zip(plus, minus, h)):
-                score[i, k] = _difference(self._stencil_point(mp, rec), out[i],
-                                          self._stencil_point(mm, rec), hk)
-        if not (np.all(np.isfinite(out)) and np.all(np.isfinite(score))):
-            return -np.inf, np.full_like(score, np.nan)
-        return float(out.sum()), score
+                score[:, :, j] = self._by_record(wfg) / total
+        results = []
+        for b in range(B):
+            try:
+                if redo[b].any():
+                    self._fallback(model.with_values(V[:, b]), out[b], redo[b])
+            except ToleranceError:
+                self.n_tolerance_failures += 1
+                out[b] = -np.inf
+            else:
+                for i in np.flatnonzero(redo[b]):
+                    rec = self.codes.record(i)
+                    for j in range(k):
+                        score[b, i, j] = _difference(
+                            self._stencil_point(point_model(plus[b, j]), rec), out[b, i],
+                            self._stencil_point(point_model(minus[b, j]), rec), h[b, j])
+            finite = np.all(np.isfinite(out[b])) and np.all(np.isfinite(score[b]))
+            results.append((float(out[b].sum()), score[b]) if finite
+                           else (-np.inf, np.full((self.n, k), np.nan)))
+        return results
 
     def _stencil_point(self, model, record) -> float | None:
         """loglik_atom at a stencil point of a fallback record's score; None
@@ -398,13 +514,14 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
         init = [init[nm] for nm in family.param_names]
     init = np.asarray(init, dtype=float)
     ev = DatasetEvaluator(family, records, C, rel_tol=rel_tol, abs_tol=abs_tol)
-    is_log = np.array([tr == "log" for tr in family.transforms])
+    is_log = family.is_log
 
     def loglik_and_score(u):
-        """The log-likelihood at search point u and each record's score in u."""
+        """The log-likelihood at search point u and each record's score in
+        u; for a stack of points (B, k), each point's."""
         theta = family.from_search(u)
         total, score = ev.total_and_score(theta)
-        return total, score * np.where(is_log, theta, 1.0)
+        return total, score * np.where(is_log, theta, 1.0)[..., None, :]
 
     u0 = family.to_search(init)
     total0, score0 = loglik_and_score(u0)
@@ -449,15 +566,15 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
     converged = bool(bfgs.success) or grad_norm < 1e-3
 
     # standard errors at a converged estimate only, from the Hessian by
-    # central differences of the score; a -inf inside the stencil leaves no
-    # curvature to invert
+    # central differences of the score at 2k points, one stacked evaluation;
+    # a -inf inside the stencil leaves no curvature to invert
     std_errors = None
     if converged:
         h = 1e-4 * np.maximum(np.abs(u_hat), 1.0)
-        H = np.empty((family.k, family.k))
-        for k, step in enumerate(h * np.eye(family.k)):
-            H[:, k] = (loglik_and_score(u_hat - step)[1].sum(axis=0)
-                       - loglik_and_score(u_hat + step)[1].sum(axis=0)) / (2 * h[k])
+        steps = h * np.eye(family.k)
+        scores = loglik_and_score(np.concatenate([u_hat - steps, u_hat + steps]))[1]
+        grads = np.array([s.sum(axis=0) for s in scores])
+        H = (grads[:family.k] - grads[family.k:]).T / (2 * h)
         H = 0.5 * (H + H.T)
         se_u = np.full(family.k, np.nan)
         if np.all(np.isfinite(H)):

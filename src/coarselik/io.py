@@ -42,7 +42,9 @@ number (fixed) or a string naming a free parameter; log_offset also takes
 covariate value. Positive slots get a log search transform, the rest are
 unconstrained. Piecewise grids are literal numbers, so every breakpoint is
 independent of the parameters. A key the loader does not read is refused,
-at every level of both configs, with its field path.
+at every level of both configs, with its field path. A config family's
+builder also takes a stack of B points, theta as a (k, B, 1) array, and
+builds one model of (B, 1) value stacks (builds_stacks).
 
 A scheme config is JSON of the form
 
@@ -465,7 +467,8 @@ class _ParamRegistry:
         self.transforms: dict[str, str] = {}
 
     def slot(self, value, field: str, transform: str):
-        """Return a resolver (theta -> float) for a number-or-name slot."""
+        """Return a resolver (theta -> value) for a number-or-name slot; it
+        indexes theta, so a stack of points (k, B, 1) gives a (B, 1) stack."""
         if isinstance(value, bool):
             raise InvalidInputError(f"{self.path}: field {field!r}: booleans are not numbers")
         if isinstance(value, (int, float)):
@@ -481,7 +484,7 @@ class _ParamRegistry:
                     f"as {self.transforms[value]}-transformed and {transform}-transformed"
                 )
             idx = self.names.index(value)
-            return lambda theta: float(theta[idx])
+            return lambda theta: theta[idx]
         raise InvalidInputError(f"{self.path}: field {field!r}: expected a number "
                                 f"or parameter name, got {value!r}")
 
@@ -532,7 +535,7 @@ def _build_baseline(cfg, reg: _ParamRegistry, field: str):
             raise InvalidInputError(f"{reg.path}: field {field!r}.rates: "
                                     f"need {len(grid) + 1} entries for {len(grid)} cuts")
         rates = [reg.slot(r, f"{field}.rates[{i}]", "log") for i, r in enumerate(rates_cfg)]
-        return (lambda th: PiecewiseConstant(grid, [r(th) for r in rates])), grid
+        return (lambda th: PiecewiseConstant(grid, np.broadcast_arrays(*(r(th) for r in rates)))), grid
     raise InvalidInputError(f"{reg.path}: field {field!r}.family: unknown family {fam!r}")
 
 
@@ -659,7 +662,7 @@ def load_model_config(path) -> ModelConfig:
         return IntensityModel([mk(theta) for mk in makers])
 
     family = ParametricFamily(param_names, transforms, build,
-                              fixed_breakpoints=tuple(sorted(all_bps)))
+                              fixed_breakpoints=tuple(sorted(all_bps)), builds_stacks=True)
 
     theta_block = cfg.get("theta", {})
     if not isinstance(theta_block, dict):

@@ -27,7 +27,10 @@ on the coordinates alone, so the evaluator builds it once per plan and
 evaluates it per theta with _density_at, one walk that gives the density
 and, in the values a caller needs, the derivatives of its log (those of
 the log rates and the cums each component returns beside its value);
-_density composes both phases for one set of coordinates.
+_density composes both phases for one set of coordinates. A model whose
+values are stacks of B parameter points (see models) evaluates a geometry
+of N coordinates to (B, N) densities and derivatives in one walk, row b
+those of the model of row b's values, bit for bit.
 Here each term is integrated on the nested adaptive engine, with panels
 split at model rate discontinuities, at every pinned jump time, and at the
 bounds of the free ranges, so integrand kinks always land on panel edges.
@@ -74,7 +77,9 @@ def _density_at(model: IntensityModel, geometry, need=None):
     the derivatives of its log with respect to the model.values that `need`
     flags, a bool each, and None for the others (None without a `need`):
     each flagged rate's log-derivative minus each cum's derivative. Where a
-    flagged rate is 0 the density is 0 and a derivative may not be finite."""
+    flagged rate is 0 the density is 0 and a derivative may not be finite.
+    For a model of (B, 1) value stacks the density is (B, N), and each
+    derivative broadcasts to it."""
     rates, cums = geometry
     needs, start = [None] * model.p, 0
     for j, comp in enumerate(model.components if need is not None else ()):
@@ -238,8 +243,8 @@ def _layout_codes(model: IntensityModel, codes, C: float):
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), p)
         text = next(text for mask, text in problems if mask[i, j])
-        raise InvalidRecordError(i, f"component {j}: " + text.format(
-            a=float(x1[i, j]), b=float(x2[i, j]), k=kind[i, j], C=C))
+        raise InvalidRecordError(i, text.format(a=float(x1[i, j]), b=float(x2[i, j]),
+                                                k=kind[i, j], C=C), component=j)
 
     hi = np.where(interval, x2, C)
     for j, component in enumerate(model.components):

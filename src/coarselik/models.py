@@ -27,6 +27,13 @@ baselines' values, each modifier's eta and gamma, the offset). rate_at and
 cum_at return a pair: the value, and with a `need` mask (a bool per value)
 the derivatives of log rate and of cum with respect to each value it
 flags, in that order, None for the others; without one, None.
+
+Values may be stacked, as baselines' may: each a number or a (B, 1) array
+of its values at B parameter points. A component built from stacks
+evaluates a geometry of one-dimensional times to (B, N) arrays, row b
+those of the component built from row b's values alone, bit for bit, so one
+pass evaluates B parameter points. with_values gives a component or model
+of the same structure other values, one point's or a stack's.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .baselines import _all, _finite, _value
 from .errors import InvalidInputError
 
 _MAX_TERMS = 12  # closed-form cum enumerates modifier subsets
@@ -83,7 +91,7 @@ class ModifierTerm:
 
     For a single component, gamma scales that component's own jump time
     (a duration-style log-linear effect). Interaction terms list several
-    components and must keep gamma = 0.
+    components and must keep gamma = 0. eta and gamma may be stacks.
     """
 
     comps: tuple[int, ...]
@@ -93,10 +101,12 @@ class ModifierTerm:
     def __post_init__(self):
         if not self.comps or len(set(self.comps)) != len(self.comps):
             raise InvalidInputError(f"modifier components must be distinct and non-empty: {self.comps}")
-        if not (math.isfinite(self.eta) and math.isfinite(self.gamma)):
+        object.__setattr__(self, "eta", _value(self.eta))
+        object.__setattr__(self, "gamma", _value(self.gamma))
+        if not (_finite(self.eta) and _finite(self.gamma)):
             raise InvalidInputError(f"modifier eta and gamma must be finite, "
                                     f"got eta={self.eta}, gamma={self.gamma}")
-        if self.gamma != 0.0 and len(self.comps) != 1:
+        if not _all(self.gamma == 0.0) and len(self.comps) != 1:
             raise InvalidInputError("time-scaled modifiers apply to a single component only")
 
 
@@ -139,8 +149,8 @@ class MultiplicativeComponent:
         self.baseline = baseline
         self.gates = tuple(gates)
         self.terms = tuple(terms)
-        self.log_offset = float(log_offset)
-        if not math.isfinite(self.log_offset):
+        self.log_offset = _value(log_offset)
+        if not _finite(self.log_offset):
             raise InvalidInputError(f"log_offset must be finite, got {self.log_offset}")
         self.breakpoints = tuple(baseline.breakpoints)
         self._subsets, self._union_of, self._unions = _subset_table(
@@ -148,9 +158,11 @@ class MultiplicativeComponent:
 
     @property
     def structure(self) -> tuple:
-        """What the geometry depends on: every value a theta sets is left out."""
+        """What the component is built from besides its values: the geometry
+        depends on nothing else, and with_values keeps it."""
         return (MultiplicativeComponent, self.own, self.gates,
-                tuple(trm.comps for trm in self.terms))
+                tuple(trm.comps for trm in self.terms),
+                type(self.baseline), self.baseline.breakpoints)
 
     def rate_geometry(self, t, T):
         """The theta-free part of rate(t, T): the product of the gate masks,
@@ -195,6 +207,13 @@ class MultiplicativeComponent:
     def values(self) -> tuple[float, ...]:
         return (*self.baseline.values,
                 *(x for trm in self.terms for x in (trm.eta, trm.gamma)), self.log_offset)
+
+    def with_values(self, values) -> "MultiplicativeComponent":
+        n = len(self.baseline.values)
+        terms = tuple(ModifierTerm(trm.comps, eta, gamma) for trm, eta, gamma
+                      in zip(self.terms, values[n:-1:2], values[n + 1:-1:2]))
+        return MultiplicativeComponent(self.own, self.baseline.with_values(values[:n]),
+                                       self.gates, terms, values[-1])
 
     def cum_geometry(self, t0, t1, T):
         """The theta-free part of cum(t0, t1, T): the range (lo, hi] cut at
@@ -284,8 +303,11 @@ def _term_grads(d_eta, fills, need):
 
 
 def _multiplier(trm: ModifierTerm, Tc):
-    """exp(eta + gamma * T) of a modifier, T its filled time."""
-    if trm.gamma == 0.0:
+    """exp(eta + gamma * T) of a modifier, T its filled time. A point of a
+    stack whose gamma is 0 gets exp(eta + 0), which is exp(eta): a filled
+    time is finite."""
+    gamma = trm.gamma
+    if gamma == 0.0 if isinstance(gamma, float) else not gamma.any():
         return np.exp(trm.eta)
     return np.exp(trm.eta + trm.gamma * Tc.value())
 
@@ -315,12 +337,15 @@ def _filled(T, trm: ModifierTerm):
 def _times_increment(cf, increment):
     """cf * increment, with an increment of 0 contributing 0 also where
     exp(eta) overflowed cf to inf: a term that never switches on adds
-    nothing, however large its multiplier."""
+    nothing, however large its multiplier. A stack's cf is two-dimensional,
+    and each of its rows, one point, is taken alone."""
     finite = math.isfinite(cf) if np.ndim(cf) == 0 else np.isfinite(cf).all()
     if finite:
         return cf * increment
-    out = np.zeros(np.broadcast_shapes(np.shape(cf), np.shape(increment)))
-    return np.multiply(cf, increment, out=out, where=increment != 0.0)
+    # the points whose cf is finite everywhere keep their plain product
+    plain = np.isfinite(cf).all(axis=-1, keepdims=True) if np.ndim(cf) == 2 else False
+    with np.errstate(invalid="ignore"):
+        return np.where(plain | (increment != 0.0), cf * increment, 0.0)
 
 
 class PatternTableComponent:
@@ -362,8 +387,10 @@ class PatternTableComponent:
 
     @property
     def structure(self) -> tuple:
-        """What the geometry depends on: every value a theta sets is left out."""
-        return (PatternTableComponent, self.own, tuple(bits for bits, _ in self.entries))
+        """What the component is built from besides its values: the geometry
+        depends on nothing else, and with_values keeps it."""
+        return (PatternTableComponent, self.own,
+                tuple((bits, type(base), base.breakpoints) for bits, base in self.entries))
 
     def rate_geometry(self, t, T):
         """The theta-free part of rate(t, T): each entry's window mask."""
@@ -393,6 +420,10 @@ class PatternTableComponent:
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(x for _, base in self.entries for x in base.values)
+
+    def with_values(self, values) -> "PatternTableComponent":
+        return PatternTableComponent(self.own, self.p, {
+            bits: base.with_values(part) for (bits, base), part in zip(self.entries, self._split(values))})
 
     def cum_geometry(self, t0, t1, T):
         """The theta-free part of cum(t0, t1, T): each entry's range, clipped
@@ -432,8 +463,8 @@ class PatternTableComponent:
         return self.cum_at(self.cum_geometry(t0, t1, T))[0]
 
     def _split(self, need):
-        """need cut into the entries' parts, one per baseline; None each
-        without one."""
+        """need (or values) cut into the entries' parts, one per baseline;
+        None each without one."""
         if need is None:
             return [None] * len(self.entries)
         parts, start = [], 0
@@ -471,13 +502,34 @@ class IntensityModel:
 
     @property
     def structure(self) -> tuple:
-        """The components' structures: models that share it share geometry."""
+        """The components' structures: models that share it share geometry,
+        and differ in their values alone."""
         return tuple(comp.structure for comp in self.components)
 
     @property
     def values(self) -> np.ndarray:
-        """The components' values, one after another."""
-        return np.array([x for comp in self.components for x in comp.values])
+        """The components' values, one after another: (V,), or (V, B) for a
+        model built from stacks of B points."""
+        values = [x for comp in self.components for x in comp.values]
+        B = next((x.shape[0] for x in values if isinstance(x, np.ndarray)), None)
+        if B is None:
+            return np.array(values)
+        out = np.empty((len(values), B))
+        for v, x in enumerate(values):
+            out[v] = x if isinstance(x, float) else x[:, 0]
+        return out
+
+    def with_values(self, values) -> "IntensityModel":
+        """The model of this structure with other values: (V,) for one point,
+        or (V, B) for a stack of B points."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 2:
+            values = values[:, :, None]
+        parts, start = [], 0
+        for comp in self.components:
+            parts.append(comp.with_values(values[start:start + len(comp.values)]))
+            start += len(comp.values)
+        return IntensityModel(parts)
 
     def total_cum(self, t0, t1, T):
         out = 0.0

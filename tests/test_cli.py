@@ -326,7 +326,8 @@ def test_non_finite_modifier_values_exit_with_two(tmp_path, configs, capsys):
                  "--n", "20", "--seed", "1", "--out", str(data)]) == 0
     capsys.readouterr()
     out = tmp_path / "x.csv"
-    for theta in ("0.1,0.2,inf", "0.1,0.2,-inf", "0.1,0.2,nan"):
+    for theta, value in (("0.1,0.2,inf", "inf"), ("0.1,0.2,-inf", "-inf"),
+                         ("0.1,0.2,nan", "nan"), ("nan,0.2,0.3", None)):
         for argv in (["simulate", "--n", "20", "--seed", "1", "--out", str(out)],
                      ["loglik", "--data", str(data)],
                      ["fit", "--data", str(data)]):
@@ -334,7 +335,9 @@ def test_non_finite_modifier_values_exit_with_two(tmp_path, configs, capsys):
             assert code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: ") and "finite" in captured.err
+            # refused by the parameter's name, before any model is built
+            assert captured.err == ("error: --theta: a01 is nan\n" if value is None
+                                    else f"error: --theta: eta12 is {value}\n")
     assert not out.exists()
 
 
@@ -479,7 +482,8 @@ def test_fit_names_an_impossible_start_by_subject_id(tmp_path, capsys):
 
 def test_refused_record_is_named_by_subject_id(tmp_path, capsys):
     # p7 dies at 12, after the horizon of 10: loglik and fit refuse the
-    # record and name it by its subject id, not by its row
+    # record and name it by its subject id, not by its row, and the
+    # component by its name, not by its index
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
         "components": ["illness", "death"],
@@ -509,7 +513,7 @@ def test_refused_record_is_named_by_subject_id(tmp_path, capsys):
         assert main([cmd, *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {data}: subject p7: component 1: "
+        assert captured.err == (f"error: {data}: subject p7: component 'death': "
                                 "jump time 12.0 outside (0, 10.0]\n")
 
 

@@ -1,5 +1,6 @@
 """Maximum likelihood over parametric intensity families."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -113,12 +114,15 @@ def test_overflowing_start_is_rejected_without_warnings():
         fit_mle(fam, records, scheme.horizon, [1e308, 0.2, 0.3])
 
 
-def test_fit_runs_one_kernel_pass_per_evaluation(monkeypatch):
-    # one geometry per fit; every counted evaluation, the start's and the
-    # Hessian's included, is one kernel pass for the values and the score
-    fam = exponential_family()
-    records = [PseudoAtomRecord((Exact(0.5, True),)), PseudoAtomRecord((Exact(2.0, False),))]
-    builds, passes = [], []
+def test_fit_runs_one_kernel_pass_per_evaluation(tmp_path, monkeypatch):
+    # one geometry per fit; each of BFGS's evaluations, the start's included,
+    # is one kernel pass for the values and the score, and the standard
+    # errors' 2k points are one more, on a stack of 2k rows. A config
+    # family's builder takes a stack: an evaluation's theta map is one
+    # build, and the standard errors' 2k (2k + 1) points are one more
+    fam, records, C, theta = _workload_case("illness-death-panel", 40, tmp_path)
+    assert fam.builds_stacks
+    builds, passes, models = [], [], []
 
     def counted(calls, real):
         def wrapper(*args):
@@ -129,11 +133,17 @@ def test_fit_runs_one_kernel_pass_per_evaluation(monkeypatch):
     monkeypatch.setattr(inference, "_density_geometry",
                         counted(builds, inference._density_geometry))
     monkeypatch.setattr(inference, "_density_at", counted(passes, inference._density_at))
-    res = fit_mle(fam, records, 2.0, [0.2])
+    family = dataclasses.replace(fam, builder=counted(models, fam.builder))
+    res = fit_mle(family, records, C, theta)
+    assert res.std_errors is not None
     assert len(builds) == 1
-    assert len(passes) == res.n_evaluations
     assert all(need is not None for _, _, need in passes)
-    assert res.n_evaluations > 2 * fam.k
+    bfgs = res.n_evaluations - 2 * fam.k
+    assert len(passes) == bfgs + 1
+    assert passes[-1][0].values.shape[1] == 2 * fam.k
+    # the plan's probe, one build per BFGS evaluation and one for the Hessian
+    assert len(models) == 1 + bfgs + 1
+    assert models[-1][0].shape == (fam.k, 2 * fam.k * (2 * fam.k + 1), 1)
 
 
 def test_panel_fit_recovers_truth():
@@ -394,6 +404,72 @@ def test_fit_reports_tolerance_failures(monkeypatch):
     assert res.n_tolerance_failures == 1
     assert res.message.endswith("; 1 evaluation(s) ran out of quadrature budget "
                                 "and counted as -inf")
+
+
+def _per_point(fam, records, C, thetas):
+    """total_and_score at each theta, one point at a time."""
+    ev = DatasetEvaluator(fam, records, C)
+    return [ev.total_and_score(theta) for theta in thetas]
+
+
+def _assert_same_rows(stacked, per_point):
+    totals, scores = stacked
+    assert len(totals) == len(per_point)
+    for total, score, (total_b, score_b) in zip(totals, scores, per_point):
+        assert np.float64(total).tobytes() == np.float64(total_b).tobytes()
+        assert score.tobytes() == score_b.tobytes()
+
+
+def test_stacked_point_out_of_budget_sinks_alone(monkeypatch):
+    # the fallback runs out of budget at the middle point of a stacked
+    # Hessian: that point is -inf and counted, the others keep their values
+    fam, records = shared_rate_pair()
+    thetas = np.array([[0.5], [0.6], [0.7]])
+    ref = _per_point(fam, records, 2.0, thetas)
+
+    def fails_at(model, atom, C, **quad_opts):
+        if model.components[1].baseline.value == 0.6:
+            raise ToleranceError("budget spent", value=0.0, error_estimate=np.inf)
+        return loglik_atom(model, atom, C, **quad_opts)
+
+    monkeypatch.setattr(inference, "loglik_atom", fails_at)
+    ev = DatasetEvaluator(fam, records, 2.0)
+    totals, scores = ev.total_and_score(thetas)
+    assert (ev.n_evaluations, ev.n_tolerance_failures) == (3, 1)
+    assert totals[1] == -np.inf and np.isnan(scores[1]).all()
+    _assert_same_rows((totals[::2], scores[::2]), ref[::2])
+
+
+def test_stack_across_a_structure_change_equals_its_points():
+    # the rows on either side of eta = 0.25 are evaluated in their own
+    # groups, and the stencil of the row at 0.25 crosses it
+    fam = switching_family(False)
+    records = [_rec(Exact(0.7, True), Exact(2.5, True)),
+               _rec(Interval(0.5, 1.5), Exact(2.0, True)),
+               _rec(Interval(1.0, 2.5), Exact(1.8, True)),
+               _rec(SurvivedBeyond(1.0), Exact(3.0, False)),
+               _rec(Interval(0.0, 1.0), SurvivedBeyond(2.0))]
+    thetas = np.array([[0.35, 0.25, eta] for eta in (0.1, 0.7, 0.25, 0.2, 0.9)])
+    ev = DatasetEvaluator(fam, records, 3.0)
+    _assert_same_rows(ev.total_and_score(thetas), _per_point(fam, records, 3.0, thetas))
+    assert ev.n_evaluations == len(thetas)
+
+
+def test_stack_in_blocks_equals_one_block(tmp_path, monkeypatch):
+    # a bound of one node a block leaves one row a block: the same bits
+    fam, records, C, theta = _workload_case("weibull-hybrid", 40, tmp_path)
+    thetas = theta * np.linspace(0.9, 1.1, 5)[:, None]
+    passes = []
+    real = inference._density_at
+    monkeypatch.setattr(inference, "_density_at",
+                        lambda *args: passes.append(args) or real(*args))
+    whole = DatasetEvaluator(fam, records, C).total_and_score(thetas)
+    assert len(passes) == 1
+    monkeypatch.setattr(inference, "_STACK_NODES", 1)
+    _assert_same_rows(DatasetEvaluator(fam, records, C).total_and_score(thetas),
+                      list(zip(*whole)))
+    assert len(passes) == 1 + len(thetas)
+    _assert_same_rows(whole, _per_point(fam, records, C, thetas))
 
 
 def test_fit_survives_non_finite_search_points(monkeypatch):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from coarselik.baselines import Constant, PiecewiseConstant, Weibull
+from coarselik.catalog import illness_death
 from coarselik.errors import InvalidInputError
+from coarselik.likelihood import _density_at, _density_geometry
+from coarselik.markov import markov_to_ojc
 from coarselik.models import (
     IntensityModel,
     JumpHistory,
@@ -304,3 +307,80 @@ def test_derivatives_match_central_differences(case):
     for (value, grads), full_value in ((comp.rate_at(rate_geometry, [False] * v.size), rate),
                                        (comp.cum_at(cum_geometry, [False] * v.size), cum)):
         assert _bits(value) == _bits(full_value) and grads == [None] * v.size
+
+
+def _stack_cases():
+    """Per case, a function of one point's values and the rows of values
+    of a stack: every component kind, and the rows that take a special
+    path beside rows that do not."""
+    def constant(a, b):
+        return IntensityModel((MultiplicativeComponent(0, Constant(a)),
+                               MultiplicativeComponent(1, Constant(b))))
+
+    def weibull(a, b):
+        return IntensityModel((MultiplicativeComponent(0, Weibull(a, b), gates=(1,)),
+                               MultiplicativeComponent(1, Weibull(0.2, b))))
+
+    def piecewise(r0, r1, r2):
+        return IntensityModel((MultiplicativeComponent(0, PiecewiseConstant((0.5, 1.2), (r0, r1, r2))),
+                               MultiplicativeComponent(1, Constant(0.3))))
+
+    def modifier(eta, gamma, offset):
+        # illness gated by death; illness multiplies death by exp(eta + gamma T)
+        return IntensityModel((
+            MultiplicativeComponent(0, Constant(0.4), gates=(1,)),
+            MultiplicativeComponent(1, Weibull(0.3, 1.2), terms=(ModifierTerm((0,), eta, gamma),),
+                                    log_offset=offset)))
+
+    def interaction(e0, e1, e01):
+        return IntensityModel((
+            MultiplicativeComponent(0, Constant(0.1), gates=(2,)),
+            MultiplicativeComponent(1, Constant(0.15), gates=(2,)),
+            MultiplicativeComponent(2, Constant(0.2), terms=(
+                ModifierTerm((0,), e0), ModifierTerm((1,), e1), ModifierTerm((0, 1), e01)))))
+
+    def pattern(a01, a02, a12):
+        return markov_to_ojc(illness_death(a01, a02, a12)[0])
+
+    return {
+        "constant": (constant, [(0.3, 0.2), (0.05, 1.7)]),
+        "weibull_b_1": (weibull, [(0.4, 1.0), (0.4, 0.7), (1.3, 2.5)]),
+        "piecewise_zero_piece": (piecewise, [(0.2, 0.0, 0.4), (0.3, 0.5, 0.1)]),
+        "modifier_gamma_0": (modifier, [(0.5, 0.0, 0.0), (0.5, 0.3, 0.2), (-0.4, 0.0, -0.1)]),
+        "interaction": (interaction, [(0.2, 0.1, 0.05), (-0.3, 0.4, 0.0)]),
+        "pattern_table": (pattern, [(0.3, 0.2, 0.5), (0.1, 0.4, 0.05)]),
+        # exp(800) overflows to inf; where illness never happens its
+        # modifier never switches on and adds nothing (and no nan)
+        "eta_800": (modifier, [(800.0, 0.0, 0.0), (0.5, 0.0, 0.0), (800.0, 0.0, 0.1)]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_stack_cases()))
+def test_stacked_density_equals_per_point_passes(case):
+    # a model of (B, 1) value stacks gives each row the bits of the model
+    # built from that row's values alone, densities and derivatives both
+    build, rows = _stack_cases()[case]
+    points = [build(*row) for row in rows]
+    stack = points[0].with_values(np.stack([m.values for m in points], axis=1))
+    assert stack.structure == points[0].structure
+    assert np.array_equal(stack.values, np.stack([m.values for m in points], axis=1))
+    rng = np.random.default_rng(3)
+    C, N, p = 3.0, 400, points[0].p
+    s = rng.uniform(0.0, C, (p, N))
+    s[rng.random((p, N)) < 0.4] = C      # no jump by the horizon
+    s[:, :5] = C
+    flags = s < C
+    need = [True] * points[0].values.size
+    # past exp overflow, a node where the modifier does switch on gives
+    # inf * exp(-inf), nan, in a stack as alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, grads = _density_at(stack, _density_geometry(stack, s, flags, C), need)
+        assert f.shape == (len(rows), N)
+        for b, model in enumerate(points):
+            f_b, grads_b = _density_at(model, _density_geometry(model, s, flags, C), need)
+            assert f[b].tobytes() == f_b.tobytes(), b
+            for x, x_b in zip(grads, grads_b):
+                assert (np.broadcast_to(x, f.shape)[b].tobytes()
+                        == np.broadcast_to(x_b, f_b.shape).tobytes()), b
+    never_ill = s[0] == C
+    assert np.isfinite(f[:, never_ill]).all() and (f[:, :5] > 0).all()

@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
-from .likelihood import _density_at, _density_geometry, _layout_codes, loglik_atom
+from .likelihood import _density_at, _density_geometry, _layout_codes, _quad_opts, loglik_atom
 from .models import IntensityModel
 from .observation import PseudoAtomRecord, StatusCodes
 from .quadrature import (
@@ -152,16 +152,6 @@ class FitResult:
     grad_norm: float
     message: str
     n_tolerance_failures: int = 0
-
-
-def _quad_opts(rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = DEFAULT_ABS_TOL,
-               max_evals: int = DEFAULT_MAX_EVALS) -> dict:
-    """loglik_atom's quadrature options, checked: they also set the panels'
-    error check, which needs finite positive tolerances."""
-    opts = {"rel_tol": rel_tol, "abs_tol": abs_tol, "max_evals": max_evals}
-    if not (all(np.isfinite(x) and x > 0 for x in (rel_tol, abs_tol)) and max_evals >= 1):
-        raise InvalidInputError(f"need rel_tol, abs_tol finite > 0, max_evals >= 1: {opts}")
-    return opts
 
 
 def dataset_loglik(model: IntensityModel,

@@ -19,8 +19,10 @@ All terms are nonnegative, so the log of their sum is well defined, with
 When a pinned jump provably switches another component off (a death-style
 gate), that component's range is always cut there: the discarded region
 carries zero intensity, so the value is unchanged and panels are saved.
-This layout of a record into corner terms, and the density kernel, are
-shared with inference.DatasetEvaluator, which falls back to this reference.
+One function, _layout_codes, lays records out into these corner terms, a
+whole coded cohort at once: loglik_atom reads it for its one record, and
+inference.DatasetEvaluator for its plan, falling back to loglik_atom for the
+records the plan cannot settle. The two share the density kernel too.
 The kernel runs in the two phases of the model components: its geometry
 (rate geometries at the flagged jumps, cum geometries over (0, C]) depends
 on the coordinates alone, so the evaluator builds it once per plan and
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import InconsistentObservationError, InvalidInputError, InvalidRecordError
 from .models import IntensityModel, JumpHistory, MultiplicativeComponent, PatternTableComponent
-from .observation import Exact, Interval, PseudoAtomRecord, SurvivedBeyond
+from .observation import Exact, Interval, PseudoAtomRecord, StatusCodes, SurvivedBeyond
 from .quadrature import (
     DEFAULT_ABS_TOL,
     DEFAULT_MAX_EVALS,
@@ -141,73 +143,9 @@ def _switched_off_by(component, e: int) -> bool:
     return False
 
 
-def _layout(model: IntensityModel, atom: PseudoAtomRecord, C: float):
-    """The record's corner terms, each as (s, flags, free).
-
-    s holds the pinned coordinates, C for a survivor taken not to have
-    jumped (and, as a placeholder, for free ones); flags marks jumps, free
-    coordinates included; free lists the (j, lo, hi) ranges, intervals
-    first, each cut where a pinned jump switches component j off. Terms
-    with an empty range are dropped, so an impossible record has none.
-    """
-    p = model.p
-    if atom.p != p:
-        raise InvalidInputError(f"record has {atom.p} components, model has {p}")
-    s = [C] * p
-    flags = [False] * p
-    jumps: list[tuple[int, float]] = []
-    ranges: list[tuple[int, float, float, bool]] = []   # (j, lo, hi, survivor)
-    for j, st in enumerate(atom.statuses):
-        if isinstance(st, Exact):
-            if st.observed_jump:
-                if not (0 < st.time <= C):
-                    raise InvalidInputError(f"component {j}: jump time {st.time} outside (0, {C}]")
-                jumps.append((j, st.time))
-                s[j] = st.time
-                flags[j] = True
-            elif st.time != C:
-                raise InvalidInputError(
-                    f"component {j}: no-jump-by-{st.time} with later times unobserved "
-                    "should be SurvivedBeyond"
-                )
-        elif isinstance(st, Interval):
-            if st.upper > C:
-                raise InvalidInputError(f"component {j}: interval end {st.upper} beyond {C}")
-            ranges.append((j, st.lower, st.upper, False))
-        elif isinstance(st, SurvivedBeyond):
-            if not (0 <= st.time <= C):
-                raise InvalidInputError(f"component {j}: survival time {st.time} outside [0, {C}]")
-            ranges.append((j, st.time, C, True))
-        else:
-            raise InvalidInputError(f"component {j}: unknown status {st!r}")
-    if not ranges:
-        return [(s, flags, [])]
-    free, live = [], []     # ranges of every term; survivors' ranges
-    for j, lo, hi, survivor in ranges:
-        for e, t in jumps:
-            if t < hi and _switched_off_by(model.components[j], e):
-                hi = t
-        if hi > lo:
-            (live if survivor else free).append((j, lo, hi))
-            flags[j] = True
-        elif not survivor:
-            return []
-    terms = [(s, flags, free + live)]
-    if len(live) == 1:      # the common case, without the combinatorics
-        no_jump = flags.copy()
-        no_jump[live[0][0]] = False
-        return terms + [(s, no_jump, free)]
-    for r in range(1, len(live) + 1):
-        for pinned in combinations(live, r):
-            no_jump = flags.copy()
-            for j, _, _ in pinned:
-                no_jump[j] = False
-            terms.append((s, no_jump, free + [x for x in live if x not in pinned]))
-    return terms
-
-
 def _corner_pins(n_live: int) -> np.ndarray:
-    """Which of n_live survivors each corner term pins at C, in _layout's order."""
+    """Which of n_live survivors each corner term pins at C: none first, then
+    each subset of them by size, in combinations order."""
     subsets = [c for r in range(n_live + 1) for c in combinations(range(n_live), r)]
     pins = np.zeros((len(subsets), n_live), dtype=bool)
     for t, c in enumerate(subsets):
@@ -216,13 +154,21 @@ def _corner_pins(n_live: int) -> np.ndarray:
 
 
 def _layout_codes(model: IntensityModel, codes, C: float):
-    """_layout of every record of a coded cohort at once, in array form.
+    """The corner terms of every record of a coded cohort, in array form.
 
-    Returns (rec, S, F, R), one entry per corner term, records in order and
-    each record's terms in _layout's order: the term's record, its pinned
-    coordinates and flags as (p, terms) arrays, and R[k, term] its k-th free
-    range (j, lo, hi), (-1, 0, 0) past its last. Records are grouped by
-    their number of live survivors, which fixes the pattern of their terms.
+    Returns (rec, S, F, R), one entry per corner term, records in order: the
+    term's record, its pinned coordinates and flags as (p, terms) arrays,
+    and R[k, term] its k-th free range (j, lo, hi), (-1, 0, 0) past its
+    last. S holds the jump times and C elsewhere (a survivor taken not to
+    have jumped, and a placeholder for a free coordinate); F marks jumps,
+    free coordinates included. A record's all-free term comes first, then
+    one term for each subset of its live survivors pinned at C, by size, in
+    combinations order. Free ranges list the intervals first, then the
+    survivors not pinned, each in component order. Each range is cut where
+    a pinned jump switches its component off; a survivor whose range is cut
+    empty is not live, and a record with an interval cut empty is impossible
+    and has no terms. A refused record raises InvalidRecordError, the first
+    in record and component order.
     """
     kind, x1, x2, flag = codes
     n, p = kind.shape
@@ -237,7 +183,7 @@ def _layout_codes(model: IntensityModel, codes, C: float):
         (interval & ~((0 <= x1) & (x1 < x2)), "interval ({a}, {b}] is empty or negative"),
         (interval & (x2 > C), "interval end {b} beyond {C}"),
         (survivor & ~((0 <= x1) & (x1 <= C)), "survival time {a} outside [0, {C}]"),
-        (~np.isin(kind, (0, 1, 2)), "unknown status code {k}"),
+        (~((kind == 0) | interval | survivor), "unknown status code {k}"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in problems])
     if bad.any():
@@ -284,6 +230,16 @@ def _layout_codes(model: IntensityModel, codes, C: float):
     return rec, S, F, R
 
 
+def _quad_opts(rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = DEFAULT_ABS_TOL,
+               max_evals: int = DEFAULT_MAX_EVALS) -> dict:
+    """loglik_atom's quadrature options, checked: finite positive tolerances
+    (they also set the dataset plan's panel error check) and max_evals >= 1."""
+    opts = {"rel_tol": rel_tol, "abs_tol": abs_tol, "max_evals": max_evals}
+    if not (all(np.isfinite(x) and x > 0 for x in (rel_tol, abs_tol)) and max_evals >= 1):
+        raise InvalidInputError(f"need rel_tol, abs_tol finite > 0, max_evals >= 1: {opts}")
+    return opts
+
+
 def loglik_atom(
     model: IntensityModel,
     atom: PseudoAtomRecord,
@@ -299,7 +255,11 @@ def loglik_atom(
     coordinates of components with an observed exact jump time. Each corner
     term is integrated adaptively.
     """
-    terms = _layout(model, atom, C)
+    opts = _quad_opts(rel_tol, abs_tol, max_evals)
+    _, S, F, R = _layout_codes(model, StatusCodes.from_records([atom]), C)
+    # term t: coordinates S[:, t], flags F[:, t], free ranges R[:, t] up to j = -1
+    terms = [(s, flags, [(int(j), lo, hi) for j, lo, hi in ranges if j >= 0]) for s, flags, ranges
+             in zip(S.T.tolist(), F.T.tolist(), R.transpose(1, 0, 2).tolist())]
     # panels split at rate discontinuities, pinned times and range bounds
     cuts = set(model.breakpoints)
     for s, _, free in terms:
@@ -321,8 +281,7 @@ def loglik_atom(
             return val if np.ndim(val) else np.full(np.shape(coords[-1]), float(val))
 
         dims = tuple(Dim(lo, hi, cuts) for _, lo, hi in free)
-        total += integrate_nested(integrand, dims, rel_tol=rel_tol, abs_tol=abs_tol,
-                                  max_evals=max_evals).value
+        total += integrate_nested(integrand, dims, **opts).value
     with np.errstate(divide="ignore"):
         return float(np.log(max(total, 0.0)))
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InconsistentObservationError, InvalidInputError
+from .errors import InconsistentObservationError, InvalidInputError, InvalidRecordError
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,15 @@ def record_from_codes(kind, x1, x2, flag) -> PseudoAtomRecord:
     return PseudoAtomRecord(tuple(statuses))
 
 
-def _code(st) -> tuple:
+def _code(st, i: int, j: int) -> tuple:
+    """The codes of status st, component j of record i."""
     if isinstance(st, Exact):
         return 0, st.time, np.nan, st.observed_jump
     if isinstance(st, Interval):
         return 1, st.lower, st.upper, False
     if isinstance(st, SurvivedBeyond):
         return 2, st.time, np.nan, False
-    raise InvalidInputError(f"unserializable status {st!r}")
+    raise InvalidRecordError(i, f"unknown status {st!r}", component=j)
 
 
 class StatusCodes(NamedTuple):
@@ -115,7 +116,8 @@ class StatusCodes(NamedTuple):
         p = records[0].p if records else 0
         if any(r.p != p for r in records):
             raise InvalidInputError("records disagree on the number of components")
-        cols = list(zip(*map(_code, (st for r in records for st in r.statuses)))) or [()] * 4
+        cols = list(zip(*(_code(st, i, j) for i, r in enumerate(records)
+                          for j, st in enumerate(r.statuses)))) or [()] * 4
         return cls(*(np.array(c, dtype=t).reshape(len(records), p)
                      for c, t in zip(cols, (np.uint8, float, float, bool))))
 

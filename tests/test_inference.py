@@ -29,7 +29,7 @@ from coarselik.inference import (
     per_subject_loglik,
 )
 from coarselik.io import load_model_config, load_scheme_config
-from coarselik.likelihood import _density, _layout, _layout_codes, loglik_atom
+from coarselik.likelihood import _density, _layout_codes, conditional_loglik, loglik_atom
 from coarselik.models import IntensityModel, ModifierTerm, MultiplicativeComponent
 from coarselik.observation import (
     ComponentSchedule,
@@ -268,24 +268,18 @@ def test_per_subject_loglik_agrees_with_loglik_atom(case, monkeypatch):
 
 
 def per_record_terms(model, records, C):
-    """The plan's term arrays as the per-record build made them: one
-    _layout call per record, its terms appended in order."""
-    term_rec, term_s, term_f, term_n, term_free = [], [], [], [], []
-    for i, rec in enumerate(records):
-        for s, flags, free in _layout(model, rec, C):
-            term_rec.append(i)
-            term_s.append(s)
-            term_f.append(flags)
-            term_n.append(len(free))
-            term_free.extend(free)
-    p = model.p
-    S = np.ascontiguousarray(np.array(term_s, dtype=float).reshape(-1, p).T)
-    F = np.ascontiguousarray(np.array(term_f, dtype=bool).reshape(-1, p).T)
-    nfree = np.array(term_n, dtype=int)
-    R = np.full((nfree.max(initial=0), nfree.size, 3), [-1.0, 0.0, 0.0])
-    R[np.arange(len(term_free)) - np.repeat(np.cumsum(nfree) - nfree, nfree),
-      np.repeat(np.arange(nfree.size), nfree)] = np.array(term_free, dtype=float).reshape(-1, 3)
-    return np.array(term_rec, dtype=int), S, F, R
+    """A cohort's term arrays as loglik_atom lays them out: one
+    _layout_codes call per record, its terms appended in order."""
+    parts = [_layout_codes(model, StatusCodes.from_records([rec]), C) for rec in records]
+    rec = np.concatenate([i + part[0] for i, part in enumerate(parts)])
+    S, F = (np.ascontiguousarray(np.concatenate([part[k] for part in parts], axis=1))
+            for k in (1, 2))
+    R = np.full((max(len(part[3]) for part in parts), rec.size, 3), [-1.0, 0.0, 0.0])
+    start = 0
+    for *_, terms in parts:
+        R[:len(terms), start:start + terms.shape[1]] = terms
+        start += terms.shape[1]
+    return rec, S, F, R
 
 
 # two survivors read at visits and a timed death: records with 0, 1 and 2
@@ -303,20 +297,59 @@ PLAN_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PLAN_CASES))
-def test_plan_from_codes_matches_the_per_record_plan(case, monkeypatch):
-    # the array layout of the codes gives the per-record plan, bit for bit
+def test_plan_from_codes_matches_the_per_record_plan(case):
+    # the array layout of a cohort's codes is that of its records one by
+    # one, bit for bit: the plan has loglik_atom's terms
     model, C, records = PLAN_CASES[case]
     codes = StatusCodes.from_records(records)
     for got, ref in zip(_layout_codes(model, codes, C), per_record_terms(model, records, C)):
         assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
-    fam = ParametricFamily((), (), lambda _: model, tuple(model.breakpoints))
-    got = DatasetEvaluator(fam, codes, C)
-    monkeypatch.setattr(inference, "_layout_codes",
-                        lambda probe, codes, C: per_record_terms(probe, codes.records(), C))
-    ref = DatasetEvaluator(fam, records, C)
-    for name in ("_rec", "_s", "_f", "_w", "_over_budget"):
-        a, b = getattr(got, name), getattr(ref, name)
-        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+# one record's corner terms written out as (s, flags, free): the all-free
+# term first, then one for each subset of the live survivors pinned at C, by
+# size; free ranges list the intervals first, then the unpinned survivors.
+# DEMENTIA's dementia and institution are switched off by death (component 2).
+HAND_LAYOUTS = {
+    "no_live_survivor": (3.0, _rec(Interval(0.0, 1.0), SurvivedBeyond(2.2), Exact(2.2, True)), [
+        ([3.0, 3.0, 2.2], [1, 0, 1], [(0, 0.0, 1.0)]),
+    ]),
+    "one_survivor_cut_by_death": (3.0, _rec(Interval(1.0, 2.0), SurvivedBeyond(1.5),
+                                            Exact(2.5, True)), [
+        ([3.0, 3.0, 2.5], [1, 1, 1], [(0, 1.0, 2.0), (1, 1.5, 2.5)]),
+        ([3.0, 3.0, 2.5], [1, 0, 1], [(0, 1.0, 2.0)]),
+    ]),
+    "one_survivor_to_horizon": (3.0, _rec(SurvivedBeyond(1.0), Interval(0.0, 1.5),
+                                          Exact(3.0, False)), [
+        ([3.0, 3.0, 3.0], [1, 1, 0], [(1, 0.0, 1.5), (0, 1.0, 3.0)]),
+        ([3.0, 3.0, 3.0], [0, 1, 0], [(1, 0.0, 1.5)]),
+    ]),
+    "two_survivors": (3.0, _rec(SurvivedBeyond(0.5), SurvivedBeyond(1.0), Exact(2.5, True)), [
+        ([3.0, 3.0, 2.5], [1, 1, 1], [(0, 0.5, 2.5), (1, 1.0, 2.5)]),
+        ([3.0, 3.0, 2.5], [0, 1, 1], [(1, 1.0, 2.5)]),
+        ([3.0, 3.0, 2.5], [1, 0, 1], [(0, 0.5, 2.5)]),
+        ([3.0, 3.0, 2.5], [0, 0, 1], []),
+    ]),
+    # the death at 1.5 cuts the interval (2, 3] empty: no terms
+    "impossible_interval": (3.0, _rec(Interval(2.0, 3.0), SurvivedBeyond(1.0),
+                                      Exact(1.5, True)), []),
+    "three_d": (2.0, _rec(Interval(0.2, 1.0), Interval(0.3, 1.5), Interval(0.5, 1.8)), [
+        ([2.0, 2.0, 2.0], [1, 1, 1], [(0, 0.2, 1.0), (1, 0.3, 1.5), (2, 0.5, 1.8)]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_LAYOUTS))
+def test_layout_codes_gives_the_hand_written_terms(case):
+    C, record, terms = HAND_LAYOUTS[case]
+    n = len(terms)
+    R = np.full((max((len(free) for *_, free in terms), default=0), n, 3), [-1.0, 0.0, 0.0])
+    for t, (*_, free) in enumerate(terms):
+        R[:len(free), t] = np.reshape(free, (-1, 3))
+    ref = (np.zeros(n, dtype=int), np.reshape([s for s, _, _ in terms], (n, 3)).T,
+           np.reshape(np.array([f for _, f, _ in terms], dtype=bool), (n, 3)).T, R)
+    for got, want in zip(_layout_codes(DEMENTIA, StatusCodes.from_records([record]), C), ref):
+        np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_per_subject_loglik_passes_max_evals_to_the_fallback():
@@ -769,9 +802,14 @@ def test_modifier_that_never_switches_on_cannot_overflow(eta):
 ])
 def test_evaluator_rejects_bad_quadrature_options(name, value):
     # the embedded error check is the only way to the fallback, so its
-    # options must mean something
+    # options must mean something; loglik_atom checks them too (a nan
+    # abs_tol once gave it a wrong value, max_evals=0 a ToleranceError)
     fam = exponential_family()
     records = [PseudoAtomRecord((Interval(0.0, 1.0),))]
+    with pytest.raises(InvalidInputError, match=name):
+        loglik_atom(fam.build([0.5]), records[0], 2.0, **{name: value})
+    with pytest.raises(InvalidInputError, match=name):
+        conditional_loglik(fam.build([0.5]), records[0], 2.0, 0.5, **{name: value})
     with pytest.raises(InvalidInputError, match=name):
         DatasetEvaluator(fam, records, 2.0, **{name: value})
     with pytest.raises(InvalidInputError, match=name):

@@ -19,6 +19,7 @@ from coarselik.models import IntensityModel, JumpHistory, MultiplicativeComponen
 from coarselik.observation import Exact, Interval, PseudoAtomRecord, SurvivedBeyond
 
 INF = np.inf
+NAN = np.nan
 
 
 def independent_pair(alpha, beta):
@@ -151,15 +152,30 @@ def test_impossible_record_is_minus_inf():
 
 def test_record_validation():
     _, model = illness_death(0.1, 0.2, 0.4)
-    with pytest.raises(InvalidInputError):
-        loglik_atom(model, PseudoAtomRecord((Exact(1.0, True),)), 2.0)
-    with pytest.raises(InvalidInputError):
+    for statuses, message in [
+        ((Exact(1.0, True),), "record 0: record has 1 components, model has 2"),
+        ((Exact(0.0, True), Exact(2.0, False)),
+         "record 0: component 0: jump time 0.0 outside (0, 2.0]"),
+        ((Exact(NAN, True), Exact(2.0, False)),
+         "record 0: component 0: jump time nan outside (0, 2.0]"),
+        ((Exact(INF, True), Exact(2.0, False)),
+         "record 0: component 0: jump time inf outside (0, 2.0]"),
         # a no-jump stamp before the horizon should have been SurvivedBeyond
-        loglik_atom(model, PseudoAtomRecord((Exact(1.0, False), Exact(2.0, False))), 2.0)
-    with pytest.raises(InvalidInputError):
-        loglik_atom(model, PseudoAtomRecord((Interval(0.0, 2.5), Exact(2.0, False))), 2.0)
-    with pytest.raises(InvalidInputError):
-        loglik_atom(model, PseudoAtomRecord((SurvivedBeyond(2.5), Exact(2.0, False))), 2.0)
+        ((Exact(1.0, False), Exact(2.0, False)), "record 0: component 0: "
+         "no-jump-by-1.0 with later times unobserved should be SurvivedBeyond"),
+        ((Interval(0.0, 2.5), Exact(2.0, False)),
+         "record 0: component 0: interval end 2.5 beyond 2.0"),
+        ((SurvivedBeyond(-1.0), Exact(2.0, False)),
+         "record 0: component 0: survival time -1.0 outside [0, 2.0]"),
+        ((SurvivedBeyond(NAN), Exact(2.0, False)),
+         "record 0: component 0: survival time nan outside [0, 2.0]"),
+        ((SurvivedBeyond(2.5), Exact(2.0, False)),
+         "record 0: component 0: survival time 2.5 outside [0, 2.0]"),
+        ((Exact(2.0, False), "x"), "record 0: component 1: unknown status 'x'"),
+    ]:
+        with pytest.raises(InvalidInputError) as refused:
+            loglik_atom(model, PseudoAtomRecord(statuses), 2.0)
+        assert str(refused.value) == message
 
 
 def test_conditional_adds_initial_exposure():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from coarselik.catalog import hybrid_scheme, panel_death_scheme
-from coarselik.errors import InconsistentObservationError, InvalidInputError
+from coarselik.errors import InconsistentObservationError, InvalidInputError, InvalidRecordError
 from coarselik.observation import (
     ComponentSchedule,
     Exact,
     Interval,
     ObservationScheme,
+    PseudoAtomRecord,
+    StatusCodes,
     SurvivedBeyond,
     classify_observation,
     coarsen,
@@ -122,6 +124,15 @@ def test_status_validation():
         Interval(1.0, 1.0)
     with pytest.raises(InvalidInputError):
         Interval(-0.5, 1.0)
+
+
+def test_status_codes_name_an_unknown_status():
+    records = [PseudoAtomRecord((Exact(1.0, True), SurvivedBeyond(0.5))),
+               PseudoAtomRecord((Interval(0.0, 1.0), "x"))]
+    with pytest.raises(InvalidRecordError, match=r"^record 1: component 1: unknown status 'x'$") \
+            as refused:
+        StatusCodes.from_records(records)
+    assert (refused.value.record_index, refused.value.component) == (1, 1)
 
 
 def test_jump_at_window_end_not_exact():

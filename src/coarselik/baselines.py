@@ -4,10 +4,14 @@ A baseline is a nonnegative rate function of time together with its exact
 integrated hazard. All evaluation methods broadcast over numpy arrays, and
 `breakpoints` lists the interior times where the rate is discontinuous so
 that quadrature panels and ODE solves can align with them. `values` are the
-numbers a baseline is built from; log_rate_grad and cum0_grad return the
-derivatives of log rate and of cum0 with respect to each of them, in that
-order, and with_values builds a baseline of the same family (and grid) from
-other values.
+numbers a baseline is built from. rate_terms and cum0_terms take one
+argument and return, in one call, the rate (or cum0) and, to the `order`
+asked, the derivatives of log rate (or of cum0) with respect to each value,
+in that order, and their second derivatives: a dict {(a, b): array}, a <= b,
+of the entries that are not identically 0. Past the order asked they return
+None, and compute nothing for it. rate and cum0 are their values alone.
+with_values builds a baseline of the same family (and grid) from other
+values.
 
 Values may be stacked: each value is a number, or a (B, 1) array holding it
 at B parameter points, which broadcasts against times of one dimension to
@@ -51,12 +55,27 @@ class Constant:
         self.time_constant = True
 
     def rate(self, t):
+        return self.rate_terms(t)[0]
+
+    def rate_terms(self, t, order=0):
         if isinstance(self.value, float):
-            return np.broadcast_to(np.float64(self.value), np.shape(t)).copy() if np.ndim(t) else self.value
-        return np.broadcast_to(self.value, np.broadcast_shapes(self.value.shape, np.shape(t))).copy()
+            rate = np.broadcast_to(np.float64(self.value), np.shape(t)).copy() if np.ndim(t) else self.value
+        else:
+            rate = np.broadcast_to(self.value, np.broadcast_shapes(self.value.shape, np.shape(t))).copy()
+        if not order:
+            return rate, None, None
+        with np.errstate(divide="ignore"):
+            inverse = np.divide(1.0, self.value)
+        return rate, [inverse], {(0, 0): -inverse * inverse} if order > 1 else None
 
     def cum0(self, t):
-        return self.value * np.asarray(t, dtype=float) if np.ndim(t) else self.value * float(t)
+        return self.cum0_terms(t)[0]
+
+    def cum0_terms(self, t, order=0):
+        cum0 = self.value * np.asarray(t, dtype=float) if np.ndim(t) else self.value * float(t)
+        if not order:
+            return cum0, None, None
+        return cum0, [np.asarray(t, dtype=float)], {} if order > 1 else None
 
     def cum(self, t0, t1):
         return self.value * np.maximum(np.asarray(t1, dtype=float) - t0, 0.0)
@@ -64,13 +83,6 @@ class Constant:
     @property
     def values(self) -> tuple[float, ...]:
         return (self.value,)
-
-    def log_rate_grad(self, t):
-        with np.errstate(divide="ignore"):
-            return [np.divide(1.0, self.value)]
-
-    def cum0_grad(self, t):
-        return [np.asarray(t, dtype=float)]
 
     def with_values(self, values) -> "Constant":
         return Constant(*values)
@@ -97,16 +109,40 @@ class Weibull:
         self._at_0 = np.where(b == 1.0, a, np.where(b < 1.0, np.inf, 0.0))
 
     def rate(self, t):
+        return self.rate_terms(t)[0]
+
+    def rate_terms(self, t, order=0):
         t = np.asarray(t, dtype=float)
         # where b == 1 this is a * 1 * t^0, which is a
         with np.errstate(divide="ignore", over="ignore"):
             out = np.where(t > 0, self.a * self.b * t ** (self.b - 1.0), self._at_0)
-        return out if out.ndim else float(out)
+        out = out if out.ndim else float(out)
+        if not order:
+            return out, None, None
+        grads = [1.0 / self.a, 1.0 / self.b + np.log(np.where(t > 0, t, 1.0))]
+        if order < 2:
+            return out, grads, None
+        return out, grads, {(0, 0): -1.0 / (self.a * self.a), (1, 1): -1.0 / (self.b * self.b)}
 
     def cum0(self, t):
+        return self.cum0_terms(t)[0]
+
+    def cum0_terms(self, t, order=0):
         t = np.asarray(t, dtype=float)
-        out = self.a * np.maximum(t, 0.0) ** self.b
-        return out if out.ndim else float(out)
+        if not order:
+            # one expression: numpy reuses its temporaries on large arrays
+            out = self.a * np.maximum(t, 0.0) ** self.b
+            return (out if out.ndim else float(out)), None, None
+        # one power for the value and its derivatives
+        t = np.maximum(t, 0.0)
+        power = t ** self.b
+        scaled = self.a * power
+        out = scaled if scaled.ndim else float(scaled)
+        log_t = np.log(np.where(t > 0, t, 1.0))
+        grads = [power, scaled * log_t]
+        if order < 2:
+            return out, grads, None
+        return out, grads, {(0, 1): power * log_t, (1, 1): grads[1] * log_t}
 
     def cum(self, t0, t1):
         return np.maximum(self.cum0(t1) - self.cum0(t0), 0.0)
@@ -114,15 +150,6 @@ class Weibull:
     @property
     def values(self) -> tuple[float, ...]:
         return (self.a, self.b)
-
-    def log_rate_grad(self, t):
-        t = np.asarray(t, dtype=float)
-        return [1.0 / self.a, 1.0 / self.b + np.log(np.where(t > 0, t, 1.0))]
-
-    def cum0_grad(self, t):
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        power = t ** self.b
-        return [power, self.a * power * np.log(np.where(t > 0, t, 1.0))]
 
     def with_values(self, values) -> "Weibull":
         return Weibull(*values)
@@ -171,16 +198,37 @@ class PiecewiseConstant:
         return table[i] if table.ndim == 1 or np.ndim(i) == 0 else table[:, :, 0].T[:, i]
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self._pick(self.rates, self._index(t))
-        return out if out.ndim else float(out)
+        return self.rate_terms(t)[0]
+
+    def rate_terms(self, t, order=0):
+        i = self._index(np.asarray(t, dtype=float))
+        out = self._pick(self.rates, i)
+        out = out if out.ndim else float(out)
+        if not order:
+            return out, None, None
+        with np.errstate(divide="ignore"):
+            inverse = 1.0 / self.rates
+        grads = [np.where(i == m, inverse[m], 0.0) for m in range(len(self.rates))]
+        if order < 2:
+            return out, grads, None
+        return out, grads, {(m, m): -g * g for m, g in enumerate(grads)}
 
     def cum0(self, t):
+        return self.cum0_terms(t)[0]
+
+    def cum0_terms(self, t, order=0):
         t = np.asarray(t, dtype=float)
         i = self._index(t)
         out = self._pick(self._cum_at_edge, i) + self._pick(self.rates, i) * (
             np.maximum(t, 0.0) - self._edges[i])
-        return out if out.ndim else float(out)
+        out = out if out.ndim else float(out)
+        if not order:
+            return out, None, None
+        # the time (0, t] spends in each piece; cum0 is linear in the rates
+        t = np.maximum(t, 0.0)
+        ends = np.append(self.grid, np.inf)
+        return out, [np.clip(t - self._edges[m], 0.0, ends[m] - self._edges[m])
+                     for m in range(len(self.rates))], {} if order > 1 else None
 
     def cum(self, t0, t1):
         return np.maximum(self.cum0(t1) - self.cum0(t0), 0.0)
@@ -188,19 +236,6 @@ class PiecewiseConstant:
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(self.rates)
-
-    def log_rate_grad(self, t):
-        i = self._index(np.asarray(t, dtype=float))
-        with np.errstate(divide="ignore"):
-            inverse = 1.0 / self.rates
-        return [np.where(i == m, inverse[m], 0.0) for m in range(len(self.rates))]
-
-    def cum0_grad(self, t):
-        # the time (0, t] spends in each piece
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        ends = np.append(self.grid, np.inf)
-        return [np.clip(t - self._edges[m], 0.0, ends[m] - self._edges[m])
-                for m in range(len(self.rates))]
 
     def with_values(self, values) -> "PiecewiseConstant":
         return PiecewiseConstant(self.grid, values)

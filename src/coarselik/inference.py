@@ -26,30 +26,32 @@ sum_r w_r f_r over its nodes, and its score sum_r w_r f_r g_r / sum_r w_r f_r,
 g_r the derivatives of log f_r. The family's map from theta to the model's
 values (baseline parameters, modifier eta and gamma, offsets) is
 differenced over the models at theta +- h_k e_k, exact up to rounding for a
-value affine in theta, as every config family's is. The same kernel walk
-that gives f_r then gives d log f_r in only the values that map reaches,
-from log rates and cums: no rate or cum is built twice and nothing
-divided. A record on the fallback gets central differences of loglik_atom.
+value affine in theta, as every config family's is; the models at a point
+and at its stencil are one build, each value a (B, 1) stack (see models),
+for a family whose builder declares it takes stacks (builds_stacks, as
+config families do), and another builder is called once per point. The
+same kernel walk that gives f_r then gives d log f_r in only the values
+that map reaches, from log rates and cums: no rate or cum is built twice
+and nothing divided. A record on the fallback gets central differences of
+loglik_atom.
 
-Parameter points may be stacked: total_and_score takes B points at once.
-The models at all of them and at their stencils are one build, each value
-a (B, 1) stack (see models), for a family whose builder declares it takes
-stacks (builds_stacks, as config families do); another builder is called
-once per point and its models' values are stacked. The points of one
-structure are then one kernel pass, whose (B, N) arrays give each row the
-bits of that point's own pass, in blocks of rows of at most _STACK_NODES
-row-nodes (8 192; one row where the plan is larger). A point whose
-fallback runs out of budget, or whose value is not finite, is -inf alone.
-A single point is a stack of one.
+The observed information is exact too, by Louis's identity: the observed
+likelihood is the conditional mean of the full-data one, so a record's
+Hessian is sum_r omega_r (g_r g_r^T + G_r) - s_i s_i^T, omega_r the node's
+share w_r f_r / L_i of the record's likelihood, G_r the second derivatives
+of log f_r and s_i the score. The kernel returns G_r on request, within a
+component (the only nonzero blocks), in one pass at one point; the map's own
+curvature is differenced over model builds alone, and a record on the
+fallback gets second central differences of loglik_atom.
 
 fit_mle runs BFGS on that score, one point an evaluation. Its search
 variables are scaled by the BHHH matrix sum_i s_i s_i^T of the start's
 per-record scores, so its first step is the BHHH step, on the scale of the
-data's information about theta. Standard errors come from the Hessian by
-central differences of the score at a converged estimate, its 2k points
-one stacked evaluation, mapped back to the natural scale by the delta
-method. n_evaluations counts value-and-score evaluations by their points:
-the start's, BFGS's, and the Hessian's 2k.
+data's information about theta. Standard errors come from the observed
+information at a converged estimate, mapped to the search variables and
+back to the natural scale by the delta method. n_evaluations counts the
+value-and-score evaluations, the start's and BFGS's, and the information's
+pass as one more.
 """
 
 from __future__ import annotations
@@ -75,11 +77,7 @@ from .quadrature import (
 
 _MAX_PANEL = 1.0  # fixed panels never span more than this
 _STEP = 1e-5      # relative step of the score's central differences
-# a stack of parameter points is evaluated in blocks of rows, each block's
-# rows times the plan's nodes at most this (or one row), so that a (B, N)
-# float array stays within 64 KiB: past that the C allocator hands each
-# temporary freshly mapped pages, and a row costs more in a stack than alone
-_STACK_NODES = 8192
+_STEP2 = 1e-4     # relative step of second differences (map curvature, fallback)
 # the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
 _G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
 
@@ -144,6 +142,11 @@ class ParametricFamily:
 
 @dataclass
 class FitResult:
+    """A fit's estimate, log-likelihood and standard errors (None unless it
+    converged). n_evaluations counts the evaluations of the log-likelihood
+    and score (the start's and BFGS's) and, for a converged fit, the one
+    evaluation of the observed information."""
+
     theta: dict[str, float]
     loglik: float
     std_errors: dict[str, float] | None
@@ -188,6 +191,66 @@ def _difference(upper, centre, lower, h):
     if not width:
         return np.nan
     return ((centre if upper is None else upper) - (centre if lower is None else lower)) / width
+
+
+def _second_differences(theta, h):
+    """Points around theta (P, k), theta first, and the weights W (k, k, P)
+    of central second differences from a function's values f_p there:
+    sum_p W[j, l, p] f_p is (f(+j) - 2 f + f(-j)) / h_j^2 for j = l, and
+    (f(+j+l) - f(+j-l) - f(-j+l) + f(-j-l)) / 4 h_j h_l for j != l."""
+    k = theta.size
+    E = np.diag(h)
+    j, l = np.triu_indices(k, 1)
+    steps = np.concatenate([np.zeros((1, k)), E, -E,
+                            E[j] + E[l], E[j] - E[l], E[l] - E[j], -E[j] - E[l]])
+    W = np.zeros((k, k, len(steps)))
+    diag = np.arange(k)
+    W[diag, diag, 0] = -2.0 / h ** 2
+    W[diag, diag, 1 + diag] = W[diag, diag, 1 + k + diag] = 1.0 / h ** 2
+    pair = 1.0 / (4 * h[j] * h[l])
+    for q, sign in enumerate((1.0, -1.0, -1.0, 1.0)):
+        cols = 1 + 2 * k + q * j.size + np.arange(j.size)
+        W[j, l, cols] = W[l, j, cols] = sign * pair
+    return theta + steps, W
+
+
+def _combine(W, F):
+    """sum_p W[j, l, p] F[..., p] as (..., k, k); nan where a term it
+    weighs is nan."""
+    k, P = W.shape[1:]
+    W = W.reshape(-1, P).T
+    missing = np.isnan(F)
+    out = np.where(missing, 0.0, F) @ W
+    if missing.any():
+        out[missing @ (W != 0.0)] = np.nan
+    return out.reshape(F.shape[:-1] + (k, k))
+
+
+class _Points:
+    """The family's models at P points, in groups of one structure: (model,
+    rows) pairs, the model holding the values of its rows, in their order,
+    as (B, 1) stacks."""
+
+    def __init__(self, groups):
+        self.groups = groups
+        P = sum(rows.size for _, rows in groups)
+        self.group_of, self.pos_of = np.empty(P, dtype=int), np.empty(P, dtype=int)
+        for g, (_, rows) in enumerate(groups):
+            self.group_of[rows], self.pos_of[rows] = g, np.arange(rows.size)
+        self.values = [model.values for model, _ in groups]
+
+    def model(self, p):
+        """The model at point p, of numbers."""
+        g = self.group_of[p]
+        return self.groups[g][0].with_values(self.values[g][:, self.pos_of[p]])
+
+    def values_of(self, g):
+        """Every point's values as in group g (V, P), nan for a point of
+        another group."""
+        other = self.group_of != g
+        V = self.values[g][:, np.where(other, 0, self.pos_of)]
+        V[:, other] = np.nan
+        return V
 
 
 class DatasetEvaluator:
@@ -303,23 +366,26 @@ class DatasetEvaluator:
             self._ids[R] = (self._rec + self.n * np.arange(R)[:, None]).ravel()
         return np.bincount(self._ids[R], weights=x.ravel(), minlength=R * self.n).reshape(R, self.n)
 
-    def _on_plan(self, model, need=None):
-        """One kernel pass on the plan, for a model or a stack of B points
-        (B = 1 for a model of numbers): each record's log-likelihood on the
-        plan (B, n), the density at the nodes (B, N), the derivatives of its
-        log in the model values `need` flags (None without), each record's
-        K15 sum (B, n), and which records the fallback must compute (B, n)."""
+    def _on_plan(self, model, need=None, second=False):
+        """One kernel pass on the plan for a model of numbers: each record's
+        log-likelihood on the plan (n,), the density at the nodes (N,), the
+        derivatives of its log in the model values `need` flags (None
+        without), with `second` their second derivatives (see _density_at),
+        each record's K15 sum (n,), and which records the fallback must
+        compute (n,)."""
         self._plan_for(model)
-        f, grads = _density_at(model, self._geometry, need)
-        f = np.atleast_2d(f)
+        # `second` is passed only when asked, so that a stand-in kernel of
+        # (model, geometry, need) still serves the other passes
+        f, grads, *hess = _density_at(model, self._geometry, need, *((True,) if second else ()))
+        f = np.broadcast_to(f, self._rec.shape)
         # the K15 sums; the error adds each level's |K15 - G7|
-        total, *low = (self._by_record(w * f) for w in self._w)
+        total, *low = self._by_record(self._w * f)
         err = sum(np.abs(total - x) for x in low)
         with np.errstate(divide="ignore"):
             out = np.log(np.maximum(total, 0.0))
         rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
         redo = self._over_budget | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol))
-        return out, f, grads, total, redo
+        return out, f, grads, hess[0] if hess else None, total, redo
 
     def _fallback(self, model, out, redo):
         """out with the records redo flags computed by loglik_atom."""
@@ -330,141 +396,167 @@ class DatasetEvaluator:
     def per_subject(self, theta) -> np.ndarray:
         """Per-record log-likelihood at natural-scale theta."""
         model = self.family.build(theta)
-        out, _, _, _, redo = self._on_plan(model)
-        return self._fallback(model, out[0], redo[0])
+        out, _, _, _, _, redo = self._on_plan(model)
+        return self._fallback(model, out, redo)
 
-    def _build(self, thetas):
-        """The family's models at the rows of thetas (P, k), in groups of one
-        structure: (model, rows) pairs, the model holding the values of its
-        rows, in their order, as (B, 1) stacks."""
+    def _build(self, thetas) -> _Points:
+        """The family's models at the rows of thetas (P, k): one call of a
+        builder that takes stacks, else one per point."""
         family = self.family
         if family.builds_stacks:
-            return [(family.builder(thetas.T[:, :, None]), np.arange(len(thetas)))]
+            return _Points([(family.builder(thetas.T[:, :, None]), np.arange(len(thetas)))])
         models = [family.build(theta) for theta in thetas]
         rows: dict = {}
         for p, model in enumerate(models):
             rows.setdefault(model.structure, []).append(p)
-        return [(models[r[0]].with_values(np.stack([models[p].values for p in r], axis=1)),
-                 np.array(r)) for r in rows.values()]
+        return _Points([(models[r[0]].with_values(np.stack([models[p].values for p in r], axis=1)),
+                         np.array(r)) for r in rows.values()])
 
     def total_and_score(self, theta):
         """The total log-likelihood at natural-scale theta and each record's
         score, its derivatives in theta as an (n, k) array; -inf (scores
         nan) where a record is impossible or the quadrature budget ran out.
-        theta may be a stack of points (B, k), which gives (B,) totals and
-        (B, n, k) scores, each row those of its point alone.
 
         A record on the plan gets its score from the same pass as its value:
         sum_r w_r f_r g_r / sum_r w_r f_r, g_r the derivatives of log f_r.
         A record on the fallback gets central differences of loglik_atom.
-        Counted in n_evaluations, one per point; the last single point is
-        remembered.
+        Counted in n_evaluations; the last point is remembered.
         """
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 2:
-            self.n_evaluations += len(theta)
-            totals, scores = zip(*self._total_and_score(theta))
-            return np.array(totals), np.array(scores)
         key = tuple(theta)
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         self.n_evaluations += 1
-        result = self._total_and_score(theta[None])[0]
+        result = self._evaluate(theta)
         self._last = (key, result)
         return result
 
-    def _total_and_score(self, thetas):
-        """total_and_score at each row of thetas (B, k), as B pairs.
+    def information(self, theta):
+        """total_and_score at natural-scale theta, and the observed
+        information there: minus the Hessian of the total log-likelihood in
+        theta, (k, k); nan where the total is -inf, and in the entries a
+        second difference leaves unknown (a point of another structure, or
+        a fallback value that is not finite).
 
-        The family's models at the rows and at their stencil points
+        One kernel pass, which also gives the second derivatives of log f
+        in the model values. By Louis's identity a plan record's Hessian is
+        sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T: omega_r = w_r f_r / L_i
+        (0 where f_r is 0), d_r and D_r the first and second derivatives of
+        log f_r in theta, s_i the record's score. They reach theta through
+        the map's J and its own curvature, the second differences of the
+        model values over model builds (0 at rounding level, as for a value
+        affine in theta), which adds the values' score times it. A record
+        on the fallback gets second central differences of loglik_atom.
+        Counted in n_evaluations, as one.
+        """
+        self.n_evaluations += 1
+        return self._evaluate(np.asarray(theta, dtype=float), second=True)
+
+    def _evaluate(self, theta, second=False):
+        """total_and_score at theta; with `second` the information as well.
+
+        The family's models at theta and at its stencil points
         theta +- h_j e_j are one build. The derivatives of the model values
         in theta are central differences over the stencil (exact up to
         rounding where a value is affine in theta); a side of another
-        structure is left out. The rows of each structure are then one
-        kernel pass per block of rows."""
-        B, k = thetas.shape
-        h = _STEP * np.where(self.family.is_log, np.abs(thetas), np.maximum(np.abs(thetas), 1.0))
-        steps = h[:, :, None] * np.eye(k)
-        points = np.concatenate([thetas, (thetas[:, None] + steps).reshape(-1, k),
-                                 (thetas[:, None] - steps).reshape(-1, k)])
-        groups = self._build(points)
-        group_of, pos_of = np.empty(len(points), dtype=int), np.empty(len(points), dtype=int)
-        for g, (_, rows) in enumerate(groups):
-            group_of[rows], pos_of[rows] = g, np.arange(rows.size)
-        values = [model.values for model, _ in groups]
-        plus = B + np.arange(B * k).reshape(B, k)
-        minus = plus + B * k
-
-        def point_model(p):
-            """The model at one point, of numbers."""
-            return groups[group_of[p]][0].with_values(values[group_of[p]][:, pos_of[p]])
-
-        results = [None] * B
-        for g in dict.fromkeys(group_of[:B].tolist()):
-            rows = np.flatnonzero(group_of[:B] == g)
-            V, centre = values[g], pos_of[rows]
-            # J[v, b, j]: d value v / d theta_j at row b; the centre stands in
-            # for a side of another structure, and with none left J is nan
-            up_ok, lo_ok = group_of[plus[rows]] == g, group_of[minus[rows]] == g
-            up = V[:, np.where(up_ok, pos_of[plus[rows]], centre[:, None])]
-            lo = V[:, np.where(lo_ok, pos_of[minus[rows]], centre[:, None])]
-            width = h[rows] * (up_ok.astype(int) + lo_ok)
-            J = (up - lo) / np.where(width > 0, width, np.nan)
-            size = max(1, _STACK_NODES // max(1, self._plan_for(groups[g][0])))
-            for start in range(0, rows.size, size):
-                block = slice(start, start + size)
-                Vb = V[:, centre[block]]
-                # a block of one row is a model of numbers
-                model = groups[g][0].with_values(Vb if Vb.shape[1] > 1 else Vb[:, 0])
-                for b, result in zip(rows[block], self._score_block(
-                        model, Vb, J[:, block], h[rows[block]],
-                        plus[rows[block]], minus[rows[block]], point_model)):
-                    results[b] = result
-        return results
-
-    def _score_block(self, model, V, J, h, plus, minus, point_model):
-        """Totals and scores of a block of rows of one structure: one kernel
-        pass for the model of their values V (V, B), with J (V, B, k) the
-        derivatives of the values in theta, h (B, k) the steps and plus and
-        minus (B, k) the rows' stencil points, as point_model takes them.
-        A point's own spent budget or non-finite value sinks it alone."""
-        B, k = h.shape
-        out, f, grads, total, redo = self._on_plan(model, J.any(axis=(1, 2)).tolist())
+        structure is left out."""
+        k = theta.size
+        h = _STEP * self._scale(theta)
+        steps = h[:, None] * np.eye(k)
+        points = [theta[None], theta + steps, theta - steps]
+        if second:
+            # and the points of second differences, in the same build
+            around, weights = _second_differences(theta, _STEP2 * self._scale(theta))
+            points.append(around)
+        built = self._build(np.concatenate(points))
+        # J[v, j]: d value v / d theta_j; the centre stands in for a side of
+        # another structure, and with none left J is nan
+        g, at = built.group_of[0], built.pos_of
+        up_ok, lo_ok = built.group_of[1:k + 1] == g, built.group_of[k + 1:1 + 2 * k] == g
+        V = built.values[g]
+        up = V[:, np.where(up_ok, at[1:k + 1], at[0])]
+        lo = V[:, np.where(lo_ok, at[k + 1:1 + 2 * k], at[0])]
+        width = h * (up_ok.astype(int) + lo_ok)
+        J = (up - lo) / np.where(width > 0, width, np.nan)
+        model = built.model(0)
+        need = J.any(axis=1)
+        if second:
+            # the map's curvature: second differences of the values, 0 at
+            # rounding level (an affine map leaves a few roundings of its
+            # values), nan where they meet a point of another structure
+            V = built.values_of(g)[:, 1 + 2 * k:]
+            curvature = _combine(weights, V)
+            noise = _combine(np.abs(weights), np.abs(V))
+            curvature[np.abs(curvature) <= 16 * np.finfo(float).eps * noise] = 0.0
+            curved = curvature.any(axis=(1, 2))
+            need = need | curved
+        out, f, grads, hess, total, redo = self._on_plan(model, need.tolist(), second)
         wf = self._w[0] * f
-        score = np.empty((B, self.n, k))
-        reaches, every_row = J.any(axis=1), (J != 0.0).all(axis=1)
+        score, d = np.empty((self.n, k)), []
         with np.errstate(divide="ignore", invalid="ignore"):
-            # one pass over the block per theta_j keeps every array (B, N)
             for j in range(k):
-                # sum_v J[v, :, j] grads[v] over the v that reach theta_j, in
-                # their order; a row whose J[v, b, j] is 0 adds nothing
-                g = 0
-                for v in np.flatnonzero(reaches[:, j]):
-                    Jvj = J[v, :, j, None]
-                    term = Jvj * grads[v]
-                    g = g + (term if every_row[v, j] else np.where(Jvj != 0.0, term, 0.0))
+                # sum_v J[v, j] grads[v] over the v that reach theta_j, in
+                # their order
+                gj = 0
+                for v in np.flatnonzero(J[:, j]):
+                    gj = gj + J[v, j] * grads[v]
+                d.append(gj)
                 # where the density is 0 its log's derivatives are not finite
-                wfg = np.where(wf != 0.0, wf * g, 0.0)
-                score[:, :, j] = self._by_record(wfg) / total
-        results = []
-        for b in range(B):
-            try:
-                if redo[b].any():
-                    self._fallback(model.with_values(V[:, b]), out[b], redo[b])
-            except ToleranceError:
-                self.n_tolerance_failures += 1
-                out[b] = -np.inf
-            else:
-                for i in np.flatnonzero(redo[b]):
-                    rec = self.codes.record(i)
-                    for j in range(k):
-                        score[b, i, j] = _difference(
-                            self._stencil_point(point_model(plus[b, j]), rec), out[b, i],
-                            self._stencil_point(point_model(minus[b, j]), rec), h[b, j])
-            finite = np.all(np.isfinite(out[b])) and np.all(np.isfinite(score[b]))
-            results.append((float(out[b].sum()), score[b]) if finite
-                           else (-np.inf, np.full((self.n, k), np.nan)))
-        return results
+                score[:, j] = self._by_record(np.where(wf != 0.0, wf * gj, 0.0)[None])[0] / total
+        try:
+            if redo.any():
+                self._fallback(model, out, redo)
+        except ToleranceError:
+            self.n_tolerance_failures += 1
+            out[:] = -np.inf
+        else:
+            for i in np.flatnonzero(redo):
+                rec = self.codes.record(i)
+                for j in range(k):
+                    score[i, j] = _difference(
+                        self._stencil_point(built.model(1 + j), rec), out[i],
+                        self._stencil_point(built.model(1 + k + j), rec), h[j])
+        finite = np.all(np.isfinite(out)) and np.all(np.isfinite(score))
+        result = (float(out.sum()), score) if finite else (-np.inf, np.full((self.n, k), np.nan))
+        if not second:
+            return result
+        if not finite:
+            return result + (np.full((k, k), np.nan),)
+
+        # the plan's records: sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T,
+        # each derivative a row, taken as 0 off the weights (where it may
+        # not be finite)
+        on = (wf != 0.0) & ~redo[self._rec]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omega = np.where(on, wf / total[self._rec], 0.0)
+        rows = np.empty((k + len(hess), f.size))
+        for row, x in zip(rows, [*d, *hess.values()]):
+            row[:] = x
+        if not on.all():
+            rows[:, ~on] = 0.0
+        H = (rows[:k] * omega) @ rows[:k].T
+        Hv = np.zeros((len(J), len(J)))
+        for (v, w), x in zip(hess, rows[k:] @ omega):
+            Hv[v, w] = Hv[w, v] = x
+        H += J.T @ Hv @ J
+        for v in np.flatnonzero(curved):
+            H += (omega @ np.where(on, grads[v], 0.0)) * curvature[v]
+        plan = score[~redo]
+        H -= plan.T @ plan
+        # a fallback record: second differences of loglik_atom
+        points = range(2 + 2 * k, built.group_of.size)
+        models = [built.model(p) for p in points] if redo.any() else []
+        for i in np.flatnonzero(redo):
+            rec = self.codes.record(i)
+            values = [self._stencil_point(m, rec) for m in models]
+            H += _combine(weights, np.array(
+                [out[i], *(np.nan if x is None else x for x in values)]))
+        return result + (-0.5 * (H + H.T),)
+
+    def _scale(self, theta):
+        """Each parameter's scale for its steps: |theta| on the log scale,
+        else at least 1."""
+        return np.where(self.family.is_log, np.abs(theta), np.maximum(np.abs(theta), 1.0))
 
     def _stencil_point(self, model, record) -> float | None:
         """loglik_atom at a stencil point of a fallback record's score; None
@@ -490,28 +582,36 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
             C: float, init, *, rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> FitResult:
     """Maximize the dataset log-likelihood over the family's parameters.
 
-    `init` is a natural-scale vector (or name-keyed mapping). A starting
-    point with minus-infinite log-likelihood is rejected up front, naming
-    the first subject whose record has zero probability there. BFGS (200
-    iterations at most) runs on the exact score in search variables scaled
-    by the start's BHHH matrix; its end point is the estimate and the
-    centre of the score differences that give the Hessian.
+    `init` is a natural-scale vector of the k parameters (or a mapping
+    from their names). A starting point with minus-infinite log-likelihood
+    is rejected up front, naming the first subject whose record has zero
+    probability there. BFGS (200 iterations at most) runs on the exact
+    score in search variables scaled by the start's BHHH matrix; its end
+    point is the estimate, where a converged fit takes its standard errors
+    from the exact observed information (DatasetEvaluator.information).
     """
+    names = family.param_names
     if isinstance(init, dict):
-        missing = [nm for nm in family.param_names if nm not in init]
+        unknown = sorted(set(init) - set(names))
+        if unknown:
+            raise InvalidInputError(f"init: unknown parameters {unknown} "
+                                    f"(parameters: {', '.join(names)})")
+        missing = [nm for nm in names if nm not in init]
         if missing:
             raise InvalidInputError(f"init missing parameters {missing}")
-        init = [init[nm] for nm in family.param_names]
+        init = [init[nm] for nm in names]
     init = np.asarray(init, dtype=float)
+    if init.shape != (family.k,):
+        raise InvalidInputError(f"init: expected {family.k} parameter values "
+                                f"({', '.join(names)}), got shape {init.shape}")
     ev = DatasetEvaluator(family, records, C, rel_tol=rel_tol, abs_tol=abs_tol)
     is_log = family.is_log
 
     def loglik_and_score(u):
-        """The log-likelihood at search point u and each record's score in
-        u; for a stack of points (B, k), each point's."""
+        """The log-likelihood at search point u and each record's score in u."""
         theta = family.from_search(u)
         total, score = ev.total_and_score(theta)
-        return total, score * np.where(is_log, theta, 1.0)[..., None, :]
+        return total, score * np.where(is_log, theta, 1.0)
 
     u0 = family.to_search(init)
     total0, score0 = loglik_and_score(u0)
@@ -555,21 +655,20 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
     # optimum in standard errors, whatever the size of the data
     converged = bool(bfgs.success) or grad_norm < 1e-3
 
-    # standard errors at a converged estimate only, from the Hessian by
-    # central differences of the score at 2k points, one stacked evaluation;
-    # a -inf inside the stencil leaves no curvature to invert
+    # standard errors at a converged estimate only, from the observed
+    # information in the search variables: on a log parameter u = log theta,
+    # d/du = theta d/dtheta, so I_u = D I D - diag(theta s) there (D the
+    # diagonal of theta, 1 on the others, s the score in theta)
     std_errors = None
     if converged:
-        h = 1e-4 * np.maximum(np.abs(u_hat), 1.0)
-        steps = h * np.eye(family.k)
-        scores = loglik_and_score(np.concatenate([u_hat - steps, u_hat + steps]))[1]
-        grads = np.array([s.sum(axis=0) for s in scores])
-        H = (grads[:family.k] - grads[family.k:]).T / (2 * h)
-        H = 0.5 * (H + H.T)
+        _, score, info = ev.information(theta_hat)
+        scale = np.where(is_log, theta_hat, 1.0)
+        info_u = scale[:, None] * info * scale - np.diag(np.where(is_log, theta_hat, 0.0)
+                                                         * score.sum(axis=0))
         se_u = np.full(family.k, np.nan)
-        if np.all(np.isfinite(H)):
+        if np.all(np.isfinite(info_u)):
             try:
-                se_u = np.sqrt(np.diag(np.linalg.inv(H)))
+                se_u = np.sqrt(np.diag(np.linalg.inv(info_u)))
             except np.linalg.LinAlgError:
                 pass
         if np.all(np.isfinite(se_u)):

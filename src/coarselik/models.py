@@ -26,7 +26,12 @@ vector. `values` lists the numbers a component is built from (its
 baselines' values, each modifier's eta and gamma, the offset). rate_at and
 cum_at return a pair: the value, and with a `need` mask (a bool per value)
 the derivatives of log rate and of cum with respect to each value it
-flags, in that order, None for the others; without one, None.
+flags, in that order, None for the others; without one, None. Asked for
+`second` as well, they return a third item, the second derivatives of log
+rate and of cum in the flagged values, {(a, b): array}, a <= b, holding
+the pairs that are not identically 0 (log rate is linear in all but the
+baseline's values). The baselines give theirs for each argument in one
+call, with the value, so a Weibull power is taken once an argument.
 
 Values may be stacked, as baselines' may: each a number or a (B, 1) array
 of its values at B parameter points. A component built from stacks
@@ -180,25 +185,31 @@ class MultiplicativeComponent:
             terms.append((active, _filled(T, trm)))
         return t, gates_open, terms
 
-    def rate_at(self, geometry, need=None):
+    def rate_at(self, geometry, need=None, second=False):
         """rate() on a rate_geometry of a component of the same structure,
         and the derivatives of its log that `need` flags: the baseline's,
         each modifier's active mask (eta) and that times its filled time
         (gamma), and 1 (the offset). Where a gate is closed they are those
-        of the open rate."""
+        of the open rate. With `second`, also the second derivatives: log
+        rate is linear in all but the baseline's values."""
         t, gates_open, terms = geometry
-        out = self.baseline.rate(t) * np.exp(self.log_offset)
+        n_base = len(self.baseline.values)
+        order = 0 if need is None or not any(need[:n_base]) else 2 if second else 1
+        rate, base_grads, base_hess = self.baseline.rate_terms(t, order)
+        out = rate * np.exp(self.log_offset)
         if gates_open is not None:
             out = out * gates_open
         for trm, (active, Tc) in zip(self.terms, terms):
             out = out * np.where(active, _multiplier(trm, Tc), 1.0)
         if need is None:
             return out, None
-        n_base = len(self.baseline.values)
-        return out, (_wanted(self.baseline.log_rate_grad, t, need[:n_base])
-                     + _term_grads([active for active, _ in terms], [Tc for _, Tc in terms],
-                                   need[n_base:-1])
-                     + [1.0 if need[-1] else None])
+        grads = (_wanted(base_grads, need[:n_base])
+                 + _term_grads([active for active, _ in terms], [Tc for _, Tc in terms],
+                               need[n_base:-1])
+                 + [1.0 if need[-1] else None])
+        if not second:
+            return out, grads
+        return out, grads, _wanted_pairs(base_hess or {}, need)
 
     def rate(self, t, T):
         return self.rate_at(self.rate_geometry(t, T))[0]
@@ -237,24 +248,39 @@ class MultiplicativeComponent:
         lo_0 = None if np.ndim(t0) == 0 and t0 <= 0 else np.maximum(lo, 0.0)
         return np.maximum(hi, 0.0), lo_0, [_filled(T, trm) for trm in self.terms], starts
 
-    def cum_at(self, geometry, need=None):
+    def cum_at(self, geometry, need=None, second=False):
         """cum() on a cum_geometry of a component of the same structure, and
-        its derivatives that `need` flags."""
+        its derivatives that `need` flags; with `second`, also their second
+        derivatives.
+
+        cum is exp(offset) (B(hi) - B(lo) + sum_S prod_{m in S}(c_m - 1)
+        (B(hi) - B(start_S))), B the baseline's cum0, S the modifier
+        subsets and c_m = exp(eta_m + gamma_m T_m). A derivative in gamma_m
+        is that in eta_m times T_m, and a derivative in the offset is the
+        function itself."""
         hi_0, lo_0, fills, starts = geometry
-        bbar, grad = self.baseline.cum0, self.baseline.cum0_grad
-        mult = [_multiplier(trm, Tc) for trm, Tc in zip(self.terms, fills)]
-        coef = [c - 1.0 for c in mult]
-        bbar_hi = bbar(hi_0)
-        total = bbar_hi if lo_0 is None else bbar_hi - bbar(lo_0)
-        increments = [bbar_hi - bbar(start) for start in starts]
+        n_base = len(self.baseline.values)
         need_base = need_terms = False
         if need is not None:
-            n_base = len(self.baseline.values)
             need_base, need_terms = any(need[:n_base]), any(need[n_base:-1])
-            d_eta = [0.0] * len(self.terms)
+        second = second and need is not None
+        # one baseline call per argument: cum0, and its derivatives as needed
+        order = 0 if not need_base else 2 if second else 1
+        at_hi = self.baseline.cum0_terms(hi_0, order)
+        at_lo = None if lo_0 is None else self.baseline.cum0_terms(lo_0, order)
+        at_start = [self.baseline.cum0_terms(start, order) for start in starts]
+        mult = [_multiplier(trm, Tc) for trm, Tc in zip(self.terms, fills)]
+        coef = [c - 1.0 for c in mult]
+        total = at_hi[0] if at_lo is None else at_hi[0] - at_lo[0]
+        increments = [at_hi[0] - at[0] for at in at_start]
         if need_base:
-            grad_hi = grad(hi_0)
-            base = grad_hi if lo_0 is None else [h - l for h, l in zip(grad_hi, grad(lo_0))]
+            base = at_hi[1] if at_lo is None else [h - l for h, l in zip(at_hi[1], at_lo[1])]
+        if need is not None:
+            d_eta = [0.0] * len(self.terms)
+        if second:
+            base_hess = _differences(at_hi[2], at_lo and at_lo[2]) if need_base else {}
+            # (m, b): d2/d eta_m d b, (m, n): d2/d eta_m d eta_n, m < n
+            eta_base, eta_eta = {}, {}
         for subset, k in zip(self._subsets, self._union_of):
             cf = coef[subset[0]]
             for m in subset[1:]:
@@ -262,7 +288,11 @@ class MultiplicativeComponent:
             total = total + _times_increment(cf, increments[k])
             if need_base:
                 base = [b + _times_increment(cf, h - s)
-                        for b, h, s in zip(base, grad_hi, grad(starts[k]))]
+                        for b, h, s in zip(base, at_hi[1], at_start[k][1])]
+                if second:
+                    hess_k = _differences(at_hi[2], at_start[k][2])
+                    for key, x in hess_k.items():
+                        base_hess[key] = base_hess[key] + _times_increment(cf, x)
             # d(prod of coef)/d eta_m is c_m times the product of the others
             for m in subset if need_terms else ():
                 others = mult[m]
@@ -270,25 +300,89 @@ class MultiplicativeComponent:
                     if o != m:
                         others = others * coef[o]
                 d_eta[m] = d_eta[m] + _times_increment(others, increments[k])
+                if second and need_base:
+                    for b, (h, s) in enumerate(zip(at_hi[1], at_start[k][1])):
+                        eta_base[m, b] = (eta_base.get((m, b), 0.0)
+                                          + _times_increment(others, h - s))
+                for n in subset if second else ():
+                    if n > m:
+                        both = mult[m] * mult[n]
+                        for o in subset:
+                            if o != m and o != n:
+                                both = both * coef[o]
+                        eta_eta[m, n] = (eta_eta.get((m, n), 0.0)
+                                         + _times_increment(both, increments[k]))
         scale = np.exp(self.log_offset)
         total = total * scale
         if need is None:
             return total, None
+        scaled_d = [d * scale for d in d_eta]
         grads = [b * scale if wanted else None
                  for b, wanted in zip(base, need)] if need_base else [None] * n_base
-        return total, (grads + _term_grads([d * scale for d in d_eta], fills, need[n_base:-1])
-                       + [total if need[-1] else None])
+        grads = (grads + _term_grads(scaled_d, fills, need[n_base:-1])
+                 + [total if need[-1] else None])
+        if not second:
+            return total, grads
+        # every second derivative in the values, then those need flags; the
+        # offset's are the first derivatives, and cum itself
+        hess = {key: x * scale for key, x in base_hess.items()}
+        first = [b * scale for b in base] if need_base else [None] * n_base
+        if need_terms:
+            factors = [None if Tc is None else Tc.value() for Tc in fills]
+            for m, d in enumerate(scaled_d):
+                _put_term_pair(hess, n_base, m, m, d, factors)
+                first += [d, None if factors[m] is None else d * factors[m]]
+            for (m, n), x in eta_eta.items():
+                _put_term_pair(hess, n_base, m, n, x * scale, factors)
+            for (m, b), x in eta_base.items():
+                x = x * scale
+                hess[b, n_base + 2 * m] = x
+                if factors[m] is not None:
+                    hess[b, n_base + 2 * m + 1] = x * factors[m]
+        off = len(need) - 1
+        for v, x in enumerate(first):
+            if x is not None:
+                hess[v, off] = x
+        hess[off, off] = total
+        return total, grads, _wanted_pairs(hess, need)
 
     def cum(self, t0, t1, T):
         return self.cum_at(self.cum_geometry(t0, t1, T))[0]
 
 
-def _wanted(grad, t, need):
-    """The derivatives grad(t) that need flags, None for the others; grad
-    is not called when none is flagged."""
-    if not any(need):
+def _wanted(grads, need):
+    """The derivatives that need flags, None for the others (all None
+    where grads is None: none was asked)."""
+    if grads is None:
         return [None] * len(need)
-    return [g if wanted else None for g, wanted in zip(grad(t), need)]
+    return [g if wanted else None for g, wanted in zip(grads, need)]
+
+
+def _wanted_pairs(hess, need, start=0):
+    """The second derivatives {(a, b): x} of pairs need flags both of,
+    their keys moved on by start."""
+    return {(start + a, start + b): x for (a, b), x in hess.items() if need[a] and need[b]}
+
+
+def _differences(upper, lower):
+    """upper - lower, entry by entry, for second-derivative dicts of the same
+    keys; upper where lower is None."""
+    return upper if lower is None else {key: x - lower[key] for key, x in upper.items()}
+
+
+def _put_term_pair(hess, n_base, m, n, x, factors):
+    """Set the second derivatives of cum in modifiers m <= n from x, that in
+    their etas: in a gamma they are x times its filled time (none for an
+    interaction term, whose gamma is 0)."""
+    fm, fn = factors[m], factors[n]
+    eta_m, eta_n = n_base + 2 * m, n_base + 2 * n
+    hess[eta_m, eta_n] = x
+    if fn is not None:
+        hess[eta_m, eta_n + 1] = x * fn
+    if fm is not None and m != n:
+        hess[eta_m + 1, eta_n] = x * fm
+    if fm is not None and fn is not None:
+        hess[eta_m + 1, eta_n + 1] = x * fm * fn
 
 
 def _term_grads(d_eta, fills, need):
@@ -401,18 +495,24 @@ class PatternTableComponent:
             masks.append((enter < t) & (t <= exit_))
         return t, masks
 
-    def rate_at(self, geometry, need=None):
+    def rate_at(self, geometry, need=None, second=False):
         """rate() on a rate_geometry of a component of the same structure,
-        and the derivatives of its log that `need` flags. At most one
-        entry's window holds a time, and there they are its baseline's."""
+        and the derivatives of its log that `need` flags (with `second`,
+        also the second ones). At most one entry's window holds a time, and
+        there they are its baseline's."""
         t, masks = geometry
-        out, grads = 0.0, None if need is None else []
-        for (_, base), inside, wanted in zip(self.entries, masks, self._split(need)):
-            out = out + base.rate(t) * inside
+        out, grads, hess = 0.0, None if need is None else [], {}
+        for (_, base), inside, wanted, start in zip(self.entries, masks, self._split(need),
+                                                    self._starts()):
+            order = 0 if wanted is None or not any(wanted) else 2 if second else 1
+            rate, d, h = base.rate_terms(t, order)
+            out = out + rate * inside
             if wanted is not None:
                 grads += [None if g is None else np.where(inside, g, 0.0)
-                          for g in _wanted(base.log_rate_grad, t, wanted)]
-        return out, grads
+                          for g in _wanted(d, wanted)]
+            for key, x in _wanted_pairs(h or {}, wanted, start).items():
+                hess[key] = np.where(inside, x, 0.0)
+        return (out, grads, hess) if second else (out, grads)
 
     def rate(self, t, T):
         return self.rate_at(self.rate_geometry(t, T))[0]
@@ -444,34 +544,43 @@ class PatternTableComponent:
             ranges.append((np.maximum(hi, 0.0), None if opens_at_0 else np.maximum(lo, 0.0)))
         return ranges
 
-    def cum_at(self, geometry, need=None):
+    def cum_at(self, geometry, need=None, second=False):
         """cum() on a cum_geometry of a component of the same structure, and
-        its derivatives that `need` flags."""
-        out, grads = 0.0, None if need is None else []
-        for (_, base), (hi_0, lo_0), wanted in zip(self.entries, geometry, self._split(need)):
-            cum_hi = base.cum0(hi_0)
-            out = out + np.maximum(cum_hi if lo_0 is None else cum_hi - base.cum0(lo_0), 0.0)
+        its derivatives that `need` flags (with `second`, also the second
+        ones)."""
+        out, grads, hess = 0.0, None if need is None else [], {}
+        for (_, base), (hi_0, lo_0), wanted, start in zip(self.entries, geometry,
+                                                          self._split(need), self._starts()):
+            order = 0 if wanted is None or not any(wanted) else 2 if second else 1
+            at_hi = base.cum0_terms(hi_0, order)
+            at_lo = None if lo_0 is None else base.cum0_terms(lo_0, order)
+            out = out + np.maximum(at_hi[0] if at_lo is None else at_hi[0] - at_lo[0], 0.0)
             if wanted is not None:
-                grad_hi = _wanted(base.cum0_grad, hi_0, wanted)
-                if lo_0 is not None and any(wanted):
-                    grad_hi = [None if h is None else h - l
-                               for h, l in zip(grad_hi, base.cum0_grad(lo_0))]
-                grads += grad_hi
-        return out, grads
+                grads += _wanted(at_hi[1] if at_lo is None or not order else
+                                 [h - l for h, l in zip(at_hi[1], at_lo[1])], wanted)
+            if order > 1:
+                hess.update(_wanted_pairs(_differences(at_hi[2], at_lo and at_lo[2]),
+                                          wanted, start))
+        return (out, grads, hess) if second else (out, grads)
 
     def cum(self, t0, t1, T):
         return self.cum_at(self.cum_geometry(t0, t1, T))[0]
+
+    def _starts(self):
+        """Where each entry's values start among the component's."""
+        starts, start = [], 0
+        for _, base in self.entries:
+            starts.append(start)
+            start += len(base.values)
+        return starts
 
     def _split(self, need):
         """need (or values) cut into the entries' parts, one per baseline;
         None each without one."""
         if need is None:
             return [None] * len(self.entries)
-        parts, start = [], 0
-        for _, base in self.entries:
-            parts.append(need[start:start + len(base.values)])
-            start += len(base.values)
-        return parts
+        return [need[start:start + len(base.values)]
+                for (_, base), start in zip(self.entries, self._starts())]
 
 
 class IntensityModel:

@@ -117,9 +117,10 @@ def test_overflowing_start_is_rejected_without_warnings():
 def test_fit_runs_one_kernel_pass_per_evaluation(tmp_path, monkeypatch):
     # one geometry per fit; each of BFGS's evaluations, the start's included,
     # is one kernel pass for the values and the score, and the standard
-    # errors' 2k points are one more, on a stack of 2k rows. A config
-    # family's builder takes a stack: an evaluation's theta map is one
-    # build, and the standard errors' 2k (2k + 1) points are one more
+    # errors one more, on the estimate alone, with second derivatives. A
+    # config family's builder takes a stack: an evaluation's theta map is
+    # one build of the point and its 2k stencil points, and the
+    # information's one build adds the 2k^2 points of its second differences
     fam, records, C, theta = _workload_case("illness-death-panel", 40, tmp_path)
     assert fam.builds_stacks
     builds, passes, models = [], [], []
@@ -137,13 +138,18 @@ def test_fit_runs_one_kernel_pass_per_evaluation(tmp_path, monkeypatch):
     res = fit_mle(family, records, C, theta)
     assert res.std_errors is not None
     assert len(builds) == 1
-    assert all(need is not None for _, _, need in passes)
-    bfgs = res.n_evaluations - 2 * fam.k
+    # n_evaluations is the start's, BFGS's and the information's
+    bfgs = res.n_evaluations - 1
     assert len(passes) == bfgs + 1
-    assert passes[-1][0].values.shape[1] == 2 * fam.k
-    # the plan's probe, one build per BFGS evaluation and one for the Hessian
+    assert all(args[2] is not None for args in passes)
+    # no stack: every pass is on a model of numbers, the last one alone
+    # asks for second derivatives
+    assert all(args[0].values.shape == (len(args[2]),) for args in passes)
+    assert [args[3:] for args in passes] == [()] * bfgs + [(True,)]
+    # the plan's probe, one build per evaluation
     assert len(models) == 1 + bfgs + 1
-    assert models[-1][0].shape == (fam.k, 2 * fam.k * (2 * fam.k + 1), 1)
+    assert models[-2][0].shape == (fam.k, 2 * fam.k + 1, 1)
+    assert models[-1][0].shape == (fam.k, 2 * fam.k + 1 + 1 + 2 * fam.k ** 2, 1)
 
 
 def test_panel_fit_recovers_truth():
@@ -439,26 +445,14 @@ def test_fit_reports_tolerance_failures(monkeypatch):
                                 "and counted as -inf")
 
 
-def _per_point(fam, records, C, thetas):
-    """total_and_score at each theta, one point at a time."""
-    ev = DatasetEvaluator(fam, records, C)
-    return [ev.total_and_score(theta) for theta in thetas]
-
-
-def _assert_same_rows(stacked, per_point):
-    totals, scores = stacked
-    assert len(totals) == len(per_point)
-    for total, score, (total_b, score_b) in zip(totals, scores, per_point):
-        assert np.float64(total).tobytes() == np.float64(total_b).tobytes()
-        assert score.tobytes() == score_b.tobytes()
-
-
-def test_stacked_point_out_of_budget_sinks_alone(monkeypatch):
-    # the fallback runs out of budget at the middle point of a stacked
-    # Hessian: that point is -inf and counted, the others keep their values
+def test_point_out_of_budget_sinks_alone(monkeypatch):
+    # the fallback runs out of budget at the middle one of three points:
+    # that point is -inf and counted, and the points after it keep the bits
+    # of an evaluator that never met it
     fam, records = shared_rate_pair()
     thetas = np.array([[0.5], [0.6], [0.7]])
-    ref = _per_point(fam, records, 2.0, thetas)
+    ref = DatasetEvaluator(fam, records, 2.0)
+    ref = [ref.total_and_score(theta) for theta in thetas]
 
     def fails_at(model, atom, C, **quad_opts):
         if model.components[1].baseline.value == 0.6:
@@ -467,42 +461,42 @@ def test_stacked_point_out_of_budget_sinks_alone(monkeypatch):
 
     monkeypatch.setattr(inference, "loglik_atom", fails_at)
     ev = DatasetEvaluator(fam, records, 2.0)
-    totals, scores = ev.total_and_score(thetas)
+    got = [ev.total_and_score(theta) for theta in thetas]
     assert (ev.n_evaluations, ev.n_tolerance_failures) == (3, 1)
-    assert totals[1] == -np.inf and np.isnan(scores[1]).all()
-    _assert_same_rows((totals[::2], scores[::2]), ref[::2])
+    assert got[1][0] == -np.inf and np.isnan(got[1][1]).all()
+    for (total, score), (total_ref, score_ref) in zip(got[::2], ref[::2]):
+        assert np.float64(total).tobytes() == np.float64(total_ref).tobytes()
+        assert score.tobytes() == score_ref.tobytes()
 
 
-def test_stack_across_a_structure_change_equals_its_points():
-    # the rows on either side of eta = 0.25 are evaluated in their own
-    # groups, and the stencil of the row at 0.25 crosses it
+def test_stencil_across_a_structure_change():
+    # at eta = 0.25 the model does not depend on eta, and the stencil's
+    # point above it has another structure: the score in eta is the
+    # one-sided difference, 0, and each point has the bits of a fresh
+    # evaluator's, however many structure changes the evaluator has met
     fam = switching_family(False)
     records = [_rec(Exact(0.7, True), Exact(2.5, True)),
                _rec(Interval(0.5, 1.5), Exact(2.0, True)),
                _rec(Interval(1.0, 2.5), Exact(1.8, True)),
                _rec(SurvivedBeyond(1.0), Exact(3.0, False)),
                _rec(Interval(0.0, 1.0), SurvivedBeyond(2.0))]
-    thetas = np.array([[0.35, 0.25, eta] for eta in (0.1, 0.7, 0.25, 0.2, 0.9)])
     ev = DatasetEvaluator(fam, records, 3.0)
-    _assert_same_rows(ev.total_and_score(thetas), _per_point(fam, records, 3.0, thetas))
-    assert ev.n_evaluations == len(thetas)
-
-
-def test_stack_in_blocks_equals_one_block(tmp_path, monkeypatch):
-    # a bound of one node a block leaves one row a block: the same bits
-    fam, records, C, theta = _workload_case("weibull-hybrid", 40, tmp_path)
-    thetas = theta * np.linspace(0.9, 1.1, 5)[:, None]
-    passes = []
-    real = inference._density_at
-    monkeypatch.setattr(inference, "_density_at",
-                        lambda *args: passes.append(args) or real(*args))
-    whole = DatasetEvaluator(fam, records, C).total_and_score(thetas)
-    assert len(passes) == 1
-    monkeypatch.setattr(inference, "_STACK_NODES", 1)
-    _assert_same_rows(DatasetEvaluator(fam, records, C).total_and_score(thetas),
-                      list(zip(*whole)))
-    assert len(passes) == 1 + len(thetas)
-    _assert_same_rows(whole, _per_point(fam, records, C, thetas))
+    for eta in (0.1, 0.7, 0.25, 0.2, 0.9):
+        theta = np.array([0.35, 0.25, eta])
+        total, score = ev.total_and_score(theta)
+        total_ref, score_ref = DatasetEvaluator(fam, records, 3.0).total_and_score(theta)
+        assert np.float64(total).tobytes() == np.float64(total_ref).tobytes()
+        assert score.tobytes() == score_ref.tobytes()
+        assert np.isfinite(total) and np.isfinite(score).all()
+    assert ev.n_evaluations == 5
+    total, score = ev.total_and_score([0.35, 0.25, 0.25])
+    assert (score[:, 2] == 0.0).all()
+    # the information's second differences in eta meet the other structure:
+    # its eta row is unknown, the rest matches the score's differences
+    _, _, info = ev.information([0.35, 0.25, 0.25])
+    assert np.isnan(info[2]).all() and np.isnan(info[:, 2]).all()
+    ref = _information_reference(ev, np.array([0.35, 0.25, 0.25]))
+    _assert_information_close(info[:2, :2], ref[:2, :2])
 
 
 def test_fit_survives_non_finite_search_points(monkeypatch):
@@ -734,6 +728,131 @@ def test_score_pass_builds_no_rate_or_cum_beyond_the_values_pass(tmp_path, monke
     calls.clear()
     ev.total_and_score(theta)
     assert dict(calls) == values == {"rate_at": 3, "cum_at": 3}
+
+
+def _information_reference(ev, theta):
+    """Minus the central differences of the exact total score at relative
+    step h = 1e-5 (at least 1e-5 on an identity parameter), symmetrized."""
+    h = 1e-5 * np.where(ev.family.is_log, np.abs(theta), np.maximum(np.abs(theta), 1.0))
+    rows = [(ev.total_and_score(theta - step)[1].sum(axis=0)
+             - ev.total_and_score(theta + step)[1].sum(axis=0)) / (2 * hk)
+            for hk, step in zip(h, h * np.eye(theta.size))]
+    return 0.5 * (np.array(rows) + np.array(rows).T)
+
+
+def _assert_information_close(info, ref, tol=2e-6):
+    """info equals ref to tol, each entry on the scale sqrt(ref_jj ref_ll);
+    the reference's own rounding reaches 6e-7 on these cases (against 5e-8
+    for a Richardson extrapolation at h = 1e-4)."""
+    scale = 1.0 / np.sqrt(np.diag(ref))
+    np.testing.assert_array_less(np.abs((info - ref) * scale[:, None] * scale), tol)
+
+
+def _gamma_offset_case(tmp_path):
+    # death's hazard after illness has a duration effect gamma12, and its
+    # log offset a covariate coefficient times a known scale
+    _, records, C, _ = _workload_case("weibull-hybrid", 40, tmp_path)
+    model = workloads.WORKLOADS["weibull-hybrid"].model
+    illness, death = model["intensities"]
+    offset = {**death, "log_offset": {"coef": "beta", "scale": 0.7}}
+    (tmp_path / "offset.json").write_text(json.dumps(
+        {**model, "intensities": [illness, offset],
+         "theta": {**model["theta"], "gamma12": 0.3, "beta": 0.4}}))
+    cfg = load_model_config(tmp_path / "offset.json")
+    return cfg.family, records, C, cfg.theta_from()
+
+
+def _catalog_case(baseline, truth, theta, grid=None):
+    def case(tmp_path):
+        fam = illness_death_family(baseline, grid=grid)
+        scheme = panel_death_scheme([0.5, 1.0, 1.5], 2.0)
+        records = panel_records(fam.build(truth), scheme, 60, seed=7)
+        return fam, records, 2.0, np.array(theta)
+    return case
+
+
+def _curved_case(tmp_path):
+    # a user builder whose model values are not affine in theta, with
+    # mixed second derivatives: the map's own curvature counts
+    fam = ParametricFamily(
+        ("r", "s", "t"), ("log", "log", "identity"),
+        lambda th: illness_death(th[0] ** 2, th[0] * th[1], np.exp(th[2]))[1])
+    scheme = panel_death_scheme([0.5, 1.0, 1.5], 2.0)
+    records = panel_records(fam.build([0.6, 0.4, -0.2]), scheme, 60, seed=8)
+    return fam, records, 2.0, np.array([0.55, 0.45, -0.1])
+
+
+INFORMATION_CASES = {
+    "illness-death-panel": SCORE_CASES["illness-death-panel"],
+    "dementia-visits": SCORE_CASES["dementia-visits"],
+    "weibull-hybrid": SCORE_CASES["weibull-hybrid"],
+    "catalog-constant": _catalog_case("constant", [0.35, 0.25, 0.8], [0.4, 0.3, 0.7]),
+    # whole shapes keep every record on the plan (a rate like t^0.3 at the
+    # panel's start, 0, takes the fallback)
+    "catalog-weibull": _catalog_case("weibull", [0.4, 2.0, 0.2, 1.0, 0.6, 2.0],
+                                     [0.5, 2.0, 0.25, 1.0, 0.5, 3.0]),
+    "catalog-piecewise": _catalog_case("piecewise", [0.3, 0.4, 0.2, 0.3, 0.6, 0.9],
+                                       [0.35, 0.45, 0.2, 0.35, 0.7, 1.0], grid=(0.8,)),
+    "dementia-family": _dementia_case,
+    "gamma-and-offset": _gamma_offset_case,
+    "curved-builder": _curved_case,
+    "fallback": _fallback_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFORMATION_CASES))
+def test_information_matches_differences_of_the_score(case, tmp_path, monkeypatch):
+    fam, records, C, theta = INFORMATION_CASES[case](tmp_path)
+    fallback = []
+    monkeypatch.setattr(inference, "loglik_atom",
+                        lambda model, atom, *a, **kw: fallback.append(atom)
+                        or loglik_atom(model, atom, *a, **kw))
+    ev = DatasetEvaluator(fam, records, C)
+    total, score, info = ev.information(theta)
+    assert set(fallback) == ({records[-1]} if case == "fallback" else set())
+    assert ev.n_evaluations == 1
+    # the values and scores of the information's pass are total_and_score's
+    total_ref, score_ref = DatasetEvaluator(fam, records, C).total_and_score(theta)
+    assert (total, score.tobytes()) == (total_ref, score_ref.tobytes())
+    assert np.array_equal(info, info.T) and np.isfinite(info).all()
+    _assert_information_close(info, _information_reference(ev, theta))
+
+
+def test_fit_standard_errors_from_the_information(tmp_path, monkeypatch):
+    # one record on the fallback gets its information block by second
+    # differences of loglik_atom; the standard errors are the delta method's
+    # on the search variables, from the information at the estimate
+    fam, records, C, theta = _fallback_case(tmp_path)
+    fallback = []
+    monkeypatch.setattr(inference, "loglik_atom",
+                        lambda model, atom, *a, **kw: fallback.append(atom)
+                        or loglik_atom(model, atom, *a, **kw))
+    res = fit_mle(fam, records, C, theta)
+    assert res.converged and set(fallback) == {records[-1]}
+    theta_hat = np.array(list(res.theta.values()))
+    ev = DatasetEvaluator(fam, records, C)
+    ref = _information_reference(ev, theta_hat)
+    score = ev.total_and_score(theta_hat)[1].sum(axis=0)
+    scale = np.where(fam.is_log, theta_hat, 1.0)
+    info_u = scale[:, None] * ref * scale - np.diag(np.where(fam.is_log, theta_hat * score, 0.0))
+    se = scale * np.sqrt(np.diag(np.linalg.inv(info_u)))
+    np.testing.assert_allclose(list(res.std_errors.values()), se, rtol=1e-5)
+
+
+@pytest.mark.parametrize("init, message", [
+    ([0.35, 0.25], r"expected 3 parameter values \(a01, a02, a12\), got shape \(2,\)"),
+    ([0.35, 0.25, 0.8, 0.1], r"expected 3 parameter values \(a01, a02, a12\), got shape \(4,\)"),
+    ([[0.35, 0.25, 0.8]], r"expected 3 parameter values \(a01, a02, a12\), got shape \(1, 3\)"),
+    ({"a01": 0.35, "a02": 0.25, "a12": 0.8, "zzz": 1.0}, r"unknown parameters \['zzz'\]"),
+])
+def test_fit_refuses_a_wrong_init(init, message):
+    # a wrong length or shape once raised IndexError or ValueError, and an
+    # unknown name was ignored
+    fam = illness_death_family("constant")
+    scheme = panel_death_scheme([1.0], 2.0)
+    records = panel_records(fam.build([0.3, 0.2, 0.5]), scheme, 20, seed=2)
+    with pytest.raises(InvalidInputError, match=message):
+        fit_mle(fam, records, scheme.horizon, init)
 
 
 @pytest.mark.parametrize("stream", [4, 6])

@@ -309,6 +309,57 @@ def test_derivatives_match_central_differences(case):
         assert _bits(value) == _bits(full_value) and grads == [None] * v.size
 
 
+@pytest.mark.parametrize("case", sorted(GRAD_CASES))
+def test_second_derivatives_match_differences_of_the_first(case):
+    # asked for, rate_at and cum_at add the second derivatives of log rate
+    # and of cum, the pairs of flagged values that can be nonzero; the value
+    # and the first derivatives keep their bits
+    comp = GRAD_CASES[case]
+    t = np.array([0.2, 0.5, 1.0, 1.3, 2.0, 2.0, 2.5, 3.0, 3.0])
+    T = [np.array([INF, 0.3, 0.3, 1.1, 1.5, INF, 0.7, 2.9, 0.4]),
+         np.array([INF, INF, 0.6, 0.2, 1.8, 1.2, INF, 1.0, 2.0]),
+         np.array([INF, 0.4, INF, 1.2, INF, 1.9, 2.2, INF, 2.5])]
+    t0 = np.array([0.0, 0.1, 0.5, 0.0, 1.0, 0.3, 2.0, 0.0, 1.5])
+    v = np.array(comp.values)
+    free = np.ones(v.size, dtype=bool)
+    if isinstance(comp, MultiplicativeComponent):
+        n = len(comp.baseline.values)
+        for i, trm in enumerate(comp.terms):
+            free[n + 2 * i + 1] = len(trm.comps) == 1
+    need = free.tolist()
+    rate_geometry, cum_geometry = comp.rate_geometry(t, T), comp.cum_geometry(t0, t, T)
+    positive = comp.rate_at(rate_geometry)[0] > 0
+    n_pairs = 0
+    for name, geometry, where in (("rate_at", rate_geometry, positive),
+                                  ("cum_at", cum_geometry, np.ones(t.shape, dtype=bool))):
+        value, grads = getattr(comp, name)(geometry, need)
+        value_2, grads_2, hess = getattr(comp, name)(geometry, need, True)
+        assert _bits(value_2) == _bits(value)
+        assert [None if g is None else _bits(g) for g in grads_2] == \
+            [None if g is None else _bits(g) for g in grads]
+        assert all(a <= b and need[a] and need[b] for a, b in hess)
+        n_pairs += len(hess)
+        for l in np.flatnonzero(free):
+            h = 1e-5 * max(abs(v[l]), 0.1)
+            up, down = v.copy(), v.copy()
+            up[l] += h
+            down[l] -= h if v[l] else 0.0
+            width = up[l] - down[l]
+            g_up = getattr(_rebuilt(comp, up), name)(geometry, need)[1]
+            g_down = getattr(_rebuilt(comp, down), name)(geometry, need)[1]
+            for m in np.flatnonzero(free):
+                # a zero rate's log-derivative is inf, off `where`
+                with np.errstate(invalid="ignore"):
+                    diff = (np.asarray(g_up[m], dtype=float)
+                            - np.asarray(g_down[m], dtype=float)) * np.ones(t.shape) / width
+                got = np.broadcast_to(hess.get((min(m, l), max(m, l)), 0.0), t.shape)
+                np.testing.assert_allclose(got[where], diff[where], rtol=1e-6, atol=1e-8,
+                                           err_msg=f"{name} values {m}, {l}")
+    assert n_pairs > 0
+    for name, geometry in (("rate_at", rate_geometry), ("cum_at", cum_geometry)):
+        assert getattr(comp, name)(geometry, [False] * v.size, True)[2] == {}
+
+
 def _stack_cases():
     """Per case, a function of one point's values and the rows of values
     of a stack: every component kind, and the rows that take a special

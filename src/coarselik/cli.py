@@ -6,9 +6,9 @@ the same inputs are byte-identical. simulate, loglik and fit accept
 the whole cohort in one vectorized call and writes its status codes column
 by column, the cohort and truth files together, each distinct float of a
 block formatted once for both; loglik reads the dataset into status codes,
-evaluates it on one plan of fixed quadrature panels, and formats the
-results as columns too. No record object is built per subject, except for
-a record the plan hands to the adaptive fallback.
+evaluates it on one plan of quadrature panels, and formats the results as
+columns too, with no record object per subject. A record refused, malformed
+or past its quadrature budget, is named by its subject id.
 
 No output path (--out, --truth) may name an input file (--model, --scheme,
 --data) or another output: such a call is refused before anything is read
@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .errors import CoarselikError, InvalidRecordError, InvalidStartError
+from .errors import CoarselikError, InvalidRecordError, InvalidStartError, ToleranceError
 from .inference import fit_mle, per_subject_loglik
 from .io import load_model_config, load_scheme_config, read_dataset, write_dataset_and_truth
 from .simulate import coarsen_cohort, simulate_cohort
@@ -62,12 +62,13 @@ def _read_data(args, cfg):
 def _by_subject_id(args, data, evaluate):
     """evaluate(), with a record it refuses named by its subject id, as a
     non-finite log-likelihood is named, not by its row, and the component
-    at fault by its name."""
+    at fault by its name: a malformed record, or one past its quadrature
+    budget."""
     try:
         return evaluate()
-    except InvalidRecordError as err:
-        where = ("" if err.component is None
-                 else f"component {data.component_names[err.component]!r}: ")
+    except (InvalidRecordError, ToleranceError) as err:
+        component = getattr(err, "component", None)
+        where = "" if component is None else f"component {data.component_names[component]!r}: "
         raise CoarselikError(f"{args.data}: subject {data.subject_ids[err.record_index]}: "
                              f"{where}{err.detail}") from None
 

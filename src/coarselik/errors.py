@@ -50,13 +50,15 @@ class ToleranceError(CoarselikError):
     """Requested accuracy not reached within the evaluation budget.
 
     The best available estimate and its error bound ride along so that a
-    caller who can live with less accuracy is not left empty-handed.
+    caller who can live with less accuracy is not left empty-handed. A
+    record's failure carries record_index and the bare message, `detail`.
     """
 
-    def __init__(self, message: str, value: float, error_estimate: float):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
+    def __init__(self, message: str, value: float, error_estimate: float,
+                 record_index: int | None = None):
+        super().__init__(message if record_index is None else f"record {record_index}: {message}")
+        self.value, self.error_estimate = value, error_estimate
+        self.record_index, self.detail = record_index, message
 
 
 class DomainError(CoarselikError):

@@ -6,19 +6,28 @@ transforms), which keeps the optimizer unconstrained.
 
 Each record is laid out once into the corner terms of likelihood's
 expansion, and every term is evaluated on one plan shared across the whole
-dataset: a point of weight 1 for a term with no free coordinate, else fixed
-quadrature panels nested one level per free coordinate, each level pinning
-its coordinate at its nodes. Panels are cut at the family's fixed
-rate-change points, at pinned jump times (earlier levels' nodes among
-them) and at the later levels' range bounds, so kinks lie on panel edges.
-Node positions depend only on the data, those rate-change points and the
-model's structure (its gates cut the ranges), and so does the density's
-geometry (where each component is at risk, where its gates close and where
-its modifiers switch on): both are built once, and built again only for a
-theta whose model has another structure. An evaluation is one vectorized
-pass over the geometry that evaluates baselines, modifier effects and
-offsets. A record whose embedded lower-order rules miss the tolerance, or
-whose nodes would pass max_evals, is computed by loglik_atom.
+dataset: a point of weight 1 for a term with no free coordinate, else
+Gauss-Kronrod panels nested one level per free coordinate, each level
+pinning its coordinate at its nodes. A line of panels is cut at the
+family's fixed rate-change points, at pinned jump times (earlier levels'
+nodes among them) and at the later levels' range bounds, so kinks lie on
+panel edges, and a panel is a cell between cuts. Node positions depend only
+on the data, those cuts and the model's structure (its gates cut the
+ranges), and so does the density's geometry (where each component is at
+risk, where its gates close and where its modifiers switch on): both are
+built once, and built again only for a theta whose model has another
+structure, or to refine. An evaluation is one vectorized pass over the
+geometry that evaluates baselines, modifier effects and offsets.
+
+A record whose error estimate, the sum over levels of |K15 - G7|, passes
+max(rel_tol L_i, 100 abs_tol) is refined on the plan, QUADPACK's global
+adaptive subdivision (Piessens et al. 1983) done per record: the panels
+that carry its error are cut at their midpoints, on every line of their
+coordinate in the record, and the point is evaluated again on the plan
+built anew. The cuts stay for later points. A record whose nodes would
+pass max_evals (one integrand evaluation each) is refused with a
+ToleranceError naming it, the plan left as it was before that evaluation.
+A nan estimate (a density that overflows) is not refined.
 
 Since nodes and weights do not depend on theta, a record's score is exact
 and comes from the pass that gives its value: its likelihood is
@@ -32,8 +41,7 @@ for a family whose builder declares it takes stacks (builds_stacks, as
 config families do), and another builder is called once per point. The
 same kernel walk that gives f_r then gives d log f_r in only the values
 that map reaches, from log rates and cums: no rate or cum is built twice
-and nothing divided. A record on the fallback gets central differences of
-loglik_atom.
+and nothing divided.
 
 The observed information is exact too, by Louis's identity: the observed
 likelihood is the conditional mean of the full-data one, so a record's
@@ -41,8 +49,7 @@ Hessian is sum_r omega_r (g_r g_r^T + G_r) - s_i s_i^T, omega_r the node's
 share w_r f_r / L_i of the record's likelihood, G_r the second derivatives
 of log f_r and s_i the score. The kernel returns G_r on request, within a
 component (the only nonzero blocks), in one pass at one point; the map's own
-curvature is differenced over model builds alone, and a record on the
-fallback gets second central differences of loglik_atom.
+curvature is differenced over model builds alone.
 
 fit_mle runs BFGS on that score, one point an evaluation. Its search
 variables are scaled by the BHHH matrix sum_i s_i s_i^T of the start's
@@ -62,7 +69,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStartError, ToleranceError
-from .likelihood import _density_at, _density_geometry, _layout_codes, _quad_opts, loglik_atom
+from .likelihood import _density_at, _density_geometry, _layout_codes, _quad_opts
 from .models import IntensityModel
 from .observation import PseudoAtomRecord, StatusCodes
 from .quadrature import (
@@ -75,9 +82,8 @@ from .quadrature import (
     K_WEIGHTS,
 )
 
-_MAX_PANEL = 1.0  # fixed panels never span more than this
 _STEP = 1e-5      # relative step of the score's central differences
-_STEP2 = 1e-4     # relative step of second differences (map curvature, fallback)
+_STEP2 = 1e-4     # relative step of the map curvature's second differences
 # the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
 _G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
 
@@ -145,7 +151,9 @@ class FitResult:
     """A fit's estimate, log-likelihood and standard errors (None unless it
     converged). n_evaluations counts the evaluations of the log-likelihood
     and score (the start's and BFGS's) and, for a converged fit, the one
-    evaluation of the observed information."""
+    evaluation of the observed information; n_tolerance_failures those of
+    them scored -inf because a record was refused for its quadrature budget
+    (see DatasetEvaluator)."""
 
     theta: dict[str, float]
     loglik: float
@@ -172,8 +180,8 @@ def per_subject_loglik(model: IntensityModel,
 
     Runs on the dataset plan of DatasetEvaluator, over a family with no
     free parameters. `quad_opts` (rel_tol, abs_tol, max_evals) mean what
-    they mean for loglik_atom, which computes the records whose panel error
-    misses the tolerance or whose nodes would pass max_evals.
+    they mean for loglik_atom; a record the plan cannot settle within
+    max_evals nodes raises ToleranceError with its index.
     """
     codes = StatusCodes.from_records(records)
     if not len(codes.kind):
@@ -182,15 +190,6 @@ def per_subject_loglik(model: IntensityModel,
     fixed = ParametricFamily((), (), lambda _: model,
                              fixed_breakpoints=tuple(model.breakpoints))
     return DatasetEvaluator(fixed, codes, C, **quad_opts).per_subject(())
-
-
-def _difference(upper, centre, lower, h):
-    """(upper - lower) / 2h; a side that is None leaves the one-sided
-    difference with the centre, and nan where both are."""
-    width = h * ((upper is not None) + (lower is not None))
-    if not width:
-        return np.nan
-    return ((centre if upper is None else upper) - (centre if lower is None else lower)) / width
 
 
 def _second_differences(theta, h):
@@ -239,11 +238,6 @@ class _Points:
             self.group_of[rows], self.pos_of[rows] = g, np.arange(rows.size)
         self.values = [model.values for model, _ in groups]
 
-    def model(self, p):
-        """The model at point p, of numbers."""
-        g = self.group_of[p]
-        return self.groups[g][0].with_values(self.values[g][:, self.pos_of[p]])
-
     def values_of(self, g):
         """Every point's values as in group g (V, P), nan for a point of
         another group."""
@@ -256,11 +250,10 @@ class _Points:
 class DatasetEvaluator:
     """Batched log-likelihood of one dataset as a function of theta.
 
-    The dataset is a sequence of records or their StatusCodes; a record
-    object is built only for a record that takes the fallback. The
-    quadrature options are those of loglik_atom: they set the panels' error
-    check and go to the fallback. A record leaves the plan when its nodes,
-    one integrand evaluation each, would pass max_evals.
+    The dataset is a sequence of records or their StatusCodes, and the
+    quadrature options are those of loglik_atom, which settle or refuse a
+    record as the module says. A node takes about 150 B on a 3-D dementia
+    plan, so max_evals caps a record near 15 MB; nothing caps the cohort.
     """
 
     def __init__(self, family: ParametricFamily,
@@ -274,11 +267,13 @@ class DatasetEvaluator:
         self.quad_opts = _quad_opts(rel_tol, abs_tol, max_evals)
         self._last = None   # (theta, total_and_score's result) of the last point
         self.n_evaluations = 0
-        # evaluations, and stencil points of a fallback record's score, whose
-        # quadrature budget ran out (scored -inf)
+        # evaluations whose quadrature budget ran out (scored -inf)
         self.n_tolerance_failures = 0
         if not self.n:
             raise InvalidInputError("empty dataset")
+        # the cuts refinement added: a nan-padded row for each record's
+        # coordinate j, row record * p + j
+        self._cuts = np.zeros((self.codes.kind.size, 0))
         self._build_plan(family.build(family.from_search(np.zeros(family.k))))
 
     def _build_plan(self, probe):
@@ -287,22 +282,27 @@ class DatasetEvaluator:
         # (p, N) arrays (the kernel reads one coordinate row at a time), and
         # R[k, row], the row's k-th free range (j, lo, hi), outermost first
         rec, S, F, R = _layout_codes(probe, self.codes, self.C)
-        # W[0] is a row's K15 weight, W[1 + k] its weight with level k on G7
+        # W[0] is a row's K15 weight, W[1 + k] its weight with level k on G7;
+        # P[k] its panel at level k (-1: none), each (record, j, lo, hi)
         W = np.ones((1 + R.shape[0], rec.size))
+        P = np.full(W[1:].shape, -1, dtype=np.int32)
+        panels = []
         bps = np.asarray(self.family.fixed_breakpoints, dtype=float)
         over = np.zeros(n, dtype=bool)
         for level in range(R.shape[0]):
             line = np.flatnonzero(R[0, :, 0] >= 0)
             keep = np.flatnonzero(R[0, :, 0] < 0)
+            j = R[0, line, 0].astype(int)
             # a line of panels spans the row's range, split at the family's
             # breakpoints, the row's pinned jump times (earlier levels' nodes
-            # among them; a free coordinate holds C, never inside a range) and
-            # the later levels' range bounds; each row of cuts is sorted,
-            # repeats and values outside the range set to inf
+            # among them; a free coordinate holds C, never inside a range),
+            # the later levels' range bounds and the cuts refinement added;
+            # each row of cuts is sorted, repeats and values outside the
+            # range set to inf, and a panel is a cell between them
             lo, hi = R[0, line, 1:2], R[0, line, 2:3]
             cuts = np.concatenate([np.where(F[:, line], S[:, line], np.nan).T,
                                    np.broadcast_to(bps, (line.size, bps.size)),
-                                   *R[1:, line, 1:]], axis=1)
+                                   *R[1:, line, 1:], self._cuts[rec[line] * len(S) + j]], axis=1)
             cuts[~((lo < cuts) & (cuts < hi))] = np.inf
             cuts.sort(axis=1)
             cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.inf
@@ -310,53 +310,40 @@ class DatasetEvaluator:
             left = np.concatenate([lo, cuts], axis=1)
             right = np.concatenate([cuts, hi], axis=1)
             seg_line, col = np.nonzero(np.isfinite(left))
-            a = left[seg_line, col]
-            b = np.where(np.isfinite(right), right, hi)[seg_line, col]
-            parts = np.maximum(1, np.ceil((b - a) / _MAX_PANEL).astype(int))
 
             # a record whose nodes would pass max_evals leaves the plan
             seg_rec = rec[line[seg_line]]
             over |= np.bincount(rec[keep], minlength=n) + K_NODES.size * np.bincount(
-                seg_rec, parts, minlength=n) > self.quad_opts["max_evals"]
-            parts[over[seg_rec]] = 0
+                seg_rec, minlength=n) > self.quad_opts["max_evals"]
+            on = ~over[seg_rec]
+            seg_line, col, seg_rec = seg_line[on], col[on], seg_rec[on]
             keep = keep[~over[rec[keep]]]
-
-            # subdivide so no panel exceeds _MAX_PANEL; the sub-panel edges are
-            # those of np.linspace(a, b, parts + 1), k * step + a with the last
-            # one set to b, so the nodes do not depend on how they are built
-            seg = np.repeat(np.arange(a.size), parts)
-            k = np.arange(seg.size) - np.repeat(np.cumsum(parts) - parts, parts)
-            step = (b - a)[seg] / parts[seg]
-            lo = k * step + a[seg]
-            hi = np.where(k + 1 == parts[seg], b[seg], (k + 1) * step + a[seg])
-            half = (0.5 * (hi - lo))[:, None]
-            node_t = ((0.5 * (lo + hi))[:, None] + half * K_NODES).ravel()
+            a = left[seg_line, col]
+            b = np.where(np.isfinite(right), right, hi)[seg_line, col]
+            half = (0.5 * (b - a))[:, None]
+            node_t = ((0.5 * (a + b))[:, None] + half * K_NODES).ravel()
 
             # pin the coordinate at the nodes; new rows go before the kept
             # ones, so a record sums its nodes before its points
-            parent = line[np.repeat(seg_line[seg], K_NODES.size)]
+            parent = line[np.repeat(seg_line, K_NODES.size)]
             w = np.take(W, parent, axis=1) * (half * K_WEIGHTS).ravel()
             w[1 + level] = W[0, parent] * (half * _G7_ON_K15).ravel()
             W = np.concatenate([w, np.take(W, keep, axis=1)], axis=1)
             idx = np.concatenate([parent, keep])
-            rec, S, F = rec[idx], np.take(S, idx, axis=1), np.take(F, idx, axis=1)
+            rec, S, F, P = rec[idx], *(np.take(x, idx, axis=1) for x in (S, F, P))
             S[R[0, parent, 0].astype(int), np.arange(parent.size)] = node_t
+            P[level, :parent.size] = np.repeat(sum(x[2].size for x in panels)
+                                               + np.arange(a.size), K_NODES.size)
+            panels.append((seg_rec, j[seg_line], a, b))
             R = R[1:, idx]
         self._rec, self._s, self._f, self._w, self._over_budget = rec, S, F, W, over
+        self._panel_of, self._panels = P, [np.concatenate(x) for x in zip(*panels)]
         # the bin of each row's nodes in _by_record, by number of rows
         self._ids = {1: rec}
         # the density's theta-free arrays on the plan; the plan and they hold
         # for every model of the probe's structure
         self._structure = probe.structure
         self._geometry = _density_geometry(probe, S, F, self.C)
-
-    def _plan_for(self, model) -> int:
-        """The plan's number of nodes, the plan built again first for a
-        model of another structure: a builder may change the structure with
-        theta, and with its gates the cuts of the plan."""
-        if model.structure != self._structure:
-            self._build_plan(model)
-        return self._rec.size
 
     def _by_record(self, x):
         """Each row of x (R, N) summed over each record's nodes, as (R, n):
@@ -367,37 +354,76 @@ class DatasetEvaluator:
         return np.bincount(self._ids[R], weights=x.ravel(), minlength=R * self.n).reshape(R, self.n)
 
     def _on_plan(self, model, need=None, second=False):
-        """One kernel pass on the plan for a model of numbers: each record's
-        log-likelihood on the plan (n,), the density at the nodes (N,), the
-        derivatives of its log in the model values `need` flags (None
-        without), with `second` their second derivatives (see _density_at),
-        each record's K15 sum (n,), and which records the fallback must
-        compute (n,)."""
-        self._plan_for(model)
-        # `second` is passed only when asked, so that a stand-in kernel of
-        # (model, geometry, need) still serves the other passes
-        f, grads, *hess = _density_at(model, self._geometry, need, *((True,) if second else ()))
-        f = np.broadcast_to(f, self._rec.shape)
-        # the K15 sums; the error adds each level's |K15 - G7|
-        total, *low = self._by_record(self._w * f)
-        err = sum(np.abs(total - x) for x in low)
+        """The kernel on the plan for a model of numbers: each record's
+        log-likelihood (n,), the density at the nodes (N,), the derivatives
+        of its log in the model values `need` flags (None without), with
+        `second` their second derivatives (see _density_at), and each
+        record's K15 sum (n,). A pass is made again after each refinement;
+        a refusal restores the plan the call began with."""
+        # a builder may change the structure with theta, and with its gates
+        # the cuts of the plan
+        if model.structure != self._structure:
+            self._build_plan(model)
+        cuts = self._cuts
+        rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
+        try:
+            while True:
+                # `second` is passed only when asked, so that a stand-in
+                # kernel of (model, geometry, need) still serves the others
+                f, grads, *hess = _density_at(model, self._geometry, need, *(True,) * second)
+                f = np.broadcast_to(f, self._rec.shape)
+                # the K15 sums; the error adds each level's |K15 - G7|
+                total, *low = self._by_record(self._w * f)
+                err = sum(np.abs(total - x) for x in low)
+                bound = np.maximum(rel_tol * np.abs(total), 100 * abs_tol)
+                miss = err > bound
+                if not (miss.any() or self._over_budget.any() or (total == np.inf).any()):
+                    break
+                self._refine(model, f, total, err, bound, miss)
+        except ToleranceError:
+            if self._cuts is not cuts:
+                self._cuts = cuts
+                self._build_plan(model)
+            raise
         with np.errstate(divide="ignore"):
             out = np.log(np.maximum(total, 0.0))
-        rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
-        redo = self._over_budget | (err > np.maximum(rel_tol * np.abs(total), 100 * abs_tol))
-        return out, f, grads, hess[0] if hess else None, total, redo
+        return out, f, grads, hess[0] if hess else None, total
 
-    def _fallback(self, model, out, redo):
-        """out with the records redo flags computed by loglik_atom."""
-        for i in np.flatnonzero(redo):
-            out[i] = loglik_atom(model, self.codes.record(i), self.C, **self.quad_opts)
-        return out
+    def _refine(self, model, f, total, err, bound, miss):
+        """Bisect each record `miss` flags at the panels whose |K15 - G7|
+        passes an equal share of its bound, and build the plan again; refuse
+        a record past max_evals, with an infinite sum (a node too close to a
+        singularity), or with no such panel wide enough to cut."""
+        refused = np.flatnonzero(self._over_budget | (total == np.inf))
+        if refused.size:
+            i = int(refused[0])
+            raise ToleranceError(f"needs more than max_evals = {self.quad_opts['max_evals']} "
+                                 "quadrature nodes" if self._over_budget[i] else
+                                 "its integrand overflows", np.nan, np.inf, record_index=i)
+        rec, j, a, b = self._panels
+        on = self._panel_of >= 0
+        E = np.abs(np.bincount(self._panel_of[on], ((self._w[0] - self._w[1:]) * f)[on],
+                               minlength=a.size))
+        cut = np.flatnonzero(miss[rec] & (E * np.bincount(rec, minlength=self.n)[rec] > bound[rec]))
+        mid = 0.5 * (a[cut] + b[cut])
+        wide = (a[cut] < mid) & (mid < b[cut])
+        cut, mid = cut[wide], mid[wide]
+        stuck = np.flatnonzero(miss & (np.bincount(rec[cut], minlength=self.n) == 0))
+        if stuck.size:
+            raise ToleranceError("no panel left wide enough to cut", total[stuck[0]],
+                                 err[stuck[0]], record_index=int(stuck[0]))
+        # the cuts, old and new, once each
+        old = np.isfinite(self._cuts)
+        row, t = np.unique([np.concatenate([np.nonzero(old)[0], rec[cut] * len(self._s) + j[cut]]),
+                            np.concatenate([self._cuts[old], mid])], axis=1)
+        pos = np.arange(t.size) - np.searchsorted(row, row)
+        self._cuts = np.full((len(old), pos.max() + 1), np.nan)
+        self._cuts[row.astype(int), pos] = t
+        self._build_plan(model)
 
     def per_subject(self, theta) -> np.ndarray:
         """Per-record log-likelihood at natural-scale theta."""
-        model = self.family.build(theta)
-        out, _, _, _, _, redo = self._on_plan(model)
-        return self._fallback(model, out, redo)
+        return self._on_plan(self.family.build(theta))[0]
 
     def _build(self, thetas) -> _Points:
         """The family's models at the rows of thetas (P, k): one call of a
@@ -419,8 +445,9 @@ class DatasetEvaluator:
 
         A record on the plan gets its score from the same pass as its value:
         sum_r w_r f_r g_r / sum_r w_r f_r, g_r the derivatives of log f_r.
-        A record on the fallback gets central differences of loglik_atom.
-        Counted in n_evaluations; the last point is remembered.
+        A record refused (see the class) counts the evaluation in
+        n_tolerance_failures. Counted in n_evaluations; the last point is
+        remembered.
         """
         theta = np.asarray(theta, dtype=float)
         key = tuple(theta)
@@ -435,19 +462,18 @@ class DatasetEvaluator:
         """total_and_score at natural-scale theta, and the observed
         information there: minus the Hessian of the total log-likelihood in
         theta, (k, k); nan where the total is -inf, and in the entries a
-        second difference leaves unknown (a point of another structure, or
-        a fallback value that is not finite).
+        second difference leaves unknown (a point of another structure).
 
-        One kernel pass, which also gives the second derivatives of log f
-        in the model values. By Louis's identity a plan record's Hessian is
+        One kernel pass (one a round where a record is refined), which also
+        gives the second derivatives of log f in the model values. By
+        Louis's identity a record's Hessian is
         sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T: omega_r = w_r f_r / L_i
         (0 where f_r is 0), d_r and D_r the first and second derivatives of
         log f_r in theta, s_i the record's score. They reach theta through
         the map's J and its own curvature, the second differences of the
         model values over model builds (0 at rounding level, as for a value
-        affine in theta), which adds the values' score times it. A record
-        on the fallback gets second central differences of loglik_atom.
-        Counted in n_evaluations, as one.
+        affine in theta), which adds the values' score times it. Counted in
+        n_evaluations, as one.
         """
         self.n_evaluations += 1
         return self._evaluate(np.asarray(theta, dtype=float), second=True)
@@ -478,7 +504,7 @@ class DatasetEvaluator:
         lo = V[:, np.where(lo_ok, at[k + 1:1 + 2 * k], at[0])]
         width = h * (up_ok.astype(int) + lo_ok)
         J = (up - lo) / np.where(width > 0, width, np.nan)
-        model = built.model(0)
+        model = built.groups[g][0].with_values(V[:, at[0]])
         need = J.any(axis=1)
         if second:
             # the map's curvature: second differences of the values, 0 at
@@ -490,7 +516,13 @@ class DatasetEvaluator:
             curvature[np.abs(curvature) <= 16 * np.finfo(float).eps * noise] = 0.0
             curved = curvature.any(axis=(1, 2))
             need = need | curved
-        out, f, grads, hess, total, redo = self._on_plan(model, need.tolist(), second)
+        # -inf, nan scores (and information) where a record is impossible or refused
+        sunk = (-np.inf, np.full((self.n, k), np.nan), np.full((k, k), np.nan))[:2 + second]
+        try:
+            out, f, grads, hess, total = self._on_plan(model, need.tolist(), second)
+        except ToleranceError:
+            self.n_tolerance_failures += 1
+            return sunk
         wf = self._w[0] * f
         score, d = np.empty((self.n, k)), []
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -503,30 +535,16 @@ class DatasetEvaluator:
                 d.append(gj)
                 # where the density is 0 its log's derivatives are not finite
                 score[:, j] = self._by_record(np.where(wf != 0.0, wf * gj, 0.0)[None])[0] / total
-        try:
-            if redo.any():
-                self._fallback(model, out, redo)
-        except ToleranceError:
-            self.n_tolerance_failures += 1
-            out[:] = -np.inf
-        else:
-            for i in np.flatnonzero(redo):
-                rec = self.codes.record(i)
-                for j in range(k):
-                    score[i, j] = _difference(
-                        self._stencil_point(built.model(1 + j), rec), out[i],
-                        self._stencil_point(built.model(1 + k + j), rec), h[j])
-        finite = np.all(np.isfinite(out)) and np.all(np.isfinite(score))
-        result = (float(out.sum()), score) if finite else (-np.inf, np.full((self.n, k), np.nan))
+        if not (np.all(np.isfinite(out)) and np.all(np.isfinite(score))):
+            return sunk
+        result = (float(out.sum()), score)
         if not second:
             return result
-        if not finite:
-            return result + (np.full((k, k), np.nan),)
 
-        # the plan's records: sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T,
-        # each derivative a row, taken as 0 off the weights (where it may
-        # not be finite)
-        on = (wf != 0.0) & ~redo[self._rec]
+        # each record: sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T, each
+        # derivative a row, taken as 0 off the weights (where it may not be
+        # finite)
+        on = wf != 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             omega = np.where(on, wf / total[self._rec], 0.0)
         rows = np.empty((k + len(hess), f.size))
@@ -541,32 +559,13 @@ class DatasetEvaluator:
         H += J.T @ Hv @ J
         for v in np.flatnonzero(curved):
             H += (omega @ np.where(on, grads[v], 0.0)) * curvature[v]
-        plan = score[~redo]
-        H -= plan.T @ plan
-        # a fallback record: second differences of loglik_atom
-        points = range(2 + 2 * k, built.group_of.size)
-        models = [built.model(p) for p in points] if redo.any() else []
-        for i in np.flatnonzero(redo):
-            rec = self.codes.record(i)
-            values = [self._stencil_point(m, rec) for m in models]
-            H += _combine(weights, np.array(
-                [out[i], *(np.nan if x is None else x for x in values)]))
+        H -= score.T @ score
         return result + (-0.5 * (H + H.T),)
 
     def _scale(self, theta):
         """Each parameter's scale for its steps: |theta| on the log scale,
         else at least 1."""
         return np.where(self.family.is_log, np.abs(theta), np.maximum(np.abs(theta), 1.0))
-
-    def _stencil_point(self, model, record) -> float | None:
-        """loglik_atom at a stencil point of a fallback record's score; None
-        where it is not finite, a spent budget counted as -inf."""
-        try:
-            value = loglik_atom(model, record, self.C, **self.quad_opts)
-        except ToleranceError:
-            self.n_tolerance_failures += 1
-            value = -np.inf
-        return value if np.isfinite(value) else None
 
     def total(self, theta) -> float:
         """The total log-likelihood of total_and_score."""

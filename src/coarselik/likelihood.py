@@ -21,8 +21,8 @@ gate), that component's range is always cut there: the discarded region
 carries zero intensity, so the value is unchanged and panels are saved.
 One function, _layout_codes, lays records out into these corner terms, a
 whole coded cohort at once: loglik_atom reads it for its one record, and
-inference.DatasetEvaluator for its plan, falling back to loglik_atom for the
-records the plan cannot settle. The two share the density kernel too.
+inference.DatasetEvaluator for its plan, which refines its own panels where
+a record misses the tolerance. The two share the density kernel too.
 The kernel runs in the two phases of the model components: its geometry
 (rate geometries at the flagged jumps, cum geometries over (0, C]) depends
 on the coordinates alone, so the evaluator builds it once per plan and

@@ -121,9 +121,6 @@ class StatusCodes(NamedTuple):
         return cls(*(np.array(c, dtype=t).reshape(len(records), p)
                      for c, t in zip(cols, (np.uint8, float, float, bool))))
 
-    def record(self, i: int) -> PseudoAtomRecord:
-        return record_from_codes(self.kind[i], self.x1[i], self.x2[i], self.flag[i])
-
     def records(self) -> tuple[PseudoAtomRecord, ...]:
         return tuple(map(record_from_codes, *self))
 

@@ -517,6 +517,36 @@ def test_refused_record_is_named_by_subject_id(tmp_path, capsys):
                                 "jump time 12.0 outside (0, 10.0]\n")
 
 
+def test_record_past_the_budget_is_named_by_subject_id(tmp_path, capsys):
+    # at rates 1, s2's three intervals of length 6 miss the error check on
+    # the coarse plan, and refining them passes the default max_evals: loglik
+    # and fit refuse the record by its subject id (at the config's rates the
+    # coarse plan settles it)
+    w = workloads.WORKLOADS["dementia-visits"]
+    workloads.write_configs(w, tmp_path / "model.json", tmp_path / "scheme.json")
+    scheme = {**w.scheme, "horizon": 7.0}
+    scheme["schedules"] = [*scheme["schedules"][:2], {"component": "death",
+                                                      "windows": [[0.0, 7.0]]}]
+    (tmp_path / "scheme.json").write_text(json.dumps(scheme))
+    data = tmp_path / "cohort.csv"
+    data.write_text(
+        "subject_id,component,status,t1,t2\n"
+        "s1,dementia,interval,1.0,2.0\n"
+        "s1,institution,survived_beyond,4.0,\n"
+        "s1,death,exact_censored,7.0,\n"
+        "s2,dementia,interval,0.2,6.2\n"
+        "s2,institution,interval,0.3,6.3\n"
+        "s2,death,interval,0.5,6.5\n")
+    args = ["--model", str(tmp_path / "model.json"), "--scheme", str(tmp_path / "scheme.json"),
+            "--data", str(data), "--theta", "1,1,1"]
+    for cmd in ("loglik", "fit"):
+        assert main([cmd, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {data}: subject s2: "
+                                "needs more than max_evals = 100000 quadrature nodes\n")
+
+
 def test_validate_smoke(capsys):
     code = main(["validate", "--n", "3000", "--seed", "5"])
     out = capsys.readouterr().out

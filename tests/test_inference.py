@@ -1,6 +1,7 @@
 """Maximum likelihood over parametric intensity families."""
 
 import dataclasses
+import functools
 import json
 import math
 import tracemalloc
@@ -187,39 +188,48 @@ def _rec(*statuses):
     return PseudoAtomRecord(statuses)
 
 
+def count_plan_builds(monkeypatch):
+    """A list that gets an entry for each DatasetEvaluator plan build: one
+    with the evaluator, and one more for each refinement round."""
+    builds, real = [], DatasetEvaluator._build_plan
+    monkeypatch.setattr(DatasetEvaluator, "_build_plan",
+                        lambda self, probe: builds.append(probe) or real(self, probe))
+    return builds
+
+
 DEMENTIA = dementia_model(DementiaParams(
     0.3, 0.2, 0.25, eta_inst_dem=0.4, eta_dem_inst=0.5, eta_dem_death=0.6,
     eta_inst_death=0.3, eta_both_death=-0.2))
 
-# (model, horizon, records, how many records the fixed panels must hand to
-# loglik_atom); illness (component 0) is switched off by death (component 1)
+# (model, horizon, records, whether a record needs a refined plan); illness
+# (component 0) is switched off by death (component 1)
 AGREEMENT_CASES = {
     "exact": (illness_death(0.35, 0.25, 0.8)[1], 3.0, [
         _rec(Exact(0.4, True), Exact(1.2, True)),
         _rec(Exact(0.7, True), Exact(3.0, False)),
         _rec(Exact(3.0, False), Exact(2.5, True)),
         _rec(Exact(3.0, False), Exact(3.0, False)),
-    ], 0),
+    ], False),
     "interval_1d": (illness_death(0.35, 0.25, 0.8)[1], 3.0, [
         _rec(Interval(0.5, 1.0), Exact(3.0, False)),
         _rec(Interval(0.0, 2.5), Exact(3.0, False)),
         _rec(Interval(1.0, 2.0), Exact(2.6, True)),
-    ], 0),
+    ], False),
     "corner": (illness_death(0.35, 0.25, 0.8)[1], 3.0, [
         _rec(SurvivedBeyond(1.0), Exact(3.0, False)),
         _rec(SurvivedBeyond(0.0), Exact(3.0, False)),
         _rec(Exact(1.5, True), SurvivedBeyond(2.0)),
-    ], 0),
+    ], False),
     "death_gated_cut": (illness_death(0.35, 0.25, 0.8)[1], 3.0, [
         _rec(Interval(1.0, 2.5), Exact(1.8, True)),
         _rec(SurvivedBeyond(0.5), Exact(2.2, True)),
         _rec(Interval(2.0, 3.0), Exact(1.5, True)),   # impossible: -inf
-    ], 0),
+    ], False),
     "coarse_2d": (illness_death(0.35, 0.25, 0.8)[1], 3.0, [
         _rec(Interval(0.5, 1.0), SurvivedBeyond(2.0)),
         _rec(Interval(0.0, 1.0), Interval(1.0, 2.0)),
         _rec(SurvivedBeyond(1.0), SurvivedBeyond(1.5)),
-    ], 0),
+    ], False),
     # the inner range's lower bound 1.2 and the breakpoint 0.75 lie inside the
     # outer range, where the inner integral has kinks
     "coarse_2d_inner_bound": (illness_death(PiecewiseConstant((0.75, 1.6), (0.2, 0.6, 0.3)),
@@ -227,7 +237,7 @@ AGREEMENT_CASES = {
                                             0.8)[1], 3.0, [
         _rec(Interval(0.0, 2.0), SurvivedBeyond(1.2)),
         _rec(Interval(0.5, 1.5), Interval(1.2, 2.5)),
-    ], 0),
+    ], False),
     "piecewise": (illness_death(PiecewiseConstant((0.75, 1.6), (0.2, 0.6, 0.3)),
                                 PiecewiseConstant((0.75, 1.6), (0.1, 0.4, 0.2)),
                                 0.8)[1], 3.0, [
@@ -236,40 +246,34 @@ AGREEMENT_CASES = {
         _rec(Interval(0.0, 1.0), Exact(1.7, True)),
         _rec(Exact(1.2, True), SurvivedBeyond(0.5)),    # illness time inside the range
         _rec(Exact(1.6, True), SurvivedBeyond(0.5)),    # ... and on a breakpoint
-    ], 0),
+    ], False),
     "weibull_from_zero": (illness_death(Weibull(0.4, 0.7), 0.2, 0.5)[1], 2.0, [
         _rec(Interval(0.0, 1.0), Exact(2.0, False)),
-    ], 1),
+    ], True),
     # dementia and institution are switched off by death (component 2): a
     # survivor cut by the death time has only its no-jump term left
     "dementia_death_cut": (DEMENTIA, 3.0, [
         _rec(Interval(0.0, 1.0), SurvivedBeyond(2.2), Exact(2.2, True)),
         _rec(Interval(1.0, 2.0), SurvivedBeyond(2.5), Exact(2.5, True)),
         _rec(SurvivedBeyond(1.5), SurvivedBeyond(1.5), Exact(1.5, True)),
-    ], 0),
+    ], False),
     # two survivors both live until the death: a term of two free coordinates
     "dementia_2d": (DEMENTIA, 3.0, [
         _rec(SurvivedBeyond(0.5), SurvivedBeyond(1.0), Exact(2.5, True)),
         _rec(SurvivedBeyond(1.0), SurvivedBeyond(1.0), Exact(2.8, True)),
         _rec(SurvivedBeyond(0.0), SurvivedBeyond(0.5), Exact(1.7, True)),
-    ], 0),
+    ], False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
 def test_per_subject_loglik_agrees_with_loglik_atom(case, monkeypatch):
-    model, C, records, n_fallback = AGREEMENT_CASES[case]
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return loglik_atom(*args, **kwargs)
-
-    monkeypatch.setattr(inference, "loglik_atom", counted)
+    model, C, records, refined = AGREEMENT_CASES[case]
+    builds = count_plan_builds(monkeypatch)
     got = per_subject_loglik(model, records, C)
     ref = np.array([loglik_atom(model, rec, C) for rec in records])
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
-    assert len(calls) == n_fallback
+    assert (len(builds) > 1) == refined
     assert dataset_loglik(model, records, C) == pytest.approx(ref.sum(), rel=1e-9)
 
 
@@ -358,12 +362,13 @@ def test_layout_codes_gives_the_hand_written_terms(case):
         np.testing.assert_array_equal(got, want, strict=True)
 
 
-def test_per_subject_loglik_passes_max_evals_to_the_fallback():
+def test_per_subject_loglik_passes_max_evals_to_the_plan():
     model, C, records, _ = AGREEMENT_CASES["weibull_from_zero"]
     with pytest.raises(ToleranceError):
         loglik_atom(model, records[0], C, max_evals=300)
-    with pytest.raises(ToleranceError):
+    with pytest.raises(ToleranceError, match="^record 0: ") as exc:
         per_subject_loglik(model, records, C, max_evals=300)
+    assert exc.value.record_index == 0
 
 
 def test_per_subject_loglik_checks_record_width():
@@ -373,7 +378,7 @@ def test_per_subject_loglik_checks_record_width():
         per_subject_loglik(model, [_rec(Exact(0.5, True))], 2.0)
 
 
-# three interval components under dementia_family(): 10 125 to 67 575 plan
+# three interval components under dementia_family(): 10 125 to 50 625 plan
 # nodes a record, within the default max_evals
 THREE_D = [_rec(Interval(0.2, 1), Interval(0.3, 1.5), Interval(0.5, 1.8)),
            _rec(Interval(0.0, 0.5), Interval(0.25, 0.75), Interval(0.5, 1.0)),
@@ -382,39 +387,42 @@ THREE_D = [_rec(Interval(0.2, 1), Interval(0.3, 1.5), Interval(0.5, 1.8)),
 
 
 def test_three_d_records_stay_on_the_plan(monkeypatch):
-    # a record stays on the plan while its nodes fit in max_evals: no
-    # fallback, and the values of loglik_atom given a far larger budget
+    # the coarse plan settles these records: no refinement, and the values
+    # of loglik_atom given a far larger budget
     fam = dementia_family()
     model = fam.build(fam.from_search(np.zeros(fam.k)))
-    calls = []
-    monkeypatch.setattr(inference, "loglik_atom", lambda *args, **kw: calls.append(args[1]))
+    builds = count_plan_builds(monkeypatch)
     got = per_subject_loglik(model, THREE_D, 2.0)
-    assert calls == []
+    assert len(builds) == 1
     ref = [loglik_atom(model, rec, 2.0, max_evals=2_000_000) for rec in THREE_D]
     np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
     assert got[0] == pytest.approx(-2.752668734764821, rel=1e-12)
 
 
 def test_evaluator_counts_tolerance_failures():
-    # three intervals of length 6 pass the default budget as plan nodes, and
-    # the fallback cannot settle them in it either; the failure is scored
-    # -inf, and counted
+    # three intervals of length 6 take 50 625 nodes on the coarse plan and
+    # miss the error check there, and refining them passes the default
+    # budget; the failure is scored -inf, counted, and leaves the plan as it
+    # was
     fam = dementia_family()
     record = _rec(Interval(0.2, 6.2), Interval(0.3, 6.3), Interval(0.5, 6.5))
     ev = DatasetEvaluator(fam, [record], 7.0)
+    nodes = ev._rec.size
     theta = fam.from_search(np.zeros(fam.k))
     assert ev.total(theta) == -np.inf
     assert ev.total(theta) == -np.inf   # cached: not evaluated twice
     assert (ev.n_evaluations, ev.n_tolerance_failures) == (1, 1)
+    assert (nodes, ev._rec.size, ev._cuts.size) == (50_625, 50_625, 0)
 
 
-def shared_rate_pair():
+def shared_rate_pair(shape=lambda rate: 0.7):
     """Two independent components with one shared rate, and three records;
-    the last integrates a Weibull singularity at 0, which the fixed panels
-    cannot meet the tolerance on, so it always takes the fallback."""
+    the last integrates a Weibull singularity at 0 (illness's shape, 0.7 by
+    default), which the coarse plan cannot meet the tolerance on, so it is
+    always refined."""
     fam = ParametricFamily(
         ("rate",), ("log",),
-        lambda th: IntensityModel((MultiplicativeComponent(0, Weibull(th[0], 0.7)),
+        lambda th: IntensityModel((MultiplicativeComponent(0, Weibull(th[0], shape(th[0]))),
                                    MultiplicativeComponent(1, Constant(th[0])))),
     )
     records = [_rec(Exact(0.2, True), Exact(0.3, True)),
@@ -423,48 +431,119 @@ def shared_rate_pair():
     return fam, records
 
 
-def test_fit_reports_tolerance_failures(monkeypatch):
-    # the fallback's third call here runs out of budget
+def test_singular_record_settles_on_the_plan(monkeypatch):
+    # the rate t^-0.3 at 0 is settled by bisecting the panel at 0 about 30
+    # times; the adaptive route is only the reference
+    assert not hasattr(inference, "loglik_atom")
     fam, records = shared_rate_pair()
-    calls = []
+    builds = count_plan_builds(monkeypatch)
+    ev = DatasetEvaluator(fam, records, 2.0)
+    got = ev.per_subject([0.5])
+    np.testing.assert_allclose(got, [loglik_atom(fam.build([0.5]), rec, 2.0) for rec in records],
+                               rtol=1e-9, atol=0.0)
+    assert len(builds) > 20 and ev._rec.size < 1_000
+    # the cuts stay: a nearby point needs no more
+    rounds = len(builds)
+    ev.per_subject([0.55])
+    assert len(builds) == rounds
 
-    def third_call_fails(model, atom, C, **quad_opts):
-        calls.append(atom)
-        if len(calls) == 3:
-            raise ToleranceError("budget spent", value=0.0, error_estimate=np.inf)
-        return loglik_atom(model, atom, C, **quad_opts)
 
+def test_record_whose_refinement_overflows_is_refused():
+    # at shape 0.01 the panel at 0 is bisected about a thousand times until
+    # its nodes are subnormal and the rate t^-0.99 overflows there: the
+    # record is refused, not given the +inf sum
+    fam, records = shared_rate_pair(lambda rate: 0.01)
+    ev = DatasetEvaluator(fam, records, 2.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ToleranceError) as exc:
+        ev.per_subject([0.5])
+    assert (exc.value.record_index, exc.value.detail) == (2, "its integrand overflows")
+    assert ev._cuts.size == 0
+
+
+def _random_three_d(n, seed, C):
+    """n records of three intervals (a, b], a ~ U(0, 2), b ~ U(a + 0.2, C)."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(n):
+        statuses = []
+        for _ in range(3):
+            a = rng.uniform(0, 2)
+            statuses.append(Interval(a, rng.uniform(a + 0.2, C)))
+        records.append(PseudoAtomRecord(tuple(statuses)))
+    return records
+
+
+def test_random_three_d_cohort_settles_at_default_options(monkeypatch):
+    # 20 random 3-D records once took 1.27 million nodes on fixed panels of
+    # length at most 1, and two of them passed max_evals; on panels between
+    # cuts they take 901 125, at most 94 500 a record, and pass the check
+    # unrefined. The references are loglik_atom's at max_evals=3_000_000,
+    # seconds each
+    fam = dementia_family()
+    model = fam.build(fam.from_search(np.zeros(fam.k)))
+    builds = count_plan_builds(monkeypatch)
+    got = per_subject_loglik(model, _random_three_d(20, 5, 3.0), 3.0)
+    assert len(builds) == 1
+    # dementia wholly after death: impossible
+    assert np.flatnonzero(got == -np.inf).tolist() == [0, 5, 18]
+    np.testing.assert_allclose(got[[8, 19]], [-1.7263579007554737, -6.816830915585585],
+                               rtol=1e-8, atol=0.0)
+
+
+def shape_switching(rate_above, shape):
+    """Illness's Weibull shape: 0.7, and `shape` for a rate above
+    rate_above."""
+    return lambda rate: shape if rate > rate_above else 0.7
+
+
+def test_fit_reports_tolerance_failures(monkeypatch):
+    # at a budget of 500 nodes the singular record settles at shape 0.7, and
+    # not at shape 0.3; BFGS meets one rate above 0.9 on its way to 0.70
+    fam, records = shared_rate_pair()
     res = fit_mle(fam, records, 2.0, [0.5])
     assert res.n_tolerance_failures == 0
     assert "quadrature budget" not in res.message
-    monkeypatch.setattr(inference, "loglik_atom", third_call_fails)
-    res = fit_mle(fam, records, 2.0, [0.5])
+    fam, records = shared_rate_pair(shape_switching(0.9, 0.3))
+    monkeypatch.setattr(inference, "DatasetEvaluator",
+                        functools.partial(DatasetEvaluator, max_evals=500))
+    res = fit_mle(fam, records, 2.0, [0.2])
     assert res.converged
     assert res.n_tolerance_failures == 1
     assert res.message.endswith("; 1 evaluation(s) ran out of quadrature budget "
                                 "and counted as -inf")
 
 
+def weibull_pair():
+    """shared_rate_pair with illness's Weibull shape a second parameter."""
+    return ParametricFamily(
+        ("rate", "shape"), ("log", "log"),
+        lambda th: IntensityModel((MultiplicativeComponent(0, Weibull(th[0], th[1])),
+                                   MultiplicativeComponent(1, Constant(th[0])))),
+    )
+
+
 def test_point_out_of_budget_sinks_alone(monkeypatch):
-    # the fallback runs out of budget at the middle one of three points:
-    # that point is -inf and counted, and the points after it keep the bits
-    # of an evaluator that never met it
-    fam, records = shared_rate_pair()
-    thetas = np.array([[0.5], [0.6], [0.7]])
-    ref = DatasetEvaluator(fam, records, 2.0)
-    ref = [ref.total_and_score(theta) for theta in thetas]
-
-    def fails_at(model, atom, C, **quad_opts):
-        if model.components[1].baseline.value == 0.6:
-            raise ToleranceError("budget spent", value=0.0, error_estimate=np.inf)
-        return loglik_atom(model, atom, C, **quad_opts)
-
-    monkeypatch.setattr(inference, "loglik_atom", fails_at)
-    ev = DatasetEvaluator(fam, records, 2.0)
-    got = [ev.total_and_score(theta) for theta in thetas]
-    assert (ev.n_evaluations, ev.n_tolerance_failures) == (3, 1)
-    assert got[1][0] == -np.inf and np.isnan(got[1][1]).all()
-    for (total, score), (total_ref, score_ref) in zip(got[::2], ref[::2]):
+    # at a budget of 500 nodes the singular record is settled at shape 0.7
+    # and not at shape 0.3: that point is -inf and counted, its failed
+    # refinement leaves the plan of the point before, and the point after it
+    # keeps the bits of an evaluator that never met it
+    fam, records = weibull_pair(), shared_rate_pair()[1]
+    points = np.array([[0.5, 1.0], [0.6, 0.7], [0.65, 0.3], [0.7, 0.7]])
+    ref = DatasetEvaluator(fam, records, 2.0, max_evals=500)
+    ref = [ref.total_and_score(theta) for theta in points[[0, 1, 3]]]
+    ev = DatasetEvaluator(fam, records, 2.0, max_evals=500)
+    got = [ev.total_and_score(theta) for theta in points[:2]]
+    plan, cuts = ev._rec.size, ev._cuts
+    assert plan > 15 + 2
+    builds = count_plan_builds(monkeypatch)
+    got.append(ev.total_and_score(points[2]))
+    assert (ev._rec.size, ev._cuts.tobytes()) == (plan, cuts.tobytes())
+    n_builds = len(builds)
+    got.append(ev.total_and_score(points[3]))
+    assert len(builds) == n_builds
+    assert (ev.n_evaluations, ev.n_tolerance_failures) == (4, 1)
+    assert got[2][0] == -np.inf and np.isnan(got[2][1]).all()
+    for (total, score), (total_ref, score_ref) in zip(got[:2] + got[3:], ref):
         assert np.float64(total).tobytes() == np.float64(total_ref).tobytes()
         assert score.tobytes() == score_ref.tobytes()
 
@@ -500,18 +579,13 @@ def test_stencil_across_a_structure_change():
 
 
 def test_fit_survives_non_finite_search_points(monkeypatch):
-    # the fallback runs out of budget above rate 0.6, so the likelihood is
-    # -inf there, short of the optimum at 0.70; the line search that steps
-    # into it backs off, and a stencil point past 0.6 leaves a one-sided
-    # difference
-    fam, records = shared_rate_pair()
-
-    def fails_above(model, atom, C, **quad_opts):
-        if model.components[1].baseline.value > 0.6:
-            raise ToleranceError("budget spent", value=0.0, error_estimate=np.inf)
-        return loglik_atom(model, atom, C, **quad_opts)
-
-    monkeypatch.setattr(inference, "loglik_atom", fails_above)
+    # at a budget of 500 nodes the singular record is refused above rate 0.6,
+    # where its shape is 0.3, so the likelihood is -inf there, short of the
+    # optimum at 0.70; the line search that steps into it backs off, and the
+    # fit stops at the edge
+    fam, records = shared_rate_pair(shape_switching(0.6, 0.3))
+    monkeypatch.setattr(inference, "DatasetEvaluator",
+                        functools.partial(DatasetEvaluator, max_evals=500))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = fit_mle(fam, records, 2.0, [0.5])
@@ -524,41 +598,33 @@ def test_fit_survives_non_finite_search_points(monkeypatch):
     assert res.std_errors is None
 
 
-def test_record_past_the_node_budget_takes_the_fallback(monkeypatch):
-    # three intervals of length 6 would need 1.5 million plan nodes, more
-    # than the default max_evals; the record leaves the plan before they
-    # are built
+def test_record_past_the_node_budget_is_refused():
+    # three intervals of length 6 take 50 625 nodes on the coarse plan: past
+    # a budget of 50 000 the record leaves the plan before they are built,
+    # and is refused by its index
     fam = dementia_family()
     record = _rec(Interval(0.2, 6.2), Interval(0.3, 6.3), Interval(0.5, 6.5))
-    calls = []
-
-    def stand_in(model, atom, C, **quad_opts):
-        calls.append((atom, quad_opts["max_evals"]))
-        return -7.0
-
-    monkeypatch.setattr(inference, "loglik_atom", stand_in)
     tracemalloc.start()
     try:
-        ev = DatasetEvaluator(fam, [record], 7.0)
+        ev = DatasetEvaluator(fam, [record], 7.0, max_evals=50_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10e6
-    assert ev.per_subject(fam.from_search(np.zeros(fam.k))).tolist() == [-7.0]
-    assert calls == [(record, 100_000)]
+    with pytest.raises(ToleranceError, match=r"^record 0: needs more than max_evals = 50000 "):
+        ev.per_subject(fam.from_search(np.zeros(fam.k)))
 
     # the budget is the user's: an interval of one panel has 15 nodes, and
-    # leaves the plan when max_evals is smaller; an exact record has one
+    # is refused when max_evals is smaller; an exact record has one
     model = illness_death(0.35, 0.25, 0.8)[1]
-    records = [_rec(Interval(0.5, 1.0), Exact(3.0, False)),
-               _rec(Exact(0.4, True), Exact(1.2, True))]
+    records = [_rec(Exact(0.4, True), Exact(1.2, True)),
+               _rec(Interval(0.5, 1.0), Exact(3.0, False))]
     ref = per_subject_loglik(model, records, 3.0)
-    calls.clear()
     assert per_subject_loglik(model, records, 3.0, max_evals=15).tolist() == ref.tolist()
-    assert calls == []
-    got = per_subject_loglik(model, records, 3.0, max_evals=14)
-    assert got.tolist() == [-7.0, ref[1]]
-    assert calls == [(records[0], 14)]
+    with pytest.raises(ToleranceError) as exc:
+        per_subject_loglik(model, records, 3.0, max_evals=14)
+    assert (exc.value.record_index, exc.value.detail) == (
+        1, "needs more than max_evals = 14 quadrature nodes")
 
 
 def test_per_subject_makes_one_kernel_pass(monkeypatch):
@@ -577,16 +643,12 @@ def test_per_subject_makes_one_kernel_pass(monkeypatch):
             return real(*args)
         return wrapper
 
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("no record should take the fallback")
-
     def no_total_cum(*args, **kwargs):
         raise AssertionError("the per-theta pass reads the geometry, not total_cum")
 
     monkeypatch.setattr(inference, "_density_geometry",
                         counted(builds, inference._density_geometry))
     monkeypatch.setattr(inference, "_density_at", counted(passes, inference._density_at))
-    monkeypatch.setattr(inference, "loglik_atom", no_fallback)
     ev = DatasetEvaluator(ParametricFamily((), (), lambda _: model), records, 3.0)
     assert (len(builds), len(passes)) == (1, 0)
     monkeypatch.setattr(IntensityModel, "total_cum", no_total_cum)
@@ -659,9 +721,9 @@ def _piecewise_case(tmp_path):
     return fam, panel_records(fam.build(truth), scheme, 40, seed=5), 2.0, truth * 1.2
 
 
-def _fallback_case(tmp_path):
+def _refined_case(tmp_path):
     # illness on Interval(0, 3] integrates its Weibull singularity at 0
-    # (shape 0.7), which the plan's fixed panels cannot settle
+    # (shape 0.7), which the coarse plan cannot settle
     fam, records, C, theta = _workload_case("weibull-hybrid", 30, tmp_path)
     return fam, records + [_rec(Interval(0.0, 3.0), Exact(6.0, True))], C, theta
 
@@ -685,21 +747,18 @@ SCORE_CASES = {
     "dementia-family": _dementia_case,
     "gamma12": lambda tmp: _workload_case("weibull-hybrid", 40, tmp, gamma12=0.3, b01=1.2),
     "piecewise": _piecewise_case,
-    "fallback": _fallback_case,
     "offset": _offset_case,
+    "refined": _refined_case,
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCORE_CASES))
 def test_score_matches_differences_of_the_total(case, tmp_path, monkeypatch):
     fam, records, C, theta = SCORE_CASES[case](tmp_path)
-    fallback = []
-    monkeypatch.setattr(inference, "loglik_atom",
-                        lambda model, atom, *a, **kw: fallback.append(atom)
-                        or loglik_atom(model, atom, *a, **kw))
+    builds = count_plan_builds(monkeypatch)
     ev = DatasetEvaluator(fam, records, C)
     total, score = ev.total_and_score(theta)
-    assert set(fallback) == ({records[-1]} if case == "fallback" else set())
+    assert (len(builds) > 1) == (case == "refined")
     assert np.isfinite(total) and score.shape == (len(records), fam.k)
     h = 1e-6 * np.maximum(np.abs(theta), 0.1)
     diffs = [(ev.total(theta + step) - ev.total(theta - step)) / (2 * hk)
@@ -718,11 +777,6 @@ def test_score_pass_builds_no_rate_or_cum_beyond_the_values_pass(tmp_path, monke
         monkeypatch.setattr(MultiplicativeComponent, name,
                             lambda self, g, need=None, name=name, real=real:
                             calls.update([name]) or real(self, g, need))
-
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("no record should take the fallback")
-
-    monkeypatch.setattr(inference, "loglik_atom", no_fallback)
     ev.per_subject(theta)
     values = dict(calls)
     calls.clear()
@@ -787,8 +841,8 @@ INFORMATION_CASES = {
     "dementia-visits": SCORE_CASES["dementia-visits"],
     "weibull-hybrid": SCORE_CASES["weibull-hybrid"],
     "catalog-constant": _catalog_case("constant", [0.35, 0.25, 0.8], [0.4, 0.3, 0.7]),
-    # whole shapes keep every record on the plan (a rate like t^0.3 at the
-    # panel's start, 0, takes the fallback)
+    # whole shapes keep every record on the coarse plan (a rate like t^0.3
+    # at the panel's start, 0, is refined)
     "catalog-weibull": _catalog_case("weibull", [0.4, 2.0, 0.2, 1.0, 0.6, 2.0],
                                      [0.5, 2.0, 0.25, 1.0, 0.5, 3.0]),
     "catalog-piecewise": _catalog_case("piecewise", [0.3, 0.4, 0.2, 0.3, 0.6, 0.9],
@@ -796,20 +850,17 @@ INFORMATION_CASES = {
     "dementia-family": _dementia_case,
     "gamma-and-offset": _gamma_offset_case,
     "curved-builder": _curved_case,
-    "fallback": _fallback_case,
+    "refined": _refined_case,
 }
 
 
 @pytest.mark.parametrize("case", sorted(INFORMATION_CASES))
 def test_information_matches_differences_of_the_score(case, tmp_path, monkeypatch):
     fam, records, C, theta = INFORMATION_CASES[case](tmp_path)
-    fallback = []
-    monkeypatch.setattr(inference, "loglik_atom",
-                        lambda model, atom, *a, **kw: fallback.append(atom)
-                        or loglik_atom(model, atom, *a, **kw))
+    builds = count_plan_builds(monkeypatch)
     ev = DatasetEvaluator(fam, records, C)
     total, score, info = ev.information(theta)
-    assert set(fallback) == ({records[-1]} if case == "fallback" else set())
+    assert (len(builds) > 1) == (case == "refined")
     assert ev.n_evaluations == 1
     # the values and scores of the information's pass are total_and_score's
     total_ref, score_ref = DatasetEvaluator(fam, records, C).total_and_score(theta)
@@ -819,16 +870,12 @@ def test_information_matches_differences_of_the_score(case, tmp_path, monkeypatc
 
 
 def test_fit_standard_errors_from_the_information(tmp_path, monkeypatch):
-    # one record on the fallback gets its information block by second
-    # differences of loglik_atom; the standard errors are the delta method's
-    # on the search variables, from the information at the estimate
-    fam, records, C, theta = _fallback_case(tmp_path)
-    fallback = []
-    monkeypatch.setattr(inference, "loglik_atom",
-                        lambda model, atom, *a, **kw: fallback.append(atom)
-                        or loglik_atom(model, atom, *a, **kw))
+    # one record is refined; the standard errors are the delta method's on
+    # the search variables, from the information at the estimate
+    fam, records, C, theta = _refined_case(tmp_path)
+    builds = count_plan_builds(monkeypatch)
     res = fit_mle(fam, records, C, theta)
-    assert res.converged and set(fallback) == {records[-1]}
+    assert res.converged and len(builds) > 1
     theta_hat = np.array(list(res.theta.values()))
     ev = DatasetEvaluator(fam, records, C)
     ref = _information_reference(ev, theta_hat)
@@ -860,12 +907,10 @@ def test_bhhh_start_keeps_weibull_fits_on_the_plan(stream, tmp_path, monkeypatch
     # unscaled, BFGS's first unit step leaves the data's range of theta, and
     # many of these records miss the plan's error check there
     fam, records, C, theta = _workload_case("weibull-hybrid", 200, tmp_path, 4001, stream)
-    fallback = []
-    monkeypatch.setattr(inference, "loglik_atom", lambda model, atom, *a, **kw:
-                        fallback.append(atom) or loglik_atom(model, atom, *a, **kw))
+    builds = count_plan_builds(monkeypatch)
     res = fit_mle(fam, records, C, theta)
     assert res.converged and res.std_errors is not None
-    assert len(fallback) == 0
+    assert len(builds) == 1
 
 
 def switching_family(gated_from_the_start):
@@ -920,9 +965,9 @@ def test_modifier_that_never_switches_on_cannot_overflow(eta):
     ("max_evals", 0),
 ])
 def test_evaluator_rejects_bad_quadrature_options(name, value):
-    # the embedded error check is the only way to the fallback, so its
-    # options must mean something; loglik_atom checks them too (a nan
-    # abs_tol once gave it a wrong value, max_evals=0 a ToleranceError)
+    # the embedded error check decides refinement, so its options must mean
+    # something; loglik_atom checks them too (a nan abs_tol once gave it a
+    # wrong value, max_evals=0 a ToleranceError)
     fam = exponential_family()
     records = [PseudoAtomRecord((Interval(0.0, 1.0),))]
     with pytest.raises(InvalidInputError, match=name):

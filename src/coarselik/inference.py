@@ -51,14 +51,13 @@ of log f_r and s_i the score. The kernel returns G_r on request, within a
 component (the only nonzero blocks), in one pass at one point; the map's own
 curvature is differenced over model builds alone.
 
-fit_mle runs BFGS on that score, one point an evaluation. Its search
-variables are scaled by the BHHH matrix sum_i s_i s_i^T of the start's
-per-record scores, so its first step is the BHHH step, on the scale of the
-data's information about theta. Standard errors come from the observed
-information at a converged estimate, mapped to the search variables and
-back to the natural scale by the delta method. n_evaluations counts the
-value-and-score evaluations, the start's and BFGS's, and the information's
-pass as one more.
+fit_mle takes damped Newton steps on that information in the search
+variables (Commenges et al. 2006), every trial point one information pass,
+and BHHH steps where the information is not positive definite. Standard
+errors come from the information of the last iterate, with the map's own
+curvature added over model builds alone, mapped to the search variables
+and back to the natural scale by the delta method. n_evaluations counts the
+passes, one a trial point.
 """
 
 from __future__ import annotations
@@ -82,8 +81,12 @@ from .quadrature import (
     K_WEIGHTS,
 )
 
-_STEP = 1e-5      # relative step of the score's central differences
+_STEP = 1e-5      # relative step of the theta map's central differences
 _STEP2 = 1e-4     # relative step of the map curvature's second differences
+_MAX_ITERATIONS = 200   # Newton iterations of a fit
+_MAX_HALVINGS = 30      # step halvings of an iteration
+_CONVERGED = 1e-12      # g^T I^-1 g at a converged estimate
+_MAX_BLOCKED = 3        # iterations in a row whose step a -inf trial cut
 # the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
 _G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
 
@@ -149,11 +152,12 @@ class ParametricFamily:
 @dataclass
 class FitResult:
     """A fit's estimate, log-likelihood and standard errors (None unless it
-    converged). n_evaluations counts the evaluations of the log-likelihood
-    and score (the start's and BFGS's) and, for a converged fit, the one
-    evaluation of the observed information; n_tolerance_failures those of
-    them scored -inf because a record was refused for its quadrature budget
-    (see DatasetEvaluator)."""
+    converged). n_evaluations counts the information passes, one a trial
+    point of the Newton iteration, the start's included;
+    n_tolerance_failures those of them scored -inf because a record was
+    refused for its quadrature budget (see DatasetEvaluator). grad_norm is
+    the largest absolute total score in the search variables at the
+    estimate, and message says why the fit stopped."""
 
     theta: dict[str, float]
     loglik: float
@@ -266,6 +270,7 @@ class DatasetEvaluator:
         self.C = float(C)
         self.quad_opts = _quad_opts(rel_tol, abs_tol, max_evals)
         self._last = None   # (theta, total_and_score's result) of the last point
+        self._at = None     # the last information pass (see _curvature_term)
         self.n_evaluations = 0
         # evaluations whose quadrature budget ran out (scored -inf)
         self.n_tolerance_failures = 0
@@ -458,7 +463,7 @@ class DatasetEvaluator:
         self._last = (key, result)
         return result
 
-    def information(self, theta):
+    def information(self, theta, curvature=True):
         """total_and_score at natural-scale theta, and the observed
         information there: minus the Hessian of the total log-likelihood in
         theta, (k, k); nan where the total is -inf, and in the entries a
@@ -470,52 +475,79 @@ class DatasetEvaluator:
         sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T: omega_r = w_r f_r / L_i
         (0 where f_r is 0), d_r and D_r the first and second derivatives of
         log f_r in theta, s_i the record's score. They reach theta through
-        the map's J and its own curvature, the second differences of the
-        model values over model builds (0 at rounding level, as for a value
-        affine in theta), which adds the values' score times it. Counted in
+        the map's J and its own curvature (_curvature), which adds the
+        values' score times it (_curvature_term). With curvature=False
+        that part is left out, and no model is built for it. Counted in
         n_evaluations, as one.
         """
+        theta = np.asarray(theta, dtype=float)
         self.n_evaluations += 1
-        return self._evaluate(np.asarray(theta, dtype=float), second=True)
+        if not curvature:
+            return self._evaluate(theta, True)
+        curvature = self._curvature(theta)
+        total, score, info = self._evaluate(theta, True, curvature.any(axis=(1, 2)))
+        if total == -np.inf:
+            return total, score, info
+        return total, score, info + self._curvature_term(theta, curvature)
 
-    def _evaluate(self, theta, second=False):
-        """total_and_score at theta; with `second` the information as well.
-
-        The family's models at theta and at its stencil points
-        theta +- h_j e_j are one build. The derivatives of the model values
-        in theta are central differences over the stencil (exact up to
-        rounding where a value is affine in theta); a side of another
-        structure is left out."""
+    def _theta_map(self, theta):
+        """The model at theta and the map's derivatives J (V, k), J[v, j] =
+        d value v / d theta_j: central differences over the stencil points
+        theta +- h_j e_j, one build with theta (exact up to rounding where a
+        value is affine in theta). The centre stands in for a side of
+        another structure, and with none left J is nan."""
         k = theta.size
         h = _STEP * self._scale(theta)
         steps = h[:, None] * np.eye(k)
-        points = [theta[None], theta + steps, theta - steps]
-        if second:
-            # and the points of second differences, in the same build
-            around, weights = _second_differences(theta, _STEP2 * self._scale(theta))
-            points.append(around)
-        built = self._build(np.concatenate(points))
-        # J[v, j]: d value v / d theta_j; the centre stands in for a side of
-        # another structure, and with none left J is nan
+        built = self._build(np.concatenate([theta[None], theta + steps, theta - steps]))
         g, at = built.group_of[0], built.pos_of
-        up_ok, lo_ok = built.group_of[1:k + 1] == g, built.group_of[k + 1:1 + 2 * k] == g
+        up_ok, lo_ok = built.group_of[1:k + 1] == g, built.group_of[k + 1:] == g
         V = built.values[g]
         up = V[:, np.where(up_ok, at[1:k + 1], at[0])]
-        lo = V[:, np.where(lo_ok, at[k + 1:1 + 2 * k], at[0])]
+        lo = V[:, np.where(lo_ok, at[k + 1:], at[0])]
         width = h * (up_ok.astype(int) + lo_ok)
         J = (up - lo) / np.where(width > 0, width, np.nan)
-        model = built.groups[g][0].with_values(V[:, at[0]])
-        need = J.any(axis=1)
-        if second:
-            # the map's curvature: second differences of the values, 0 at
-            # rounding level (an affine map leaves a few roundings of its
-            # values), nan where they meet a point of another structure
-            V = built.values_of(g)[:, 1 + 2 * k:]
-            curvature = _combine(weights, V)
-            noise = _combine(np.abs(weights), np.abs(V))
-            curvature[np.abs(curvature) <= 16 * np.finfo(float).eps * noise] = 0.0
-            curved = curvature.any(axis=(1, 2))
-            need = need | curved
+        return built.groups[g][0].with_values(V[:, at[0]]), J
+
+    def _curvature(self, theta):
+        """The map's own curvature at theta (V, k, k): the second
+        differences of the model values, over model builds alone; 0 at
+        rounding level (an affine map leaves a few roundings of its values),
+        nan where they meet a point of another structure."""
+        around, weights = _second_differences(theta, _STEP2 * self._scale(theta))
+        built = self._build(around)
+        V = built.values_of(built.group_of[0])
+        curvature = _combine(weights, V)
+        noise = _combine(np.abs(weights), np.abs(V))
+        curvature[np.abs(curvature) <= 16 * np.finfo(float).eps * noise] = 0.0
+        return curvature
+
+    def _curvature_term(self, theta, curvature=None):
+        """What the map's own curvature (by default _curvature's) adds to
+        the information of the last information pass, which theta made
+        without it (k, k): minus the sum over the curved values of their
+        total score times their curvature (0 for an affine map). Where that
+        pass did not form a curved value's score (its J row 0 there), one
+        more information pass at theta, counted."""
+        if curvature is None:
+            curvature = self._curvature(theta)
+        curved = np.flatnonzero(curvature.any(axis=(1, 2)))
+        omega, on, grads, info = self._at
+        if any(grads[v] is None for v in curved):
+            return self.information(theta)[2] - info
+        H = np.zeros_like(info)
+        for v in curved:
+            H += (omega @ np.where(on, grads[v], 0.0)) * curvature[v]
+        return -0.5 * (H + H.T)
+
+    def _evaluate(self, theta, second=False, curved=None):
+        """total_and_score at theta; with `second` the information as well,
+        without the map's own curvature, and the derivatives in the values
+        `curved` flags too (for _curvature_term). The derivatives of the
+        model values in theta come from _theta_map."""
+        k = theta.size
+        model, J = self._theta_map(theta)
+        need = J.any(axis=1) if curved is None else J.any(axis=1) | curved
         # -inf, nan scores (and information) where a record is impossible or refused
         sunk = (-np.inf, np.full((self.n, k), np.nan), np.full((k, k), np.nan))[:2 + second]
         try:
@@ -523,44 +555,43 @@ class DatasetEvaluator:
         except ToleranceError:
             self.n_tolerance_failures += 1
             return sunk
+        # d_r as rows: sum_v J[v, j] grads[v] over the v that reach theta_j,
+        # in their order, then the second derivatives; each taken as 0 off
+        # the weights (where the density is 0 its log's derivatives may not
+        # be finite)
         wf = self._w[0] * f
-        score, d = np.empty((self.n, k)), []
+        on = wf != 0.0
+        rows = np.empty((k + (len(hess) if second else 0), f.size))
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(k):
-                # sum_v J[v, j] grads[v] over the v that reach theta_j, in
-                # their order
-                gj = 0
+                dj = 0
                 for v in np.flatnonzero(J[:, j]):
-                    gj = gj + J[v, j] * grads[v]
-                d.append(gj)
-                # where the density is 0 its log's derivatives are not finite
-                score[:, j] = self._by_record(np.where(wf != 0.0, wf * gj, 0.0)[None])[0] / total
+                    dj = dj + J[v, j] * grads[v]
+                rows[j] = dj
+            for row, x in zip(rows[k:], hess.values() if second else ()):
+                row[:] = x
+            if not on.all():
+                rows[:, ~on] = 0.0
+            score = (self._by_record(wf * rows[:k]) / total).T
         if not (np.all(np.isfinite(out)) and np.all(np.isfinite(score))):
             return sunk
         result = (float(out.sum()), score)
         if not second:
             return result
 
-        # each record: sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T, each
-        # derivative a row, taken as 0 off the weights (where it may not be
-        # finite)
-        on = wf != 0.0
+        # each record: sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T
         with np.errstate(divide="ignore", invalid="ignore"):
             omega = np.where(on, wf / total[self._rec], 0.0)
-        rows = np.empty((k + len(hess), f.size))
-        for row, x in zip(rows, [*d, *hess.values()]):
-            row[:] = x
-        if not on.all():
-            rows[:, ~on] = 0.0
         H = (rows[:k] * omega) @ rows[:k].T
         Hv = np.zeros((len(J), len(J)))
         for (v, w), x in zip(hess, rows[k:] @ omega):
             Hv[v, w] = Hv[w, v] = x
         H += J.T @ Hv @ J
-        for v in np.flatnonzero(curved):
-            H += (omega @ np.where(on, grads[v], 0.0)) * curvature[v]
         H -= score.T @ score
-        return result + (-0.5 * (H + H.T),)
+        info = -0.5 * (H + H.T)
+        # what _curvature_term needs of this pass
+        self._at = (omega, on, grads, info)
+        return result + (info,)
 
     def _scale(self, theta):
         """Each parameter's scale for its steps: |theta| on the log scale,
@@ -573,9 +604,8 @@ class DatasetEvaluator:
 
 
 # over the whole fit a -inf log-likelihood is a legitimate value: a start
-# that gives one (a cum overflowing, say) is rejected, and the line search
-# that meets one (a +inf objective) does inf - inf arithmetic and recovers
-# from it, so their warnings carry no news
+# that gives one (a cum overflowing, say) is rejected, and a trial point
+# that meets one is a failed trial, so their warnings carry no news
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | StatusCodes,
             C: float, init, *, rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> FitResult:
@@ -584,10 +614,10 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
     `init` is a natural-scale vector of the k parameters (or a mapping
     from their names). A starting point with minus-infinite log-likelihood
     is rejected up front, naming the first subject whose record has zero
-    probability there. BFGS (200 iterations at most) runs on the exact
-    score in search variables scaled by the start's BHHH matrix; its end
-    point is the estimate, where a converged fit takes its standard errors
-    from the exact observed information (DatasetEvaluator.information).
+    probability there. Damped Newton steps in the search variables u on the
+    exact observed information (see _ascend): every trial point is one
+    information pass, and the standard errors of a converged fit come from
+    the last one, with the map's curvature added, by the delta method.
     """
     names = family.param_names
     if isinstance(init, dict):
@@ -606,64 +636,40 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
     ev = DatasetEvaluator(family, records, C, rel_tol=rel_tol, abs_tol=abs_tol)
     is_log = family.is_log
 
-    def loglik_and_score(u):
-        """The log-likelihood at search point u and each record's score in u."""
+    def at(u):
+        """A trial point: the log-likelihood, the records' scores and the
+        information in u (-inf where the point is impossible). On a log parameter u = log theta, d/du = theta d/dtheta, so
+        I_u = D I D - diag(theta s) there (D the diagonal of theta, 1 on the
+        others, s the total score in theta)."""
         theta = family.from_search(u)
-        total, score = ev.total_and_score(theta)
-        return total, score * np.where(is_log, theta, 1.0)
+        if not np.all(np.isfinite(theta)):
+            return -np.inf, None, None
+        total, score, info = ev.information(theta, curvature=False)
+        scale = np.where(is_log, theta, 1.0)
+        return (total, score * scale, scale[:, None] * info * scale
+                - np.diag(np.where(is_log, theta, 0.0) * score.sum(axis=0)))
 
-    u0 = family.to_search(init)
-    total0, score0 = loglik_and_score(u0)
-    if not np.isfinite(total0):
+    u = family.to_search(init)
+    point = at(u)
+    if not np.isfinite(point[0]):
         # evaluated again only to name the subject; a ToleranceError raises here
-        per0 = ev.per_subject(family.from_search(u0))
+        per0 = ev.per_subject(family.from_search(u))
         bad = int(np.flatnonzero(~np.isfinite(per0))[0])
         raise InvalidStartError(
             f"log-likelihood is {per0[bad]} at the starting point "
             f"(first offending subject: {bad})",
             subject_index=bad,
         )
+    u, (loglik, score, info_u), converged, message = _ascend(at, u, point)
+    grad_norm = float(np.max(np.abs(score.sum(axis=0))))
+    theta_hat = family.from_search(u)
 
-    # search u = u0 + M v with M = L^-T, L L^T the BHHH matrix at the start:
-    # the Hessian in v is about the identity there, so BFGS's first step is
-    # the BHHH step and its unit steps stay on the likelihood's own scale
-    try:
-        M = np.linalg.inv(np.linalg.cholesky(score0.T @ score0)).T
-    except np.linalg.LinAlgError:
-        M = np.eye(family.k)
-
-    def objective(v):
-        u = u0 + M @ v
-        # a line search that meets a -inf log-likelihood can come back nan
-        if not np.all(np.isfinite(u)):
-            return np.inf, np.full(v.size, np.nan)
-        total, score = loglik_and_score(u)
-        return -total, -(M.T @ score.sum(axis=0))
-
-    # only a fit needs scipy; importing it at module level slows every command's start-up
-    from scipy.optimize import minimize
-
-    bfgs = minimize(objective, np.zeros(family.k), jac=True, method="BFGS",
-                    options={"gtol": 1e-6, "maxiter": 200})
-    u_hat = u0 + M @ bfgs.x
-    loglik, score = loglik_and_score(u_hat)
-    grad = score.sum(axis=0)
-    grad_norm = float(np.max(np.abs(grad))) if np.all(np.isfinite(grad)) else np.inf
-    theta_hat = family.from_search(u_hat)
-    # BFGS's own test is on the scaled gradient: about the distance to the
-    # optimum in standard errors, whatever the size of the data
-    converged = bool(bfgs.success) or grad_norm < 1e-3
-
-    # standard errors at a converged estimate only, from the observed
-    # information in the search variables: on a log parameter u = log theta,
-    # d/du = theta d/dtheta, so I_u = D I D - diag(theta s) there (D the
-    # diagonal of theta, 1 on the others, s the score in theta)
+    # standard errors at a converged estimate only, from the information of
+    # its pass with the map's own curvature added (model builds alone)
     std_errors = None
     if converged:
-        _, score, info = ev.information(theta_hat)
         scale = np.where(is_log, theta_hat, 1.0)
-        info_u = scale[:, None] * info * scale - np.diag(np.where(is_log, theta_hat, 0.0)
-                                                         * score.sum(axis=0))
+        info_u = info_u + scale[:, None] * ev._curvature_term(theta_hat) * scale
         se_u = np.full(family.k, np.nan)
         if np.all(np.isfinite(info_u)):
             try:
@@ -674,7 +680,6 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
             se_nat = np.where(is_log, theta_hat * se_u, se_u)
             std_errors = dict(zip(family.param_names, se_nat.tolist()))
 
-    message = f"bfgs: {bfgs.message}"
     if ev.n_tolerance_failures:
         message += (f"; {ev.n_tolerance_failures} evaluation(s) ran out of quadrature "
                     "budget and counted as -inf")
@@ -688,3 +693,63 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
         message=message,
         n_tolerance_failures=ev.n_tolerance_failures,
     )
+
+
+def _solve(A, g):
+    """A^-1 g by A's Cholesky factor; None where A is not finite or not
+    positive definite."""
+    if not np.all(np.isfinite(A)):
+        return None
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(L.T, np.linalg.solve(L, g))
+
+
+def _ascend(at, u, point):
+    """Damped Newton ascent from search point u, point = at(u): the
+    log-likelihood, the records' scores (n, k) and the information (k, k)
+    in u (-inf where u is impossible).
+
+    An iteration solves I delta = g, g the total score, where I is finite
+    and positive definite; there the fit has converged once
+    g^T I^-1 g <= 1e-12 (Commenges et al. 2006). Elsewhere delta is the
+    BHHH step, from sum_i s_i s_i^T. The step is halved until the
+    log-likelihood rises by 1e-4 t g^T delta at least (Armijo's rule), 30
+    times at most. A fit stops unconverged when it cannot ascend, when a
+    -inf trial (an impossible point, or one out of quadrature budget) has
+    cut the step of 3 iterations in a row (its optimum lies beyond them),
+    or after 200 iterations. Returns the last point's u and at(u), whether it converged
+    and why it stopped."""
+    blocked, bhhh = 0, 0
+    for iteration in range(_MAX_ITERATIONS):
+        loglik, score, info = point
+        g = score.sum(axis=0)
+        newton = _solve(info, g)
+        step = _solve(score.T @ score, g) if newton is None else newton
+        if step is None:
+            return u, point, False, ("newton: neither the information nor the BHHH matrix "
+                                     f"is positive definite after {iteration} iteration(s)")
+        slope = float(g @ step)
+        if newton is not None and slope <= _CONVERGED:
+            return u, point, True, (f"newton: converged, g'I^-1 g = {slope:.3g} after "
+                                    f"{iteration} iteration(s) ({bhhh} BHHH step(s))")
+        bhhh += newton is None
+        t, cut = 1.0, False
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = at(u + t * step)
+            if trial[0] >= loglik + 1e-4 * t * slope:
+                break
+            cut |= trial[0] == -np.inf
+            t *= 0.5
+        else:
+            return u, point, False, (f"newton: no ascent in {_MAX_HALVINGS} step halvings "
+                                     f"after {iteration} iteration(s)")
+        u, point = u + t * step, trial
+        blocked = blocked + 1 if cut else 0
+        if blocked == _MAX_BLOCKED:
+            return u, point, False, (f"newton: a -inf log-likelihood cut the step of "
+                                     f"{_MAX_BLOCKED} iterations in a row, the last of "
+                                     f"{iteration + 1}")
+    return u, point, False, f"newton: no convergence in {_MAX_ITERATIONS} iterations"

@@ -116,12 +116,12 @@ def test_overflowing_start_is_rejected_without_warnings():
 
 
 def test_fit_runs_one_kernel_pass_per_evaluation(tmp_path, monkeypatch):
-    # one geometry per fit; each of BFGS's evaluations, the start's included,
-    # is one kernel pass for the values and the score, and the standard
-    # errors one more, on the estimate alone, with second derivatives. A
-    # config family's builder takes a stack: an evaluation's theta map is
-    # one build of the point and its 2k stencil points, and the
-    # information's one build adds the 2k^2 points of its second differences
+    # one geometry per fit; each Newton trial point, the start's included,
+    # is one kernel pass for the values, the score and the information,
+    # and no pass follows the last iterate. A config family's builder takes
+    # a stack: a pass's theta map is one build of the point and its 2k
+    # stencil points, and the map's curvature, at the estimate alone, one
+    # build of the 1 + 2k^2 points of its second differences
     fam, records, C, theta = _workload_case("illness-death-panel", 40, tmp_path)
     assert fam.builds_stacks
     builds, passes, models = [], [], []
@@ -137,20 +137,17 @@ def test_fit_runs_one_kernel_pass_per_evaluation(tmp_path, monkeypatch):
     monkeypatch.setattr(inference, "_density_at", counted(passes, inference._density_at))
     family = dataclasses.replace(fam, builder=counted(models, fam.builder))
     res = fit_mle(family, records, C, theta)
-    assert res.std_errors is not None
+    assert res.converged and res.std_errors is not None
     assert len(builds) == 1
-    # n_evaluations is the start's, BFGS's and the information's
-    bfgs = res.n_evaluations - 1
-    assert len(passes) == bfgs + 1
+    assert len(passes) == res.n_evaluations
     assert all(args[2] is not None for args in passes)
-    # no stack: every pass is on a model of numbers, the last one alone
-    # asks for second derivatives
+    # no stack: every pass is on a model of numbers, with second derivatives
     assert all(args[0].values.shape == (len(args[2]),) for args in passes)
-    assert [args[3:] for args in passes] == [()] * bfgs + [(True,)]
-    # the plan's probe, one build per evaluation
-    assert len(models) == 1 + bfgs + 1
-    assert models[-2][0].shape == (fam.k, 2 * fam.k + 1, 1)
-    assert models[-1][0].shape == (fam.k, 2 * fam.k + 1 + 1 + 2 * fam.k ** 2, 1)
+    assert [args[3:] for args in passes] == [(True,)] * res.n_evaluations
+    # the plan's probe, one build per pass, and the curvature's build last
+    assert len(models) == 1 + res.n_evaluations + 1
+    assert all(m[0].shape == (fam.k, 2 * fam.k + 1, 1) for m in models[1:-1])
+    assert models[-1][0].shape == (fam.k, 1 + 2 * fam.k ** 2, 1)
 
 
 def test_panel_fit_recovers_truth():
@@ -498,14 +495,21 @@ def shape_switching(rate_above, shape):
 
 def test_fit_reports_tolerance_failures(monkeypatch):
     # at a budget of 500 nodes the singular record settles at shape 0.7, and
-    # not at shape 0.3; BFGS meets one rate above 0.9 on its way to 0.70
+    # not at shape 0.3, which the family takes above rate 0.9: the full
+    # Newton step from 0.2 lands there, is refused and counted, and the
+    # halved step goes on to the optimum at 0.70
     fam, records = shared_rate_pair()
     res = fit_mle(fam, records, 2.0, [0.5])
     assert res.n_tolerance_failures == 0
     assert "quadrature budget" not in res.message
     fam, records = shared_rate_pair(shape_switching(0.9, 0.3))
-    monkeypatch.setattr(inference, "DatasetEvaluator",
-                        functools.partial(DatasetEvaluator, max_evals=500))
+    evaluator = functools.partial(DatasetEvaluator, max_evals=500)
+    # the first trial in u = log rate: u + g_u / I_u, with g_u = rate s and
+    # I_u = rate^2 I - g_u
+    _, score, info = evaluator(fam, records, 2.0).information([0.2], curvature=False)
+    g = 0.2 * score.sum()
+    assert 0.2 * np.exp(g / (0.04 * info[0, 0] - g)) > 0.9
+    monkeypatch.setattr(inference, "DatasetEvaluator", evaluator)
     res = fit_mle(fam, records, 2.0, [0.2])
     assert res.converged
     assert res.n_tolerance_failures == 1
@@ -581,21 +585,26 @@ def test_stencil_across_a_structure_change():
 def test_fit_survives_non_finite_search_points(monkeypatch):
     # at a budget of 500 nodes the singular record is refused above rate 0.6,
     # where its shape is 0.3, so the likelihood is -inf there, short of the
-    # optimum at 0.70; the line search that steps into it backs off, and the
-    # fit stops at the edge
+    # optimum at 0.70; the steps that reach it are halved, and the fit stops
+    # at the edge once such a trial has cut the step of 3 iterations in a
+    # row
     fam, records = shared_rate_pair(shape_switching(0.6, 0.3))
     monkeypatch.setattr(inference, "DatasetEvaluator",
                         functools.partial(DatasetEvaluator, max_evals=500))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = fit_mle(fam, records, 2.0, [0.5])
-    # the optimizer's inf - inf arithmetic stays quiet
+    # trials at -inf stay quiet
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert res.theta["rate"] <= 0.6
     assert np.isfinite(res.loglik)
     assert res.n_tolerance_failures > 0
     # stopped at the edge, not at a stationary point: no standard error
     assert res.std_errors is None
+    assert not res.converged and "3 iterations in a row" in res.message
+    # no more evaluations than a BFGS fit made here, 25; halving the step
+    # down to the edge iteration after iteration takes over 100
+    assert res.n_evaluations <= 25
 
 
 def test_record_past_the_node_budget_is_refused():
@@ -903,14 +912,57 @@ def test_fit_refuses_a_wrong_init(init, message):
 
 
 @pytest.mark.parametrize("stream", [4, 6])
-def test_bhhh_start_keeps_weibull_fits_on_the_plan(stream, tmp_path, monkeypatch):
-    # unscaled, BFGS's first unit step leaves the data's range of theta, and
-    # many of these records miss the plan's error check there
+def test_newton_keeps_weibull_fits_on_the_plan(stream, tmp_path, monkeypatch):
+    # a step far out of the data's range of theta (as BFGS's first unit
+    # step once was, unscaled) makes many of these records miss the plan's
+    # error check there; the Newton steps stay in range, so the plan is
+    # never refined
     fam, records, C, theta = _workload_case("weibull-hybrid", 200, tmp_path, 4001, stream)
     builds = count_plan_builds(monkeypatch)
     res = fit_mle(fam, records, C, theta)
     assert res.converged and res.std_errors is not None
     assert len(builds) == 1
+
+
+def test_fit_takes_bhhh_steps_where_the_information_is_not_positive_definite(monkeypatch):
+    # far from the estimate the observed information is not positive
+    # definite, and there the step is the BHHH step; the fit still reaches
+    # the estimate of the fit started at the truth
+    fam = illness_death_family("constant")
+    scheme = panel_death_scheme([0.5, 1.0, 1.5], 2.0)
+    records = panel_records(fam.build([0.35, 0.25, 0.8]), scheme, 500, seed=21)
+    ref = fit_mle(fam, records, scheme.horizon, [0.35, 0.25, 0.8])
+    solved, real = [], inference._solve
+    monkeypatch.setattr(inference, "_solve", lambda A, g: solved.append(real(A, g)) or solved[-1])
+    res = fit_mle(fam, records, scheme.horizon, [2.0, 0.01, 5.0])
+    assert res.converged
+    # a None is an information that did not factor, and a BHHH step taken
+    assert any(x is None for x in solved)
+    se = np.array(list(ref.std_errors.values()))
+    np.testing.assert_array_less(
+        np.abs(np.array(list(res.theta.values())) - list(ref.theta.values())), 1e-6 * se)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_score_in_one_product_matches_the_per_parameter_loop(workload, tmp_path):
+    # the score sums the stacked d rows by record in one _by_record call,
+    # each row in the order of the loop that summed one parameter a pass:
+    # the same bits, on each workload's first benchmark fit cohort
+    w = workloads.WORKLOADS[workload]
+    fam, records, C, theta = _workload_case(workload, w.n_fit, tmp_path, 4001, 2)
+    ev = DatasetEvaluator(fam, records, C)
+    for th in (theta, theta * 1.1):
+        score = ev.total_and_score(th)[1]
+        model, J = ev._theta_map(th)
+        _, f, grads, _, total = ev._on_plan(model, J.any(axis=1).tolist())
+        wf = ev._w[0] * f
+        ref = np.empty((ev.n, fam.k))
+        for j in range(fam.k):
+            gj = 0
+            for v in np.flatnonzero(J[:, j]):
+                gj = gj + J[v, j] * grads[v]
+            ref[:, j] = ev._by_record(np.where(wf != 0.0, wf * gj, 0.0)[None])[0] / total
+        assert score.tobytes() == ref.tobytes()
 
 
 def switching_family(gated_from_the_start):

@@ -183,9 +183,10 @@ def per_subject_loglik(model: IntensityModel,
     under a fixed model.
 
     Runs on the dataset plan of DatasetEvaluator, over a family with no
-    free parameters. `quad_opts` (rel_tol, abs_tol, max_evals) mean what
-    they mean for loglik_atom; a record the plan cannot settle within
-    max_evals nodes raises ToleranceError with its index.
+    free parameters; likelihood.loglik_atom is this on one record.
+    `quad_opts` (rel_tol, abs_tol, max_evals) are the plan's; a record it
+    cannot settle within max_evals nodes raises ToleranceError with its
+    index.
     """
     codes = StatusCodes.from_records(records)
     if not len(codes.kind):
@@ -255,7 +256,7 @@ class DatasetEvaluator:
     """Batched log-likelihood of one dataset as a function of theta.
 
     The dataset is a sequence of records or their StatusCodes, and the
-    quadrature options are those of loglik_atom, which settle or refuse a
+    quadrature options (rel_tol, abs_tol, max_evals) settle or refuse a
     record as the module says. A node takes about 150 B on a 3-D dementia
     plan, so max_evals caps a record near 15 MB; nothing caps the cohort.
     """
@@ -269,7 +270,6 @@ class DatasetEvaluator:
         self.n = len(self.codes.kind)
         self.C = float(C)
         self.quad_opts = _quad_opts(rel_tol, abs_tol, max_evals)
-        self._last = None   # (theta, total_and_score's result) of the last point
         self._at = None     # the last information pass (see _curvature_term)
         self.n_evaluations = 0
         # evaluations whose quadrature budget ran out (scored -inf)
@@ -358,13 +358,13 @@ class DatasetEvaluator:
             self._ids[R] = (self._rec + self.n * np.arange(R)[:, None]).ravel()
         return np.bincount(self._ids[R], weights=x.ravel(), minlength=R * self.n).reshape(R, self.n)
 
-    def _on_plan(self, model, need=None, second=False):
+    def _on_plan(self, model, need=None):
         """The kernel on the plan for a model of numbers: each record's
-        log-likelihood (n,), the density at the nodes (N,), the derivatives
-        of its log in the model values `need` flags (None without), with
-        `second` their second derivatives (see _density_at), and each
-        record's K15 sum (n,). A pass is made again after each refinement;
-        a refusal restores the plan the call began with."""
+        log-likelihood (n,), the density at the nodes (N,), the first and
+        second derivatives of its log in the model values `need` flags (both
+        None without; see _density_at), and each record's K15 sum (n,). A
+        pass is made again after each refinement; a refusal restores the plan
+        the call began with."""
         # a builder may change the structure with theta, and with its gates
         # the cuts of the plan
         if model.structure != self._structure:
@@ -373,9 +373,10 @@ class DatasetEvaluator:
         rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
         try:
             while True:
-                # `second` is passed only when asked, so that a stand-in
-                # kernel of (model, geometry, need) still serves the others
-                f, grads, *hess = _density_at(model, self._geometry, need, *(True,) * second)
+                # `second` is passed only with a need, so that a stand-in
+                # kernel of (model, geometry, need) still serves the values
+                f, grads, *hess = _density_at(model, self._geometry, need,
+                                              *(True,) * (need is not None))
                 f = np.broadcast_to(f, self._rec.shape)
                 # the K15 sums; the error adds each level's |K15 - G7|
                 total, *low = self._by_record(self._w * f)
@@ -443,31 +444,18 @@ class DatasetEvaluator:
         return _Points([(models[r[0]].with_values(np.stack([models[p].values for p in r], axis=1)),
                          np.array(r)) for r in rows.values()])
 
-    def total_and_score(self, theta):
-        """The total log-likelihood at natural-scale theta and each record's
-        score, its derivatives in theta as an (n, k) array; -inf (scores
-        nan) where a record is impossible or the quadrature budget ran out.
-
-        A record on the plan gets its score from the same pass as its value:
-        sum_r w_r f_r g_r / sum_r w_r f_r, g_r the derivatives of log f_r.
-        A record refused (see the class) counts the evaluation in
-        n_tolerance_failures. Counted in n_evaluations; the last point is
-        remembered.
-        """
-        theta = np.asarray(theta, dtype=float)
-        key = tuple(theta)
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
-        self.n_evaluations += 1
-        result = self._evaluate(theta)
-        self._last = (key, result)
-        return result
-
     def information(self, theta, curvature=True):
-        """total_and_score at natural-scale theta, and the observed
+        """The total log-likelihood at natural-scale theta, each record's
+        score, its derivatives in theta as an (n, k) array, and the observed
         information there: minus the Hessian of the total log-likelihood in
-        theta, (k, k); nan where the total is -inf, and in the entries a
-        second difference leaves unknown (a point of another structure).
+        theta, (k, k). The total is -inf, and the scores and information
+        nan, where a record is impossible or refused (see the class; the
+        evaluation then counts in n_tolerance_failures); the information is
+        nan too in the entries a second difference leaves unknown (a point
+        of another structure).
+
+        A record gets its score from the same pass as its value:
+        sum_r w_r f_r g_r / sum_r w_r f_r, g_r the derivatives of log f_r.
 
         One kernel pass (one a round where a record is refined), which also
         gives the second derivatives of log f in the model values. By
@@ -483,9 +471,9 @@ class DatasetEvaluator:
         theta = np.asarray(theta, dtype=float)
         self.n_evaluations += 1
         if not curvature:
-            return self._evaluate(theta, True)
+            return self._evaluate(theta)
         curvature = self._curvature(theta)
-        total, score, info = self._evaluate(theta, True, curvature.any(axis=(1, 2)))
+        total, score, info = self._evaluate(theta, curvature.any(axis=(1, 2)))
         if total == -np.inf:
             return total, score, info
         return total, score, info + self._curvature_term(theta, curvature)
@@ -540,18 +528,17 @@ class DatasetEvaluator:
             H += (omega @ np.where(on, grads[v], 0.0)) * curvature[v]
         return -0.5 * (H + H.T)
 
-    def _evaluate(self, theta, second=False, curved=None):
-        """total_and_score at theta; with `second` the information as well,
-        without the map's own curvature, and the derivatives in the values
-        `curved` flags too (for _curvature_term). The derivatives of the
-        model values in theta come from _theta_map."""
+    def _evaluate(self, theta, curved=None):
+        """information at theta without the map's own curvature, with the
+        derivatives in the values `curved` flags too (for _curvature_term).
+        The derivatives of the model values in theta come from _theta_map."""
         k = theta.size
         model, J = self._theta_map(theta)
         need = J.any(axis=1) if curved is None else J.any(axis=1) | curved
-        # -inf, nan scores (and information) where a record is impossible or refused
-        sunk = (-np.inf, np.full((self.n, k), np.nan), np.full((k, k), np.nan))[:2 + second]
+        # -inf, nan scores and information where a record is impossible or refused
+        sunk = -np.inf, np.full((self.n, k), np.nan), np.full((k, k), np.nan)
         try:
-            out, f, grads, hess, total = self._on_plan(model, need.tolist(), second)
+            out, f, grads, hess, total = self._on_plan(model, need.tolist())
         except ToleranceError:
             self.n_tolerance_failures += 1
             return sunk
@@ -561,23 +548,20 @@ class DatasetEvaluator:
         # be finite)
         wf = self._w[0] * f
         on = wf != 0.0
-        rows = np.empty((k + (len(hess) if second else 0), f.size))
+        rows = np.empty((k + len(hess), f.size))
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(k):
                 dj = 0
                 for v in np.flatnonzero(J[:, j]):
                     dj = dj + J[v, j] * grads[v]
                 rows[j] = dj
-            for row, x in zip(rows[k:], hess.values() if second else ()):
+            for row, x in zip(rows[k:], hess.values()):
                 row[:] = x
             if not on.all():
                 rows[:, ~on] = 0.0
             score = (self._by_record(wf * rows[:k]) / total).T
         if not (np.all(np.isfinite(out)) and np.all(np.isfinite(score))):
             return sunk
-        result = (float(out.sum()), score)
-        if not second:
-            return result
 
         # each record: sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -591,16 +575,12 @@ class DatasetEvaluator:
         info = -0.5 * (H + H.T)
         # what _curvature_term needs of this pass
         self._at = (omega, on, grads, info)
-        return result + (info,)
+        return float(out.sum()), score, info
 
     def _scale(self, theta):
         """Each parameter's scale for its steps: |theta| on the log scale,
         else at least 1."""
         return np.where(self.family.is_log, np.abs(theta), np.maximum(np.abs(theta), 1.0))
-
-    def total(self, theta) -> float:
-        """The total log-likelihood of total_and_score."""
-        return self.total_and_score(theta)[0]
 
 
 # over the whole fit a -inf log-likelihood is a legitimate value: a start

@@ -20,9 +20,10 @@ When a pinned jump provably switches another component off (a death-style
 gate), that component's range is always cut there: the discarded region
 carries zero intensity, so the value is unchanged and panels are saved.
 One function, _layout_codes, lays records out into these corner terms, a
-whole coded cohort at once: loglik_atom reads it for its one record, and
-inference.DatasetEvaluator for its plan, which refines its own panels where
-a record misses the tolerance. The two share the density kernel too.
+whole coded cohort at once, for inference.DatasetEvaluator's plan, which
+refines its own panels where a record misses the tolerance. That plan is the
+one likelihood engine: loglik_atom and conditional_loglik run on it, one
+record a plan.
 The kernel runs in the two phases of the model components: its geometry
 (rate geometries at the flagged jumps, cum geometries over (0, C]) depends
 on the coordinates alone, so the evaluator builds it once per plan and
@@ -34,9 +35,6 @@ _density composes both phases for one set of coordinates. A model whose
 values are stacks of B parameter points (see models) evaluates a geometry
 of N coordinates to (B, N) densities and derivatives in one walk, row b
 those of the model of row b's values, bit for bit.
-Here each term is integrated on the nested adaptive engine, with panels
-split at model rate discontinuities, at every pinned jump time, and at the
-bounds of the free ranges, so integrand kinks always land on panel edges.
 """
 
 from __future__ import annotations
@@ -45,16 +43,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InconsistentObservationError, InvalidInputError, InvalidRecordError
+from .errors import DomainError, InconsistentObservationError, InvalidInputError, InvalidRecordError
 from .models import IntensityModel, JumpHistory, MultiplicativeComponent, PatternTableComponent
-from .observation import Exact, Interval, PseudoAtomRecord, StatusCodes, SurvivedBeyond
-from .quadrature import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_MAX_EVALS,
-    DEFAULT_REL_TOL,
-    Dim,
-    integrate_nested,
-)
+from .observation import Exact, Interval, PseudoAtomRecord, SurvivedBeyond
+from .quadrature import DEFAULT_ABS_TOL, DEFAULT_MAX_EVALS, DEFAULT_REL_TOL
 
 
 def _density_geometry(model: IntensityModel, s, flags, C: float):
@@ -249,8 +241,9 @@ def _layout_codes(model: IntensityModel, codes, C: float):
 
 def _quad_opts(rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = DEFAULT_ABS_TOL,
                max_evals: int = DEFAULT_MAX_EVALS) -> dict:
-    """loglik_atom's quadrature options, checked: finite positive tolerances
-    (they also set the dataset plan's panel error check) and max_evals >= 1."""
+    """The dataset plan's quadrature options, checked: finite positive
+    tolerances (they set its panel error check) and max_evals >= 1 (its
+    nodes per record)."""
     opts = {"rel_tol": rel_tol, "abs_tol": abs_tol, "max_evals": max_evals}
     if not (all(np.isfinite(x) and x > 0 for x in (rel_tol, abs_tol)) and max_evals >= 1):
         raise InvalidInputError(f"need rel_tol, abs_tol finite > 0, max_evals >= 1: {opts}")
@@ -269,38 +262,19 @@ def loglik_atom(
     """Normalized log-likelihood of one coarse record over horizon C.
 
     The value exponentiates to the record's probability, as a density in the
-    coordinates of components with an observed exact jump time. Each corner
-    term is integrated adaptively.
+    coordinates of components with an observed exact jump time. It is the
+    dataset plan's (inference.per_subject_loglik) on this one record, and
+    max_evals caps the record's quadrature nodes; a nan value (a density
+    that overflows) raises DomainError.
     """
-    opts = _quad_opts(rel_tol, abs_tol, max_evals)
-    _, S, F, R = _layout_codes(model, StatusCodes.from_records([atom]), C)
-    # term t: coordinates S[:, t], flags F[:, t], free ranges R[:, t] up to j = -1
-    terms = [(s, flags, [(int(j), lo, hi) for j, lo, hi in ranges if j >= 0]) for s, flags, ranges
-             in zip(S.T.tolist(), F.T.tolist(), R.transpose(1, 0, 2).tolist())]
-    # panels split at rate discontinuities, pinned times and range bounds
-    cuts = set(model.breakpoints)
-    for s, _, free in terms:
-        cuts.update(s)
-        cuts.update(x for _, lo, hi in free for x in (lo, hi))
-    cuts = tuple(sorted(cuts))
+    # inference imports this module, so the plan is imported at call time
+    from .inference import per_subject_loglik
 
-    total = 0.0
-    for s, flags, free in terms:
-        if not free:
-            total += float(_density(model, s, flags, C))
-            continue
-
-        def integrand(*coords, s=s, flags=flags, order=[j for j, _, _ in free]):
-            x = list(s)
-            for j, c in zip(order, coords):
-                x[j] = c
-            val = _density(model, x, flags, C)
-            return val if np.ndim(val) else np.full(np.shape(coords[-1]), float(val))
-
-        dims = tuple(Dim(lo, hi, cuts) for _, lo, hi in free)
-        total += integrate_nested(integrand, dims, **opts).value
-    with np.errstate(divide="ignore"):
-        return float(np.log(max(total, 0.0)))
+    value = float(per_subject_loglik(model, [atom], C, rel_tol=rel_tol, abs_tol=abs_tol,
+                                     max_evals=max_evals)[0])
+    if np.isnan(value):
+        raise DomainError("the record's density is nan at a quadrature node (it overflows)")
+    return value
 
 
 def conditional_loglik(model: IntensityModel, atom: PseudoAtomRecord, C: float,

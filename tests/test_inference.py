@@ -41,9 +41,11 @@ from coarselik.observation import (
     StatusCodes,
     SurvivedBeyond,
 )
+from coarselik.oracle import illness_death_mixed_loglik
 from coarselik.simulate import coarsen_cohort, record_from_codes, simulate_cohort
 
 from benchmark_workloads import workloads
+from nested_reference import nested_loglik
 
 
 def exponential_family():
@@ -85,9 +87,11 @@ def test_evaluator_matches_direct_loglik():
     records = panel_records(model, scheme, 80, seed=3)
     theta = np.array([0.3, 0.3, 0.6])
     ev = DatasetEvaluator(fam, records, scheme.horizon)
-    direct = [loglik_atom(fam.build(theta), rec, scheme.horizon) for rec in records]
+    # the Markov oracle: illness read at visits, death timed
+    spec = illness_death(*theta)[0]
+    direct = [illness_death_mixed_loglik(spec, *workloads.as_oracle_args(rec)) for rec in records]
     assert np.allclose(ev.per_subject(theta), direct, rtol=1e-7, atol=1e-10)
-    assert ev.total(theta) == pytest.approx(
+    assert ev.information(theta, curvature=False)[0] == pytest.approx(
         dataset_loglik(fam.build(theta), records, scheme.horizon), rel=1e-7)
 
 
@@ -264,19 +268,20 @@ AGREEMENT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
-def test_per_subject_loglik_agrees_with_loglik_atom(case, monkeypatch):
+def test_per_subject_loglik_agrees_with_nested_quadrature(case, monkeypatch):
     model, C, records, refined = AGREEMENT_CASES[case]
     builds = count_plan_builds(monkeypatch)
     got = per_subject_loglik(model, records, C)
-    ref = np.array([loglik_atom(model, rec, C) for rec in records])
-    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
     assert (len(builds) > 1) == refined
+    ref = np.array([nested_loglik(model, rec, C) for rec in records])
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
     assert dataset_loglik(model, records, C) == pytest.approx(ref.sum(), rel=1e-9)
 
 
 def per_record_terms(model, records, C):
-    """A cohort's term arrays as loglik_atom lays them out: one
-    _layout_codes call per record, its terms appended in order."""
+    """A cohort's term arrays as a plan of one record lays them out (that
+    of loglik_atom): one _layout_codes call per record, its terms appended
+    in order."""
     parts = [_layout_codes(model, StatusCodes.from_records([rec]), C) for rec in records]
     rec = np.concatenate([i + part[0] for i, part in enumerate(parts)])
     S, F = (np.ascontiguousarray(np.concatenate([part[k] for part in parts], axis=1))
@@ -306,11 +311,39 @@ PLAN_CASES = {
 @pytest.mark.parametrize("case", sorted(PLAN_CASES))
 def test_plan_from_codes_matches_the_per_record_plan(case):
     # the array layout of a cohort's codes is that of its records one by
-    # one, bit for bit: the plan has loglik_atom's terms
+    # one, bit for bit: the cohort's plan has each record's own terms
     model, C, records = PLAN_CASES[case]
     codes = StatusCodes.from_records(records)
     for got, ref in zip(_layout_codes(model, codes, C), per_record_terms(model, records, C)):
         assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_loglik_atom_is_the_plan_on_one_record(case):
+    # one likelihood route: loglik_atom gives each record the bits the
+    # cohort's plan gives it
+    model, C, records = PLAN_CASES[case]
+    ref = per_subject_loglik(model, records, C)
+    got = np.array([loglik_atom(model, rec, C) for rec in records])
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["constant", "weibull"])
+def test_conditional_loglik_is_the_plan_on_the_clipped_record(kind):
+    # validate's conditioned Markov shape, and two records the conditioning
+    # clips: the plan's value of the clipped record plus the exposure before
+    # v0, bit for bit
+    rates = ((0.35, 0.25, 0.8) if kind == "constant" else
+             (Weibull(0.4, 1.5), Weibull(0.3, 0.8), Weibull(0.7, 1.2)))
+    model = illness_death(*rates)[1]
+    C, v0 = 2.0, 0.5
+    pairs = [(_rec(Interval(v0, 0.9), Exact(1.7, True)), _rec(Interval(v0, 0.9), Exact(1.7, True))),
+             (_rec(Interval(0.2, 0.9), Exact(1.7, True)), _rec(Interval(v0, 0.9), Exact(1.7, True))),
+             (_rec(SurvivedBeyond(0.3), Exact(C, False)), _rec(SurvivedBeyond(v0), Exact(C, False)))]
+    exposure = float(model.total_cum(0.0, v0, [np.inf] * 2))
+    ref = per_subject_loglik(model, [clipped for _, clipped in pairs], C) + exposure
+    got = np.array([conditional_loglik(model, rec, C, v0) for rec, _ in pairs])
+    assert got.tobytes() == ref.tobytes()
 
 
 # one record's corner terms written out as (s, flags, free): the all-free
@@ -385,15 +418,18 @@ THREE_D = [_rec(Interval(0.2, 1), Interval(0.3, 1.5), Interval(0.5, 1.8)),
 
 def test_three_d_records_stay_on_the_plan(monkeypatch):
     # the coarse plan settles these records: no refinement, and the values
-    # of loglik_atom given a far larger budget
+    # of nested adaptive quadrature given a far larger budget
     fam = dementia_family()
     model = fam.build(fam.from_search(np.zeros(fam.k)))
     builds = count_plan_builds(monkeypatch)
     got = per_subject_loglik(model, THREE_D, 2.0)
     assert len(builds) == 1
-    ref = [loglik_atom(model, rec, 2.0, max_evals=2_000_000) for rec in THREE_D]
+    ref = [nested_loglik(model, rec, 2.0, max_evals=2_000_000) for rec in THREE_D]
     np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0.0)
     assert got[0] == pytest.approx(-2.752668734764821, rel=1e-12)
+    # loglik_atom settles the first at default options too, where nested
+    # adaptive quadrature ran out of its 100 000 evaluations
+    assert loglik_atom(model, THREE_D[0], 2.0) == got[0]
 
 
 def test_evaluator_counts_tolerance_failures():
@@ -406,8 +442,7 @@ def test_evaluator_counts_tolerance_failures():
     ev = DatasetEvaluator(fam, [record], 7.0)
     nodes = ev._rec.size
     theta = fam.from_search(np.zeros(fam.k))
-    assert ev.total(theta) == -np.inf
-    assert ev.total(theta) == -np.inf   # cached: not evaluated twice
+    assert ev.information(theta, curvature=False)[0] == -np.inf
     assert (ev.n_evaluations, ev.n_tolerance_failures) == (1, 1)
     assert (nodes, ev._rec.size, ev._cuts.size) == (50_625, 50_625, 0)
 
@@ -430,15 +465,15 @@ def shared_rate_pair(shape=lambda rate: 0.7):
 
 def test_singular_record_settles_on_the_plan(monkeypatch):
     # the rate t^-0.3 at 0 is settled by bisecting the panel at 0 about 30
-    # times; the adaptive route is only the reference
+    # times; nested adaptive quadrature is only the reference
     assert not hasattr(inference, "loglik_atom")
     fam, records = shared_rate_pair()
     builds = count_plan_builds(monkeypatch)
     ev = DatasetEvaluator(fam, records, 2.0)
     got = ev.per_subject([0.5])
-    np.testing.assert_allclose(got, [loglik_atom(fam.build([0.5]), rec, 2.0) for rec in records],
-                               rtol=1e-9, atol=0.0)
     assert len(builds) > 20 and ev._rec.size < 1_000
+    np.testing.assert_allclose(got, [nested_loglik(fam.build([0.5]), rec, 2.0) for rec in records],
+                               rtol=1e-9, atol=0.0)
     # the cuts stay: a nearby point needs no more
     rounds = len(builds)
     ev.per_subject([0.55])
@@ -474,8 +509,8 @@ def test_random_three_d_cohort_settles_at_default_options(monkeypatch):
     # 20 random 3-D records once took 1.27 million nodes on fixed panels of
     # length at most 1, and two of them passed max_evals; on panels between
     # cuts they take 901 125, at most 94 500 a record, and pass the check
-    # unrefined. The references are loglik_atom's at max_evals=3_000_000,
-    # seconds each
+    # unrefined. The references are nested adaptive quadrature's
+    # (nested_loglik) at max_evals=3_000_000, seconds each
     fam = dementia_family()
     model = fam.build(fam.from_search(np.zeros(fam.k)))
     builds = count_plan_builds(monkeypatch)
@@ -534,16 +569,16 @@ def test_point_out_of_budget_sinks_alone(monkeypatch):
     fam, records = weibull_pair(), shared_rate_pair()[1]
     points = np.array([[0.5, 1.0], [0.6, 0.7], [0.65, 0.3], [0.7, 0.7]])
     ref = DatasetEvaluator(fam, records, 2.0, max_evals=500)
-    ref = [ref.total_and_score(theta) for theta in points[[0, 1, 3]]]
+    ref = [ref.information(theta, curvature=False)[:2] for theta in points[[0, 1, 3]]]
     ev = DatasetEvaluator(fam, records, 2.0, max_evals=500)
-    got = [ev.total_and_score(theta) for theta in points[:2]]
+    got = [ev.information(theta, curvature=False)[:2] for theta in points[:2]]
     plan, cuts = ev._rec.size, ev._cuts
     assert plan > 15 + 2
     builds = count_plan_builds(monkeypatch)
-    got.append(ev.total_and_score(points[2]))
+    got.append(ev.information(points[2], curvature=False)[:2])
     assert (ev._rec.size, ev._cuts.tobytes()) == (plan, cuts.tobytes())
     n_builds = len(builds)
-    got.append(ev.total_and_score(points[3]))
+    got.append(ev.information(points[3], curvature=False)[:2])
     assert len(builds) == n_builds
     assert (ev.n_evaluations, ev.n_tolerance_failures) == (4, 1)
     assert got[2][0] == -np.inf and np.isnan(got[2][1]).all()
@@ -566,13 +601,14 @@ def test_stencil_across_a_structure_change():
     ev = DatasetEvaluator(fam, records, 3.0)
     for eta in (0.1, 0.7, 0.25, 0.2, 0.9):
         theta = np.array([0.35, 0.25, eta])
-        total, score = ev.total_and_score(theta)
-        total_ref, score_ref = DatasetEvaluator(fam, records, 3.0).total_and_score(theta)
+        total, score = ev.information(theta, curvature=False)[:2]
+        total_ref, score_ref = DatasetEvaluator(fam, records, 3.0).information(
+            theta, curvature=False)[:2]
         assert np.float64(total).tobytes() == np.float64(total_ref).tobytes()
         assert score.tobytes() == score_ref.tobytes()
         assert np.isfinite(total) and np.isfinite(score).all()
     assert ev.n_evaluations == 5
-    total, score = ev.total_and_score([0.35, 0.25, 0.25])
+    total, score = ev.information([0.35, 0.25, 0.25], curvature=False)[:2]
     assert (score[:, 2] == 0.0).all()
     # the information's second differences in eta meet the other structure:
     # its eta row is unknown, the rest matches the score's differences
@@ -666,7 +702,7 @@ def test_per_subject_makes_one_kernel_pass(monkeypatch):
     ev.per_subject(())
     assert (len(builds), len(passes)) == (1, 2)
     monkeypatch.undo()
-    np.testing.assert_allclose(got, [loglik_atom(model, rec, 3.0) for rec in records],
+    np.testing.assert_allclose(got, [nested_loglik(model, rec, 3.0) for rec in records],
                                rtol=1e-9, atol=0.0)
 
 
@@ -766,12 +802,12 @@ def test_score_matches_differences_of_the_total(case, tmp_path, monkeypatch):
     fam, records, C, theta = SCORE_CASES[case](tmp_path)
     builds = count_plan_builds(monkeypatch)
     ev = DatasetEvaluator(fam, records, C)
-    total, score = ev.total_and_score(theta)
+    total, score = ev.information(theta, curvature=False)[:2]
     assert (len(builds) > 1) == (case == "refined")
     assert np.isfinite(total) and score.shape == (len(records), fam.k)
     h = 1e-6 * np.maximum(np.abs(theta), 0.1)
-    diffs = [(ev.total(theta + step) - ev.total(theta - step)) / (2 * hk)
-             for hk, step in zip(h, h * np.eye(fam.k))]
+    diffs = [(ev.per_subject(theta + step).sum() - ev.per_subject(theta - step).sum())
+             / (2 * hk) for hk, step in zip(h, h * np.eye(fam.k))]
     np.testing.assert_allclose(score.sum(axis=0), diffs, rtol=1e-6)
 
 
@@ -784,12 +820,12 @@ def test_score_pass_builds_no_rate_or_cum_beyond_the_values_pass(tmp_path, monke
     for name in ("rate_at", "cum_at"):
         real = getattr(MultiplicativeComponent, name)
         monkeypatch.setattr(MultiplicativeComponent, name,
-                            lambda self, g, need=None, name=name, real=real:
-                            calls.update([name]) or real(self, g, need))
+                            lambda self, g, need=None, *second, name=name, real=real:
+                            calls.update([name]) or real(self, g, need, *second))
     ev.per_subject(theta)
     values = dict(calls)
     calls.clear()
-    ev.total_and_score(theta)
+    ev.information(theta, curvature=False)
     assert dict(calls) == values == {"rate_at": 3, "cum_at": 3}
 
 
@@ -797,8 +833,8 @@ def _information_reference(ev, theta):
     """Minus the central differences of the exact total score at relative
     step h = 1e-5 (at least 1e-5 on an identity parameter), symmetrized."""
     h = 1e-5 * np.where(ev.family.is_log, np.abs(theta), np.maximum(np.abs(theta), 1.0))
-    rows = [(ev.total_and_score(theta - step)[1].sum(axis=0)
-             - ev.total_and_score(theta + step)[1].sum(axis=0)) / (2 * hk)
+    rows = [(ev.information(theta - step, curvature=False)[1].sum(axis=0)
+             - ev.information(theta + step, curvature=False)[1].sum(axis=0)) / (2 * hk)
             for hk, step in zip(h, h * np.eye(theta.size))]
     return 0.5 * (np.array(rows) + np.array(rows).T)
 
@@ -871,9 +907,11 @@ def test_information_matches_differences_of_the_score(case, tmp_path, monkeypatc
     total, score, info = ev.information(theta)
     assert (len(builds) > 1) == (case == "refined")
     assert ev.n_evaluations == 1
-    # the values and scores of the information's pass are total_and_score's
-    total_ref, score_ref = DatasetEvaluator(fam, records, C).total_and_score(theta)
-    assert (total, score.tobytes()) == (total_ref, score_ref.tobytes())
+    # the information's pass gives the values of the value-only pass, and
+    # the scores of a pass without the map's own curvature
+    ref = DatasetEvaluator(fam, records, C)
+    assert total == ref.per_subject(theta).sum()
+    assert score.tobytes() == ref.information(theta, curvature=False)[1].tobytes()
     assert np.array_equal(info, info.T) and np.isfinite(info).all()
     _assert_information_close(info, _information_reference(ev, theta))
 
@@ -888,7 +926,7 @@ def test_fit_standard_errors_from_the_information(tmp_path, monkeypatch):
     theta_hat = np.array(list(res.theta.values()))
     ev = DatasetEvaluator(fam, records, C)
     ref = _information_reference(ev, theta_hat)
-    score = ev.total_and_score(theta_hat)[1].sum(axis=0)
+    score = ev.information(theta_hat, curvature=False)[1].sum(axis=0)
     scale = np.where(fam.is_log, theta_hat, 1.0)
     info_u = scale[:, None] * ref * scale - np.diag(np.where(fam.is_log, theta_hat * score, 0.0))
     se = scale * np.sqrt(np.diag(np.linalg.inv(info_u)))
@@ -952,7 +990,7 @@ def test_score_in_one_product_matches_the_per_parameter_loop(workload, tmp_path)
     fam, records, C, theta = _workload_case(workload, w.n_fit, tmp_path, 4001, 2)
     ev = DatasetEvaluator(fam, records, C)
     for th in (theta, theta * 1.1):
-        score = ev.total_and_score(th)[1]
+        score = ev.information(th, curvature=False)[1]
         model, J = ev._theta_map(th)
         _, f, grads, _, total = ev._on_plan(model, J.any(axis=1).tolist())
         wf = ev._w[0] * f
@@ -995,7 +1033,7 @@ def test_structure_change_builds_its_own_plan(gated_from_the_start):
         theta = np.array([0.35, 0.25, eta])
         got = ev.per_subject(theta)
         assert np.array_equal(got, DatasetEvaluator(fam, records, 3.0).per_subject(theta))
-        ref = [loglik_atom(fam.build(theta), rec, 3.0) for rec in records]
+        ref = [nested_loglik(fam.build(theta), rec, 3.0) for rec in records]
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0.0)
 
 

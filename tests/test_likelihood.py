@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coarselik.catalog import illness_death
-from coarselik.errors import InconsistentObservationError, InvalidInputError
+from coarselik.errors import DomainError, InconsistentObservationError, InvalidInputError
 from coarselik.likelihood import (
     conditional_loglik,
     f_theta,
@@ -15,7 +15,7 @@ from coarselik.likelihood import (
     loglik_continuous,
 )
 from coarselik.baselines import Constant, PiecewiseConstant
-from coarselik.models import IntensityModel, JumpHistory, MultiplicativeComponent
+from coarselik.models import IntensityModel, JumpHistory, ModifierTerm, MultiplicativeComponent
 from coarselik.observation import Exact, Interval, PseudoAtomRecord, SurvivedBeyond
 
 INF = np.inf
@@ -148,6 +148,20 @@ def test_impossible_record_is_minus_inf():
     ))
     ll = loglik_atom(model, PseudoAtomRecord((Interval(0.0, 1.0),)), 2.0)
     assert ll == -INF
+
+
+def test_overflowing_density_raises_domain_error():
+    # exp(800) overflows: the ill-then-dead density is inf * exp(-inf), nan,
+    # at nodes near the death time, and the record is refused, not given nan
+    model = IntensityModel((
+        MultiplicativeComponent(0, Constant(0.1), gates=(1,)),
+        MultiplicativeComponent(1, Constant(0.2), terms=(ModifierTerm((0,), 800),))))
+    atom = PseudoAtomRecord((SurvivedBeyond(1.0), Exact(1.206, True)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError):
+            loglik_atom(model, atom, 10.0)
+        with pytest.raises(DomainError):
+            conditional_loglik(model, atom, 10.0, 0.5)
 
 
 def test_record_validation():

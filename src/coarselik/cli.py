@@ -6,9 +6,10 @@ the same inputs are byte-identical. simulate, loglik and fit accept
 the whole cohort in one vectorized call and writes its status codes column
 by column, the cohort and truth files together, each distinct float of a
 block formatted once for both; loglik reads the dataset into status codes,
-evaluates it on one plan of quadrature panels, and formats the results as
-columns too, with no record object per subject. A record refused, malformed
-or past its quadrature budget, is named by its subject id.
+evaluates it on one plan of quadrature panels, one copy of each distinct
+record, and formats the results as columns too, with no record object per
+subject. A record refused, malformed or past its quadrature budget, is named
+by the id of the first subject with that record.
 
 No output path (--out, --truth) may name an input file (--model, --scheme,
 --data) or another output: such a call is refused before anything is read

@@ -4,11 +4,12 @@ A ParametricFamily maps a natural-scale parameter vector to a model.
 Positive parameters are searched on the log scale (declared via
 transforms), which keeps the optimizer unconstrained.
 
-Each record is laid out once into the corner terms of likelihood's
-expansion, and every term is evaluated on one plan shared across the whole
-dataset: a point of weight 1 for a term with no free coordinate, else
-Gauss-Kronrod panels nested one level per free coordinate, each level
-pinning its coordinate at its nodes. A line of panels is cut at the
+Each distinct record is laid out once into the corner terms of
+likelihood's expansion (subjects with the same coded record share it), and
+every term is evaluated on one plan shared across the whole dataset: a
+point of weight 1 for a term with no free coordinate, else Gauss-Kronrod
+panels nested one level per free coordinate, each level pinning its
+coordinate at its nodes. A line of panels is cut at the
 family's fixed rate-change points, at pinned jump times (earlier levels'
 nodes among them) and at the later levels' range bounds, so kinks lie on
 panel edges, and a panel is a cell between cuts. Node positions depend only
@@ -67,7 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStartError, ToleranceError
+from .errors import InvalidInputError, InvalidRecordError, InvalidStartError, ToleranceError
 from .likelihood import _density_at, _density_geometry, _layout_codes, _quad_opts
 from .models import IntensityModel
 from .observation import PseudoAtomRecord, StatusCodes
@@ -183,10 +184,11 @@ def per_subject_loglik(model: IntensityModel,
     under a fixed model.
 
     Runs on the dataset plan of DatasetEvaluator, over a family with no
-    free parameters; likelihood.loglik_atom is this on one record.
-    `quad_opts` (rel_tol, abs_tol, max_evals) are the plan's; a record it
-    cannot settle within max_evals nodes raises ToleranceError with its
-    index.
+    free parameters, which evaluates each distinct record once;
+    likelihood.loglik_atom is this on one record. `quad_opts` (rel_tol,
+    abs_tol, max_evals) are the plan's; a record it cannot settle within
+    max_evals nodes raises ToleranceError with the index of the first
+    subject with that record, as a malformed record's InvalidRecordError.
     """
     codes = StatusCodes.from_records(records)
     if not len(codes.kind):
@@ -252,13 +254,35 @@ class _Points:
         return V
 
 
+def _distinct(codes: StatusCodes):
+    """The first subject of each distinct coded record, in order of first
+    appearance (m,), and each subject's record among them (n,). Records are
+    the same when their rows agree in every bit: -0.0 and 0.0 differ. One
+    np.unique over each row's bytes as one void item, several times faster
+    than np.unique(axis=0) on the columns."""
+    packed = np.concatenate([np.ascontiguousarray(x).view(np.uint8) for x in codes], axis=1)
+    _, first, inverse = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
 class DatasetEvaluator:
     """Batched log-likelihood of one dataset as a function of theta.
 
     The dataset is a sequence of records or their StatusCodes, and the
     quadrature options (rel_tol, abs_tol, max_evals) settle or refuse a
-    record as the module says. A node takes about 150 B on a 3-D dementia
-    plan, so max_evals caps a record near 15 MB; nothing caps the cohort.
+    record as the module says. Subjects with the same coded record share
+    one copy of it, the first subject's: the plan, its geometry and its
+    refinement hold the distinct records alone, and their values and
+    scores go back to the subjects through the inverse index, bit for bit
+    those of a plan with every copy. The information weighs a record's
+    nodes by its multiplicity, and a refusal names the first subject with
+    the record. A node takes about 150 B on a 3-D dementia plan, so
+    max_evals caps a record near 15 MB; nothing caps the cohort, whose plan
+    grows with its distinct records.
     """
 
     def __init__(self, family: ParametricFamily,
@@ -276,17 +300,28 @@ class DatasetEvaluator:
         self.n_tolerance_failures = 0
         if not self.n:
             raise InvalidInputError("empty dataset")
+        # the plan's records, one copy of each distinct record: record i is
+        # subject _first[i]'s, and _count[i] subjects have it; subject s has
+        # record _inverse[s]
+        self._first, self._inverse = _distinct(self.codes)
+        self._distinct_codes = StatusCodes(*(np.take(x, self._first, axis=0) for x in self.codes))
+        self._count = np.bincount(self._inverse, minlength=self._first.size)
         # the cuts refinement added: a nan-padded row for each record's
         # coordinate j, row record * p + j
-        self._cuts = np.zeros((self.codes.kind.size, 0))
+        self._cuts = np.zeros((self._distinct_codes.kind.size, 0))
         self._build_plan(family.build(family.from_search(np.zeros(family.k))))
 
     def _build_plan(self, probe):
-        n = self.n
+        n = self._first.size
         # every term: its record, pinned coordinates and flags as C-ordered
         # (p, N) arrays (the kernel reads one coordinate row at a time), and
-        # R[k, row], the row's k-th free range (j, lo, hi), outermost first
-        rec, S, F, R = _layout_codes(probe, self.codes, self.C)
+        # R[k, row], the row's k-th free range (j, lo, hi), outermost first;
+        # a refused record is named by its first subject
+        try:
+            rec, S, F, R = _layout_codes(probe, self._distinct_codes, self.C)
+        except InvalidRecordError as err:
+            raise InvalidRecordError(int(self._first[err.record_index]), err.detail,
+                                     err.component) from None
         # W[0] is a row's K15 weight, W[1 + k] its weight with level k on G7;
         # P[k] its panel at level k (-1: none), each (record, j, lo, hi)
         W = np.ones((1 + R.shape[0], rec.size))
@@ -351,18 +386,19 @@ class DatasetEvaluator:
         self._geometry = _density_geometry(probe, S, F, self.C)
 
     def _by_record(self, x):
-        """Each row of x (R, N) summed over each record's nodes, as (R, n):
-        one np.bincount, each row in the order of one over the plan alone."""
-        R = len(x)
+        """Each row of x (R, N) summed over each plan record's nodes, as
+        (R, m): one np.bincount, each row in the order of one over the plan
+        alone."""
+        R, m = len(x), self._first.size
         if R not in self._ids:
-            self._ids[R] = (self._rec + self.n * np.arange(R)[:, None]).ravel()
-        return np.bincount(self._ids[R], weights=x.ravel(), minlength=R * self.n).reshape(R, self.n)
+            self._ids[R] = (self._rec + m * np.arange(R)[:, None]).ravel()
+        return np.bincount(self._ids[R], weights=x.ravel(), minlength=R * m).reshape(R, m)
 
     def _on_plan(self, model, need=None):
-        """The kernel on the plan for a model of numbers: each record's
-        log-likelihood (n,), the density at the nodes (N,), the first and
+        """The kernel on the plan for a model of numbers: each plan record's
+        log-likelihood (m,), the density at the nodes (N,), the first and
         second derivatives of its log in the model values `need` flags (both
-        None without; see _density_at), and each record's K15 sum (n,). A
+        None without; see _density_at), and each record's K15 sum (m,). A
         pass is made again after each refinement; a refusal restores the plan
         the call began with."""
         # a builder may change the structure with theta, and with its gates
@@ -399,25 +435,28 @@ class DatasetEvaluator:
         """Bisect each record `miss` flags at the panels whose |K15 - G7|
         passes an equal share of its bound, and build the plan again; refuse
         a record past max_evals, with an infinite sum (a node too close to a
-        singularity), or with no such panel wide enough to cut."""
+        singularity), or with no such panel wide enough to cut, named by its
+        first subject."""
         refused = np.flatnonzero(self._over_budget | (total == np.inf))
         if refused.size:
             i = int(refused[0])
             raise ToleranceError(f"needs more than max_evals = {self.quad_opts['max_evals']} "
                                  "quadrature nodes" if self._over_budget[i] else
-                                 "its integrand overflows", np.nan, np.inf, record_index=i)
+                                 "its integrand overflows", np.nan, np.inf,
+                                 record_index=int(self._first[i]))
         rec, j, a, b = self._panels
         on = self._panel_of >= 0
         E = np.abs(np.bincount(self._panel_of[on], ((self._w[0] - self._w[1:]) * f)[on],
                                minlength=a.size))
-        cut = np.flatnonzero(miss[rec] & (E * np.bincount(rec, minlength=self.n)[rec] > bound[rec]))
+        m = self._first.size
+        cut = np.flatnonzero(miss[rec] & (E * np.bincount(rec, minlength=m)[rec] > bound[rec]))
         mid = 0.5 * (a[cut] + b[cut])
         wide = (a[cut] < mid) & (mid < b[cut])
         cut, mid = cut[wide], mid[wide]
-        stuck = np.flatnonzero(miss & (np.bincount(rec[cut], minlength=self.n) == 0))
+        stuck = np.flatnonzero(miss & (np.bincount(rec[cut], minlength=m) == 0))
         if stuck.size:
             raise ToleranceError("no panel left wide enough to cut", total[stuck[0]],
-                                 err[stuck[0]], record_index=int(stuck[0]))
+                                 err[stuck[0]], record_index=int(self._first[stuck[0]]))
         # the cuts, old and new, once each
         old = np.isfinite(self._cuts)
         row, t = np.unique([np.concatenate([np.nonzero(old)[0], rec[cut] * len(self._s) + j[cut]]),
@@ -428,8 +467,8 @@ class DatasetEvaluator:
         self._build_plan(model)
 
     def per_subject(self, theta) -> np.ndarray:
-        """Per-record log-likelihood at natural-scale theta."""
-        return self._on_plan(self.family.build(theta))[0]
+        """Per-subject log-likelihood at natural-scale theta."""
+        return self._on_plan(self.family.build(theta))[0][self._inverse]
 
     def _build(self, thetas) -> _Points:
         """The family's models at the rows of thetas (P, k): one call of a
@@ -445,7 +484,7 @@ class DatasetEvaluator:
                          np.array(r)) for r in rows.values()])
 
     def information(self, theta, curvature=True):
-        """The total log-likelihood at natural-scale theta, each record's
+        """The total log-likelihood at natural-scale theta, each subject's
         score, its derivatives in theta as an (n, k) array, and the observed
         information there: minus the Hessian of the total log-likelihood in
         theta, (k, k). The total is -inf, and the scores and information
@@ -462,11 +501,12 @@ class DatasetEvaluator:
         Louis's identity a record's Hessian is
         sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T: omega_r = w_r f_r / L_i
         (0 where f_r is 0), d_r and D_r the first and second derivatives of
-        log f_r in theta, s_i the record's score. They reach theta through
-        the map's J and its own curvature (_curvature), which adds the
-        values' score times it (_curvature_term). With curvature=False
-        that part is left out, and no model is built for it. Counted in
-        n_evaluations, as one.
+        log f_r in theta, s_i the record's score (a plan record's omega_r
+        carries its multiplicity, so that its nodes stand for every copy).
+        They reach theta through the map's J and its own curvature
+        (_curvature), which adds the values' score times it
+        (_curvature_term). With curvature=False that part is left out, and
+        no model is built for it. Counted in n_evaluations, as one.
         """
         theta = np.asarray(theta, dtype=float)
         self.n_evaluations += 1
@@ -559,13 +599,16 @@ class DatasetEvaluator:
                 row[:] = x
             if not on.all():
                 rows[:, ~on] = 0.0
-            score = (self._by_record(wf * rows[:k]) / total).T
+            score = np.take(self._by_record(wf * rows[:k]) / total, self._inverse, axis=1).T
+        out = out[self._inverse]
         if not (np.all(np.isfinite(out)) and np.all(np.isfinite(score))):
             return sunk
 
-        # each record: sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T
+        # each subject: sum_r omega_r (d_r d_r^T + D_r) - s_i s_i^T, a plan
+        # record's nodes weighed by its multiplicity c (L_i / c is L_i's bits
+        # for c = 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            omega = np.where(on, wf / total[self._rec], 0.0)
+            omega = np.where(on, wf / (total / self._count)[self._rec], 0.0)
         H = (rows[:k] * omega) @ rows[:k].T
         Hv = np.zeros((len(J), len(J)))
         for (v, w), x in zip(hess, rows[k:] @ omega):

@@ -17,7 +17,8 @@ import coarselik.cli as cli
 from benchmark_workloads import workloads
 import coarselik.io
 from coarselik.cli import main
-from coarselik.inference import per_subject_loglik
+from coarselik.errors import InvalidRecordError, InvalidStartError, ToleranceError
+from coarselik.inference import fit_mle, per_subject_loglik
 from coarselik.io import load_model_config, load_scheme_config, write_dataset, write_truth
 from coarselik.observation import Exact, Interval, StatusCodes
 from coarselik.simulate import coarsen_cohort, record_from_codes, simulate_cohort
@@ -448,7 +449,9 @@ def test_fit_reports_tolerance_failures_on_stderr(tmp_path, configs, capsys, mon
 
 def test_fit_names_an_impossible_start_by_subject_id(tmp_path, capsys):
     # p7 falls ill after its death, which gates illness: its record has
-    # probability zero, and fit names it as loglik does, not by its row
+    # probability zero, and fit names it as loglik does, not by its row;
+    # p9 has p7's record, and p2 p1's, so the plan holds one copy of each,
+    # and the fault is named by its first subject
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
         "components": ["illness", "death"],
@@ -471,19 +474,30 @@ def test_fit_names_an_impossible_start_by_subject_id(tmp_path, capsys):
         "subject_id,component,status,t1,t2\n"
         "p1,illness,survived_beyond,2.0,\n"
         "p1,death,exact_censored,5.0,\n"
+        "p2,illness,survived_beyond,2.0,\n"
+        "p2,death,exact_censored,5.0,\n"
         "p7,illness,interval,1.0,2.0\n"
-        "p7,death,exact,0.5,\n")
+        "p7,death,exact,0.5,\n"
+        "p9,illness,interval,1.0,2.0\n"
+        "p9,death,exact,0.5,\n")
     args = ["--model", str(model), "--scheme", str(scheme), "--data", str(data)]
     assert main(["loglik", *args]) == 1
-    assert "p7" in capsys.readouterr().err
+    assert "log-likelihood is minus infinity for 2 subject(s): p7, p9" in capsys.readouterr().err
     assert main(["fit", *args]) == 2
     assert "first offending subject: p7)" in capsys.readouterr().err
+    cfg = load_model_config(model)
+    codes = coarselik.io.read_dataset(data, cfg.component_names).codes
+    with pytest.raises(InvalidStartError) as exc:
+        fit_mle(cfg.family, codes, 5.0, cfg.theta_from())
+    assert exc.value.subject_index == 2
+    assert str(exc.value) == "log-likelihood is -inf at the starting point (first offending subject: 2)"
 
 
 def test_refused_record_is_named_by_subject_id(tmp_path, capsys):
     # p7 dies at 12, after the horizon of 10: loglik and fit refuse the
     # record and name it by its subject id, not by its row, and the
-    # component by its name, not by its index
+    # component by its name, not by its index; p9 has p7's record, and p2
+    # p1's, and the fault is named by its first subject, in the library too
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
         "components": ["illness", "death"],
@@ -506,8 +520,12 @@ def test_refused_record_is_named_by_subject_id(tmp_path, capsys):
         "subject_id,component,status,t1,t2\n"
         "p1,illness,survived_beyond,2.0,\n"
         "p1,death,exact_censored,10.0,\n"
+        "p2,illness,survived_beyond,2.0,\n"
+        "p2,death,exact_censored,10.0,\n"
         "p7,illness,survived_beyond,2.0,\n"
-        "p7,death,exact,12,\n")
+        "p7,death,exact,12,\n"
+        "p9,illness,survived_beyond,2.0,\n"
+        "p9,death,exact,12,\n")
     args = ["--model", str(model), "--scheme", str(scheme), "--data", str(data)]
     for cmd in ("loglik", "fit"):
         assert main([cmd, *args]) == 2
@@ -515,13 +533,22 @@ def test_refused_record_is_named_by_subject_id(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (f"error: {data}: subject p7: component 'death': "
                                 "jump time 12.0 outside (0, 10.0]\n")
+    cfg = load_model_config(model)
+    codes = coarselik.io.read_dataset(data, cfg.component_names).codes
+    for call in (lambda: per_subject_loglik(cfg.build(cfg.theta_from()), codes, 10.0),
+                 lambda: fit_mle(cfg.family, codes, 10.0, cfg.theta_from())):
+        with pytest.raises(InvalidRecordError) as exc:
+            call()
+        assert (exc.value.record_index, exc.value.component) == (2, 1)
+        assert str(exc.value) == "record 2: component 1: jump time 12.0 outside (0, 10.0]"
 
 
 def test_record_past_the_budget_is_named_by_subject_id(tmp_path, capsys):
     # at rates 1, s2's three intervals of length 6 miss the error check on
     # the coarse plan, and refining them passes the default max_evals: loglik
     # and fit refuse the record by its subject id (at the config's rates the
-    # coarse plan settles it)
+    # coarse plan settles it); s2b has s2's record, and s1b s1's, and the
+    # fault is named by its first subject, in the library too
     w = workloads.WORKLOADS["dementia-visits"]
     workloads.write_configs(w, tmp_path / "model.json", tmp_path / "scheme.json")
     scheme = {**w.scheme, "horizon": 7.0}
@@ -534,9 +561,15 @@ def test_record_past_the_budget_is_named_by_subject_id(tmp_path, capsys):
         "s1,dementia,interval,1.0,2.0\n"
         "s1,institution,survived_beyond,4.0,\n"
         "s1,death,exact_censored,7.0,\n"
+        "s1b,dementia,interval,1.0,2.0\n"
+        "s1b,institution,survived_beyond,4.0,\n"
+        "s1b,death,exact_censored,7.0,\n"
         "s2,dementia,interval,0.2,6.2\n"
         "s2,institution,interval,0.3,6.3\n"
-        "s2,death,interval,0.5,6.5\n")
+        "s2,death,interval,0.5,6.5\n"
+        "s2b,dementia,interval,0.2,6.2\n"
+        "s2b,institution,interval,0.3,6.3\n"
+        "s2b,death,interval,0.5,6.5\n")
     args = ["--model", str(tmp_path / "model.json"), "--scheme", str(tmp_path / "scheme.json"),
             "--data", str(data), "--theta", "1,1,1"]
     for cmd in ("loglik", "fit"):
@@ -545,6 +578,15 @@ def test_record_past_the_budget_is_named_by_subject_id(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (f"error: {data}: subject s2: "
                                 "needs more than max_evals = 100000 quadrature nodes\n")
+    cfg = load_model_config(tmp_path / "model.json")
+    codes = coarselik.io.read_dataset(data, cfg.component_names).codes
+    theta = np.ones(3)
+    for call in (lambda: per_subject_loglik(cfg.build(theta), codes, 7.0),
+                 lambda: fit_mle(cfg.family, codes, 7.0, theta)):
+        with pytest.raises(ToleranceError) as exc:
+            call()
+        assert exc.value.record_index == 2
+        assert str(exc.value) == "record 2: needs more than max_evals = 100000 quadrature nodes"
 
 
 def test_validate_smoke(capsys):

@@ -102,11 +102,13 @@ def test_impossible_start_names_the_subject():
             (MultiplicativeComponent(0, PiecewiseConstant((6.0,), (0.0, th[0]))),)),
         fixed_breakpoints=(6.0,),
     )
+    # the impossible record comes twice, after a possible one twice: the
+    # first of its subjects is named
     records = [PseudoAtomRecord((Exact(2.0, False),)),
                PseudoAtomRecord((Interval(0.0, 1.0),))]
     with pytest.raises(InvalidStartError) as exc:
-        fit_mle(fam, records, 2.0, [0.1])
-    assert exc.value.subject_index == 1
+        fit_mle(fam, [records[0], records[0], records[1], records[1]], 2.0, [0.1])
+    assert exc.value.subject_index == 2
 
 
 def test_overflowing_start_is_rejected_without_warnings():
@@ -985,7 +987,8 @@ def test_fit_takes_bhhh_steps_where_the_information_is_not_positive_definite(mon
 def test_score_in_one_product_matches_the_per_parameter_loop(workload, tmp_path):
     # the score sums the stacked d rows by record in one _by_record call,
     # each row in the order of the loop that summed one parameter a pass:
-    # the same bits, on each workload's first benchmark fit cohort
+    # the same bits, on each workload's first benchmark fit cohort, each
+    # plan record's score given to every subject with that record
     w = workloads.WORKLOADS[workload]
     fam, records, C, theta = _workload_case(workload, w.n_fit, tmp_path, 4001, 2)
     ev = DatasetEvaluator(fam, records, C)
@@ -994,13 +997,84 @@ def test_score_in_one_product_matches_the_per_parameter_loop(workload, tmp_path)
         model, J = ev._theta_map(th)
         _, f, grads, _, total = ev._on_plan(model, J.any(axis=1).tolist())
         wf = ev._w[0] * f
-        ref = np.empty((ev.n, fam.k))
+        ref = np.empty((total.size, fam.k))
         for j in range(fam.k):
             gj = 0
             for v in np.flatnonzero(J[:, j]):
                 gj = gj + J[v, j] * grads[v]
             ref[:, j] = ev._by_record(np.where(wf != 0.0, wf * gj, 0.0)[None])[0] / total
-        assert score.tobytes() == ref.tobytes()
+        assert score.shape == (ev.n, fam.k)
+        assert score.tobytes() == ref[ev._inverse].tobytes()
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_repeated_records_take_their_own_loglik_atom_values(workload, tmp_path):
+    # a cohort written three times over and shuffled: the plan keeps one
+    # copy of each record, and every subject gets its record's loglik_atom
+    # value, bit for bit
+    fam, records, C, theta = _workload_case(workload, 20, tmp_path, 4001, 1)
+    model = fam.build(theta)
+    atoms = [loglik_atom(model, rec, C) for rec in records]
+    order = np.random.default_rng(5).permutation(3 * len(records)) % len(records)
+    got = per_subject_loglik(model, [records[i] for i in order], C)
+    assert got.tobytes() == np.array(atoms)[order].tobytes()
+
+
+def test_records_a_bit_apart_stay_apart():
+    # a -0.0 survival bound against 0.0, and a death time against the next
+    # float after it: three records, each with its own copy on the plan and
+    # its own value
+    model = illness_death(0.3, 0.2, 0.5)[1]
+    fixed = ParametricFamily((), (), lambda _: model)
+    t = 1.3
+    records = [_rec(SurvivedBeyond(0.0), Exact(t, True)),
+               _rec(SurvivedBeyond(-0.0), Exact(t, True)),
+               _rec(SurvivedBeyond(0.0), Exact(float(np.nextafter(t, 2.0)), True))]
+    ev = DatasetEvaluator(fixed, records, 2.0)
+    assert ev._first.tolist() == [0, 1, 2]
+    assert ev._rec.size == sum(DatasetEvaluator(fixed, [rec], 2.0)._rec.size for rec in records)
+    got = ev.per_subject(())
+    assert got.tobytes() == np.array([loglik_atom(model, rec, 2.0) for rec in records]).tobytes()
+
+
+@pytest.mark.parametrize("case", [
+    lambda tmp_path: _workload_case("dementia-visits", 100, tmp_path, 4001, 1),
+    _refined_case,
+], ids=["dementia_cohort", "refined"])
+def test_a_doubled_cohort_builds_the_plan_of_the_single(case, tmp_path):
+    # every record written twice adds no node, before refinement and after,
+    # and each subject gets its record's value
+    fam, records, C, theta = case(tmp_path)
+    single = DatasetEvaluator(fam, records, C)
+    double = DatasetEvaluator(fam, list(records) * 2, C)
+    assert double._rec.size == single._rec.size
+    per = single.per_subject(theta)
+    assert double.per_subject(theta).tobytes() == np.tile(per, 2).tobytes()
+    assert double._rec.size == single._rec.size
+    assert double._cuts.tobytes() == single._cuts.tobytes()
+
+
+@pytest.mark.parametrize("workload", ["illness-death-panel", "weibull-hybrid"])
+def test_a_doubled_cohort_doubles_the_information(workload, tmp_path):
+    # D+D, every record of D written twice: its scores repeat D's, bit for
+    # bit, and its information is twice D's, its plan nodes weighed by their
+    # multiplicity; the fit finds D's estimate, with standard errors over
+    # sqrt(2)
+    w = workloads.WORKLOADS[workload]
+    fam, records, C, theta = _workload_case(workload, w.n_fit, tmp_path, 4001, 2)
+    single = DatasetEvaluator(fam, records, C)
+    double = DatasetEvaluator(fam, list(records) * 2, C)
+    for th in (theta, theta * 1.1):
+        _, score, info = single.information(th)
+        _, score2, info2 = double.information(th)
+        assert score2.tobytes() == np.concatenate([score, score]).tobytes()
+        assert np.max(np.abs(info2 - 2 * info)) <= 1e-12 * np.max(np.abs(info))
+    res = fit_mle(fam, records, C, theta)
+    res2 = fit_mle(fam, list(records) * 2, C, theta)
+    assert res.converged and res2.converged
+    np.testing.assert_allclose(list(res2.theta.values()), list(res.theta.values()), rtol=1e-9)
+    np.testing.assert_allclose(list(res2.std_errors.values()),
+                               np.array(list(res.std_errors.values())) / math.sqrt(2), rtol=1e-9)
 
 
 def switching_family(gated_from_the_start):

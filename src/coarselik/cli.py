@@ -8,8 +8,9 @@ by column, the cohort and truth files together, each distinct float of a
 block formatted once for both; loglik reads the dataset into status codes,
 evaluates it on one plan of quadrature panels, one copy of each distinct
 record, and formats the results as columns too, with no record object per
-subject. A record refused, malformed or past its quadrature budget, is named
-by the id of the first subject with that record.
+subject, each subject id quoted as the cohort writer quotes it. A record
+refused, malformed or past its quadrature budget, is named by the id of the
+first subject with that record.
 
 No output path (--out, --truth) may name an input file (--model, --scheme,
 --data) or another output: such a call is refused before anything is read
@@ -31,7 +32,13 @@ import numpy as np
 
 from .errors import CoarselikError, InvalidRecordError, InvalidStartError, ToleranceError
 from .inference import fit_mle, per_subject_loglik
-from .io import load_model_config, load_scheme_config, read_dataset, write_dataset_and_truth
+from .io import (
+    _csv_fields,
+    load_model_config,
+    load_scheme_config,
+    read_dataset,
+    write_dataset_and_truth,
+)
 from .simulate import coarsen_cohort, simulate_cohort
 from .validate import run_all
 
@@ -115,7 +122,8 @@ def _cmd_loglik(args) -> int:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         per = _by_subject_id(args, data, lambda: per_subject_loglik(
             model, data.codes, scheme.horizon, rel_tol=args.tol))
-    rows = map(",".join, zip(data.subject_ids, map(repr, per.tolist())))
+    # ids quoted as the cohort writer quotes them, so the report reads back as CSV
+    rows = map(",".join, zip(_csv_fields(list(data.subject_ids)), map(repr, per.tolist())))
     text = "\n".join(["subject_id,loglik", *rows, f"total,{float(per.sum())!r}"]) + "\n"
     sys.stdout.write(text)
     if args.out:

@@ -11,6 +11,13 @@ takes them (or record objects, converted once), read_dataset returns them
 in a Dataset, whose record objects are built only when asked for. Both
 work on whole columns, the writers a block of subjects at a time.
 
+read_dataset reads the file as one text. A text with no quote and no
+carriage return, as the writers make for plain labels, is cut at its line
+ends and commas, which is how csv.reader cuts such a text, and its columns
+are stride slices of one split, with no list per row; a text with either
+goes through csv.reader, the only reader of quoted fields. Both feed the
+same checks, and both refuse a field longer than csv.field_size_limit().
+
 write_dataset_and_truth writes a cohort CSV and the truth CSV of its
 subjects together; write_dataset and write_truth are it with one file.
 Each distinct float of a block is formatted once, for both files: the
@@ -124,8 +131,9 @@ def _labels(labels, n: int, prefix: str, what: str) -> tuple[list[str], list[str
 
 
 def _no_carriage_return(labels: list[str]) -> list[str]:
-    """csv.writer may leave a carriage return unquoted, and a reader takes
-    it for a line end: such a label is refused."""
+    """A label with a carriage return is refused, so that the files hold
+    none: csv.writer with their "\n" line ends leaves one unquoted, and a
+    reader takes it for a line end."""
     if "\r" in "".join(labels):
         bad = next(x for x in labels if "\r" in x)
         raise InvalidInputError(f"label {bad!r} holds a carriage return")
@@ -133,14 +141,18 @@ def _no_carriage_return(labels: list[str]) -> list[str]:
 
 
 def _csv_field(text: str) -> str:
+    # "\r\n" ends the row so that a carriage return is quoted too: the
+    # writers refuse one, but an id that CLI loglik reports, read from a
+    # quoted field, can hold it
     buf = StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, "x"])
-    return buf.getvalue()[:-3]
+    csv.writer(buf, lineterminator="\r\n").writerow([text, "x"])
+    return buf.getvalue()[:-4]
 
 
 def _csv_fields(labels: list[str]) -> list[str]:
     """Labels as csv.writer writes them within a row, quoted where it must."""
-    if all(labels) and not _CSV_SPECIAL.intersection("".join(labels)):
+    text = "".join(labels)
+    if all(labels) and not any(c in text for c in _CSV_SPECIAL):
         return labels
     return list(map(_csv_field, labels))
 
@@ -323,8 +335,13 @@ def write_truth(path, times, *, subject_ids=None, component_names=None) -> None:
 
 
 def _floats(texts) -> tuple[np.ndarray, int]:
-    """A text column as floats, and the index of its first text that is not
-    a number (len(texts) if none); the values from there on are NaN."""
+    """A text column as floats, parsed as float() parses them, and the index
+    of its first text that is not a number (len(texts) if none); the values
+    from there on are NaN."""
+    try:
+        return np.array(texts, dtype=float), len(texts)
+    except ValueError:
+        pass
     vals: list[float] = []
     try:
         vals.extend(map(float, texts))
@@ -334,33 +351,128 @@ def _floats(texts) -> tuple[np.ndarray, int]:
     return np.array(vals + [np.nan] * (len(texts) - bad)), bad
 
 
+class _Rows(NamedTuple):
+    """A cohort CSV cut into its header and body rows: the line number and
+    field count of each body row that is not blank, and columns(width, m),
+    the `width` columns of the first m of those rows."""
+
+    header: list[str]
+    line: np.ndarray
+    lens: np.ndarray
+    columns: Callable[[int, int], list]
+
+
+def _csv_rows(text: str, path) -> _Rows:
+    """The rows of a text as csv.reader reads them: the path of any text
+    with a quoted field or a carriage return."""
+    rows: list[list[str]] = []
+    try:
+        rows.extend(csv.reader(StringIO(text, newline="")))
+    except csv.Error as err:    # a field over csv.field_size_limit()
+        raise InvalidInputError(f"{path}: line {len(rows) + 1}: {err}") from None
+    header, rows = rows[0], rows[1:]    # a text that is not empty has a row
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
+    line = np.flatnonzero(lens) + 2
+    rows = list(compress(rows, lens))
+    return _Rows(header, line, lens[lens > 0],
+                 lambda width, m: list(zip(*rows[:m])) or [()] * width)
+
+
+def _split_rows(text: str, path) -> _Rows:
+    """The rows of a text without a quote or a carriage return, which
+    csv.reader reads as its lines split at commas: a blank line is no row,
+    a last line without a newline is one. Lines are found and their commas
+    counted on the body's UTF-8 bytes."""
+    head, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    raw = np.frombuffer(body.encode(), np.uint8)
+    size = np.diff(np.flatnonzero(raw == 10), prepend=-1, append=raw.size) - 1
+    line = np.flatnonzero(size)
+    if line.size < size.size:       # cut the blank lines out
+        lines = body.split("\n")
+        body = "\n".join([lines[i] for i in line.tolist()])
+        raw, size = np.frombuffer(body.encode(), np.uint8), size[line]
+    starts = np.cumsum(size + 1) - size - 1
+    lens = (np.add.reduceat(raw == 44, starts, dtype=np.intp) + 1 if line.size
+            else np.zeros(0, np.intp))
+
+    # csv.reader refuses a field over its limit: so does this path, at the
+    # same line, looking only at lines that are that long in bytes
+    limit = csv.field_size_limit()
+    maybe_long = [(1, head)]
+    if (size > limit).any():
+        lines = body.split("\n")
+        maybe_long += [(int(line[i]) + 2, lines[i]) for i in np.flatnonzero(size > limit)]
+    for k, x in maybe_long:
+        if max(map(len, x.split(","))) > limit:
+            raise InvalidInputError(f"{path}: line {k}: field larger than field limit ({limit})")
+
+    def columns(width: int, m: int) -> list:
+        if not m:
+            return [[] for _ in range(width)]
+        text = body if m == line.size else "\n".join(body.split("\n", m)[:m])
+        flat = text.replace("\n", ",").split(",")
+        return [flat[k::width] for k in range(width)]
+
+    return _Rows(head.split(",") if head else [], line + 2, lens, columns)
+
+
+def _numbered(sid_col, comp_col):
+    """Subjects and components numbered in order of first appearance: the
+    subject ids, the component names, each row's subject and component
+    number, and each subject's first row. Rows that come a subject at a
+    time, each with the first subject's components in its order, as
+    write_dataset writes them, are numbered by whole-column comparisons;
+    any others by mapping each row to the first row of its label."""
+    m = len(sid_col)
+    p = next((i for i, s in enumerate(sid_col) if s != sid_col[0]), m)
+    if m and not m % p:
+        ids, names = dict.fromkeys(sid_col[::p]), dict.fromkeys(comp_col[:p])
+        n = m // p
+        if (len(ids) == n and len(names) == p
+                and all(sid_col[k::p] == sid_col[::p] for k in range(1, p))
+                and all(comp_col[k::p].count(c) == n for k, c in enumerate(names))):
+            return (tuple(ids), tuple(names), np.repeat(np.arange(n), p), np.tile(np.arange(p), n),
+                    np.arange(0, m, p))
+    ids, names = {}, {}
+    first, si = np.unique(np.fromiter(map(ids.setdefault, sid_col, count()), np.intp, m),
+                          return_inverse=True)
+    ci = np.unique(np.fromiter(map(names.setdefault, comp_col, count()), np.intp, m),
+                   return_inverse=True)[1]
+    return tuple(ids), tuple(names), si, ci, first
+
+
 def read_dataset(path, component_names=None) -> Dataset:
     """Read a cohort CSV into StatusCodes, subjects in order of first
     appearance; a subject's rows may come in any order, blank lines are
     skipped. A malformed file is refused at its first faulty line, an
-    infinite or negative time and an infinite covariate among its faults."""
+    infinite or negative time, an infinite covariate and a field longer
+    than csv.field_size_limit() among its faults.
+
+    The file is read as one text. A text with a quote or a carriage return
+    is cut into rows by csv.reader; any other is split at its line ends and
+    commas, which cuts it as csv.reader would, into columns without a list
+    per row. Both feed the same checks."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file (header row is mandatory)") from None
-        if tuple(header[:5]) != _BASE_COLUMNS:
-            raise InvalidInputError(
-                f"{path}: line 1: header must start with {','.join(_BASE_COLUMNS)}, "
-                f"got {','.join(header[:5])}"
-            )
-        cov_names = header[5:]
-        if len(set(cov_names)) != len(cov_names):
-            raise InvalidInputError(f"{path}: line 1: duplicate covariate columns")
-        rows = list(reader)
+        text = fh.read()
+    if not text:
+        raise InvalidInputError(f"{path}: empty file (header row is mandatory)")
+    rows = (_csv_rows if '"' in text or "\r" in text else _split_rows)(text, path)
+    del text
+    header = rows.header
+    if tuple(header[:5]) != _BASE_COLUMNS:
+        raise InvalidInputError(
+            f"{path}: line 1: header must start with {','.join(_BASE_COLUMNS)}, "
+            f"got {','.join(header[:5])}"
+        )
+    cov_names = header[5:]
+    if len(set(cov_names)) != len(cov_names):
+        raise InvalidInputError(f"{path}: line 1: duplicate covariate columns")
 
     # every check notes its first failing row; the error raised is that of
     # the earliest row, and within a row that of the first check in this order
     errors: list[tuple[int, int, str]] = []
-    lens = np.fromiter(map(len, rows), np.intp, len(rows))
-    line = np.flatnonzero(lens) + 2
-    rows, lens = list(compress(rows, lens)), lens[lens > 0]
+    line = rows.line
 
     def note(r, order: int, text: str) -> None:
         errors.append((r, order, f"{path}: line {line[r]}: {text}"))
@@ -382,33 +494,31 @@ def read_dataset(path, component_names=None) -> Dataset:
         return vals
 
     width = 5 + len(cov_names)
-    wrong = np.flatnonzero(lens != width)
+    m = rows.lens.size
+    wrong = np.flatnonzero(rows.lens != width)
     if wrong.size:
-        r = wrong[0]
-        note(r, 0, f"expected {width} fields, got {lens[r]}")
-        rows = rows[:r]
-    m = len(rows)
-    cols = list(zip(*rows)) or [()] * width
+        m = int(wrong[0])
+        note(m, 0, f"expected {width} fields, got {rows.lens[m]}")
+    cols = rows.columns(width, m)
+    del rows
     sid_col, comp_col, status_col, t1_col, t2_col = cols[:5]
     st = np.fromiter(map(_STATUS_INDEX.get, status_col, repeat(4)), np.intp, m)
     check(1, st == 4, lambda r: f"field 'status': unknown status {status_col[r]!r}")
     interval = st == 2
-    check(2, ~interval & ~np.fromiter(map(operator.not_, t2_col), bool, m),
-          lambda r: f"field 't2': must be blank for status {status_col[r]!r}")
+    t2_some = list(compress(t2_col, interval.tolist()))
+    if len("".join(t2_col)) > len("".join(t2_some)):    # some t2 outside an interval
+        check(2, ~interval & ~np.fromiter(map(operator.not_, t2_col), bool, m),
+              lambda r: f"field 't2': must be blank for status {status_col[r]!r}")
     x1 = number(3, "t1", t1_col)
     check(3, np.isinf(x1), lambda r: f"field 't1': time is {float(x1[r])}")
     x2 = np.full(m, np.nan)
-    x2[interval] = number(4, "t2", list(compress(t2_col, interval.tolist())),
-                          np.flatnonzero(interval))
+    x2[interval] = number(4, "t2", t2_some, np.flatnonzero(interval))
     check(4, np.isinf(x2), lambda r: f"field 't2': time is {float(x2[r])}")
     check(5, ~interval & (x1 < 0), lambda r: f"field 't1': time {float(x1[r])} is negative")
     check(5, interval & ~((0 <= x1) & (x1 < x2)),
           lambda r: f"interval ({float(x1[r])}, {float(x2[r])}] is empty or negative")
 
-    # subjects and components, numbered in order of first appearance
-    subjects = dict(zip(dict.fromkeys(sid_col), count()))
-    si = np.fromiter(map(subjects.__getitem__, sid_col), np.intp, m)
-    first = np.unique(si, return_index=True)[1]
+    subject_ids, comps, si, ci, first = _numbered(sid_col, comp_col)
     covs = []
     for k, name in enumerate(cov_names):
         vals = number(6 + 2 * k, name, cols[5 + k])
@@ -418,10 +528,8 @@ def read_dataset(path, component_names=None) -> Dataset:
               lambda r, name=name: f"field {name!r}: covariate changes within subject "
                                    f"{sid_col[r]!r}")
         covs.append(vals)
-    seen = dict(zip(dict.fromkeys(comp_col), count()))
-    ci = np.fromiter(map(seen.__getitem__, comp_col), np.intp, m)
     repeated = np.ones(m, dtype=bool)
-    repeated[np.unique(si * len(seen) + ci, return_index=True)[1]] = False
+    repeated[np.unique(si * len(comps) + ci, return_index=True)[1]] = False
     check(6 + 2 * len(cov_names), repeated,
           lambda r: f"field 'component': duplicate component {comp_col[r]!r} "
                     f"for subject {sid_col[r]!r}")
@@ -435,9 +543,8 @@ def read_dataset(path, component_names=None) -> Dataset:
     expected = set(names)
     if len(expected) != len(names):
         raise InvalidInputError("component names must be distinct")
-    subject_ids = tuple(subjects)
     n, p = len(subject_ids), len(names)
-    cj = np.fromiter(map(dict(zip(names, count())).get, comp_col, repeat(-1)), np.intp, m)
+    cj = np.fromiter(map(dict(zip(names, count())).get, comps, repeat(-1)), np.intp)[ci]
     mismatch = (np.bincount(si, minlength=n) != p) | (np.bincount(si[cj < 0], minlength=n) > 0)
     if mismatch.any():
         s = int(np.argmax(mismatch))

@@ -20,7 +20,7 @@ from coarselik.cli import main
 from coarselik.errors import InvalidRecordError, InvalidStartError, ToleranceError
 from coarselik.inference import fit_mle, per_subject_loglik
 from coarselik.io import load_model_config, load_scheme_config, write_dataset, write_truth
-from coarselik.observation import Exact, Interval, StatusCodes
+from coarselik.observation import Exact, Interval, PseudoAtomRecord, StatusCodes
 from coarselik.simulate import coarsen_cohort, record_from_codes, simulate_cohort
 
 MODEL_JSON = {
@@ -269,6 +269,48 @@ def test_loglik_out_file_matches_stdout(tmp_path, configs, capsys):
                  "--data", str(data), "--out", str(out)])
     assert code == 0
     assert out.read_text() == capsys.readouterr().out
+
+
+def test_loglik_report_quotes_subject_ids_as_the_cohort_writer_does(tmp_path, configs, capsys):
+    # the report reads back as CSV, two fields a row, whatever the ids hold;
+    # a plain id keeps its bytes
+    model, scheme = configs
+    ids = ["a,b", 'say "x"', "", "line\nbreak", " pad", "plain"]
+    data = tmp_path / "ids.csv"
+    records = [(Interval(0.0, 1.0), Exact(1.5, True))] * len(ids)
+    write_dataset(data, [PseudoAtomRecord(r) for r in records], subject_ids=ids,
+                  component_names=["illness", "death"])
+    # the writers refuse a carriage return in a label; a quoted field can hold one
+    with open(data, "a", newline="") as fh:
+        fh.write('"cr\rid",illness,interval,0.0,1.0\n"cr\rid",death,exact,1.5,\n')
+    ids.append("cr\rid")
+    out = tmp_path / "ll.csv"
+    assert main(["loglik", "--model", model, "--scheme", scheme, "--data", str(data),
+                 "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert out.read_bytes().decode() == stdout
+    rows = list(csv.reader(io.StringIO(stdout, newline="")))
+    assert rows[0] == ["subject_id", "loglik"]
+    assert [r[0] for r in rows[1:]] == ids + ["total"]
+    assert {len(r) for r in rows} == {2}
+    value = float(rows[1][1])
+    assert [float(r[1]) for r in rows[1:-1]] == [value] * len(ids)
+    assert f"\nplain,{value!r}\n" in stdout
+
+
+def test_loglik_refuses_a_field_over_the_csv_limit(tmp_path, configs, capsys):
+    # a field longer than csv.field_size_limit() is malformed input: exit 2,
+    # the file and line named, and no traceback
+    model, scheme = configs
+    data = tmp_path / "long.csv"
+    sid = "s" * 200_000
+    data.write_text("subject_id,component,status,t1,t2\n"
+                    f"{sid},illness,interval,0.0,1.0\n{sid},death,exact_censored,2.0,\n")
+    assert main(["loglik", "--model", model, "--scheme", scheme, "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {data}: line 2: field larger than field limit "
+                            f"({csv.field_size_limit()})\n")
 
 
 def test_loglik_flags_impossible_subjects(tmp_path, configs, capsys):

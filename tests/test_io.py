@@ -113,7 +113,7 @@ def test_dataset_accepts_status_codes(tmp_path):
 H = "subject_id,component,status,t1,t2\n"
 
 
-@pytest.mark.parametrize("text, names, expected", [
+ANY_ORDER = [
     (H + "b,death,exact,1.5,\na,illness,interval,0.0,1.0\n\n"
      "b,illness,survived_beyond,1.0,\na,death,exact_censored,2.0,\n", ["illness", "death"],
      {"b": (SurvivedBeyond(1.0), Exact(1.5, True)),
@@ -123,7 +123,10 @@ H = "subject_id,component,status,t1,t2\n"
      "b,illness,survived_beyond,1.0,\na,death,exact_censored,2.0,\n", None,
      {"b": (Exact(1.5, True), SurvivedBeyond(1.0)),
       "a": (Exact(2.0, False), Interval(0.0, 1.0))}),
-])
+]
+
+
+@pytest.mark.parametrize("text, names, expected", ANY_ORDER)
 def test_dataset_rows_in_any_order(tmp_path, text, names, expected):
     # subjects interleaved, blank lines, components out of the config's order
     path = tmp_path / "cohort.csv"
@@ -136,7 +139,7 @@ def test_dataset_rows_in_any_order(tmp_path, text, names, expected):
 COV = "subject_id,component,status,t1,t2,age\n"
 
 
-@pytest.mark.parametrize("text, names, message", [
+FIRST_FAULTS = [
     ("", None, "empty file (header row is mandatory)"),
     ("subject,component,status,t1,t2\n", None,
      "line 1: header must start with subject_id,component,status,t1,t2, "
@@ -209,7 +212,10 @@ COV = "subject_id,component,status,t1,t2,age\n"
      "line 3: field 't1': time -2.0 is negative"),
     (H + "a,x,survived_beyond,-2,\nb,x,exact,inf,\n", None,
      "line 2: field 't1': time -2.0 is negative"),
-])
+]
+
+
+@pytest.mark.parametrize("text, names, message", FIRST_FAULTS)
 def test_dataset_messages_name_the_first_fault(tmp_path, text, names, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -217,6 +223,131 @@ def test_dataset_messages_name_the_first_fault(tmp_path, text, names, message):
         read_dataset(path, names)
     prefix = "" if message.startswith("component names") else f"{path}: "
     assert str(exc.value) == prefix + message
+
+
+# A text with no quote and no carriage return is split at its line ends and
+# commas; one with either goes through csv.reader. Each text is read three
+# ways: as written (split), every field quoted and with CRLF line ends (both
+# csv.reader).
+RENDERS = ("as written", "quoted", "crlf")
+
+
+def render(text: str, how: str) -> str:
+    if how == "crlf":
+        return text.replace("\n", "\r\n")
+    if how == "quoted":     # line by line, so blank lines and the last line end stay
+        return "\n".join(reference_csv([x.split(",")], quoting=csv.QUOTE_ALL)[:-1] if x else ""
+                         for x in text.split("\n"))
+    return text
+
+
+def read_each_way(path, text, names) -> list:
+    """The Dataset, or the message, of each render of text."""
+    got = []
+    for how in RENDERS:
+        path.write_bytes(render(text, how).encode())
+        try:
+            ds = read_dataset(path, names)
+        except InvalidInputError as err:
+            got.append(str(err))
+        else:
+            got.append((ds.subject_ids, ds.component_names,
+                        [(c.dtype.str, c.tobytes()) for c in ds.codes], ds.covariates))
+    return got
+
+
+# texts at the edges of the line splitting, with their Dataset's subject ids
+# and records, or their message
+SPLIT_EDGES = [
+    # no final newline
+    (H + "a,x,exact,0.5,\na,y,interval,0.0,1.0", None,
+     {"a": (Exact(0.5, True), Interval(0.0, 1.0))}),
+    (H[:-1], None, "no data rows"),
+    # several trailing blank lines, and a blank line right after the header
+    (H + "a,x,exact,0.5,\n\n\n\n", None, {"a": (Exact(0.5, True),)}),
+    (H + "\na,x,exact,zz,\n", None, "line 3: field 't1': not a number: 'zz'"),
+    # a header followed only by blank lines, and a blank line for a header
+    (H + "\n\n\n", None, "no data rows"),
+    ("\n" + H + "a,x,exact,0.5,\n", None,
+     "line 1: header must start with subject_id,component,status,t1,t2, got "),
+    # a NUL stays in its field
+    (H + "a\x00b,x,exact,0.5,\n", None, {"a\x00b": (Exact(0.5, True),)}),
+    (H + "a,x,exact,0.5\x00,\n", None, "line 2: field 't1': not a number: '0.5\\x00'"),
+    # a trailing comma is one more, empty, field
+    (H + "a,x,exact,0.5,,\n", None, "line 2: expected 5 fields, got 6"),
+    (COV + "a,x,exact,0.5,,\n", None, "line 2: field 'age': not a number: ''"),
+    # labels outside ASCII: lines are found on the text's UTF-8 bytes
+    (H + "é,x,exact,0.5,\né,ÿ,exact_censored,1.5,\nb,x,exact,0.5,\nb,ÿ,bogus,1,\n", None,
+     "line 5: field 'status': unknown status 'bogus'"),
+    (H + "é,x,exact,0.5,\né,ÿ,exact_censored,1.5,\n", ["ÿ", "x"],
+     {"é": (Exact(1.5, False), Exact(0.5, True))}),
+]
+
+
+@pytest.mark.parametrize("text, names", [(t, n) for t, n, _ in ANY_ORDER + FIRST_FAULTS])
+def test_split_and_csv_reader_read_alike(tmp_path, text, names):
+    # the same Dataset or the same message, whichever way the text is cut
+    got = read_each_way(tmp_path / "cohort.csv", text, names)
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("text, names, expected", SPLIT_EDGES)
+def test_split_edges_read_as_csv_reader_reads_them(tmp_path, text, names, expected):
+    path = tmp_path / "cohort.csv"
+    got = read_each_way(path, text, names)
+    assert got[0] == got[1] == got[2]
+    if isinstance(expected, str):
+        assert got[0] == f"{path}: {expected}"
+    else:
+        ds = read_dataset(path, names)
+        assert ds.subject_ids == tuple(expected)
+        assert ds.records == tuple(PseudoAtomRecord(v) for v in expected.values())
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1_0", 10.0), (" 1.5 ", 1.5), ("１.５", 1.5), ("1.5\t", 1.5), ("Infinity", INF),
+    ("1.0\x00", None),  # numpy's string cast would take it for 1.0
+])
+def test_numbers_are_parsed_as_float_parses_them(tmp_path, text, value):
+    if value is None:
+        with pytest.raises(ValueError):
+            float(text)
+    else:
+        assert float(text) == value
+    path = tmp_path / "cohort.csv"
+    got = read_each_way(path, COV + f"a,x,survived_beyond,{text},,{text}\n"
+                                    f"a,y,interval,0.5,{text},{text}\n", None)
+    assert got[0] == got[1] == got[2]
+    if value is None:
+        assert got[0] == f"{path}: line 2: field 't1': not a number: {text!r}"
+    elif value == INF:
+        assert got[0] == f"{path}: line 2: field 't1': time is inf"
+    else:
+        ds = read_dataset(path)
+        assert ds.records == (PseudoAtomRecord((SurvivedBeyond(value), Interval(0.5, value))),)
+        assert ds.covariates == {"age": (value,)}
+
+
+def test_a_field_over_the_csv_limit_is_refused_at_its_line(tmp_path):
+    # csv.reader refuses a field longer than csv.field_size_limit(): the
+    # split path refuses the same fields, at the same line, before any other
+    # fault of the file
+    limit = csv.field_size_limit()
+    path = tmp_path / "cohort.csv"
+    too_long = f"{path}: line {{}}: field larger than field limit ({limit})"
+    for text, line in [
+        (H + "a,x,exact,0.5,\n" + "b" * 200_000 + ",x,exact,0.5,\n", 3),
+        (H + "a,x\n\n" + "b" * (limit + 1) + ",x,exact,0.5,\n", 4),
+        (H + "a,x,exact," + "1" * (limit + 1) + ",\n", 2),
+        (H[:-1] + ",age" + "e" * limit + "\n", 1),
+        (H + "é,x,exact,0.5,\n" + "é" * (limit + 1) + ",x,exact,0.5,\n", 3),
+    ]:
+        assert read_each_way(path, text, None) == [too_long.format(line)] * 3
+    # a field of the limit is read, however many bytes its characters take
+    for sid in ("b" * limit, "é" * limit):
+        got = read_each_way(path, H + f"{sid},x,exact,0.5,\n", None)
+        assert got[0] == got[1] == got[2]
+        assert read_dataset(path).subject_ids == (sid,)
 
 
 @pytest.mark.parametrize("records, covariates", [
@@ -282,9 +413,9 @@ def test_times_at_zero_stay_legal(tmp_path):
         assert got.tobytes() == want.tobytes()
 
 
-def reference_csv(rows) -> str:
+def reference_csv(rows, quoting=csv.QUOTE_MINIMAL) -> str:
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
     return buf.getvalue()
 
 

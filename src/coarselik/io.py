@@ -15,7 +15,8 @@ read_dataset reads the file as one text. A text with no quote and no
 carriage return, as the writers make for plain labels, is cut at its line
 ends and commas, which is how csv.reader cuts such a text, and its columns
 are stride slices of one split, with no list per row; a text with either
-goes through csv.reader, the only reader of quoted fields. Both feed the
+goes through csv.reader, the only reader of quoted fields (as does one
+with a NUL before Python 3.11, whose csv.reader refuses it). Both feed the
 same checks, and both refuse a field longer than csv.field_size_limit().
 
 write_dataset_and_truth writes a cohort CSV and the truth CSV of its
@@ -68,6 +69,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
+import sys
 from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -151,8 +153,7 @@ def _csv_field(text: str) -> str:
 
 def _csv_fields(labels: list[str]) -> list[str]:
     """Labels as csv.writer writes them within a row, quoted where it must."""
-    text = "".join(labels)
-    if all(labels) and not any(c in text for c in _CSV_SPECIAL):
+    if all(labels) and not _CSV_SPECIAL.intersection("".join(labels)):
         return labels
     return list(map(_csv_field, labels))
 
@@ -364,11 +365,11 @@ class _Rows(NamedTuple):
 
 def _csv_rows(text: str, path) -> _Rows:
     """The rows of a text as csv.reader reads them: the path of any text
-    with a quoted field or a carriage return."""
+    with a quoted field or a carriage return (or, before Python 3.11, a NUL)."""
     rows: list[list[str]] = []
     try:
         rows.extend(csv.reader(StringIO(text, newline="")))
-    except csv.Error as err:    # a field over csv.field_size_limit()
+    except csv.Error as err:    # a field over csv.field_size_limit(), or a NUL before 3.11
         raise InvalidInputError(f"{path}: line {len(rows) + 1}: {err}") from None
     header, rows = rows[0], rows[1:]    # a text that is not empty has a row
     lens = np.fromiter(map(len, rows), np.intp, len(rows))
@@ -381,65 +382,30 @@ def _csv_rows(text: str, path) -> _Rows:
 def _split_rows(text: str, path) -> _Rows:
     """The rows of a text without a quote or a carriage return, which
     csv.reader reads as its lines split at commas: a blank line is no row,
-    a last line without a newline is one. Lines are found and their commas
-    counted on the body's UTF-8 bytes."""
+    a last line without a newline is one."""
     head, _, body = text.partition("\n")
-    body = body.removesuffix("\n")
-    raw = np.frombuffer(body.encode(), np.uint8)
-    size = np.diff(np.flatnonzero(raw == 10), prepend=-1, append=raw.size) - 1
-    line = np.flatnonzero(size)
-    if line.size < size.size:       # cut the blank lines out
-        lines = body.split("\n")
-        body = "\n".join([lines[i] for i in line.tolist()])
-        raw, size = np.frombuffer(body.encode(), np.uint8), size[line]
-    starts = np.cumsum(size + 1) - size - 1
-    lens = (np.add.reduceat(raw == 44, starts, dtype=np.intp) + 1 if line.size
-            else np.zeros(0, np.intp))
+    lines = body.removesuffix("\n").split("\n")
+    line = np.arange(2, len(lines) + 2)
+    if "" in lines:     # cut the blank lines out
+        line = line[np.fromiter(map(bool, lines), bool, len(lines))]
+        lines = list(compress(lines, lines))
+    lens = np.array([x.count(",") for x in lines], np.intp) + 1
 
     # csv.reader refuses a field over its limit: so does this path, at the
-    # same line, looking only at lines that are that long in bytes
+    # same line; only a line that long can hold such a field
     limit = csv.field_size_limit()
-    maybe_long = [(1, head)]
-    if (size > limit).any():
-        lines = body.split("\n")
-        maybe_long += [(int(line[i]) + 2, lines[i]) for i in np.flatnonzero(size > limit)]
-    for k, x in maybe_long:
+    over = np.flatnonzero(np.fromiter(map(len, lines), np.intp, len(lines)) > limit).tolist()
+    for k, x in [(1, head), *((int(line[i]), lines[i]) for i in over)]:
         if max(map(len, x.split(","))) > limit:
             raise InvalidInputError(f"{path}: line {k}: field larger than field limit ({limit})")
 
     def columns(width: int, m: int) -> list:
         if not m:
             return [[] for _ in range(width)]
-        text = body if m == line.size else "\n".join(body.split("\n", m)[:m])
-        flat = text.replace("\n", ",").split(",")
+        flat = ",".join(lines[:m]).split(",")
         return [flat[k::width] for k in range(width)]
 
-    return _Rows(head.split(",") if head else [], line + 2, lens, columns)
-
-
-def _numbered(sid_col, comp_col):
-    """Subjects and components numbered in order of first appearance: the
-    subject ids, the component names, each row's subject and component
-    number, and each subject's first row. Rows that come a subject at a
-    time, each with the first subject's components in its order, as
-    write_dataset writes them, are numbered by whole-column comparisons;
-    any others by mapping each row to the first row of its label."""
-    m = len(sid_col)
-    p = next((i for i, s in enumerate(sid_col) if s != sid_col[0]), m)
-    if m and not m % p:
-        ids, names = dict.fromkeys(sid_col[::p]), dict.fromkeys(comp_col[:p])
-        n = m // p
-        if (len(ids) == n and len(names) == p
-                and all(sid_col[k::p] == sid_col[::p] for k in range(1, p))
-                and all(comp_col[k::p].count(c) == n for k, c in enumerate(names))):
-            return (tuple(ids), tuple(names), np.repeat(np.arange(n), p), np.tile(np.arange(p), n),
-                    np.arange(0, m, p))
-    ids, names = {}, {}
-    first, si = np.unique(np.fromiter(map(ids.setdefault, sid_col, count()), np.intp, m),
-                          return_inverse=True)
-    ci = np.unique(np.fromiter(map(names.setdefault, comp_col, count()), np.intp, m),
-                   return_inverse=True)[1]
-    return tuple(ids), tuple(names), si, ci, first
+    return _Rows(head.split(",") if head else [], line, lens, columns)
 
 
 def read_dataset(path, component_names=None) -> Dataset:
@@ -450,14 +416,16 @@ def read_dataset(path, component_names=None) -> Dataset:
     than csv.field_size_limit() among its faults.
 
     The file is read as one text. A text with a quote or a carriage return
-    is cut into rows by csv.reader; any other is split at its line ends and
+    (or, before Python 3.11, whose csv.reader refuses it, a NUL) is cut
+    into rows by csv.reader; any other is split at its line ends and
     commas, which cuts it as csv.reader would, into columns without a list
     per row. Both feed the same checks."""
     with open(path, newline="") as fh:
         text = fh.read()
     if not text:
         raise InvalidInputError(f"{path}: empty file (header row is mandatory)")
-    rows = (_csv_rows if '"' in text or "\r" in text else _split_rows)(text, path)
+    quoted = '"' in text or "\r" in text or (sys.version_info < (3, 11) and "\0" in text)
+    rows = (_csv_rows if quoted else _split_rows)(text, path)
     del text
     header = rows.header
     if tuple(header[:5]) != _BASE_COLUMNS:
@@ -505,20 +473,22 @@ def read_dataset(path, component_names=None) -> Dataset:
     st = np.fromiter(map(_STATUS_INDEX.get, status_col, repeat(4)), np.intp, m)
     check(1, st == 4, lambda r: f"field 'status': unknown status {status_col[r]!r}")
     interval = st == 2
-    t2_some = list(compress(t2_col, interval.tolist()))
-    if len("".join(t2_col)) > len("".join(t2_some)):    # some t2 outside an interval
-        check(2, ~interval & ~np.fromiter(map(operator.not_, t2_col), bool, m),
-              lambda r: f"field 't2': must be blank for status {status_col[r]!r}")
+    check(2, ~interval & ~np.fromiter(map(operator.not_, t2_col), bool, m),
+          lambda r: f"field 't2': must be blank for status {status_col[r]!r}")
     x1 = number(3, "t1", t1_col)
     check(3, np.isinf(x1), lambda r: f"field 't1': time is {float(x1[r])}")
     x2 = np.full(m, np.nan)
-    x2[interval] = number(4, "t2", t2_some, np.flatnonzero(interval))
+    x2[interval] = number(4, "t2", list(compress(t2_col, interval.tolist())),
+                          np.flatnonzero(interval))
     check(4, np.isinf(x2), lambda r: f"field 't2': time is {float(x2[r])}")
     check(5, ~interval & (x1 < 0), lambda r: f"field 't1': time {float(x1[r])} is negative")
     check(5, interval & ~((0 <= x1) & (x1 < x2)),
           lambda r: f"interval ({float(x1[r])}, {float(x2[r])}] is empty or negative")
 
-    subject_ids, comps, si, ci, first = _numbered(sid_col, comp_col)
+    # subjects and components, numbered in order of first appearance
+    subjects = dict(zip(dict.fromkeys(sid_col), count()))
+    si = np.fromiter(map(subjects.__getitem__, sid_col), np.intp, m)
+    first = np.unique(si, return_index=True)[1]
     covs = []
     for k, name in enumerate(cov_names):
         vals = number(6 + 2 * k, name, cols[5 + k])
@@ -528,8 +498,10 @@ def read_dataset(path, component_names=None) -> Dataset:
               lambda r, name=name: f"field {name!r}: covariate changes within subject "
                                    f"{sid_col[r]!r}")
         covs.append(vals)
+    seen = dict(zip(dict.fromkeys(comp_col), count()))
+    ci = np.fromiter(map(seen.__getitem__, comp_col), np.intp, m)
     repeated = np.ones(m, dtype=bool)
-    repeated[np.unique(si * len(comps) + ci, return_index=True)[1]] = False
+    repeated[np.unique(si * len(seen) + ci, return_index=True)[1]] = False
     check(6 + 2 * len(cov_names), repeated,
           lambda r: f"field 'component': duplicate component {comp_col[r]!r} "
                     f"for subject {sid_col[r]!r}")
@@ -543,8 +515,9 @@ def read_dataset(path, component_names=None) -> Dataset:
     expected = set(names)
     if len(expected) != len(names):
         raise InvalidInputError("component names must be distinct")
+    subject_ids = tuple(subjects)
     n, p = len(subject_ids), len(names)
-    cj = np.fromiter(map(dict(zip(names, count())).get, comps, repeat(-1)), np.intp)[ci]
+    cj = np.fromiter(map(dict(zip(names, count())).get, comp_col, repeat(-1)), np.intp, m)
     mismatch = (np.bincount(si, minlength=n) != p) | (np.bincount(si[cj < 0], minlength=n) > 0)
     if mismatch.any():
         s = int(np.argmax(mismatch))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from coarselik.observation import (
 )
 
 INF = np.inf
+# csv.reader refuses a NUL before Python 3.11, and read_dataset with it
+NUL_REFUSED = sys.version_info < (3, 11)
 
 RECORDS = [
     PseudoAtomRecord((Interval(0.0, 1.0), Exact(2.0, False))),
@@ -270,9 +273,12 @@ SPLIT_EDGES = [
     (H + "\n\n\n", None, "no data rows"),
     ("\n" + H + "a,x,exact,0.5,\n", None,
      "line 1: header must start with subject_id,component,status,t1,t2, got "),
-    # a NUL stays in its field
-    (H + "a\x00b,x,exact,0.5,\n", None, {"a\x00b": (Exact(0.5, True),)}),
-    (H + "a,x,exact,0.5\x00,\n", None, "line 2: field 't1': not a number: '0.5\\x00'"),
+    # a NUL stays in its field (where csv.reader takes it)
+    (H + "a\x00b,x,exact,0.5,\n", None,
+     "line 2: line contains NUL" if NUL_REFUSED else {"a\x00b": (Exact(0.5, True),)}),
+    (H + "a,x,exact,0.5\x00,\n", None,
+     "line 2: line contains NUL" if NUL_REFUSED
+     else "line 2: field 't1': not a number: '0.5\\x00'"),
     # a trailing comma is one more, empty, field
     (H + "a,x,exact,0.5,,\n", None, "line 2: expected 5 fields, got 6"),
     (COV + "a,x,exact,0.5,,\n", None, "line 2: field 'age': not a number: ''"),
@@ -318,7 +324,9 @@ def test_numbers_are_parsed_as_float_parses_them(tmp_path, text, value):
     got = read_each_way(path, COV + f"a,x,survived_beyond,{text},,{text}\n"
                                     f"a,y,interval,0.5,{text},{text}\n", None)
     assert got[0] == got[1] == got[2]
-    if value is None:
+    if value is None and NUL_REFUSED:
+        assert got[0] == f"{path}: line 2: line contains NUL"
+    elif value is None:
         assert got[0] == f"{path}: line 2: field 't1': not a number: {text!r}"
     elif value == INF:
         assert got[0] == f"{path}: line 2: field 't1': time is inf"

@@ -5,18 +5,17 @@ integrated hazard. All evaluation methods broadcast over numpy arrays, and
 `breakpoints` lists the interior times where the rate is discontinuous so
 that quadrature panels and ODE solves can align with them. `values` are the
 numbers a baseline is built from. rate_terms and cum0_terms take one
-argument and return, in one call, the rate (or cum0) and, to the `order`
-asked, the derivatives of log rate (or of cum0) with respect to each value,
-in that order, and their second derivatives: a dict {(a, b): array}, a <= b,
-of the entries that are not identically 0. Past the order asked they return
-None, and compute nothing for it. rate and cum0 are their values alone.
-with_values builds a baseline of the same family (and grid) from other
-values.
+argument and return, in one call, the rate (or cum0) and, asked for
+`derivatives`, the derivatives of log rate (or of cum0) with respect to
+each value, in that order, and their second derivatives: a dict
+{(a, b): array}, a <= b, of the entries that are not identically 0. Not
+asked, they return None for both and compute nothing for them. rate and
+cum0 are their values alone. with_values builds a baseline of the same
+family (and grid) from other values.
 
-Values may be stacked: each value is a number, or a (B, 1) array holding it
-at B parameter points, which broadcasts against times of one dimension to
-give (B, N) results, row b those of the baseline built from row b's values
-alone, bit for bit.
+A baseline may also be built from stacks, each value a (B, 1) array of its
+values at B parameter points, for its `values` alone: only a baseline of
+numbers is evaluated.
 """
 
 from __future__ import annotations
@@ -57,25 +56,22 @@ class Constant:
     def rate(self, t):
         return self.rate_terms(t)[0]
 
-    def rate_terms(self, t, order=0):
-        if isinstance(self.value, float):
-            rate = np.broadcast_to(np.float64(self.value), np.shape(t)).copy() if np.ndim(t) else self.value
-        else:
-            rate = np.broadcast_to(self.value, np.broadcast_shapes(self.value.shape, np.shape(t))).copy()
-        if not order:
+    def rate_terms(self, t, derivatives=False):
+        rate = np.broadcast_to(np.float64(self.value), np.shape(t)).copy() if np.ndim(t) else self.value
+        if not derivatives:
             return rate, None, None
         with np.errstate(divide="ignore"):
             inverse = np.divide(1.0, self.value)
-        return rate, [inverse], {(0, 0): -inverse * inverse} if order > 1 else None
+        return rate, [inverse], {(0, 0): -inverse * inverse}
 
     def cum0(self, t):
         return self.cum0_terms(t)[0]
 
-    def cum0_terms(self, t, order=0):
+    def cum0_terms(self, t, derivatives=False):
         cum0 = self.value * np.asarray(t, dtype=float) if np.ndim(t) else self.value * float(t)
-        if not order:
+        if not derivatives:
             return cum0, None, None
-        return cum0, [np.asarray(t, dtype=float)], {} if order > 1 else None
+        return cum0, [np.asarray(t, dtype=float)], {}
 
     def cum(self, t0, t1):
         return self.value * np.maximum(np.asarray(t1, dtype=float) - t0, 0.0)
@@ -111,25 +107,23 @@ class Weibull:
     def rate(self, t):
         return self.rate_terms(t)[0]
 
-    def rate_terms(self, t, order=0):
+    def rate_terms(self, t, derivatives=False):
         t = np.asarray(t, dtype=float)
         # where b == 1 this is a * 1 * t^0, which is a
         with np.errstate(divide="ignore", over="ignore"):
             out = np.where(t > 0, self.a * self.b * t ** (self.b - 1.0), self._at_0)
         out = out if out.ndim else float(out)
-        if not order:
+        if not derivatives:
             return out, None, None
         grads = [1.0 / self.a, 1.0 / self.b + np.log(np.where(t > 0, t, 1.0))]
-        if order < 2:
-            return out, grads, None
         return out, grads, {(0, 0): -1.0 / (self.a * self.a), (1, 1): -1.0 / (self.b * self.b)}
 
     def cum0(self, t):
         return self.cum0_terms(t)[0]
 
-    def cum0_terms(self, t, order=0):
+    def cum0_terms(self, t, derivatives=False):
         t = np.asarray(t, dtype=float)
-        if not order:
+        if not derivatives:
             # one expression: numpy reuses its temporaries on large arrays
             out = self.a * np.maximum(t, 0.0) ** self.b
             return (out if out.ndim else float(out)), None, None
@@ -140,8 +134,6 @@ class Weibull:
         out = scaled if scaled.ndim else float(scaled)
         log_t = np.log(np.where(t > 0, t, 1.0))
         grads = [power, scaled * log_t]
-        if order < 2:
-            return out, grads, None
         return out, grads, {(0, 1): power * log_t, (1, 1): grads[1] * log_t}
 
     def cum(self, t0, t1):
@@ -191,44 +183,35 @@ class PiecewiseConstant:
     def _index(self, t):
         return np.searchsorted(self.grid, t, side="left")
 
-    @staticmethod
-    def _pick(table, i):
-        """table[i], for a stacked table (m, B, 1) at an index array (N,) the
-        (B, N) array of each point's entries."""
-        return table[i] if table.ndim == 1 or np.ndim(i) == 0 else table[:, :, 0].T[:, i]
-
     def rate(self, t):
         return self.rate_terms(t)[0]
 
-    def rate_terms(self, t, order=0):
+    def rate_terms(self, t, derivatives=False):
         i = self._index(np.asarray(t, dtype=float))
-        out = self._pick(self.rates, i)
+        out = self.rates[i]
         out = out if out.ndim else float(out)
-        if not order:
+        if not derivatives:
             return out, None, None
         with np.errstate(divide="ignore"):
             inverse = 1.0 / self.rates
         grads = [np.where(i == m, inverse[m], 0.0) for m in range(len(self.rates))]
-        if order < 2:
-            return out, grads, None
         return out, grads, {(m, m): -g * g for m, g in enumerate(grads)}
 
     def cum0(self, t):
         return self.cum0_terms(t)[0]
 
-    def cum0_terms(self, t, order=0):
+    def cum0_terms(self, t, derivatives=False):
         t = np.asarray(t, dtype=float)
         i = self._index(t)
-        out = self._pick(self._cum_at_edge, i) + self._pick(self.rates, i) * (
-            np.maximum(t, 0.0) - self._edges[i])
+        out = self._cum_at_edge[i] + self.rates[i] * (np.maximum(t, 0.0) - self._edges[i])
         out = out if out.ndim else float(out)
-        if not order:
+        if not derivatives:
             return out, None, None
         # the time (0, t] spends in each piece; cum0 is linear in the rates
         t = np.maximum(t, 0.0)
         ends = np.append(self.grid, np.inf)
         return out, [np.clip(t - self._edges[m], 0.0, ends[m] - self._edges[m])
-                     for m in range(len(self.rates))], {} if order > 1 else None
+                     for m in range(len(self.rates))], {}
 
     def cum(self, t0, t1):
         return np.maximum(self.cum0(t1) - self.cum0(t0), 0.0)

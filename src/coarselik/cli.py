@@ -24,6 +24,7 @@ validation check), 2 on malformed inputs or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -39,6 +40,7 @@ from .io import (
     read_dataset,
     write_dataset_and_truth,
 )
+from .quadrature import DEFAULT_REL_TOL
 from .simulate import coarsen_cohort, simulate_cohort
 from .validate import run_all
 
@@ -127,7 +129,7 @@ def _cmd_loglik(args) -> int:
     text = "\n".join(["subject_id,loglik", *rows, f"total,{float(per.sum())!r}"]) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     for what, mask in (("minus infinity", per == -np.inf), ("nan", np.isnan(per)),
                        ("plus infinity", per == np.inf)):
@@ -166,7 +168,7 @@ def _cmd_fit(args) -> int:
         "std_errors": res.std_errors,
     }
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     width = max(len(nm) for nm in cfg.family.param_names)
@@ -190,7 +192,10 @@ def _cmd_validate(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once a process: parsing leaves it
+    as it was."""
     ap = argparse.ArgumentParser(
         prog="coarselik",
         description="Exact likelihoods for coarsely observed irreversible multi-state data.",
@@ -214,7 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ll.add_argument("--scheme", required=True, help="scheme JSON (defines the horizon)")
     ll.add_argument("--data", required=True, help="cohort CSV")
     ll.add_argument("--theta", help="comma-separated parameter values (else config theta)")
-    ll.add_argument("--tol", type=float, default=1e-8, help="relative quadrature tolerance")
+    ll.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
+                    help="relative quadrature tolerance")
     ll.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
     ll.add_argument("--out", help="also write the report to this CSV")
@@ -225,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--scheme", required=True)
     fit.add_argument("--data", required=True)
     fit.add_argument("--theta", help="starting values (else config theta)")
-    fit.add_argument("--tol", type=float, default=1e-8)
+    fit.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
     fit.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility; has no effect")
     fit.add_argument("--out", help="write a JSON fit report here")

@@ -37,18 +37,18 @@ g_r the derivatives of log f_r. The family's map from theta to the model's
 values (baseline parameters, modifier eta and gamma, offsets) is
 differenced over the models at theta +- h_k e_k, exact up to rounding for a
 value affine in theta, as every config family's is; the models at a point
-and at its stencil are one build, each value a (B, 1) stack (see models),
-for a family whose builder declares it takes stacks (builds_stacks, as
-config families do), and another builder is called once per point. The
-same kernel walk that gives f_r then gives d log f_r in only the values
-that map reaches, from log rates and cums: no rate or cum is built twice
-and nothing divided.
+and at its stencil are one build, each value a (B, 1) stack (see models)
+read for its values alone, for a family whose builder declares it takes
+stacks (builds_stacks, as config families do), and another builder is
+called once per point. The same kernel walk that gives f_r then gives
+d log f_r in only the values that map reaches, from log rates and cums: no
+rate or cum is built twice and nothing divided.
 
 The observed information is exact too, by Louis's identity: the observed
 likelihood is the conditional mean of the full-data one, so a record's
 Hessian is sum_r omega_r (g_r g_r^T + G_r) - s_i s_i^T, omega_r the node's
 share w_r f_r / L_i of the record's likelihood, G_r the second derivatives
-of log f_r and s_i the score. The kernel returns G_r on request, within a
+of log f_r and s_i the score. The kernel returns G_r with g_r, within a
 component (the only nonzero blocks), in one pass at one point; the map's own
 curvature is differenced over model builds alone.
 
@@ -98,8 +98,9 @@ class ParametricFamily:
 
     builds_stacks declares that the builder also takes a stack of B points,
     theta as a (k, B, 1) array, and returns one model whose values are
-    (B, 1) stacks, as a config family's builder does. Another builder is
-    called once per point, and the evaluator stacks its models' values.
+    (B, 1) stacks, as a config family's builder does; the evaluator reads
+    such a model's values and evaluates none. Another builder is called
+    once per point.
     """
 
     param_names: tuple[str, ...]
@@ -233,17 +234,17 @@ def _combine(W, F):
 
 
 class _Points:
-    """The family's models at P points, in groups of one structure: (model,
-    rows) pairs, the model holding the values of its rows, in their order,
-    as (B, 1) stacks."""
+    """The family's models at P points, in groups of one structure, each
+    given as (model, values, rows): the model of its first row, and the
+    values (V, B) of its rows, in their order."""
 
     def __init__(self, groups):
-        self.groups = groups
-        P = sum(rows.size for _, rows in groups)
+        self.models = [model for model, _, _ in groups]
+        self.values = [values for _, values, _ in groups]
+        P = sum(rows.size for *_, rows in groups)
         self.group_of, self.pos_of = np.empty(P, dtype=int), np.empty(P, dtype=int)
-        for g, (_, rows) in enumerate(groups):
+        for g, (*_, rows) in enumerate(groups):
             self.group_of[rows], self.pos_of[rows] = g, np.arange(rows.size)
-        self.values = [model.values for model, _ in groups]
 
     def values_of(self, g):
         """Every point's values as in group g (V, P), nan for a point of
@@ -409,10 +410,7 @@ class DatasetEvaluator:
         rel_tol, abs_tol = self.quad_opts["rel_tol"], self.quad_opts["abs_tol"]
         try:
             while True:
-                # `second` is passed only with a need, so that a stand-in
-                # kernel of (model, geometry, need) still serves the values
-                f, grads, *hess = _density_at(model, self._geometry, need,
-                                              *(True,) * (need is not None))
+                f, grads, hess = _density_at(model, self._geometry, need)
                 f = np.broadcast_to(f, self._rec.shape)
                 # the K15 sums; the error adds each level's |K15 - G7|
                 total, *low = self._by_record(self._w * f)
@@ -429,7 +427,7 @@ class DatasetEvaluator:
             raise
         with np.errstate(divide="ignore"):
             out = np.log(np.maximum(total, 0.0))
-        return out, f, grads, hess[0] if hess else None, total
+        return out, f, grads, hess, total
 
     def _refine(self, model, f, total, err, bound, miss):
         """Bisect each record `miss` flags at the panels whose |K15 - G7|
@@ -475,12 +473,14 @@ class DatasetEvaluator:
         builder that takes stacks, else one per point."""
         family = self.family
         if family.builds_stacks:
-            return _Points([(family.builder(thetas.T[:, :, None]), np.arange(len(thetas)))])
+            stack = family.builder(thetas.T[:, :, None])
+            values = stack.values
+            return _Points([(stack.with_values(values[:, 0]), values, np.arange(len(thetas)))])
         models = [family.build(theta) for theta in thetas]
         rows: dict = {}
         for p, model in enumerate(models):
             rows.setdefault(model.structure, []).append(p)
-        return _Points([(models[r[0]].with_values(np.stack([models[p].values for p in r], axis=1)),
+        return _Points([(models[r[0]], np.stack([models[p].values for p in r], axis=1),
                          np.array(r)) for r in rows.values()])
 
     def information(self, theta, curvature=True):
@@ -535,7 +535,7 @@ class DatasetEvaluator:
         lo = V[:, np.where(lo_ok, at[k + 1:], at[0])]
         width = h * (up_ok.astype(int) + lo_ok)
         J = (up - lo) / np.where(width > 0, width, np.nan)
-        return built.groups[g][0].with_values(V[:, at[0]]), J
+        return built.models[g], J
 
     def _curvature(self, theta):
         """The map's own curvature at theta (V, k, k): the second
@@ -631,7 +631,8 @@ class DatasetEvaluator:
 # that meets one is a failed trial, so their warnings carry no news
 @np.errstate(invalid="ignore", divide="ignore", over="ignore")
 def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | StatusCodes,
-            C: float, init, *, rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> FitResult:
+            C: float, init, *, rel_tol: float = DEFAULT_REL_TOL,
+            abs_tol: float = DEFAULT_ABS_TOL) -> FitResult:
     """Maximize the dataset log-likelihood over the family's parameters.
 
     `init` is a natural-scale vector of the k parameters (or a mapping

@@ -186,7 +186,8 @@ def _write_files(files: list[_File], n: int) -> None:
     The floats of a block are formatted in one pass for all files, so a
     value that two files share is formatted once."""
     with ExitStack() as stack:
-        handles = [stack.enter_context(open(f.path, "w", newline="")) for f in files]
+        handles = [stack.enter_context(open(f.path, "w", encoding="utf-8", newline=""))
+                   for f in files]
         for fh, f in zip(handles, files):
             fh.write(",".join(f.header) + "\n")
         for lo in range(0, n, _BLOCK):
@@ -408,6 +409,17 @@ def _split_rows(text: str, path) -> _Rows:
     return _Rows(head.split(",") if head else [], line, lens, columns)
 
 
+def _read_text(path, newline=None) -> str:
+    """A file's whole text, which must be UTF-8: a byte that is not is
+    refused with its offset."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise InvalidInputError(f"{path}: byte {err.start}: not valid UTF-8 "
+                                    f"({err.reason})") from None
+
+
 def read_dataset(path, component_names=None) -> Dataset:
     """Read a cohort CSV into StatusCodes, subjects in order of first
     appearance; a subject's rows may come in any order, blank lines are
@@ -420,8 +432,7 @@ def read_dataset(path, component_names=None) -> Dataset:
     into rows by csv.reader; any other is split at its line ends and
     commas, which cuts it as csv.reader would, into columns without a list
     per row. Both feed the same checks."""
-    with open(path, newline="") as fh:
-        text = fh.read()
+    text = _read_text(path, newline="")
     if not text:
         raise InvalidInputError(f"{path}: empty file (header row is mandatory)")
     quoted = '"' in text or "\r" in text or (sys.version_info < (3, 11) and "\0" in text)
@@ -681,12 +692,16 @@ def _component_index(names, value, path, field) -> int:
     return names.index(value)
 
 
+def _load_json(path):
+    """A JSON file's value; a file that is not UTF-8 JSON is refused."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as err:
+        raise InvalidInputError(f"{path}: line {err.lineno}: invalid JSON: {err.msg}") from None
+
+
 def load_model_config(path) -> ModelConfig:
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InvalidInputError(f"{path}: line {err.lineno}: invalid JSON: {err.msg}") from None
+    cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise InvalidInputError(f"{path}: top level must be a JSON object")
     names = cfg.get("components")
@@ -766,11 +781,7 @@ def load_model_config(path) -> ModelConfig:
 
 def load_scheme_config(path, component_names) -> ObservationScheme:
     component_names = list(component_names)
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InvalidInputError(f"{path}: line {err.lineno}: invalid JSON: {err.msg}") from None
+    cfg = _load_json(path)
     if not isinstance(cfg, dict) or "horizon" not in cfg:
         raise InvalidInputError(f"{path}: field 'horizon': required")
     _known_keys(cfg, ("horizon", "death_component", "schedules"), path)

@@ -28,13 +28,10 @@ The kernel runs in the two phases of the model components: its geometry
 (rate geometries at the flagged jumps, cum geometries over (0, C]) depends
 on the coordinates alone, so the evaluator builds it once per plan and
 evaluates it per theta with _density_at, one walk that gives the density
-and, in the values a caller needs, the derivatives of its log (those of
-the log rates and the cums each component returns beside its value) and,
-when asked, their second derivatives;
-_density composes both phases for one set of coordinates. A model whose
-values are stacks of B parameter points (see models) evaluates a geometry
-of N coordinates to (B, N) densities and derivatives in one walk, row b
-those of the model of row b's values, bit for bit.
+and, in the values a caller needs, the first and second derivatives of its
+log (from those of the log rates and the cums each component returns
+beside its value); _density composes both phases for one set of
+coordinates.
 """
 
 from __future__ import annotations
@@ -67,48 +64,43 @@ def _density_geometry(model: IntensityModel, s, flags, C: float):
     return rates, [comp.cum_geometry(0.0, C, s) for comp in model.components]
 
 
-def _density_at(model: IntensityModel, geometry, need=None, second=False):
-    """_density on a _density_geometry of a model of the same structure, and
-    the derivatives of its log with respect to the model.values that `need`
-    flags, a bool each, and None for the others (None without a `need`):
-    each flagged rate's log-derivative minus each cum's derivative. Where a
+def _density_at(model: IntensityModel, geometry, need=None):
+    """_density on a _density_geometry of a model of the same structure,
+    and the first and second derivatives of its log with respect to the
+    model.values that `need` flags, a bool each (both None without a
+    `need`). The first are a list, None for a value not flagged: each
+    flagged rate's log-derivative minus each cum's derivative. Where a
     flagged rate is 0 the density is 0 and a derivative may not be finite.
-    For a model of (B, 1) value stacks the density is (B, N), and each
-    derivative broadcasts to it.
-
-    With `second` (and a `need`) a third item: the second derivatives of
-    log f in the flagged values, {(v, w): array}, v <= w, of the pairs that
-    are not identically 0. A value belongs to one component, so only pairs
+    The second are {(v, w): array}, v <= w, of the flagged pairs that are
+    not identically 0; a value belongs to one component, so only pairs
     within a component appear."""
     rates, cums = geometry
     needs, starts, start = [None] * model.p, [0] * model.p, 0
     for j, comp in enumerate(model.components if need is not None else ()):
         needs[j], starts[j] = need[start:start + len(comp.values)], start
         start += len(needs[j])
-    # `second` is passed only when asked, so that a component's stand-in
-    # of (geometry, need) still serves the other passes
-    extra = (True,) if second else ()
     total_cum, grads, hess = 0.0, [], {}
     for comp, g, wanted, start in zip(model.components, cums, needs, starts):
-        cum, d, *h = comp.cum_at(g, wanted, *extra)
+        cum, d, h = comp.cum_at(g, wanted)
         total_cum = total_cum + cum
         grads.append(d and [None if x is None else -x for x in d])
-        for (a, b), x in (h[0].items() if h else ()):
+        for (a, b), x in (h or {}).items():
             hess[start + a, start + b] = -x
     out = 1.0
     for j, flag, g in rates:
-        rate, d, *h = model.components[j].rate_at(g, needs[j], *extra)
+        rate, d, h = model.components[j].rate_at(g, needs[j])
         out = out * (rate if flag is None else np.where(flag, rate, 1.0))
         for m, x in enumerate(d or ()):
             if x is not None:
                 grads[j][m] = grads[j][m] + (x if flag is None else np.where(flag, x, 0.0))
-        for (a, b), x in (h[0].items() if h else ()):
+        for (a, b), x in (h or {}).items():
             key = (starts[j] + a, starts[j] + b)
             x = x if flag is None else np.where(flag, x, 0.0)
             hess[key] = hess[key] + x if key in hess else x
     f = out * np.exp(-total_cum)
-    grads = None if need is None else [x for d in grads for x in d]
-    return (f, grads, hess) if second else (f, grads)
+    if need is None:
+        return f, None, None
+    return f, [x for d in grads for x in d], hess
 
 
 def _density(model: IntensityModel, s, flags, C: float):

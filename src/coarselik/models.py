@@ -24,21 +24,19 @@ component of the same `structure`, so a batch whose times stay fixed (the
 nodes of a dataset plan) builds it once and evaluates it per parameter
 vector. `values` lists the numbers a component is built from (its
 baselines' values, each modifier's eta and gamma, the offset). rate_at and
-cum_at return a pair: the value, and with a `need` mask (a bool per value)
+cum_at return a triple: the value; with a `need` mask (a bool per value)
 the derivatives of log rate and of cum with respect to each value it
-flags, in that order, None for the others; without one, None. Asked for
-`second` as well, they return a third item, the second derivatives of log
-rate and of cum in the flagged values, {(a, b): array}, a <= b, holding
-the pairs that are not identically 0 (log rate is linear in all but the
-baseline's values). The baselines give theirs for each argument in one
-call, with the value, so a Weibull power is taken once an argument.
+flags, in that order, None for the others; and their second derivatives
+in the flagged values, {(a, b): array}, a <= b, holding the pairs that are
+not identically 0 (log rate is linear in all but the baseline's values).
+Without a `need` both derivative items are None. The baselines give theirs
+for each argument in one call, with the value, so a Weibull power is taken
+once an argument. with_values gives a component or model of the same
+structure other values.
 
-Values may be stacked, as baselines' may: each a number or a (B, 1) array
-of its values at B parameter points. A component built from stacks
-evaluates a geometry of one-dimensional times to (B, N) arrays, row b
-those of the component built from row b's values alone, bit for bit, so one
-pass evaluates B parameter points. with_values gives a component or model
-of the same structure other values, one point's or a stack's.
+A component or model may also be built from stacks, as a baseline may,
+each value a (B, 1) array of its values at B parameter points: `values`
+then reads them (B a column), and only one of numbers is evaluated.
 """
 
 from __future__ import annotations
@@ -185,30 +183,28 @@ class MultiplicativeComponent:
             terms.append((active, _filled(T, trm)))
         return t, gates_open, terms
 
-    def rate_at(self, geometry, need=None, second=False):
+    def rate_at(self, geometry, need=None):
         """rate() on a rate_geometry of a component of the same structure,
-        and the derivatives of its log that `need` flags: the baseline's,
-        each modifier's active mask (eta) and that times its filled time
-        (gamma), and 1 (the offset). Where a gate is closed they are those
-        of the open rate. With `second`, also the second derivatives: log
-        rate is linear in all but the baseline's values."""
+        and the first and second derivatives of its log that `need` flags:
+        the baseline's, each modifier's active mask (eta) and that times its
+        filled time (gamma), and 1 (the offset); log rate is linear in all
+        but the baseline's values. Where a gate is closed they are those of
+        the open rate."""
         t, gates_open, terms = geometry
         n_base = len(self.baseline.values)
-        order = 0 if need is None or not any(need[:n_base]) else 2 if second else 1
-        rate, base_grads, base_hess = self.baseline.rate_terms(t, order)
+        rate, base_grads, base_hess = self.baseline.rate_terms(
+            t, need is not None and any(need[:n_base]))
         out = rate * np.exp(self.log_offset)
         if gates_open is not None:
             out = out * gates_open
         for trm, (active, Tc) in zip(self.terms, terms):
             out = out * np.where(active, _multiplier(trm, Tc), 1.0)
         if need is None:
-            return out, None
+            return out, None, None
         grads = (_wanted(base_grads, need[:n_base])
                  + _term_grads([active for active, _ in terms], [Tc for _, Tc in terms],
                                need[n_base:-1])
                  + [1.0 if need[-1] else None])
-        if not second:
-            return out, grads
         return out, grads, _wanted_pairs(base_hess or {}, need)
 
     def rate(self, t, T):
@@ -248,10 +244,9 @@ class MultiplicativeComponent:
         lo_0 = None if np.ndim(t0) == 0 and t0 <= 0 else np.maximum(lo, 0.0)
         return np.maximum(hi, 0.0), lo_0, [_filled(T, trm) for trm in self.terms], starts
 
-    def cum_at(self, geometry, need=None, second=False):
+    def cum_at(self, geometry, need=None):
         """cum() on a cum_geometry of a component of the same structure, and
-        its derivatives that `need` flags; with `second`, also their second
-        derivatives.
+        its first and second derivatives that `need` flags.
 
         cum is exp(offset) (B(hi) - B(lo) + sum_S prod_{m in S}(c_m - 1)
         (B(hi) - B(start_S))), B the baseline's cum0, S the modifier
@@ -263,22 +258,19 @@ class MultiplicativeComponent:
         need_base = need_terms = False
         if need is not None:
             need_base, need_terms = any(need[:n_base]), any(need[n_base:-1])
-        second = second and need is not None
         # one baseline call per argument: cum0, and its derivatives as needed
-        order = 0 if not need_base else 2 if second else 1
-        at_hi = self.baseline.cum0_terms(hi_0, order)
-        at_lo = None if lo_0 is None else self.baseline.cum0_terms(lo_0, order)
-        at_start = [self.baseline.cum0_terms(start, order) for start in starts]
+        at_hi = self.baseline.cum0_terms(hi_0, need_base)
+        at_lo = None if lo_0 is None else self.baseline.cum0_terms(lo_0, need_base)
+        at_start = [self.baseline.cum0_terms(start, need_base) for start in starts]
         mult = [_multiplier(trm, Tc) for trm, Tc in zip(self.terms, fills)]
         coef = [c - 1.0 for c in mult]
         total = at_hi[0] if at_lo is None else at_hi[0] - at_lo[0]
         increments = [at_hi[0] - at[0] for at in at_start]
         if need_base:
             base = at_hi[1] if at_lo is None else [h - l for h, l in zip(at_hi[1], at_lo[1])]
+            base_hess = _differences(at_hi[2], at_lo and at_lo[2])
         if need is not None:
             d_eta = [0.0] * len(self.terms)
-        if second:
-            base_hess = _differences(at_hi[2], at_lo and at_lo[2]) if need_base else {}
             # (m, b): d2/d eta_m d b, (m, n): d2/d eta_m d eta_n, m < n
             eta_base, eta_eta = {}, {}
         for subset, k in zip(self._subsets, self._union_of):
@@ -289,10 +281,8 @@ class MultiplicativeComponent:
             if need_base:
                 base = [b + _times_increment(cf, h - s)
                         for b, h, s in zip(base, at_hi[1], at_start[k][1])]
-                if second:
-                    hess_k = _differences(at_hi[2], at_start[k][2])
-                    for key, x in hess_k.items():
-                        base_hess[key] = base_hess[key] + _times_increment(cf, x)
+                for key, x in _differences(at_hi[2], at_start[k][2]).items():
+                    base_hess[key] = base_hess[key] + _times_increment(cf, x)
             # d(prod of coef)/d eta_m is c_m times the product of the others
             for m in subset if need_terms else ():
                 others = mult[m]
@@ -300,11 +290,11 @@ class MultiplicativeComponent:
                     if o != m:
                         others = others * coef[o]
                 d_eta[m] = d_eta[m] + _times_increment(others, increments[k])
-                if second and need_base:
+                if need_base:
                     for b, (h, s) in enumerate(zip(at_hi[1], at_start[k][1])):
                         eta_base[m, b] = (eta_base.get((m, b), 0.0)
                                           + _times_increment(others, h - s))
-                for n in subset if second else ():
+                for n in subset:
                     if n > m:
                         both = mult[m] * mult[n]
                         for o in subset:
@@ -315,17 +305,15 @@ class MultiplicativeComponent:
         scale = np.exp(self.log_offset)
         total = total * scale
         if need is None:
-            return total, None
+            return total, None, None
         scaled_d = [d * scale for d in d_eta]
         grads = [b * scale if wanted else None
                  for b, wanted in zip(base, need)] if need_base else [None] * n_base
         grads = (grads + _term_grads(scaled_d, fills, need[n_base:-1])
                  + [total if need[-1] else None])
-        if not second:
-            return total, grads
         # every second derivative in the values, then those need flags; the
         # offset's are the first derivatives, and cum itself
-        hess = {key: x * scale for key, x in base_hess.items()}
+        hess = {key: x * scale for key, x in base_hess.items()} if need_base else {}
         first = [b * scale for b in base] if need_base else [None] * n_base
         if need_terms:
             factors = [None if Tc is None else Tc.value() for Tc in fills]
@@ -397,11 +385,9 @@ def _term_grads(d_eta, fills, need):
 
 
 def _multiplier(trm: ModifierTerm, Tc):
-    """exp(eta + gamma * T) of a modifier, T its filled time. A point of a
-    stack whose gamma is 0 gets exp(eta + 0), which is exp(eta): a filled
-    time is finite."""
-    gamma = trm.gamma
-    if gamma == 0.0 if isinstance(gamma, float) else not gamma.any():
+    """exp(eta + gamma * T) of a modifier, T its filled time: exp(eta)
+    where gamma is 0, with no filled time formed."""
+    if trm.gamma == 0.0:
         return np.exp(trm.eta)
     return np.exp(trm.eta + trm.gamma * Tc.value())
 
@@ -431,15 +417,12 @@ def _filled(T, trm: ModifierTerm):
 def _times_increment(cf, increment):
     """cf * increment, with an increment of 0 contributing 0 also where
     exp(eta) overflowed cf to inf: a term that never switches on adds
-    nothing, however large its multiplier. A stack's cf is two-dimensional,
-    and each of its rows, one point, is taken alone."""
+    nothing, however large its multiplier."""
     finite = math.isfinite(cf) if np.ndim(cf) == 0 else np.isfinite(cf).all()
     if finite:
         return cf * increment
-    # the points whose cf is finite everywhere keep their plain product
-    plain = np.isfinite(cf).all(axis=-1, keepdims=True) if np.ndim(cf) == 2 else False
     with np.errstate(invalid="ignore"):
-        return np.where(plain | (increment != 0.0), cf * increment, 0.0)
+        return np.where(increment != 0.0, cf * increment, 0.0)
 
 
 class PatternTableComponent:
@@ -495,24 +478,24 @@ class PatternTableComponent:
             masks.append((enter < t) & (t <= exit_))
         return t, masks
 
-    def rate_at(self, geometry, need=None, second=False):
+    def rate_at(self, geometry, need=None):
         """rate() on a rate_geometry of a component of the same structure,
-        and the derivatives of its log that `need` flags (with `second`,
-        also the second ones). At most one entry's window holds a time, and
-        there they are its baseline's."""
+        and the first and second derivatives of its log that `need` flags.
+        At most one entry's window holds a time, and there they are its
+        baseline's."""
         t, masks = geometry
-        out, grads, hess = 0.0, None if need is None else [], {}
+        out = 0.0
+        grads, hess = (None, None) if need is None else ([], {})
         for (_, base), inside, wanted, start in zip(self.entries, masks, self._split(need),
                                                     self._starts()):
-            order = 0 if wanted is None or not any(wanted) else 2 if second else 1
-            rate, d, h = base.rate_terms(t, order)
+            rate, d, h = base.rate_terms(t, wanted is not None and any(wanted))
             out = out + rate * inside
             if wanted is not None:
                 grads += [None if g is None else np.where(inside, g, 0.0)
                           for g in _wanted(d, wanted)]
-            for key, x in _wanted_pairs(h or {}, wanted, start).items():
-                hess[key] = np.where(inside, x, 0.0)
-        return (out, grads, hess) if second else (out, grads)
+                for key, x in _wanted_pairs(h or {}, wanted, start).items():
+                    hess[key] = np.where(inside, x, 0.0)
+        return out, grads, hess
 
     def rate(self, t, T):
         return self.rate_at(self.rate_geometry(t, T))[0]
@@ -544,24 +527,24 @@ class PatternTableComponent:
             ranges.append((np.maximum(hi, 0.0), None if opens_at_0 else np.maximum(lo, 0.0)))
         return ranges
 
-    def cum_at(self, geometry, need=None, second=False):
+    def cum_at(self, geometry, need=None):
         """cum() on a cum_geometry of a component of the same structure, and
-        its derivatives that `need` flags (with `second`, also the second
-        ones)."""
-        out, grads, hess = 0.0, None if need is None else [], {}
+        its first and second derivatives that `need` flags."""
+        out = 0.0
+        grads, hess = (None, None) if need is None else ([], {})
         for (_, base), (hi_0, lo_0), wanted, start in zip(self.entries, geometry,
                                                           self._split(need), self._starts()):
-            order = 0 if wanted is None or not any(wanted) else 2 if second else 1
-            at_hi = base.cum0_terms(hi_0, order)
-            at_lo = None if lo_0 is None else base.cum0_terms(lo_0, order)
+            derivatives = wanted is not None and any(wanted)
+            at_hi = base.cum0_terms(hi_0, derivatives)
+            at_lo = None if lo_0 is None else base.cum0_terms(lo_0, derivatives)
             out = out + np.maximum(at_hi[0] if at_lo is None else at_hi[0] - at_lo[0], 0.0)
             if wanted is not None:
-                grads += _wanted(at_hi[1] if at_lo is None or not order else
+                grads += _wanted(at_hi[1] if at_lo is None or not derivatives else
                                  [h - l for h, l in zip(at_hi[1], at_lo[1])], wanted)
-            if order > 1:
+            if derivatives:
                 hess.update(_wanted_pairs(_differences(at_hi[2], at_lo and at_lo[2]),
                                           wanted, start))
-        return (out, grads, hess) if second else (out, grads)
+        return out, grads, hess
 
     def cum(self, t0, t1, T):
         return self.cum_at(self.cum_geometry(t0, t1, T))[0]
@@ -629,11 +612,8 @@ class IntensityModel:
         return out
 
     def with_values(self, values) -> "IntensityModel":
-        """The model of this structure with other values: (V,) for one point,
-        or (V, B) for a stack of B points."""
+        """The model of this structure with other values (V,)."""
         values = np.asarray(values, dtype=float)
-        if values.ndim == 2:
-            values = values[:, :, None]
         parts, start = [], 0
         for comp in self.components:
             parts.append(comp.with_values(values[start:start + len(comp.values)]))

@@ -31,7 +31,6 @@ from .observation import (
     PseudoAtomRecord,
     StatusCodes,
     SurvivedBeyond,
-    coarsen,
     record_from_codes,  # re-exported: the per-record form of a coded row
 )
 

@@ -313,6 +313,59 @@ def test_loglik_refuses_a_field_over_the_csv_limit(tmp_path, configs, capsys):
                             f"({csv.field_size_limit()})\n")
 
 
+def test_input_that_is_not_utf8_exits_with_two(tmp_path, configs, capsys):
+    # a byte that does not decode, in the cohort or in either config, is
+    # malformed input: exit 2, the file and the byte's offset named, and no
+    # traceback
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    data.write_bytes(b"subject_id,component,status,t1,t2\n"
+                     b"s\xff,illness,interval,0.0,1.0\ns\xff,death,exact_censored,2.0,\n")
+    bad_model = tmp_path / "bad_model.json"
+    bad_model.write_bytes(json.dumps(dict(MODEL_JSON, name="\u00ff"), ensure_ascii=False).encode("latin-1"))
+    bad_scheme = tmp_path / "bad_scheme.json"
+    bad_scheme.write_bytes(b"\xff" + json.dumps(SCHEME_JSON).encode())
+    good_data = tmp_path / "good.csv"
+    good_data.write_text("subject_id,component,status,t1,t2\n"
+                         "s,illness,interval,0.0,1.0\ns,death,exact_censored,2.0,\n")
+    for m, s, d, bad in ((model, scheme, data, data), (str(bad_model), scheme, good_data, bad_model),
+                         (model, str(bad_scheme), good_data, bad_scheme)):
+        offset = Path(bad).read_bytes().index(b"\xff")
+        for cmd in ("loglik", "fit"):
+            assert main([cmd, "--model", m, "--scheme", s, "--data", str(d)]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: {bad}: byte {offset}: not valid UTF-8 (invalid start byte)\n")
+
+
+def test_main_builds_its_parser_once_and_prints_what_a_fresh_process_prints(
+        tmp_path, configs, capsys, monkeypatch):
+    # each run in its own directory, so that the cohort's relative path,
+    # which simulate prints, is the same
+    model, scheme = configs
+    common = ["--model", model, "--scheme", scheme]
+    commands = (["simulate", *common, "--n", "30", "--seed", "5", "--out", "cohort.csv"],
+                ["loglik", *common, "--data", "cohort.csv"])
+    (tmp_path / "in").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "in")
+    cli._build_parser.cache_clear()
+    printed = []
+    for argv in commands:
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out.encode())
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    src = Path(coarselik.__file__).resolve().parents[1]
+    for argv, stdout in zip(commands, printed):
+        proc = subprocess.run([sys.executable, "-m", "coarselik.cli", *argv],
+                              capture_output=True, timeout=300, cwd=tmp_path / "fresh",
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
+    assert (tmp_path / "fresh" / "cohort.csv").read_bytes() == \
+        (tmp_path / "in" / "cohort.csv").read_bytes()
+
+
 def test_loglik_flags_impossible_subjects(tmp_path, configs, capsys):
     model, scheme = configs
     zero_model = tmp_path / "zero.json"

@@ -140,16 +140,21 @@ def test_fit_runs_one_kernel_pass_per_evaluation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(inference, "_density_geometry",
                         counted(builds, inference._density_geometry))
-    monkeypatch.setattr(inference, "_density_at", counted(passes, inference._density_at))
+
+    def kernel(*args, real=inference._density_at):
+        passes.append((args, real(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(inference, "_density_at", kernel)
     family = dataclasses.replace(fam, builder=counted(models, fam.builder))
     res = fit_mle(family, records, C, theta)
     assert res.converged and res.std_errors is not None
     assert len(builds) == 1
     assert len(passes) == res.n_evaluations
-    assert all(args[2] is not None for args in passes)
+    assert all(args[2] is not None for args, _ in passes)
     # no stack: every pass is on a model of numbers, with second derivatives
-    assert all(args[0].values.shape == (len(args[2]),) for args in passes)
-    assert [args[3:] for args in passes] == [(True,)] * res.n_evaluations
+    assert all(args[0].values.shape == (len(args[2]),) for args, _ in passes)
+    assert all(isinstance(out[2], dict) and out[2] for _, out in passes)
     # the plan's probe, one build per pass, and the curvature's build last
     assert len(models) == 1 + res.n_evaluations + 1
     assert all(m[0].shape == (fam.k, 2 * fam.k + 1, 1) for m in models[1:-1])
@@ -739,7 +744,7 @@ def test_geometry_holds_for_every_theta(workload, n, moves, tmp_path, monkeypatc
         got = ev.per_subject(th)
         with monkeypatch.context() as m:
             m.setattr(inference, "_density_at",
-                      lambda model, _, need: (_density(model, ev._s, ev._f, ev.C), None))
+                      lambda model, _, need: (_density(model, ev._s, ev._f, ev.C), None, None))
             ref = ev.per_subject(th)
         assert np.array_equal(got, ref), th
 
@@ -822,8 +827,8 @@ def test_score_pass_builds_no_rate_or_cum_beyond_the_values_pass(tmp_path, monke
     for name in ("rate_at", "cum_at"):
         real = getattr(MultiplicativeComponent, name)
         monkeypatch.setattr(MultiplicativeComponent, name,
-                            lambda self, g, need=None, *second, name=name, real=real:
-                            calls.update([name]) or real(self, g, need, *second))
+                            lambda self, g, need=None, name=name, real=real:
+                            calls.update([name]) or real(self, g, need))
     ev.per_subject(theta)
     values = dict(calls)
     calls.clear()

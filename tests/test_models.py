@@ -226,6 +226,17 @@ def _rebuilt(comp, v):
                                    comp.gates, terms, v[-1])
 
 
+def _fixed(comp):
+    """Which of comp's values have no difference to take: an interaction
+    term's gamma, which stays 0."""
+    fixed = np.zeros(len(comp.values), dtype=bool)
+    if isinstance(comp, MultiplicativeComponent):
+        n = len(comp.baseline.values)
+        for i, trm in enumerate(comp.terms):
+            fixed[n + 2 * i + 1] = len(trm.comps) > 1
+    return fixed
+
+
 GRAD_CASES = {
     "constant": MultiplicativeComponent(2, Constant(0.3), log_offset=0.2),
     **{f"weibull-{b}": MultiplicativeComponent(2, Weibull(0.4, b), log_offset=-0.1)
@@ -260,20 +271,15 @@ def test_derivatives_match_central_differences(case):
          np.array([INF, 0.4, INF, 1.2, INF, 1.9, 2.2, INF, 2.5])]
     t0 = np.array([0.0, 0.1, 0.5, 0.0, 1.0, 0.3, 2.0, 0.0, 1.5])
     v = np.array(comp.values)
-    # an interaction term's gamma stays 0, so it has no difference to take
-    fixed = np.zeros(v.size, dtype=bool)
-    if isinstance(comp, MultiplicativeComponent):
-        n = len(comp.baseline.values)
-        for i, trm in enumerate(comp.terms):
-            fixed[n + 2 * i + 1] = len(trm.comps) > 1
+    fixed = _fixed(comp)
     need = (~fixed).tolist()
     rate_geometry, cum_geometry = comp.rate_geometry(t, T), comp.cum_geometry(t0, t, T)
-    rate, log_rate_grad = comp.rate_at(rate_geometry, need)
-    cum, cum_grad = comp.cum_at(cum_geometry, need)
+    rate, log_rate_grad, _ = comp.rate_at(rate_geometry, need)
+    cum, cum_grad, _ = comp.cum_at(cum_geometry, need)
     # the value comes with the same bits whatever is asked for beside it
-    for (value, grads), full_value in ((comp.rate_at(rate_geometry), rate),
-                                       (comp.cum_at(cum_geometry), cum)):
-        assert grads is None and _bits(value) == _bits(full_value)
+    for (value, grads, hess), full_value in ((comp.rate_at(rate_geometry), rate),
+                                             (comp.cum_at(cum_geometry), cum)):
+        assert grads is None and hess is None and _bits(value) == _bits(full_value)
     # log rate exists where the rate is positive
     positive = rate > 0
     assert positive.sum() >= 3
@@ -298,22 +304,23 @@ def test_derivatives_match_central_differences(case):
                                    rtol=1e-6, atol=1e-9, err_msg=f"value {m}")
         # a value asked for alone gets the same bits, and nothing else is formed
         alone = [k == m for k in range(v.size)]
-        for (value, grads), full_value, full in ((comp.rate_at(rate_geometry, alone), rate,
-                                                  log_rate_grad),
-                                                 (comp.cum_at(cum_geometry, alone), cum, cum_grad)):
+        for (value, grads, _), full_value, full in ((comp.rate_at(rate_geometry, alone), rate,
+                                                     log_rate_grad),
+                                                    (comp.cum_at(cum_geometry, alone), cum,
+                                                     cum_grad)):
             assert _bits(value) == _bits(full_value)
             assert [k for k, g in enumerate(grads) if g is not None] == [m]
             assert np.array_equal(grads[m], full[m])
-    for (value, grads), full_value in ((comp.rate_at(rate_geometry, [False] * v.size), rate),
-                                       (comp.cum_at(cum_geometry, [False] * v.size), cum)):
+    for (value, grads, _), full_value in ((comp.rate_at(rate_geometry, [False] * v.size), rate),
+                                          (comp.cum_at(cum_geometry, [False] * v.size), cum)):
         assert _bits(value) == _bits(full_value) and grads == [None] * v.size
 
 
 @pytest.mark.parametrize("case", sorted(GRAD_CASES))
 def test_second_derivatives_match_differences_of_the_first(case):
-    # asked for, rate_at and cum_at add the second derivatives of log rate
-    # and of cum, the pairs of flagged values that can be nonzero; the value
-    # and the first derivatives keep their bits
+    # with a need, rate_at and cum_at give the second derivatives of log
+    # rate and of cum, the pairs of flagged values that can be nonzero; the
+    # value keeps its bits
     comp = GRAD_CASES[case]
     t = np.array([0.2, 0.5, 1.0, 1.3, 2.0, 2.0, 2.5, 3.0, 3.0])
     T = [np.array([INF, 0.3, 0.3, 1.1, 1.5, INF, 0.7, 2.9, 0.4]),
@@ -321,22 +328,15 @@ def test_second_derivatives_match_differences_of_the_first(case):
          np.array([INF, 0.4, INF, 1.2, INF, 1.9, 2.2, INF, 2.5])]
     t0 = np.array([0.0, 0.1, 0.5, 0.0, 1.0, 0.3, 2.0, 0.0, 1.5])
     v = np.array(comp.values)
-    free = np.ones(v.size, dtype=bool)
-    if isinstance(comp, MultiplicativeComponent):
-        n = len(comp.baseline.values)
-        for i, trm in enumerate(comp.terms):
-            free[n + 2 * i + 1] = len(trm.comps) == 1
+    free = ~_fixed(comp)
     need = free.tolist()
     rate_geometry, cum_geometry = comp.rate_geometry(t, T), comp.cum_geometry(t0, t, T)
     positive = comp.rate_at(rate_geometry)[0] > 0
     n_pairs = 0
     for name, geometry, where in (("rate_at", rate_geometry, positive),
                                   ("cum_at", cum_geometry, np.ones(t.shape, dtype=bool))):
-        value, grads = getattr(comp, name)(geometry, need)
-        value_2, grads_2, hess = getattr(comp, name)(geometry, need, True)
-        assert _bits(value_2) == _bits(value)
-        assert [None if g is None else _bits(g) for g in grads_2] == \
-            [None if g is None else _bits(g) for g in grads]
+        value, _, hess = getattr(comp, name)(geometry, need)
+        assert _bits(value) == _bits(getattr(comp, name)(geometry)[0])
         assert all(a <= b and need[a] and need[b] for a, b in hess)
         n_pairs += len(hess)
         for l in np.flatnonzero(free):
@@ -357,13 +357,49 @@ def test_second_derivatives_match_differences_of_the_first(case):
                                            err_msg=f"{name} values {m}, {l}")
     assert n_pairs > 0
     for name, geometry in (("rate_at", rate_geometry), ("cum_at", cum_geometry)):
-        assert getattr(comp, name)(geometry, [False] * v.size, True)[2] == {}
+        assert getattr(comp, name)(geometry, [False] * v.size)[2] == {}
 
 
-def _stack_cases():
-    """Per case, a function of one point's values and the rows of values
-    of a stack: every component kind, and the rows that take a special
-    path beside rows that do not."""
+@pytest.mark.parametrize("case", sorted(GRAD_CASES))
+def test_every_kernel_layer_returns_value_first_and_second(case):
+    # one contract at each layer, for every baseline and component kind:
+    # (value, None, None) without a need (a baseline: without derivatives),
+    # and with one the value's bits, a list of first derivatives and a
+    # dict of second ones
+    comp = GRAD_CASES[case]
+    t = np.array([0.2, 1.0, 1.3, 2.5])
+    T = [np.array([INF, 0.3, 1.1, 0.7]), np.array([INF, 0.6, 0.2, INF]),
+         np.array([INF, INF, 1.2, 2.2])]
+    bases = ([comp.baseline] if isinstance(comp, MultiplicativeComponent)
+             else [base for _, base in comp.entries])
+    for base in bases:
+        for terms in (base.rate_terms, base.cum0_terms):
+            for x in (t, 1.3):
+                value, grads, hess = terms(x)
+                assert grads is None and hess is None
+                value_d, grads, hess = terms(x, True)
+                assert _bits(value_d) == _bits(value)
+                assert len(grads) == len(base.values) and isinstance(hess, dict)
+    others = [MultiplicativeComponent(j, Constant(0.1 + j)) for j in range(2)]
+    model = IntensityModel(others + [comp])
+    need = [True] * model.values.size
+    s = [np.where(np.isfinite(x), x, 3.0) for x in T]
+    layers = ((comp.rate_at, comp.rate_geometry(t, T), need[-len(comp.values):]),
+              (comp.cum_at, comp.cum_geometry(0.0, t, T), need[-len(comp.values):]),
+              (lambda g, *need: _density_at(model, g, *need),
+               _density_geometry(model, s, [x < 3.0 for x in s], 3.0), need))
+    for layer, geometry, wanted in layers:
+        value, grads, hess = layer(geometry)
+        assert grads is None and hess is None
+        value_d, grads, hess = layer(geometry, wanted)
+        assert _bits(value_d) == _bits(value)
+        assert len(grads) == len(wanted) and isinstance(hess, dict) and hess
+
+
+def _density_cases():
+    """Per case, a function of one point's values and the points to take:
+    every component kind, and points that take a special path beside
+    points that do not."""
     def constant(a, b):
         return IntensityModel((MultiplicativeComponent(0, Constant(a)),
                                MultiplicativeComponent(1, Constant(b))))
@@ -406,32 +442,60 @@ def _stack_cases():
     }
 
 
-@pytest.mark.parametrize("case", sorted(_stack_cases()))
-def test_stacked_density_equals_per_point_passes(case):
-    # a model of (B, 1) value stacks gives each row the bits of the model
-    # built from that row's values alone, densities and derivatives both
-    build, rows = _stack_cases()[case]
-    points = [build(*row) for row in rows]
-    stack = points[0].with_values(np.stack([m.values for m in points], axis=1))
-    assert stack.structure == points[0].structure
-    assert np.array_equal(stack.values, np.stack([m.values for m in points], axis=1))
+@pytest.mark.parametrize("case", sorted(_density_cases()))
+def test_density_at_matches_rates_cums_and_differences(case):
+    # at each point the kernel's density is the flagged rates times
+    # exp(-total cum), with the same bits whatever is asked beside it; its
+    # derivatives are the differences of log f, and its second derivatives
+    # those of the first
+    build, rows = _density_cases()[case]
     rng = np.random.default_rng(3)
-    C, N, p = 3.0, 400, points[0].p
+    C, N = 3.0, 400
+    p = build(*rows[0]).p
     s = rng.uniform(0.0, C, (p, N))
     s[rng.random((p, N)) < 0.4] = C      # no jump by the horizon
     s[:, :5] = C
     flags = s < C
-    need = [True] * points[0].values.size
-    # past exp overflow, a node where the modifier does switch on gives
-    # inf * exp(-inf), nan, in a stack as alone
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, grads = _density_at(stack, _density_geometry(stack, s, flags, C), need)
-        assert f.shape == (len(rows), N)
-        for b, model in enumerate(points):
-            f_b, grads_b = _density_at(model, _density_geometry(model, s, flags, C), need)
-            assert f[b].tobytes() == f_b.tobytes(), b
-            for x, x_b in zip(grads, grads_b):
-                assert (np.broadcast_to(x, f.shape)[b].tobytes()
-                        == np.broadcast_to(x_b, f_b.shape).tobytes()), b
     never_ill = s[0] == C
-    assert np.isfinite(f[:, never_ill]).all() and (f[:, :5] > 0).all()
+    # past exp overflow, a node where the modifier does switch on gives
+    # inf * exp(-inf), nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rows:
+            model = build(*row)
+            geometry = _density_geometry(model, s, flags, C)
+            v = model.values
+            free = ~np.concatenate([_fixed(comp) for comp in model.components])
+            f, grads, hess = _density_at(model, geometry, [True] * v.size)
+            assert _bits(f) == _bits(_density_at(model, geometry)[0])
+            rates = np.ones(N)
+            for j in range(p):
+                rates = rates * np.where(flags[j], model.rate(j, s[j], s), 1.0)
+            np.testing.assert_allclose(f, rates * np.exp(-model.total_cum(0.0, C, s)),
+                                       rtol=1e-13, atol=0.0)
+            assert np.isfinite(f[never_ill]).all() and (f[:5] > 0).all(), row
+            for l in np.flatnonzero(free):
+                h = 1e-5 * max(abs(v[l]), 0.1)
+                up, down = v.copy(), v.copy()
+                up[l] += h
+                down[l] -= h
+                try:
+                    lower = model.with_values(down)
+                except InvalidInputError:     # a zero rate takes a forward difference
+                    down[l] = v[l]
+                    lower = model.with_values(down)
+                width = up[l] - down[l]
+                f_up, g_up, _ = _density_at(model.with_values(up), geometry, [True] * v.size)
+                f_down, g_down, _ = _density_at(lower, geometry, [True] * v.size)
+                with np.errstate(divide="ignore"):
+                    on = ((f > 0) & (f_up > 0) & (f_down > 0) & np.isfinite(f)
+                          & np.isfinite(f_up) & np.isfinite(f_down))
+                    diff = (np.log(f_up) - np.log(f_down)) / width
+                assert on.sum() >= 3, (row, l)
+                np.testing.assert_allclose(np.broadcast_to(grads[l], f.shape)[on], diff[on],
+                                           rtol=1e-6, atol=1e-8, err_msg=f"{row}: value {l}")
+                for m in np.flatnonzero(free):
+                    diff = (np.broadcast_to(g_up[m], f.shape)
+                            - np.broadcast_to(g_down[m], f.shape)) / width
+                    got = np.broadcast_to(hess.get((min(m, l), max(m, l)), 0.0), f.shape)
+                    np.testing.assert_allclose(got[on], diff[on], rtol=1e-6, atol=1e-8,
+                                               err_msg=f"{row}: values {m}, {l}")

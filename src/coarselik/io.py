@@ -411,10 +411,11 @@ def _split_rows(text: str, path) -> _Rows:
 
 def _read_text(path, newline=None) -> str:
     """A file's whole text, which must be UTF-8: a byte that is not is
-    refused with its offset."""
+    refused with its offset in the file. One leading byte-order mark (as
+    spreadsheet programs write "CSV UTF-8") is dropped."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as err:
             raise InvalidInputError(f"{path}: byte {err.start}: not valid UTF-8 "
                                     f"({err.reason})") from None

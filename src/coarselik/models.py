@@ -48,7 +48,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .baselines import _all, _finite, _value
+from .baselines import Constant, _all, _finite, _value
 from .errors import InvalidInputError
 
 _MAX_TERMS = 12  # closed-form cum enumerates modifier subsets
@@ -610,6 +610,17 @@ class IntensityModel:
         for v, x in enumerate(values):
             out[v] = x if isinstance(x, float) else x[:, 0]
         return out
+
+    @property
+    def time_homogeneous(self) -> bool:
+        """Whether every intensity is constant between jumps: each component
+        multiplies a Constant baseline, or reads a table of Constant entries.
+        Gates, modifiers (gamma included) and offsets read past jumps only,
+        so after a path's last jump its rates do not change."""
+        return all(isinstance(comp.baseline, Constant)
+                   if isinstance(comp, MultiplicativeComponent)
+                   else all(isinstance(base, Constant) for _, base in comp.entries)
+                   for comp in self.components)
 
     def with_values(self, values) -> "IntensityModel":
         """The model of this structure with other values (V,)."""

@@ -8,12 +8,25 @@ random stream keyed by the seed, so subject i's draws depend only on
 (seed, i): cohorts can be generated in any chunking, on any thread count,
 with bit-identical results, and a single path can be re-drawn in isolation.
 
-The inversion (Bender, Augustin & Blettner 2005) walks the rate breakpoints
-to the segment where the target is crossed, solves there as if the total
-rate were constant (exact for constant and step baselines), and polishes
-the solution by bracketed Newton steps, falling back to bisection when a
-step leaves the bracket. Each subject stops once its step falls below
-1e-13 of the horizon, so its result depends on nothing but its own draws.
+A time-homogeneous model (IntensityModel.time_homogeneous: Constant
+baselines, with gates, modifiers and offsets that switch at jumps only)
+draws each round as a race of exponentials (Gillespie 1977): one rates
+evaluation, at the middle of (t0, C], gives the total rate S, the jump
+time t0 + E / S, a jump where that is at most C, and the rates the pick
+reads. This is the constant-rate solve the general inversion makes, so the
+draws are those of the general inversion but in two cases: a target within
+rounding of the total over (t0, C], where the race decides by t <= C and
+the inversion by the total to C; and a jump time equal to t0 (E = 0, an
+infinite total rate, or E / S lost in rounding t0 + E / S), where the race
+picks by the intensities just after t0 and the inversion by those at t0.
+
+Every other model is inverted (Bender, Augustin & Blettner 2005) by
+walking the rate breakpoints to the segment where the target is crossed,
+solving there as if the total rate were constant (exact for step
+baselines), and polishing the solution by bracketed Newton steps, falling
+back to bisection when a step leaves the bracket. Each subject stops once
+its step falls below 1e-13 of the horizon, so its result depends on
+nothing but its own draws.
 """
 
 from __future__ import annotations
@@ -81,10 +94,18 @@ def _rates(model: IntensityModel, t, T_list) -> list:
 def _invert_total(model, t0, T, E, C):
     """Smallest t with total integrated intensity over (t0, t] equal to E.
 
-    Returns (t_star, solved): solved False where the target exceeds the
-    total over (t0, C] (no further jump by the horizon).
+    Returns (t_star, rates): t_star <= C fails where the target exceeds
+    the total over (t0, C] (no further jump by the horizon). A time-homogeneous
+    model's rounds are a race of exponentials: its rates after t0 are
+    those at (t0 + C) / 2, t_star is t0 + E over their sum, and rates holds
+    them, one array per component, for the pick; for any other model rates
+    is None.
     """
     T_list = list(T.T)
+    if model.time_homogeneous:
+        rates = _rates(model, 0.5 * (t0 + C), T_list)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return t0 + E / sum(rates), rates
     total_to_C = np.asarray(model.total_cum(t0, C, T_list), dtype=float)
     solved = total_to_C >= E
 
@@ -134,7 +155,7 @@ def _invert_total(model, t0, T, E, C):
         t_new = t - step
         inside = (t_new > lo[idx]) & (t_new <= hi[idx])
         t_star[idx] = np.where(inside, t_new, 0.5 * (lo[idx] + hi[idx]))
-    return np.where(solved, t_star, np.inf), solved
+    return np.where(solved, t_star, np.inf), None
 
 
 def simulate_cohort(model: IntensityModel, C: float, n: int, seed: int,
@@ -161,14 +182,15 @@ def _simulate_chunk(model, C, n, seed, start):
             break
         idx = np.flatnonzero(active)
         E = -np.log1p(-U[idx, 2 * r])
-        t_star, solved = _invert_total(model, t0[idx], T[idx], E, C)
-        hit = solved & (t_star <= C)
+        t_star, rates = _invert_total(model, t0[idx], T[idx], E, C)
+        hit = t_star <= C
         if not hit.any():
             active[idx] = False
             continue
         sub = idx[hit]
         ts = t_star[hit]
-        rates = np.stack(_rates(model, ts, list(T[sub].T)), axis=1)
+        rates = (np.stack(_rates(model, ts, list(T[sub].T)), axis=1) if rates is None
+                 else np.stack(rates, axis=1)[hit])
         totals = rates.sum(axis=1)
         if np.any(totals <= 0):
             raise HazardInversionError("zero total intensity at a solved jump time")

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in process through main(argv)."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -141,6 +142,33 @@ def test_column_outputs_match_the_per_row_reference(tmp_path, capsys, monkeypatc
     per = per_subject_loglik(cfg.build(), records, sch.horizon)
     lines = ["subject_id,loglik"] + [f"{i},{repr(float(v))}" for i, v in enumerate(per)]
     assert capsys.readouterr().out == "\n".join(lines + [f"total,{repr(float(per.sum()))}"]) + "\n"
+
+
+# SHA-256 of the cohort and truth files of CLI simulate at seed 4001, 2 000
+# paths, on each benchmark workload's configs. A change to the draw or to the
+# writers that moves a byte must update these and say why.
+SIMULATE_DIGESTS = {
+    "illness-death-panel": (
+        "3475b21c08488beeb30d67e949f7cd30fb38cf0924c19e8f7b4b84d746f6ca10",
+        "95c31d556290d428b0523b5128358b4ac355246265d6a730e13933f6a636c377"),
+    "dementia-visits": (
+        "27e4b5d0dec1c469f215df8d23c63bfdb30c82e9d0fb0883a60d6c9328233cd3",
+        "b7dd4b8d48ba42e24c30f93b77461124d454ca43e3cf8a49703e8b77d7f9bd27"),
+    "weibull-hybrid": (
+        "639652abde12d34b62b48b46490e58e50687b022493a91cfa2770c43098cb9c0",
+        "0336c1f238e6a7876cf0be0bbd16ecf0240b74bc7be36df73604392f92db7da7"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_simulate_bytes_are_pinned(tmp_path, workload):
+    model, scheme = tmp_path / "model.json", tmp_path / "scheme.json"
+    workloads.write_configs(WORKLOADS[workload], model, scheme)
+    cohort, truth = tmp_path / "cohort.csv", tmp_path / "truth.csv"
+    assert main(["simulate", "--model", str(model), "--scheme", str(scheme), "--n", "2000",
+                 "--seed", "4001", "--out", str(cohort), "--truth", str(truth)]) == 0
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in (cohort, truth)) == SIMULATE_DIGESTS[workload]
 
 
 # each value at least twice in a block, among them both zeros and repr()'s
@@ -335,6 +363,35 @@ def test_input_that_is_not_utf8_exits_with_two(tmp_path, configs, capsys):
             assert main([cmd, "--model", m, "--scheme", s, "--data", str(d)]) == 2
             assert capsys.readouterr() == (
                 "", f"error: {bad}: byte {offset}: not valid UTF-8 (invalid start byte)\n")
+
+
+def test_inputs_with_a_byte_order_mark_read_as_without_it(tmp_path, configs, capsys):
+    # spreadsheet programs start a "CSV UTF-8" file with U+FEFF: the cohort,
+    # the model and the scheme each read as if it were not there
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme,
+                 "--n", "150", "--seed", "3", "--out", str(data)]) == 0
+    marked = {}
+    for path in (model, scheme, str(data)):
+        marked[path] = tmp_path / f"bom_{Path(path).name}"
+        marked[path].write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    capsys.readouterr()
+    for cmd in ("loglik", "fit"):
+        plain = [model, scheme, str(data)]
+        assert main([cmd, "--model", model, "--scheme", scheme, "--data", str(data)]) == 0
+        expected = capsys.readouterr()
+        for k in range(3):
+            paths = [str(marked[p]) if i == k else p for i, p in enumerate(plain)]
+            assert main([cmd, "--model", paths[0], "--scheme", paths[1], "--data", paths[2]]) == 0
+            assert capsys.readouterr() == expected, (cmd, paths)
+    # a byte that does not decode is still named by its offset in the file
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(marked[str(data)].read_bytes().replace(b"\n0,", b"\n\xff,", 1))
+    assert main(["loglik", "--model", model, "--scheme", scheme, "--data", str(bad)]) == 2
+    offset = bad.read_bytes().index(b"\xff")
+    assert capsys.readouterr() == (
+        "", f"error: {bad}: byte {offset}: not valid UTF-8 (invalid start byte)\n")
 
 
 def test_main_builds_its_parser_once_and_prints_what_a_fresh_process_prints(

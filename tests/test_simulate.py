@@ -1,15 +1,25 @@
 """Counter-based simulation: reproducibility, chunk invariance, agreement
 with the transition-probability oracle, and the record-probability check."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coarselik.baselines import PiecewiseConstant, Weibull
+from benchmark_workloads import workloads
+from coarselik.baselines import Constant, PiecewiseConstant, Weibull
 from coarselik.catalog import illness_death, panel_death_scheme
 from coarselik.errors import InvalidInputError
-from coarselik.models import IntensityModel, MultiplicativeComponent
+from coarselik.io import load_model_config
+from coarselik.models import (
+    IntensityModel,
+    ModifierTerm,
+    MultiplicativeComponent,
+    PatternTableComponent,
+)
 from coarselik.observation import Exact, Interval, PseudoAtomRecord, coarsen
 from coarselik.oracle import transition_matrix
 from coarselik import simulate
@@ -26,6 +36,17 @@ SPEC, MODEL = illness_death(0.1, 0.2, 0.4)
 WEIBULL_MODEL = illness_death(Weibull(0.3, 1.4), Weibull(0.2, 0.8), Weibull(0.5, 1.2))[1]
 
 
+def _workload_model(name):
+    """The model of a benchmark workload, built from its config at its theta."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.json"
+        path.write_text(json.dumps(workloads.WORKLOADS[name].model))
+        return load_model_config(path).build()
+
+
+DEMENTIA_MODEL = _workload_model("dementia-visits")
+
+
 def test_same_seed_same_cohort():
     a = simulate_cohort(MODEL, 10.0, 50, seed=123)
     b = simulate_cohort(MODEL, 10.0, 50, seed=123)
@@ -40,7 +61,8 @@ def test_uniform_stream_is_counter_addressed():
     assert np.array_equal(part, whole[4:7])
 
 
-@pytest.mark.parametrize("model", [MODEL, WEIBULL_MODEL], ids=["constant", "weibull"])
+@pytest.mark.parametrize("model", [MODEL, WEIBULL_MODEL, DEMENTIA_MODEL],
+                         ids=["constant", "weibull", "dementia"])
 def test_chunked_generation_matches_one_shot(model, monkeypatch):
     a = simulate_cohort(model, 10.0, 23, seed=5)
     monkeypatch.setattr(simulate, "_CHUNK", 7)
@@ -48,6 +70,54 @@ def test_chunked_generation_matches_one_shot(model, monkeypatch):
     assert np.array_equal(a, b)
     tail = simulate_cohort(model, 10.0, 9, seed=5, start=14)
     assert np.array_equal(tail, a[14:])
+
+
+# time-homogeneous models: rates constant between jumps
+RACE_MODELS = {
+    # illness gated by death, death modified by illness
+    "illness-death": _workload_model("illness-death-panel"),
+    # three modifiers on death, one of them the dementia-institution interaction
+    "dementia": DEMENTIA_MODEL,
+    # the death rate scales with the illness time (gamma != 0)
+    "duration": IntensityModel([
+        MultiplicativeComponent(0, Constant(0.3), gates=(1,)),
+        MultiplicativeComponent(1, Constant(0.1), terms=(ModifierTerm((0,), 0.4, 0.25),),
+                                log_offset=0.2)]),
+    "pattern-table": MODEL,
+    # component 1 never jumps, and after component 0 nothing can: a total rate of 0
+    "zero-rate": IntensityModel([
+        MultiplicativeComponent(0, Constant(0.4)),
+        MultiplicativeComponent(1, Constant(0.0), gates=(2,)),
+        MultiplicativeComponent(2, Constant(0.3), gates=(0,))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RACE_MODELS))
+def test_race_draws_the_cohorts_of_the_general_inversion(name, monkeypatch):
+    model = RACE_MODELS[name]
+    assert model.time_homogeneous
+    race = [simulate_cohort(model, 10.0, 3000, seed) for seed in (1, 2, 3)]
+    monkeypatch.setattr(IntensityModel, "time_homogeneous", property(lambda self: False))
+    general = [simulate_cohort(model, 10.0, 3000, seed) for seed in (1, 2, 3)]
+    for a, b in zip(race, general):
+        assert np.isfinite(a).any() and np.isinf(a).any()
+        assert np.array_equal(a, b)
+
+
+def test_weibull_and_piecewise_models_never_take_the_race():
+    step = PiecewiseConstant([1.0, 2.5], [0.1, 0.3, 0.2])
+    for model in (
+            WEIBULL_MODEL,
+            _workload_model("weibull-hybrid"),
+            illness_death(step, 0.2, 0.4)[1],
+            IntensityModel([MultiplicativeComponent(0, step)]),
+            # one time-varying component is enough
+            IntensityModel([MultiplicativeComponent(0, Constant(0.3), gates=(1,)),
+                            MultiplicativeComponent(1, Weibull(0.2, 1.5))]),
+            IntensityModel([PatternTableComponent(0, 2, {(0, 0): Constant(0.3)}),
+                            PatternTableComponent(1, 2, {(0, 0): Constant(0.2),
+                                                         (1, 0): step})])):
+        assert not model.time_homogeneous
 
 
 def _first_jumps(baseline, C, n, seed):

@@ -40,9 +40,11 @@ value affine in theta, as every config family's is; the models at a point
 and at its stencil are one build, each value a (B, 1) stack (see models)
 read for its values alone, for a family whose builder declares it takes
 stacks (builds_stacks, as config families do), and another builder is
-called once per point. The same kernel walk that gives f_r then gives
-d log f_r in only the values that map reaches, from log rates and cums: no
-rate or cum is built twice and nothing divided.
+called once per point. The build gives one array of values, a column a
+point, nan for a point whose model has another structure than theta's.
+The same kernel walk that gives f_r then gives d log f_r in only the
+values that map reaches, from log rates and cums: no rate or cum is built
+twice and nothing divided.
 
 The observed information is exact too, by Louis's identity: the observed
 likelihood is the conditional mean of the full-data one, so a record's
@@ -100,7 +102,8 @@ class ParametricFamily:
     theta as a (k, B, 1) array, and returns one model whose values are
     (B, 1) stacks, as a config family's builder does; the evaluator reads
     such a model's values and evaluates none. Another builder is called
-    once per point.
+    once per point; the evaluator reads the values of a point whose model
+    has another structure than theta's as nan.
     """
 
     param_names: tuple[str, ...]
@@ -231,28 +234,6 @@ def _combine(W, F):
     if missing.any():
         out[missing @ (W != 0.0)] = np.nan
     return out.reshape(F.shape[:-1] + (k, k))
-
-
-class _Points:
-    """The family's models at P points, in groups of one structure, each
-    given as (model, values, rows): the model of its first row, and the
-    values (V, B) of its rows, in their order."""
-
-    def __init__(self, groups):
-        self.models = [model for model, _, _ in groups]
-        self.values = [values for _, values, _ in groups]
-        P = sum(rows.size for *_, rows in groups)
-        self.group_of, self.pos_of = np.empty(P, dtype=int), np.empty(P, dtype=int)
-        for g, (*_, rows) in enumerate(groups):
-            self.group_of[rows], self.pos_of[rows] = g, np.arange(rows.size)
-
-    def values_of(self, g):
-        """Every point's values as in group g (V, P), nan for a point of
-        another group."""
-        other = self.group_of != g
-        V = self.values[g][:, np.where(other, 0, self.pos_of)]
-        V[:, other] = np.nan
-        return V
 
 
 def _distinct(codes: StatusCodes):
@@ -468,20 +449,22 @@ class DatasetEvaluator:
         """Per-subject log-likelihood at natural-scale theta."""
         return self._on_plan(self.family.build(theta))[0][self._inverse]
 
-    def _build(self, thetas) -> _Points:
-        """The family's models at the rows of thetas (P, k): one call of a
-        builder that takes stacks, else one per point."""
+    def _build(self, thetas):
+        """The family's model at the first row of thetas (P, k), and every
+        row's model values (V, P), nan in the column of a row whose model has
+        another structure: one call of a builder that takes stacks, else one
+        per row."""
         family = self.family
         if family.builds_stacks:
             stack = family.builder(thetas.T[:, :, None])
             values = stack.values
-            return _Points([(stack.with_values(values[:, 0]), values, np.arange(len(thetas)))])
+            return stack.with_values(values[:, 0]), values
         models = [family.build(theta) for theta in thetas]
-        rows: dict = {}
+        values = np.full((len(models[0].values), len(models)), np.nan)
         for p, model in enumerate(models):
-            rows.setdefault(model.structure, []).append(p)
-        return _Points([(models[r[0]], np.stack([models[p].values for p in r], axis=1),
-                         np.array(r)) for r in rows.values()])
+            if model.structure == models[0].structure:
+                values[:, p] = model.values
+        return models[0], values
 
     def information(self, theta, curvature=True):
         """The total log-likelihood at natural-scale theta, each subject's
@@ -527,15 +510,14 @@ class DatasetEvaluator:
         k = theta.size
         h = _STEP * self._scale(theta)
         steps = h[:, None] * np.eye(k)
-        built = self._build(np.concatenate([theta[None], theta + steps, theta - steps]))
-        g, at = built.group_of[0], built.pos_of
-        up_ok, lo_ok = built.group_of[1:k + 1] == g, built.group_of[k + 1:] == g
-        V = built.values[g]
-        up = V[:, np.where(up_ok, at[1:k + 1], at[0])]
-        lo = V[:, np.where(lo_ok, at[k + 1:], at[0])]
+        model, V = self._build(np.concatenate([theta[None], theta + steps, theta - steps]))
+        same = ~np.isnan(V).any(axis=0)
+        up_ok, lo_ok = same[1:k + 1], same[k + 1:]
+        up = np.where(up_ok, V[:, 1:k + 1], V[:, :1])
+        lo = np.where(lo_ok, V[:, k + 1:], V[:, :1])
         width = h * (up_ok.astype(int) + lo_ok)
         J = (up - lo) / np.where(width > 0, width, np.nan)
-        return built.models[g], J
+        return model, J
 
     def _curvature(self, theta):
         """The map's own curvature at theta (V, k, k): the second
@@ -543,8 +525,7 @@ class DatasetEvaluator:
         rounding level (an affine map leaves a few roundings of its values),
         nan where they meet a point of another structure."""
         around, weights = _second_differences(theta, _STEP2 * self._scale(theta))
-        built = self._build(around)
-        V = built.values_of(built.group_of[0])
+        V = self._build(around)[1]
         curvature = _combine(weights, V)
         noise = _combine(np.abs(weights), np.abs(V))
         curvature[np.abs(curvature) <= 16 * np.finfo(float).eps * noise] = 0.0

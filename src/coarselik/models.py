@@ -34,6 +34,11 @@ for each argument in one call, with the value, so a Weibull power is taken
 once an argument. with_values gives a component or model of the same
 structure other values.
 
+A multiplicative component's cum is a sum over the subsets S of its
+modifiers, linear in each modifier's multiplier c_m: cum_at gives it and
+every derivative from one walk over pairs (S, D), D the at most two
+modifiers of S whose etas it differentiates (c_m in place of c_m - 1).
+
 A component or model may also be built from stacks, as a baseline may,
 each value a (B, 1) array of its values at B parameter points: `values`
 then reads them (B a column), and only one of numbers is evaluated.
@@ -44,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -120,19 +125,32 @@ def _as_times(T, p: int) -> list:
 
 
 @lru_cache(maxsize=256)
-def _subset_table(term_comps: tuple[tuple[int, ...], ...]):
-    """The modifier subsets of cum's inclusion-exclusion, in a fixed order;
-    for each, the index of its set of components among the distinct sets.
-    A subset switches on once all its terms' components have jumped, so
-    subsets over the same components share where that happens. Cached:
-    a fit builds components of one structure for every theta."""
-    subsets = tuple(subset for r in range(1, len(term_comps) + 1)
-                    for subset in combinations(range(len(term_comps)), r))
+def _subset_table(term_comps: tuple[tuple[int, ...], ...], n_base: int):
+    """What cum_at walks, for modifiers over term_comps and a baseline of
+    n_base values. First each nonempty modifier subset S, in a fixed order,
+    as (k, marked): k indexes S's components among the distinct sets
+    (subsets over the same components switch on at the same time), and
+    marked lists S's sets D of at most two modifiers, the empty one first,
+    each as the positions of its product's factors in [*c, *(c - 1)] and
+    the indices of D's etas among the values. Then the distinct sets, and
+    the keys of cum's derivatives in the order cum_at gives them: the
+    information's rows follow it, and a BLAS product may round a row by
+    its position. Cached: a fit builds components of one structure for
+    every theta."""
+    n = len(term_comps)
+    etas = range(n_base, n_base + 2 * n, 2)
     index: dict[tuple[int, ...], int] = {}
-    union_of = tuple(index.setdefault(tuple(sorted({c for m in subset for c in term_comps[m]})),
-                                      len(index))
-                     for subset in subsets)
-    return subsets, union_of, tuple(index)
+    table = []
+    for r in range(1, n + 1):
+        for subset in combinations(range(n), r):
+            union = tuple(sorted({c for m in subset for c in term_comps[m]}))
+            marked = tuple(((*D, *(n + o for o in subset if o not in D)), tuple(etas[m] for m in D))
+                           for size in range(3) for D in combinations(subset, size))
+            table.append((index.setdefault(union, len(index)), marked))
+    keys = ([(b,) for b in range(n_base)] + list(combinations_with_replacement(range(n_base), 2))
+            + [(e,) for e in etas] + list(combinations(etas, 2))
+            + [(b, e) for e in etas for b in range(n_base)])
+    return tuple(table), tuple(index), tuple(keys)
 
 
 class MultiplicativeComponent:
@@ -156,8 +174,8 @@ class MultiplicativeComponent:
         if not _finite(self.log_offset):
             raise InvalidInputError(f"log_offset must be finite, got {self.log_offset}")
         self.breakpoints = tuple(baseline.breakpoints)
-        self._subsets, self._union_of, self._unions = _subset_table(
-            tuple(trm.comps for trm in self.terms))
+        self._subsets, self._unions, self._keys = _subset_table(
+            tuple(trm.comps for trm in self.terms), len(baseline.values))
 
     @property
     def structure(self) -> tuple:
@@ -248,11 +266,17 @@ class MultiplicativeComponent:
         """cum() on a cum_geometry of a component of the same structure, and
         its first and second derivatives that `need` flags.
 
-        cum is exp(offset) (B(hi) - B(lo) + sum_S prod_{m in S}(c_m - 1)
-        (B(hi) - B(start_S))), B the baseline's cum0, S the modifier
-        subsets and c_m = exp(eta_m + gamma_m T_m). A derivative in gamma_m
-        is that in eta_m times T_m, and a derivative in the offset is the
-        function itself."""
+        cum is exp(offset) sum_S P_S I_S over the modifier subsets S, the
+        empty one included: P_S = prod_{m in S} (c_m - 1), c_m = exp(eta_m +
+        gamma_m T_m), and I_S = B(hi) - B(start_S), B the baseline's cum0 and
+        start_S where S switches on (lo for the empty S). cum is linear in
+        each c_m, and c_m is its own derivative in eta_m, so its derivative
+        in the etas of a set D of at most two modifiers is the same sum over
+        the S that hold D, with c_m in place of c_m - 1 for each m in D; in
+        the baseline's values each I_S gives its own derivatives. One walk
+        over the pairs (S, D) forms them all. A derivative in gamma_m is
+        that in eta_m times T_m, and one in the offset is the function
+        itself."""
         hi_0, lo_0, fills, starts = geometry
         n_base = len(self.baseline.values)
         need_base = need_terms = False
@@ -260,79 +284,58 @@ class MultiplicativeComponent:
             need_base, need_terms = any(need[:n_base]), any(need[n_base:-1])
         # one baseline call per argument: cum0, and its derivatives as needed
         at_hi = self.baseline.cum0_terms(hi_0, need_base)
-        at_lo = None if lo_0 is None else self.baseline.cum0_terms(lo_0, need_base)
-        at_start = [self.baseline.cum0_terms(start, need_base) for start in starts]
+        increments = [_increment(at_hi, self.baseline.cum0_terms(start, need_base))
+                      for start in starts]
+        # sums[key]: the derivative of cum / exp(offset) in the values key
+        # names, baseline values and modifiers' etas; () is the function
+        sums = _increment(at_hi, None if lo_0 is None else self.baseline.cum0_terms(lo_0, need_base))
         mult = [_multiplier(trm, Tc) for trm, Tc in zip(self.terms, fills)]
-        coef = [c - 1.0 for c in mult]
-        total = at_hi[0] if at_lo is None else at_hi[0] - at_lo[0]
-        increments = [at_hi[0] - at[0] for at in at_start]
-        if need_base:
-            base = at_hi[1] if at_lo is None else [h - l for h, l in zip(at_hi[1], at_lo[1])]
-            base_hess = _differences(at_hi[2], at_lo and at_lo[2])
-        if need is not None:
-            d_eta = [0.0] * len(self.terms)
-            # (m, b): d2/d eta_m d b, (m, n): d2/d eta_m d eta_n, m < n
-            eta_base, eta_eta = {}, {}
-        for subset, k in zip(self._subsets, self._union_of):
-            cf = coef[subset[0]]
-            for m in subset[1:]:
-                cf = cf * coef[m]
-            total = total + _times_increment(cf, increments[k])
-            if need_base:
-                base = [b + _times_increment(cf, h - s)
-                        for b, h, s in zip(base, at_hi[1], at_start[k][1])]
-                for key, x in _differences(at_hi[2], at_start[k][2]).items():
-                    base_hess[key] = base_hess[key] + _times_increment(cf, x)
-            # d(prod of coef)/d eta_m is c_m times the product of the others
-            for m in subset if need_terms else ():
-                others = mult[m]
-                for o in subset:
-                    if o != m:
-                        others = others * coef[o]
-                d_eta[m] = d_eta[m] + _times_increment(others, increments[k])
-                if need_base:
-                    for b, (h, s) in enumerate(zip(at_hi[1], at_start[k][1])):
-                        eta_base[m, b] = (eta_base.get((m, b), 0.0)
-                                          + _times_increment(others, h - s))
-                for n in subset:
-                    if n > m:
-                        both = mult[m] * mult[n]
-                        for o in subset:
-                            if o != m and o != n:
-                                both = both * coef[o]
-                        eta_eta[m, n] = (eta_eta.get((m, n), 0.0)
-                                         + _times_increment(both, increments[k]))
+        factors = mult + [c - 1.0 for c in mult]
+        for k, marked in self._subsets:
+            for positions, etas in marked if need_terms else marked[:1]:
+                product = factors[positions[0]]
+                for p in positions[1:]:
+                    product = product * factors[p]
+                for marks, x in increments[k].items():
+                    if len(marks) + len(etas) <= 2:
+                        key = marks + etas
+                        sums[key] = sums.get(key, 0.0) + _times_increment(product, x)
         scale = np.exp(self.log_offset)
-        total = total * scale
+        total = sums.pop(()) * scale
         if need is None:
             return total, None, None
-        scaled_d = [d * scale for d in d_eta]
-        grads = [b * scale if wanted else None
-                 for b, wanted in zip(base, need)] if need_base else [None] * n_base
-        grads = (grads + _term_grads(scaled_d, fills, need[n_base:-1])
-                 + [total if need[-1] else None])
-        # every second derivative in the values, then those need flags; the
-        # offset's are the first derivatives, and cum itself
-        hess = {key: x * scale for key, x in base_hess.items()} if need_base else {}
-        first = [b * scale for b in base] if need_base else [None] * n_base
-        if need_terms:
-            factors = [None if Tc is None else Tc.value() for Tc in fills]
-            for m, d in enumerate(scaled_d):
-                _put_term_pair(hess, n_base, m, m, d, factors)
-                first += [d, None if factors[m] is None else d * factors[m]]
-            for (m, n), x in eta_eta.items():
-                _put_term_pair(hess, n_base, m, n, x * scale, factors)
-            for (m, b), x in eta_base.items():
-                x = x * scale
-                hess[b, n_base + 2 * m] = x
-                if factors[m] is not None:
-                    hess[b, n_base + 2 * m + 1] = x * factors[m]
+
+        def values(v):
+            """The values a key's entry v stands for, with their factors: a
+            baseline value; an eta, and its gamma times the filled time."""
+            Tc = fills[(v - n_base) // 2] if v >= n_base else None
+            return ((v, None),) if Tc is None else ((v, None), (v + 1, Tc.value()))
+
+        first, hess = [None] * len(need), {}
+        for key in self._keys:
+            if key not in sums:
+                continue
+            x = sums[key] * scale
+            if len(key) == 1:
+                for v, factor in values(key[0]):
+                    first[v] = x if factor is None else x * factor
+            # c_m is its own derivative, so an eta's second is its first
+            if len(key) == 2 or key[0] >= n_base:
+                u, w = key if len(key) == 2 else key * 2
+                for a, fa in values(u):
+                    for b, fb in values(w):
+                        if a <= b and need[a] and need[b]:
+                            y = x if fa is None else x * fa
+                            hess[a, b] = y if fb is None else y * fb
         off = len(need) - 1
-        for v, x in enumerate(first):
-            if x is not None:
-                hess[v, off] = x
-        hess[off, off] = total
-        return total, grads, _wanted_pairs(hess, need)
+        if need[off]:
+            hess.update(((v, off), x) for v, x in enumerate(first) if x is not None and need[v])
+            hess[off, off] = total
+        first[off] = total
+        # a flagged value left without a derivative is an interaction
+        # term's gamma, which stays 0
+        return total, [(0.0 if x is None else x) if wanted else None
+                       for x, wanted in zip(first, need)], hess
 
     def cum(self, t0, t1, T):
         return self.cum_at(self.cum_geometry(t0, t1, T))[0]
@@ -352,25 +355,22 @@ def _wanted_pairs(hess, need, start=0):
     return {(start + a, start + b): x for (a, b), x in hess.items() if need[a] and need[b]}
 
 
-def _differences(upper, lower):
-    """upper - lower, entry by entry, for second-derivative dicts of the same
-    keys; upper where lower is None."""
-    return upper if lower is None else {key: x - lower[key] for key, x in upper.items()}
-
-
-def _put_term_pair(hess, n_base, m, n, x, factors):
-    """Set the second derivatives of cum in modifiers m <= n from x, that in
-    their etas: in a gamma they are x times its filled time (none for an
-    interaction term, whose gamma is 0)."""
-    fm, fn = factors[m], factors[n]
-    eta_m, eta_n = n_base + 2 * m, n_base + 2 * n
-    hess[eta_m, eta_n] = x
-    if fn is not None:
-        hess[eta_m, eta_n + 1] = x * fn
-    if fm is not None and m != n:
-        hess[eta_m + 1, eta_n] = x * fm
-    if fm is not None and fn is not None:
-        hess[eta_m + 1, eta_n + 1] = x * fm * fn
+def _increment(upper, lower):
+    """B(hi) - B(x) from the cum0_terms of hi and of x, as a new dict
+    {key: array}: () the value, (b,) its derivative in the baseline's value
+    b and (a, b) its second derivative in values a and b; hi's alone where
+    lower is None (x is 0)."""
+    value, grads, hess = upper
+    if lower is not None:
+        value = value - lower[0]
+        if grads is not None:
+            grads = [g - l for g, l in zip(grads, lower[1])]
+            hess = {key: x - lower[2][key] for key, x in hess.items()}
+    out = {(): value}
+    if grads is not None:
+        out.update(((b,), g) for b, g in enumerate(grads))
+        out.update(hess)
+    return out
 
 
 def _term_grads(d_eta, fills, need):
@@ -535,15 +535,13 @@ class PatternTableComponent:
         for (_, base), (hi_0, lo_0), wanted, start in zip(self.entries, geometry,
                                                           self._split(need), self._starts()):
             derivatives = wanted is not None and any(wanted)
-            at_hi = base.cum0_terms(hi_0, derivatives)
-            at_lo = None if lo_0 is None else base.cum0_terms(lo_0, derivatives)
-            out = out + np.maximum(at_hi[0] if at_lo is None else at_hi[0] - at_lo[0], 0.0)
+            parts = _increment(base.cum0_terms(hi_0, derivatives),
+                               None if lo_0 is None else base.cum0_terms(lo_0, derivatives))
+            out = out + np.maximum(parts[()], 0.0)
             if wanted is not None:
-                grads += _wanted(at_hi[1] if at_lo is None or not derivatives else
-                                 [h - l for h, l in zip(at_hi[1], at_lo[1])], wanted)
-            if derivatives:
-                hess.update(_wanted_pairs(_differences(at_hi[2], at_lo and at_lo[2]),
-                                          wanted, start))
+                grads += [parts[b,] if flag else None for b, flag in enumerate(wanted)]
+                hess.update(((start + key[0], start + key[1]), x) for key, x in parts.items()
+                            if len(key) == 2 and wanted[key[0]] and wanted[key[1]])
         return out, grads, hess
 
     def cum(self, t0, t1, T):

@@ -17,6 +17,7 @@ from coarselik.catalog import (
     DementiaParams,
     dementia_family,
     dementia_model,
+    dementia_visit_scheme,
     illness_death,
     illness_death_family,
     panel_death_scheme,
@@ -888,6 +889,31 @@ def _curved_case(tmp_path):
     return fam, records, 2.0, np.array([0.55, 0.45, -0.1])
 
 
+def weibull_modifiers_family():
+    """Dementia and institution, each switched off by death, and death's
+    Weibull(a, b) baseline multiplied by exp(eta) after each of them."""
+    def build(th):
+        a01, a02, a, b, eta_dem, eta_inst = th
+        return IntensityModel((
+            MultiplicativeComponent(0, Constant(a01), gates=(2,)),
+            MultiplicativeComponent(1, Constant(a02), gates=(2,)),
+            MultiplicativeComponent(2, Weibull(a, b), terms=(ModifierTerm((0,), eta_dem),
+                                                             ModifierTerm((1,), eta_inst)))))
+    return ParametricFamily(("a01", "a02", "a", "b", "eta_dem", "eta_inst"),
+                            ("log",) * 4 + ("identity",) * 2, build)
+
+
+def _weibull_modifiers_case(tmp_path):
+    # death's cum sums three modifier subsets, each adding its own second
+    # derivatives in (a, b) to those of the baseline from 0; a whole shape
+    # keeps every record on the coarse plan
+    fam = weibull_modifiers_family()
+    truth = np.array([0.3, 0.2, 0.25, 2.0, 0.6, 0.4])
+    records = panel_records(fam.build(truth), dementia_visit_scheme([0.5, 1.0, 1.5], 2.0), 60,
+                            seed=9)
+    return fam, records, 2.0, truth
+
+
 INFORMATION_CASES = {
     "illness-death-panel": SCORE_CASES["illness-death-panel"],
     "dementia-visits": SCORE_CASES["dementia-visits"],
@@ -903,6 +929,7 @@ INFORMATION_CASES = {
     "gamma-and-offset": _gamma_offset_case,
     "curved-builder": _curved_case,
     "refined": _refined_case,
+    "weibull-modifiers": _weibull_modifiers_case,
 }
 
 

@@ -250,6 +250,11 @@ GRAD_CASES = {
         2, Constant(0.2), terms=(ModifierTerm((0,), 0.2, gamma=0.1),
                                  ModifierTerm((1,), -0.1, gamma=-0.2),
                                  ModifierTerm((0, 1), 0.15)), log_offset=0.1),
+    # three modifier subsets sum the baseline's second derivatives in
+    # (a, b), each with its own increment
+    "weibull-modifiers": MultiplicativeComponent(
+        2, Weibull(0.4, 1.3), terms=(ModifierTerm((0,), 0.3, gamma=-0.4),
+                                     ModifierTerm((1,), -0.2, gamma=0.3)), log_offset=0.1),
     "gated": MultiplicativeComponent(2, Constant(0.2), gates=(1,),
                                      terms=(ModifierTerm((0,), 0.3, gamma=0.2),), log_offset=0.1),
     "pattern-table": PatternTableComponent(2, 3, {
@@ -320,7 +325,8 @@ def test_derivatives_match_central_differences(case):
 def test_second_derivatives_match_differences_of_the_first(case):
     # with a need, rate_at and cum_at give the second derivatives of log
     # rate and of cum, the pairs of flagged values that can be nonzero; the
-    # value keeps its bits
+    # value keeps its bits. cum starts at an array t0, and at the scalar 0.0
+    # that the plan passes, where the range provably starts at 0
     comp = GRAD_CASES[case]
     t = np.array([0.2, 0.5, 1.0, 1.3, 2.0, 2.0, 2.5, 3.0, 3.0])
     T = [np.array([INF, 0.3, 0.3, 1.1, 1.5, INF, 0.7, 2.9, 0.4]),
@@ -330,11 +336,13 @@ def test_second_derivatives_match_differences_of_the_first(case):
     v = np.array(comp.values)
     free = ~_fixed(comp)
     need = free.tolist()
-    rate_geometry, cum_geometry = comp.rate_geometry(t, T), comp.cum_geometry(t0, t, T)
+    rate_geometry = comp.rate_geometry(t, T)
+    cum_geometries = [comp.cum_geometry(t0, t, T), comp.cum_geometry(0.0, t, T)]
     positive = comp.rate_at(rate_geometry)[0] > 0
     n_pairs = 0
     for name, geometry, where in (("rate_at", rate_geometry, positive),
-                                  ("cum_at", cum_geometry, np.ones(t.shape, dtype=bool))):
+                                  *(("cum_at", g, np.ones(t.shape, dtype=bool))
+                                    for g in cum_geometries)):
         value, _, hess = getattr(comp, name)(geometry, need)
         assert _bits(value) == _bits(getattr(comp, name)(geometry)[0])
         assert all(a <= b and need[a] and need[b] for a, b in hess)
@@ -356,7 +364,7 @@ def test_second_derivatives_match_differences_of_the_first(case):
                 np.testing.assert_allclose(got[where], diff[where], rtol=1e-6, atol=1e-8,
                                            err_msg=f"{name} values {m}, {l}")
     assert n_pairs > 0
-    for name, geometry in (("rate_at", rate_geometry), ("cum_at", cum_geometry)):
+    for name, geometry in (("rate_at", rate_geometry), *(("cum_at", g) for g in cum_geometries)):
         assert getattr(comp, name)(geometry, [False] * v.size)[2] == {}
 
 

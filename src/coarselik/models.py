@@ -620,6 +620,15 @@ class IntensityModel:
                    else all(isinstance(base, Constant) for _, base in comp.entries)
                    for comp in self.components)
 
+    @property
+    def rates_by_pattern(self) -> bool:
+        """Whether every intensity is a function of which components have
+        jumped alone: time homogeneous, with every modifier's gamma 0 (a
+        gamma scales a jump's time)."""
+        return self.time_homogeneous and all(
+            _all(trm.gamma == 0.0) for comp in self.components
+            if isinstance(comp, MultiplicativeComponent) for trm in comp.terms)
+
     def with_values(self, values) -> "IntensityModel":
         """The model of this structure with other values (V,)."""
         values = np.asarray(values, dtype=float)

@@ -10,15 +10,25 @@ with bit-identical results, and a single path can be re-drawn in isolation.
 
 A time-homogeneous model (IntensityModel.time_homogeneous: Constant
 baselines, with gates, modifiers and offsets that switch at jumps only)
-draws each round as a race of exponentials (Gillespie 1977): one rates
-evaluation, at the middle of (t0, C], gives the total rate S, the jump
-time t0 + E / S, a jump where that is at most C, and the rates the pick
-reads. This is the constant-rate solve the general inversion makes, so the
-draws are those of the general inversion but in two cases: a target within
-rounding of the total over (t0, C], where the race decides by t <= C and
-the inversion by the total to C; and a jump time equal to t0 (E = 0, an
-infinite total rate, or E / S lost in rounding t0 + E / S), where the race
-picks by the intensities just after t0 and the inversion by those at t0.
+draws each round as a race of exponentials (Gillespie 1977): a path's
+rates after its last jump t0 give the total rate S, the jump time
+t0 + E / S, a jump where that is at most C, and the pick. Where every
+modifier's gamma is 0 (IntensityModel.rates_by_pattern) the rates depend
+on the path's jump pattern, which components have jumped, alone: a chunk
+evaluates them once, with their sums, in a table of a row per pattern,
+and each path reads the row of its pattern's code (bit j set once
+component j has jumped). A model with a gamma, a chunk of fewer paths
+than the 2^p rows, and a model whose table overflows in some pattern
+evaluate each path's rates from its own jump times at the middle of (t0, C]
+instead: the same numbers, but where that middle is not after t0 (t0
+within rounding of C), which reads the last jump as not yet past. The
+race is the constant-rate solve the general inversion makes, so its
+draws are those of the general inversion but in two cases: a target
+within rounding of the total over (t0, C], where the race decides by
+t <= C and the inversion by the total to C; and a jump time equal to t0
+(E = 0, an infinite total rate, or E / S lost in rounding t0 + E / S),
+where the race picks by the intensities just after t0 and the inversion
+by those at t0.
 
 Every other model is inverted (Bender, Augustin & Blettner 2005) by
 walking the rate breakpoints to the segment where the target is crossed,
@@ -91,21 +101,41 @@ def _rates(model: IntensityModel, t, T_list) -> list:
             for j in range(model.p)]
 
 
-def _invert_total(model, t0, T, E, C):
-    """Smallest t with total integrated intensity over (t0, t] equal to E.
+def _race_sums(rates):
+    """What a race reads off rates (k, p), one row a path or a jump pattern:
+    the total rate it divides E by (Python's sum of the columns), the row
+    totals the pick scales its uniform by, and their running sums it
+    compares that with."""
+    return sum(rates.T), rates.sum(axis=1), np.cumsum(rates, axis=1)
 
-    Returns (t_star, rates): t_star <= C fails where the target exceeds
-    the total over (t0, C] (no further jump by the horizon). A time-homogeneous
-    model's rounds are a race of exponentials: its rates after t0 are
-    those at (t0 + C) / 2, t_star is t0 + E over their sum, and rates holds
-    them, one array per component, for the pick; for any other model rates
-    is None.
-    """
+
+def _rate_rows(model, t, T):
+    """_rates at t of the paths whose jump times are the rows of T, as rows."""
+    return np.stack(_rates(model, t, list(T.T)), axis=1)
+
+
+def _pattern_table(model, C):
+    """_race_sums of the rates of every jump pattern, row `code` for the
+    pattern whose bit j is set where component j has jumped; None where
+    forming them overflows (a pattern no path reaches must not warn, and
+    the per-path rates warn where the draw reads such a rate).
+
+    A row's history is 0.0 for a jumped component and inf for one that has
+    not, read at C: Constant baselines ignore the time, and gates, modifiers
+    and pattern windows compare the jump times with it alone, so these are
+    the rates of a path in the pattern at any time after its last jump."""
+    codes = np.arange(1 << model.p)
+    T = [np.where(codes >> j & 1, 0.0, np.inf) for j in range(model.p)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _race_sums(np.stack(_rates(model, np.full(codes.size, C), T), axis=1))
+    return sums if all(np.isfinite(x).all() for x in sums) else None
+
+
+def _invert_total(model, t0, T, E, C):
+    """Smallest t with total integrated intensity over (t0, t] equal to E,
+    for the paths whose jump times are the rows of T: inf where the target
+    exceeds the total over (t0, C] (no further jump by the horizon)."""
     T_list = list(T.T)
-    if model.time_homogeneous:
-        rates = _rates(model, 0.5 * (t0 + C), T_list)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return t0 + E / sum(rates), rates
     total_to_C = np.asarray(model.total_cum(t0, C, T_list), dtype=float)
     solved = total_to_C >= E
 
@@ -155,7 +185,7 @@ def _invert_total(model, t0, T, E, C):
         t_new = t - step
         inside = (t_new > lo[idx]) & (t_new <= hi[idx])
         t_star[idx] = np.where(inside, t_new, 0.5 * (lo[idx] + hi[idx]))
-    return np.where(solved, t_star, np.inf), None
+    return np.where(solved, t_star, np.inf)
 
 
 def simulate_cohort(model: IntensityModel, C: float, n: int, seed: int,
@@ -174,35 +204,44 @@ def simulate_cohort(model: IntensityModel, C: float, n: int, seed: int,
 def _simulate_chunk(model, C, n, seed, start):
     p = model.p
     U = subject_uniforms(seed, start, n, p)
-    T = np.full((n, p), np.inf)
-    t0 = np.zeros(n)
-    active = np.ones(n, dtype=bool)
+    out = np.full((n, p), np.inf)
+    race = model.time_homogeneous
+    # the table's 2^p rows pay for themselves where the chunk has as many paths
+    table = _pattern_table(model, C) if n >= 1 << p and model.rates_by_pattern else None
+    # the active paths, compacted: their rows of the chunk, last jump times
+    # and jump patterns, and their jump times where no table gives the rates
+    idx, t0, code = np.arange(n), np.zeros(n), np.zeros(n, dtype=np.intp)
+    T = None if table is not None else out.copy()
     for r in range(p):
-        if not active.any():
+        if not idx.size:
             break
-        idx = np.flatnonzero(active)
         E = -np.log1p(-U[idx, 2 * r])
-        t_star, rates = _invert_total(model, t0[idx], T[idx], E, C)
-        hit = t_star <= C
-        if not hit.any():
-            active[idx] = False
-            continue
-        sub = idx[hit]
-        ts = t_star[hit]
-        rates = (np.stack(_rates(model, ts, list(T[sub].T)), axis=1) if rates is None
-                 else np.stack(rates, axis=1)[hit])
-        totals = rates.sum(axis=1)
+        if race:
+            # a path's rates after t0: its pattern's row of the table, or
+            # its own at the middle of (t0, C]
+            sums, row = ((table, code) if table is not None else
+                         (_race_sums(_rate_rows(model, 0.5 * (t0 + C), T)), np.arange(idx.size)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_star = t0 + E / sums[0][row]
+        else:
+            t_star = _invert_total(model, t0, T, E, C)
+        hit = np.flatnonzero(t_star <= C)
+        idx, t0, code = idx[hit], t_star[hit], code[hit]
+        if T is not None:
+            T = T[hit]
+        if race:
+            totals, cum = sums[1][row[hit]], sums[2][row[hit]]
+        else:
+            _, totals, cum = _race_sums(_rate_rows(model, t0, T))
         if np.any(totals <= 0):
             raise HazardInversionError("zero total intensity at a solved jump time")
-        cum = np.cumsum(rates, axis=1)
-        u = U[sub, 2 * r + 1] * totals
-        pick = np.sum(cum <= u[:, None], axis=1)
-        pick = np.minimum(pick, p - 1)
-        T[sub, pick] = ts
-        t0[sub] = ts
-        active[idx] = hit
-        active[sub] = ~np.isfinite(T[sub]).all(axis=1)
-    return T
+        u = U[idx, 2 * r + 1] * totals
+        pick = np.minimum(np.sum(cum <= u[:, None], axis=1), p - 1)
+        out[idx, pick] = t0
+        code |= 1 << pick
+        if T is not None:
+            T[np.arange(idx.size), pick] = t0
+    return out
 
 
 def simulate_path(model: IntensityModel, C: float, seed: int, index: int = 0) -> SimulatedPath:

@@ -104,6 +104,88 @@ def test_race_draws_the_cohorts_of_the_general_inversion(name, monkeypatch):
         assert np.array_equal(a, b)
 
 
+def _per_path_rates(monkeypatch):
+    """Make every race evaluate each path's rates: no model reads a table."""
+    monkeypatch.setattr(IntensityModel, "rates_by_pattern", property(lambda self: False))
+
+
+def _count_tables(monkeypatch):
+    """The pattern tables the draws build, as a list: True for each they
+    use, False for each dropped."""
+    built = []
+    make = simulate._pattern_table
+
+    def counted(model, C):
+        table = make(model, C)
+        built.append(table is not None)
+        return table
+
+    monkeypatch.setattr(simulate, "_pattern_table", counted)
+    return built
+
+
+def test_a_gamma_takes_rates_off_the_pattern():
+    # the death rate reads the illness time, not only that it has passed
+    assert not RACE_MODELS["duration"].rates_by_pattern
+
+
+@pytest.mark.parametrize("name", sorted(set(RACE_MODELS) - {"duration"}))
+def test_pattern_table_draws_the_cohorts_of_per_path_rates(name, monkeypatch):
+    model = RACE_MODELS[name]
+    assert model.rates_by_pattern
+    built = _count_tables(monkeypatch)
+    seeds = (1, 2, 3)
+    table = [simulate_cohort(model, 10.0, 3000, seed) for seed in seeds]
+    assert built == [True] * len(seeds)
+    # chunks of 7 paths: a table where 7 >= 2^p, per-path rates elsewhere
+    chunk = simulate._CHUNK
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    chunked = simulate_cohort(model, 10.0, 3000, seeds[0])
+    paths = [simulate_path(model, 10.0, seeds[0], index=i).times for i in range(0, 3000, 97)]
+    _per_path_rates(monkeypatch)
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    per_path = [simulate_cohort(model, 10.0, 3000, seed) for seed in seeds]
+    assert len(built) == len(seeds) + len(range(0, 3000, 7)) * (model.p == 2)
+    for a, b in zip(table, per_path):
+        assert np.isfinite(a).any() and np.isinf(a).any()
+        assert np.array_equal(a, b)
+    assert np.array_equal(chunked, table[0])
+    assert paths == [tuple(row) for row in table[0][::97]]
+
+
+def test_a_cohort_smaller_than_the_pattern_table_draws_the_same_rows(monkeypatch):
+    # twelve components, each gated by the next and raised by the one before:
+    # 2^12 patterns, more than 50 paths and fewer than 5 000
+    p = 12
+    model = IntensityModel([
+        MultiplicativeComponent(j, Constant(0.02 + 0.01 * j), gates=((j + 1) % p,),
+                                terms=(ModifierTerm(((j - 1) % p,), 0.3),))
+        for j in range(p)])
+    assert model.rates_by_pattern
+    built = _count_tables(monkeypatch)
+    small = simulate_cohort(model, 10.0, 50, seed=12)
+    assert built == []
+    large = simulate_cohort(model, 10.0, 5000, seed=12)
+    assert built == [True]
+    assert (np.isfinite(large).sum(axis=1) >= 3).any()
+    assert np.array_equal(small, large[:50])
+
+
+def test_a_pattern_no_path_reaches_does_not_warn(monkeypatch):
+    # component 0 never jumps, so no path sees death's multiplier, whose
+    # rate would overflow: the table is dropped for per-path rates
+    model = IntensityModel([
+        MultiplicativeComponent(0, Constant(0.0)),
+        MultiplicativeComponent(1, Constant(1e300), terms=(ModifierTerm((0,), 700.0),))])
+    assert model.rates_by_pattern
+    built = _count_tables(monkeypatch)
+    a = simulate_cohort(model, 10.0, 50, seed=5)
+    assert built == [False]
+    assert np.isinf(a[:, 0]).all() and (a[:, 1] < 1e-290).all()
+    _per_path_rates(monkeypatch)
+    assert np.array_equal(simulate_cohort(model, 10.0, 50, seed=5), a)
+
+
 def test_weibull_and_piecewise_models_never_take_the_race():
     step = PiecewiseConstant([1.0, 2.5], [0.1, 0.3, 0.2])
     for model in (

@@ -11,11 +11,8 @@ each value, in that order, and their second derivatives: a dict
 {(a, b): array}, a <= b, of the entries that are not identically 0. Not
 asked, they return None for both and compute nothing for them. rate and
 cum0 are their values alone. with_values builds a baseline of the same
-family (and grid) from other values.
-
-A baseline may also be built from stacks, each value a (B, 1) array of its
-values at B parameter points, for its `values` alone: only a baseline of
-numbers is evaluated.
+family (and grid) from other values. Every value is one real number: an
+array is refused.
 """
 
 from __future__ import annotations
@@ -27,27 +24,21 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-def _value(x):
-    """A value as a float, or a stack of them as a float array."""
-    return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) and x.ndim else float(x)
-
-
-def _finite(x) -> bool:
-    """Whether a value, or every point of a stack, is finite."""
-    return math.isfinite(x) if isinstance(x, float) else bool(np.isfinite(x).all())
-
-
-def _all(test) -> bool:
-    """A comparison of a value, or whether it holds at every point of a stack."""
-    return test if isinstance(test, bool) else bool(test.all())
+def _real(x, what: str) -> float:
+    """A value as a float; anything but one real number (an array, a
+    string, a boolean) is refused, `what` naming the value."""
+    array = np.asarray(x)
+    if array.ndim or array.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{what} must be one real number, got {x!r}")
+    return float(array)
 
 
 class Constant:
     """Time-constant rate."""
 
     def __init__(self, rate: float):
-        rate = _value(rate)
-        if not (_finite(rate) and _all(rate >= 0)):
+        rate = _real(rate, "constant rate")
+        if not (math.isfinite(rate) and rate >= 0):
             raise InvalidInputError(f"constant rate must be finite and >= 0, got {rate}")
         self.value = rate
         self.breakpoints: tuple[float, ...] = ()
@@ -94,15 +85,15 @@ class Weibull:
     """Weibull hazard a*b*t^(b-1) with integrated hazard a*t^b (a, b > 0)."""
 
     def __init__(self, a: float, b: float):
-        a, b = _value(a), _value(b)
-        if not (_finite(a) and _finite(b) and _all(a > 0) and _all(b > 0)):
+        a, b = _real(a, "weibull a"), _real(b, "weibull b")
+        if not (math.isfinite(a) and math.isfinite(b) and a > 0 and b > 0):
             raise InvalidInputError(f"weibull parameters must be positive, got a={a}, b={b}")
         self.a = a
         self.b = b
         self.breakpoints: tuple[float, ...] = ()
-        self.time_constant = _all(b == 1.0)
+        self.time_constant = b == 1.0
         # the rate at t <= 0: a where b == 1, a pole where b < 1, else 0
-        self._at_0 = np.where(b == 1.0, a, np.where(b < 1.0, np.inf, 0.0))
+        self._at_0 = a if b == 1.0 else np.inf if b < 1.0 else 0.0
 
     def rate(self, t):
         return self.rate_terms(t)[0]
@@ -157,13 +148,13 @@ class PiecewiseConstant:
     """Step-function rate: rates[i] on (grid[i-1], grid[i]], last rate beyond.
 
     grid lists the interior cut points (strictly increasing, > 0); rates has
-    one more entry than grid, each a number or a (B, 1) stack.
+    one more entry than grid, each a number.
     """
 
     def __init__(self, grid, rates):
         grid = np.asarray(grid, dtype=float)
-        rates = np.asarray(rates, dtype=float)
-        if grid.ndim != 1 or rates.ndim == 0 or len(rates) != grid.size + 1:
+        rates = np.array([_real(r, "piecewise rate") for r in rates] if np.iterable(rates) else [])
+        if grid.ndim != 1 or len(rates) != grid.size + 1:
             raise InvalidInputError("need len(rates) == len(grid) + 1")
         if grid.size and (np.any(np.diff(grid) <= 0) or grid[0] <= 0 or not np.all(np.isfinite(grid))):
             raise InvalidInputError("grid must be finite, strictly increasing and > 0")
@@ -173,9 +164,7 @@ class PiecewiseConstant:
         self.rates = rates
         # integrated hazard at each cut point, so cum0 is a local update
         edges = np.concatenate(([0.0], grid))
-        widths = np.diff(edges).reshape((-1,) + (1,) * (rates.ndim - 1))
-        self._cum_at_edge = np.concatenate((np.zeros((1,) + rates.shape[1:]),
-                                            np.cumsum(rates[:-1] * widths, axis=0)))
+        self._cum_at_edge = np.concatenate(([0.0], np.cumsum(rates[:-1] * np.diff(edges))))
         self._edges = edges
         self.breakpoints = tuple(grid.tolist())
         self.time_constant = grid.size == 0

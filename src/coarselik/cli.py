@@ -47,11 +47,17 @@ from .validate import run_all
 
 def _theta(args, cfg) -> np.ndarray:
     """The natural-scale parameters: --theta, else the config's theta block.
-    A --theta value that is not finite is refused by its parameter's name."""
+    An empty --theta field is refused by its position, and a value that is
+    not finite by its parameter's name."""
     if args.theta is None:
         return cfg.theta_from()
+    fields = args.theta.split(",")
+    empty = [i for i, x in enumerate(fields, 1) if not x.strip()]
+    if empty:
+        raise CoarselikError(f"--theta: field {empty[0]} of {len(fields)} is empty "
+                             f"in {args.theta!r}")
     try:
-        values = [float(x) for x in args.theta.split(",") if x.strip() != ""]
+        values = [float(x) for x in fields]
     except ValueError:
         raise CoarselikError(f"--theta: expected a comma-separated list of numbers, "
                              f"got {args.theta!r}") from None

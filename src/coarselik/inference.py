@@ -35,16 +35,14 @@ and comes from the pass that gives its value: its likelihood is
 sum_r w_r f_r over its nodes, and its score sum_r w_r f_r g_r / sum_r w_r f_r,
 g_r the derivatives of log f_r. The family's map from theta to the model's
 values (baseline parameters, modifier eta and gamma, offsets) is
-differenced over the models at theta +- h_k e_k, exact up to rounding for a
-value affine in theta, as every config family's is; the models at a point
-and at its stencil are one build, each value a (B, 1) stack (see models)
-read for its values alone, for a family whose builder declares it takes
-stacks (builds_stacks, as config families do), and another builder is
-called once per point. The build gives one array of values, a column a
-point, nan for a point whose model has another structure than theta's.
-The same kernel walk that gives f_r then gives d log f_r in only the
-values that map reaches, from log rates and cums: no rate or cum is built
-twice and nothing divided.
+differenced over the values at theta +- h_k e_k, exact up to rounding for
+a value affine in theta, as every config family's is. The values of the
+stencil are one array, a column a point: one call of the family's value
+map where it has one, else a model built per point, nan for a point whose
+model has another structure than theta's. The model at theta is built
+from theta itself. The same kernel walk that gives f_r then gives
+d log f_r in only the values that map reaches, from log rates and cums:
+no rate or cum is built twice and nothing divided.
 
 The observed information is exact too, by Louis's identity: the observed
 likelihood is the conditional mean of the full-data one, so a record's
@@ -52,13 +50,13 @@ Hessian is sum_r omega_r (g_r g_r^T + G_r) - s_i s_i^T, omega_r the node's
 share w_r f_r / L_i of the record's likelihood, G_r the second derivatives
 of log f_r and s_i the score. The kernel returns G_r with g_r, within a
 component (the only nonzero blocks), in one pass at one point; the map's own
-curvature is differenced over model builds alone.
+curvature is differenced over the values alone.
 
 fit_mle takes damped Newton steps on that information in the search
 variables (Commenges et al. 2006), every trial point one information pass,
 and BHHH steps where the information is not positive definite. Standard
 errors come from the information of the last iterate, with the map's own
-curvature added over model builds alone, mapped to the search variables
+curvature added over the values alone, mapped to the search variables
 and back to the natural scale by the delta method. n_evaluations counts the
 passes, one a trial point.
 """
@@ -98,19 +96,19 @@ _G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
 class ParametricFamily:
     """Named parameters, their search transforms, and a model builder.
 
-    builds_stacks declares that the builder also takes a stack of B points,
-    theta as a (k, B, 1) array, and returns one model whose values are
-    (B, 1) stacks, as a config family's builder does; the evaluator reads
-    such a model's values and evaluates none. Another builder is called
-    once per point; the evaluator reads the values of a point whose model
-    has another structure than theta's as nan.
+    value_map, where given, takes P points, thetas as a (P, k) array, and
+    returns the values of their models (V, P) in IntensityModel.values
+    order, with no model built: bit for bit builder(thetas[p]).values, all
+    of one structure. Without it the evaluator builds each point, and reads
+    the values of one whose model has another structure than theta's as
+    nan.
     """
 
     param_names: tuple[str, ...]
     transforms: tuple[str, ...]
     builder: Callable[[np.ndarray], IntensityModel]
     fixed_breakpoints: tuple[float, ...] = ()
-    builds_stacks: bool = False
+    value_map: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.param_names) != len(self.transforms):
@@ -449,22 +447,21 @@ class DatasetEvaluator:
         """Per-subject log-likelihood at natural-scale theta."""
         return self._on_plan(self.family.build(theta))[0][self._inverse]
 
-    def _build(self, thetas):
-        """The family's model at the first row of thetas (P, k), and every
-        row's model values (V, P), nan in the column of a row whose model has
-        another structure: one call of a builder that takes stacks, else one
-        per row."""
+    def _values(self, thetas, model=None):
+        """Every row's model values (V, P) of thetas (P, k): one call of the
+        family's value map, else one build a row (model, where given, is the
+        first row's), nan in the column of a row whose model has another
+        structure than the first's."""
         family = self.family
-        if family.builds_stacks:
-            stack = family.builder(thetas.T[:, :, None])
-            values = stack.values
-            return stack.with_values(values[:, 0]), values
-        models = [family.build(theta) for theta in thetas]
+        if family.value_map is not None:
+            return family.value_map(thetas)
+        models = [family.build(theta) if p or model is None else model
+                  for p, theta in enumerate(thetas)]
         values = np.full((len(models[0].values), len(models)), np.nan)
-        for p, model in enumerate(models):
-            if model.structure == models[0].structure:
-                values[:, p] = model.values
-        return models[0], values
+        for p, other in enumerate(models):
+            if other.structure == models[0].structure:
+                values[:, p] = other.values
+        return values
 
     def information(self, theta, curvature=True):
         """The total log-likelihood at natural-scale theta, each subject's
@@ -489,7 +486,7 @@ class DatasetEvaluator:
         They reach theta through the map's J and its own curvature
         (_curvature), which adds the values' score times it
         (_curvature_term). With curvature=False that part is left out, and
-        no model is built for it. Counted in n_evaluations, as one.
+        no value is mapped for it. Counted in n_evaluations, as one.
         """
         theta = np.asarray(theta, dtype=float)
         self.n_evaluations += 1
@@ -504,13 +501,14 @@ class DatasetEvaluator:
     def _theta_map(self, theta):
         """The model at theta and the map's derivatives J (V, k), J[v, j] =
         d value v / d theta_j: central differences over the stencil points
-        theta +- h_j e_j, one build with theta (exact up to rounding where a
-        value is affine in theta). The centre stands in for a side of
-        another structure, and with none left J is nan."""
+        theta +- h_j e_j, whose values are mapped with theta's (exact up to
+        rounding where a value is affine in theta). The centre stands in for
+        a side of another structure, and with none left J is nan."""
         k = theta.size
         h = _STEP * self._scale(theta)
         steps = h[:, None] * np.eye(k)
-        model, V = self._build(np.concatenate([theta[None], theta + steps, theta - steps]))
+        model = self.family.build(theta)
+        V = self._values(np.concatenate([theta[None], theta + steps, theta - steps]), model)
         same = ~np.isnan(V).any(axis=0)
         up_ok, lo_ok = same[1:k + 1], same[k + 1:]
         up = np.where(up_ok, V[:, 1:k + 1], V[:, :1])
@@ -521,11 +519,11 @@ class DatasetEvaluator:
 
     def _curvature(self, theta):
         """The map's own curvature at theta (V, k, k): the second
-        differences of the model values, over model builds alone; 0 at
-        rounding level (an affine map leaves a few roundings of its values),
-        nan where they meet a point of another structure."""
+        differences of the model values, no model evaluated; 0 at rounding
+        level (an affine map leaves a few roundings of its values), nan
+        where they meet a point of another structure."""
         around, weights = _second_differences(theta, _STEP2 * self._scale(theta))
-        V = self._build(around)[1]
+        V = self._values(around)
         curvature = _combine(weights, V)
         noise = _combine(np.abs(weights), np.abs(V))
         curvature[np.abs(curvature) <= 16 * np.finfo(float).eps * noise] = 0.0
@@ -670,7 +668,7 @@ def fit_mle(family: ParametricFamily, records: Sequence[PseudoAtomRecord] | Stat
     theta_hat = family.from_search(u)
 
     # standard errors at a converged estimate only, from the information of
-    # its pass with the map's own curvature added (model builds alone)
+    # its pass with the map's own curvature added (its values alone)
     std_errors = None
     if converged:
         scale = np.where(is_log, theta_hat, 1.0)

@@ -50,9 +50,10 @@ number (fixed) or a string naming a free parameter; log_offset also takes
 covariate value. Positive slots get a log search transform, the rest are
 unconstrained. Piecewise grids are literal numbers, so every breakpoint is
 independent of the parameters. A key the loader does not read is refused,
-at every level of both configs, with its field path. A config family's
-builder also takes a stack of B points, theta as a (k, B, 1) array, and
-builds one model of (B, 1) value stacks (builds_stacks).
+at every level of both configs, with its field path, as is a number that
+is not finite (json reads NaN and Infinity). A config family's value map
+gives the model values of many points, in IntensityModel.values order,
+straight from the slots: a literal, theta[i] or scale * theta[i] each.
 
 A scheme config is JSON of the form
 
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import sys
 from collections.abc import Callable
@@ -560,11 +562,11 @@ class _ParamRegistry:
 
     def slot(self, value, field: str, transform: str):
         """Return a resolver (theta -> value) for a number-or-name slot; it
-        indexes theta, so a stack of points (k, B, 1) gives a (B, 1) stack."""
+        indexes theta, so the points (k, P) of the value map give a row."""
         if isinstance(value, bool):
             raise InvalidInputError(f"{self.path}: field {field!r}: booleans are not numbers")
         if isinstance(value, (int, float)):
-            x = float(value)
+            x = _number(value, self.path, field)
             return lambda theta: x
         if isinstance(value, str):
             if value not in self.transforms:
@@ -602,7 +604,8 @@ def _known_keys(cfg: dict, known, path, field=None) -> None:
 
 
 def _build_baseline(cfg, reg: _ParamRegistry, field: str):
-    """Return (resolver theta -> baseline object, literal breakpoints)."""
+    """Return (its values -> baseline object, the resolvers of its values,
+    literal breakpoints)."""
     if not isinstance(cfg, dict) or "family" not in cfg:
         raise InvalidInputError(f"{reg.path}: field {field!r}: baseline needs a 'family' key")
     fam = cfg["family"]
@@ -610,12 +613,9 @@ def _build_baseline(cfg, reg: _ParamRegistry, field: str):
     if fam in keys:
         _known_keys(cfg, ("family", *keys[fam]), reg.path, field)
     if fam == "constant":
-        rate = reg.slot(cfg.get("rate"), field + ".rate", "log")
-        return (lambda th: Constant(rate(th))), ()
+        return Constant, [reg.slot(cfg.get("rate"), field + ".rate", "log")], ()
     if fam == "weibull":
-        a = reg.slot(cfg.get("a"), field + ".a", "log")
-        b = reg.slot(cfg.get("b"), field + ".b", "log")
-        return (lambda th: Weibull(a(th), b(th))), ()
+        return Weibull, [reg.slot(cfg.get(x), f"{field}.{x}", "log") for x in "ab"], ()
     if fam == "piecewise":
         grid = cfg.get("grid")
         if not isinstance(grid, list) or not all(isinstance(g, (int, float)) for g in grid):
@@ -627,7 +627,7 @@ def _build_baseline(cfg, reg: _ParamRegistry, field: str):
             raise InvalidInputError(f"{reg.path}: field {field!r}.rates: "
                                     f"need {len(grid) + 1} entries for {len(grid)} cuts")
         rates = [reg.slot(r, f"{field}.rates[{i}]", "log") for i, r in enumerate(rates_cfg)]
-        return (lambda th: PiecewiseConstant(grid, np.broadcast_arrays(*(r(th) for r in rates)))), grid
+        return (lambda *values: PiecewiseConstant(grid, values)), rates, grid
     raise InvalidInputError(f"{reg.path}: field {field!r}.family: unknown family {fam!r}")
 
 
@@ -672,6 +672,8 @@ class ModelConfig:
 def _number(value, path, field) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidInputError(f"{path}: field {field!r}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{path}: field {field!r}: {value} is not finite")
     return float(value)
 
 
@@ -715,7 +717,9 @@ def load_model_config(path) -> ModelConfig:
         raise InvalidInputError(f"{path}: field 'intensities': need one entry per component")
 
     reg = _ParamRegistry(path)
-    makers = [None] * len(names)
+    # each component's baseline family and number of values, gates, modifier
+    # components, and value resolvers in IntensityModel.values order
+    parts = [None] * len(names)
     all_bps: set[float] = set()
     for k, entry in enumerate(intens):
         field = f"intensities[{k}]"
@@ -724,41 +728,46 @@ def load_model_config(path) -> ModelConfig:
         _known_keys(entry, ("component", "baseline", "gates", "modifiers", "log_offset"),
                     path, field)
         own = _component_index(names, entry.get("component"), path, field + ".component")
-        if makers[own] is not None:
+        if parts[own] is not None:
             raise InvalidInputError(f"{path}: field {field!r}: duplicate intensity "
                                     f"for component {names[own]!r}")
-        base_maker, bps = _build_baseline(entry.get("baseline"), reg, field + ".baseline")
+        base, slots, bps = _build_baseline(entry.get("baseline"), reg, field + ".baseline")
+        n_base = len(slots)
         all_bps.update(bps)
         gates = tuple(_component_index(names, g, path, field + ".gates")
                       for g in _list(entry.get("gates", []), path, field + ".gates"))
-        terms = []
+        whens = []
         for m, mod in enumerate(_list(entry.get("modifiers", []), path, field + ".modifiers")):
             mfield = f"{field}.modifiers[{m}]"
             if not isinstance(mod, dict) or "when" not in mod:
                 raise InvalidInputError(f"{path}: field {mfield!r}: needs a 'when' list")
             _known_keys(mod, ("when", "eta", "gamma"), path, mfield)
-            comps = tuple(_component_index(names, c, path, mfield + ".when")
-                          for c in _list(mod["when"], path, mfield + ".when"))
-            eta = reg.slot(mod.get("eta", 0.0), mfield + ".eta", "identity")
-            gamma = reg.slot(mod.get("gamma", 0.0), mfield + ".gamma", "identity")
-            terms.append((comps, eta, gamma))
-        offset = reg.offset_slot(entry.get("log_offset", 0.0), field + ".log_offset")
-
-        def make(th, own=own, base_maker=base_maker, gates=gates, terms=terms, offset=offset):
-            built_terms = tuple(ModifierTerm(c, e(th), g(th)) for c, e, g in terms)
-            return MultiplicativeComponent(own, base_maker(th), gates=gates,
-                                           terms=built_terms, log_offset=offset(th))
-
-        makers[own] = make
+            whens.append(tuple(_component_index(names, c, path, mfield + ".when")
+                               for c in _list(mod["when"], path, mfield + ".when")))
+            slots += [reg.slot(mod.get("eta", 0.0), mfield + ".eta", "identity"),
+                      reg.slot(mod.get("gamma", 0.0), mfield + ".gamma", "identity")]
+        slots.append(reg.offset_slot(entry.get("log_offset", 0.0), field + ".log_offset"))
+        parts[own] = (base, n_base, gates, whens, slots)
 
     param_names = tuple(reg.names)
     transforms = tuple(reg.transforms[nm] for nm in param_names)
+    resolvers = [slot for *_, slots in parts for slot in slots]
 
     def build(theta):
-        return IntensityModel([mk(theta) for mk in makers])
+        comps = []
+        for own, (base, n, gates, whens, slots) in enumerate(parts):
+            v = [slot(theta) for slot in slots]
+            comps.append(MultiplicativeComponent(own, base(*v[:n]), gates, tuple(
+                map(ModifierTerm, whens, v[n:-1:2], v[n + 1:-1:2])), v[-1]))
+        return IntensityModel(comps)
 
-    family = ParametricFamily(param_names, transforms, build,
-                              fixed_breakpoints=tuple(sorted(all_bps)), builds_stacks=True)
+    def value_map(thetas):
+        out, theta = np.empty((len(resolvers), len(thetas))), thetas.T
+        for row, slot in zip(out, resolvers):
+            row[:] = slot(theta)
+        return out
+
+    family = ParametricFamily(param_names, transforms, build, tuple(sorted(all_bps)), value_map)
 
     theta_block = cfg.get("theta", {})
     if not isinstance(theta_block, dict):

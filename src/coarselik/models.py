@@ -39,9 +39,7 @@ modifiers, linear in each modifier's multiplier c_m: cum_at gives it and
 every derivative from one walk over pairs (S, D), D the at most two
 modifiers of S whose etas it differentiates (c_m in place of c_m - 1).
 
-A component or model may also be built from stacks, as a baseline may,
-each value a (B, 1) array of its values at B parameter points: `values`
-then reads them (B a column), and only one of numbers is evaluated.
+Every value is one real number, as a baseline's: an array is refused.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .baselines import Constant, _all, _finite, _value
+from .baselines import Constant, _real
 from .errors import InvalidInputError
 
 _MAX_TERMS = 12  # closed-form cum enumerates modifier subsets
@@ -99,7 +97,7 @@ class ModifierTerm:
 
     For a single component, gamma scales that component's own jump time
     (a duration-style log-linear effect). Interaction terms list several
-    components and must keep gamma = 0. eta and gamma may be stacks.
+    components and must keep gamma = 0.
     """
 
     comps: tuple[int, ...]
@@ -109,12 +107,12 @@ class ModifierTerm:
     def __post_init__(self):
         if not self.comps or len(set(self.comps)) != len(self.comps):
             raise InvalidInputError(f"modifier components must be distinct and non-empty: {self.comps}")
-        object.__setattr__(self, "eta", _value(self.eta))
-        object.__setattr__(self, "gamma", _value(self.gamma))
-        if not (_finite(self.eta) and _finite(self.gamma)):
+        object.__setattr__(self, "eta", _real(self.eta, "modifier eta"))
+        object.__setattr__(self, "gamma", _real(self.gamma, "modifier gamma"))
+        if not (math.isfinite(self.eta) and math.isfinite(self.gamma)):
             raise InvalidInputError(f"modifier eta and gamma must be finite, "
                                     f"got eta={self.eta}, gamma={self.gamma}")
-        if not _all(self.gamma == 0.0) and len(self.comps) != 1:
+        if self.gamma != 0.0 and len(self.comps) != 1:
             raise InvalidInputError("time-scaled modifiers apply to a single component only")
 
 
@@ -170,8 +168,8 @@ class MultiplicativeComponent:
         self.baseline = baseline
         self.gates = tuple(gates)
         self.terms = tuple(terms)
-        self.log_offset = _value(log_offset)
-        if not _finite(self.log_offset):
+        self.log_offset = _real(log_offset, "log_offset")
+        if not math.isfinite(self.log_offset):
             raise InvalidInputError(f"log_offset must be finite, got {self.log_offset}")
         self.breakpoints = tuple(baseline.breakpoints)
         self._subsets, self._unions, self._keys = _subset_table(
@@ -598,16 +596,8 @@ class IntensityModel:
 
     @property
     def values(self) -> np.ndarray:
-        """The components' values, one after another: (V,), or (V, B) for a
-        model built from stacks of B points."""
-        values = [x for comp in self.components for x in comp.values]
-        B = next((x.shape[0] for x in values if isinstance(x, np.ndarray)), None)
-        if B is None:
-            return np.array(values)
-        out = np.empty((len(values), B))
-        for v, x in enumerate(values):
-            out[v] = x if isinstance(x, float) else x[:, 0]
-        return out
+        """The components' values, one after another (V,)."""
+        return np.array([x for comp in self.components for x in comp.values])
 
     @property
     def time_homogeneous(self) -> bool:
@@ -626,7 +616,7 @@ class IntensityModel:
         jumped alone: time homogeneous, with every modifier's gamma 0 (a
         gamma scales a jump's time)."""
         return self.time_homogeneous and all(
-            _all(trm.gamma == 0.0) for comp in self.components
+            trm.gamma == 0.0 for comp in self.components
             if isinstance(comp, MultiplicativeComponent) for trm in comp.terms)
 
     def with_values(self, values) -> "IntensityModel":

@@ -144,8 +144,9 @@ class ComponentSchedule:
                 raise InvalidInputError(f"windows must be ordered and disjoint, got {self.windows}")
             prev_end = b
         v = np.asarray(self.visits, dtype=float)
-        if v.size and (np.any(np.diff(v) <= 0) or v[0] <= 0):
-            raise InvalidInputError(f"visits must be strictly increasing and > 0, got {self.visits}")
+        if v.size and (np.any(np.diff(v) <= 0) or v[0] <= 0 or not np.isfinite(v).all()):
+            raise InvalidInputError(f"visits must be finite, strictly increasing and > 0, "
+                                    f"got {self.visits}")
 
     def truncated(self, cut: float) -> "ComponentSchedule":
         """Schedule restricted to strictly before `cut`."""

@@ -31,6 +31,22 @@ def test_constant_rejects_bad_rate():
         Constant(np.inf)
 
 
+@pytest.mark.parametrize("value", [np.full((3, 1), 0.2), np.array([0.2]), [0.2], "0.2", True])
+def test_values_must_be_one_real_number(value):
+    # a (B, 1) stack of values, a 1-element array, a string and a boolean
+    # are each refused, not read as a number
+    with pytest.raises(InvalidInputError, match="constant rate must be one real number"):
+        Constant(value)
+    with pytest.raises(InvalidInputError, match="weibull a must be one real number"):
+        Weibull(value, 1.5)
+    with pytest.raises(InvalidInputError, match="weibull b must be one real number"):
+        Weibull(0.3, value)
+    with pytest.raises(InvalidInputError):
+        PiecewiseConstant((1.0,), (0.1, value))
+    # numpy scalars are numbers
+    assert Constant(np.float64(0.2)).value == 0.2 and Constant(np.asarray(0.2)).value == 0.2
+
+
 def test_weibull_closed_form_matches_numeric():
     b = Weibull(0.4, 1.7)
     assert b.rate(2.0) == pytest.approx(0.4 * 1.7 * 2.0 ** 0.7)

@@ -749,6 +749,47 @@ def test_validate_smoke(capsys):
     assert "fail" not in out
 
 
+@pytest.mark.parametrize("theta, field", [("0.1,,0.2,0.693", 2), (",0.1,0.2,0.693", 1),
+                                          ("0.1,0.2,0.693,", 4), ("0.1, ,0.2", 2)])
+def test_empty_theta_fields_are_refused(tmp_path, configs, capsys, theta, field):
+    # an empty field is not skipped: "0.1,,0.2,0.693" is not three values
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme,
+                 "--n", "20", "--seed", "1", "--out", str(data)]) == 0
+    capsys.readouterr()
+    for argv in (["loglik", "--data", str(data)], ["fit", "--data", str(data)]):
+        assert main([*argv, "--model", model, "--scheme", scheme, "--theta", theta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --theta: field {field} of {theta.count(',') + 1} "
+                                f"is empty in {theta!r}\n")
+
+
+def test_non_finite_config_numbers_exit_with_two(tmp_path, configs, capsys):
+    # json reads NaN: the loader refuses it by file and field, before any
+    # model is built or any cohort written
+    model, scheme = configs
+    out = tmp_path / "out.csv"
+    bad = json.loads(json.dumps(MODEL_JSON))
+    bad["intensities"][0]["baseline"]["rate"] = math.nan
+    bad_model = tmp_path / "nan-model.json"
+    bad_model.write_text(json.dumps(bad))
+    bad = json.loads(json.dumps(SCHEME_JSON))
+    bad["schedules"][0]["visits"] = [0.5, math.nan, 1.5]
+    bad_scheme = tmp_path / "nan-scheme.json"
+    bad_scheme.write_text(json.dumps(bad))
+    for m, s, message in (
+            (bad_model, scheme, f"{bad_model}: field 'intensities[0].baseline.rate': nan is not finite"),
+            (model, bad_scheme, f"{bad_scheme}: field 'schedules[0].visits[1]': nan is not finite")):
+        for argv in (["simulate", "--n", "20", "--seed", "1", "--out", str(out)],
+                     ["fit", "--data", str(out)]):
+            assert main([*argv, "--model", str(m), "--scheme", str(s)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_errors_exit_with_two(tmp_path, configs, capsys):
     model, scheme = configs
     code = main(["loglik", "--model", model, "--scheme", scheme,

@@ -125,13 +125,14 @@ def test_overflowing_start_is_rejected_without_warnings():
 def test_fit_runs_one_kernel_pass_per_evaluation(tmp_path, monkeypatch):
     # one geometry per fit; each Newton trial point, the start's included,
     # is one kernel pass for the values, the score and the information,
-    # and no pass follows the last iterate. A config family's builder takes
-    # a stack: a pass's theta map is one build of the point and its 2k
-    # stencil points, and the map's curvature, at the estimate alone, one
-    # build of the 1 + 2k^2 points of its second differences
+    # and no pass follows the last iterate. A config family has a value
+    # map: a pass's theta map is one build of the point and one value-map
+    # call for it and its 2k stencil points, and the map's curvature, at
+    # the estimate alone, one value-map call for the 1 + 2k^2 points of its
+    # second differences, with no model built
     fam, records, C, theta = _workload_case("illness-death-panel", 40, tmp_path)
-    assert fam.builds_stacks
-    builds, passes, models = [], [], []
+    assert fam.value_map is not None
+    builds, passes, models, maps = [], [], [], []
 
     def counted(calls, real):
         def wrapper(*args):
@@ -147,19 +148,23 @@ def test_fit_runs_one_kernel_pass_per_evaluation(tmp_path, monkeypatch):
         return passes[-1][1]
 
     monkeypatch.setattr(inference, "_density_at", kernel)
-    family = dataclasses.replace(fam, builder=counted(models, fam.builder))
+    family = dataclasses.replace(fam, builder=counted(models, fam.builder),
+                                 value_map=counted(maps, fam.value_map))
     res = fit_mle(family, records, C, theta)
     assert res.converged and res.std_errors is not None
     assert len(builds) == 1
     assert len(passes) == res.n_evaluations
     assert all(args[2] is not None for args, _ in passes)
-    # no stack: every pass is on a model of numbers, with second derivatives
+    # every pass is on a model of numbers, with second derivatives
     assert all(args[0].values.shape == (len(args[2]),) for args, _ in passes)
     assert all(isinstance(out[2], dict) and out[2] for _, out in passes)
-    # the plan's probe, one build per pass, and the curvature's build last
-    assert len(models) == 1 + res.n_evaluations + 1
-    assert all(m[0].shape == (fam.k, 2 * fam.k + 1, 1) for m in models[1:-1])
-    assert models[-1][0].shape == (fam.k, 1 + 2 * fam.k ** 2, 1)
+    # the plan's probe and one build per pass, each of one point
+    assert len(models) == 1 + res.n_evaluations
+    assert all(m[0].shape == (fam.k,) for m in models)
+    # one value-map call per pass, and the curvature's last
+    assert len(maps) == res.n_evaluations + 1
+    assert all(m[0].shape == (2 * fam.k + 1, fam.k) for m in maps[:-1])
+    assert maps[-1][0].shape == (1 + 2 * fam.k ** 2, fam.k)
 
 
 def test_panel_fit_recovers_truth():

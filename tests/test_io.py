@@ -666,6 +666,90 @@ def test_model_config_refuses_malformed_values(tmp_path, where, value, message):
         load_model_config(path)
 
 
+@pytest.mark.parametrize("where, value, field", [
+    (["intensities", 1, "baseline", "rate"], math.nan, "intensities[1].baseline.rate"),
+    (["intensities", 0, "baseline", "b"], math.inf, "intensities[0].baseline.b"),
+    (["intensities", 1, "modifiers", 0, "eta"], -math.inf, "intensities[1].modifiers[0].eta"),
+    (["intensities", 1, "modifiers", 0, "gamma"], math.nan,
+     "intensities[1].modifiers[0].gamma"),
+    (["intensities", 1, "log_offset"], math.inf, "intensities[1].log_offset"),
+    (["intensities", 1, "log_offset"], {"coef": "beta", "scale": math.nan},
+     "intensities[1].log_offset.scale"),
+    (["intensities", 1, "log_offset"], {"coef": math.inf, "scale": 0.5},
+     "intensities[1].log_offset.coef"),
+    (["theta", "eta_ill"], math.nan, "theta.eta_ill"),
+    (["theta", "shape_a"], -math.inf, "theta.shape_a"),
+])
+def test_model_config_refuses_non_finite_numbers(tmp_path, where, value, field):
+    # Python's json reads NaN and Infinity: they are refused at load, by
+    # path and field, so the value map only ever reads finite numbers
+    bad = json.loads(json.dumps(MODEL_JSON))
+    entry = bad
+    for k in where[:-1]:
+        entry = entry[k]
+    entry[where[-1]] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(InvalidInputError) as exc:
+        load_model_config(path)
+    assert str(exc.value).startswith(f"{path}: field {field!r}: ")
+    assert str(exc.value).endswith("is not finite")
+
+
+VALUE_MAP_CONFIGS = {
+    "progressive-pair": MODEL_JSON,
+    # listed out of component order, every baseline family, gates, an
+    # interaction modifier, gamma slots, literals among the slots, a name
+    # in two slots and a covariate offset
+    "mixed": {
+        "components": ["a", "b", "c"],
+        "intensities": [
+            {"component": "c",
+             "baseline": {"family": "weibull", "a": "wa", "b": 1.3},
+             "gates": ["a"],
+             "log_offset": -0.25},
+            {"component": "b",
+             "baseline": {"family": "piecewise", "grid": [1.0, 2.0],
+                          "rates": ["r0", 0.05, "r2"]},
+             "modifiers": [{"when": ["a", "c"], "eta": "eta_ac"},
+                           {"when": ["a"], "eta": 0.2, "gamma": "g_a"}],
+             "log_offset": {"coef": "beta", "scale": 0.7}},
+            {"component": "a",
+             "baseline": {"family": "constant", "rate": "r0"},
+             "modifiers": [{"when": ["c"], "eta": "eta_ac", "gamma": "g_c"}],
+             "log_offset": {"coef": "beta", "scale": -1.9}},
+        ],
+        "theta": {"wa": 0.3, "r0": 0.15, "r2": 0.4, "eta_ac": 0.6, "g_a": -0.2,
+                  "beta": 0.35, "g_c": 0.1},
+    },
+    "piecewise-only": {
+        "components": ["x"],
+        "intensities": [{"component": "x", "baseline": {
+            "family": "piecewise", "grid": [0.5], "rates": ["p0", "p1"]}}],
+        "theta": {"p0": 0.2, "p1": 0.9},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_MAP_CONFIGS))
+def test_value_map_is_the_values_of_the_built_models(tmp_path, case):
+    # the evaluator reads a config family's stencil values from its value
+    # map, in IntensityModel.values order, with no model built: they must be
+    # those of the models, bit for bit
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(VALUE_MAP_CONFIGS[case]))
+    cfg = load_model_config(path)
+    fam = cfg.family
+    theta = cfg.theta_from()
+    rng = np.random.default_rng(5)
+    thetas = theta * np.exp(rng.normal(0.0, 0.3, (7, fam.k)))
+    thetas[1:] += 1e-5 * np.abs(theta) * rng.choice([-1.0, 1.0], (6, fam.k))
+    values = fam.value_map(thetas)
+    expected = np.column_stack([fam.build(point).values for point in thetas])
+    assert values.shape == expected.shape == (len(fam.build(theta).values), len(thetas))
+    assert values.tobytes() == expected.tobytes()
+
+
 SCHEME_JSON = {
     "horizon": 2.0,
     "death_component": "death",
@@ -730,6 +814,9 @@ def test_scheme_config_rejects_mistakes(tmp_path):
     ("windows", [[0.0, "2"]], r"'schedules\[1\]\.windows\[0\]\[1\]': expected a number"),
     ("windows", [0.0, 2.0], r"'schedules\[1\]\.windows\[0\]': need a list"),
     ("windows", [[0.0, 1.0, 2.0]], r"'schedules\[1\]': too many values to unpack"),
+    # a NaN visit fails every comparison of the schedule's checks
+    ("visits", [0.5, 1.0, math.nan, 1.5], r"'schedules\[0\]\.visits\[2\]': nan is not finite"),
+    ("horizon", math.inf, r"'horizon': inf is not finite"),
 ])
 def test_scheme_config_refuses_malformed_values(tmp_path, where, value, message):
     bad = json.loads(json.dumps(SCHEME_JSON))

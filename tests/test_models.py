@@ -91,6 +91,16 @@ def test_log_offset_must_be_finite(offset):
         MultiplicativeComponent(1, Constant(0.1), log_offset=offset)
 
 
+@pytest.mark.parametrize("value", [np.full((3, 1), 0.2), np.array([0.2])])
+def test_modifier_and_offset_values_must_be_one_real_number(value):
+    with pytest.raises(InvalidInputError, match="modifier eta must be one real number"):
+        ModifierTerm((0,), value)
+    with pytest.raises(InvalidInputError, match="modifier gamma must be one real number"):
+        ModifierTerm((0,), 0.1, value)
+    with pytest.raises(InvalidInputError, match="log_offset must be one real number"):
+        MultiplicativeComponent(1, Constant(0.1), log_offset=value)
+
+
 def test_components_must_sit_at_their_own_index():
     with pytest.raises(InvalidInputError):
         IntensityModel((MultiplicativeComponent(1, Constant(0.1)),))

@@ -35,6 +35,13 @@ def test_schedule_validation():
     assert s.covers_through(2.0)
 
 
+@pytest.mark.parametrize("visits", [(1.0, 2.0, np.nan, 4.0), (np.nan,), (1.0, INF)])
+def test_schedule_refuses_non_finite_visits(visits):
+    # NaN fails every comparison, so a NaN visit needs its own check
+    with pytest.raises(InvalidInputError, match="finite"):
+        ComponentSchedule(visits=visits)
+
+
 def test_scheme_requires_watched_death():
     with pytest.raises(InvalidInputError):
         ObservationScheme((ComponentSchedule(visits=(1.0,)),

@@ -26,9 +26,8 @@ import numpy as np
 
 from .baselines import Constant
 from .errors import InvalidInputError
-from .inference import ParametricFamily
 from .markov import MarkovSpec, markov_to_ojc
-from .models import IntensityModel, ModifierTerm, MultiplicativeComponent
+from .models import IntensityModel, ModifierTerm, MultiplicativeComponent, ParametricFamily
 from .observation import (
     ComponentSchedule,
     Exact,

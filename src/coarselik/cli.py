@@ -14,7 +14,17 @@ first subject with that record.
 
 No output path (--out, --truth) may name an input file (--model, --scheme,
 --data) or another output: such a call is refused before anything is read
-or written.
+or written. --theta takes the token after it as its value, one that starts
+with "-" (-1e-3, -0.3,0.2) too.
+
+A process loads what its command uses. Importing this module loads numpy
+and the file formats (io, with errors, baselines, models and observation);
+parsing the command line adds argparse; simulate adds the simulator,
+loglik and fit the likelihood engine (inference, likelihood, quadrature),
+and validate the cross-checks. The engine's functions (simulate_cohort,
+coarsen_cohort, per_subject_loglik, fit_mle, run_all) are attributes of
+this module, each imported on first access, and the commands call them as
+attributes, so that a function set here in place of one is the one called.
 
 Exit status: 0 on success, 1 when a requested computation flags a problem
 (a non-finite log-likelihood, a fit that did not converge, a failed
@@ -23,8 +33,8 @@ validation check), 2 on malformed inputs or usage errors.
 
 from __future__ import annotations
 
-import argparse
 import functools
+import importlib
 import json
 import os
 import sys
@@ -32,7 +42,6 @@ import sys
 import numpy as np
 
 from .errors import CoarselikError, InvalidRecordError, InvalidStartError, ToleranceError
-from .inference import fit_mle, per_subject_loglik
 from .io import (
     _csv_fields,
     load_model_config,
@@ -40,9 +49,25 @@ from .io import (
     read_dataset,
     write_dataset_and_truth,
 )
-from .quadrature import DEFAULT_REL_TOL
-from .simulate import coarsen_cohort, simulate_cohort
-from .validate import run_all
+
+# the engine's functions, by defining module: see the module docstring
+_ENGINE = {
+    "simulate_cohort": "simulate",
+    "coarsen_cohort": "simulate",
+    "per_subject_loglik": "inference",
+    "fit_mle": "inference",
+    "run_all": "validate",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """An engine function, imported on first access and kept."""
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ENGINE[name]}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def _theta(args, cfg) -> np.ndarray:
@@ -66,6 +91,11 @@ def _theta(args, cfg) -> np.ndarray:
     if bad.size:
         raise CoarselikError(f"--theta: {cfg.family.param_names[bad[0]]} is {float(theta[bad[0]])!r}")
     return theta
+
+
+def _tol(args) -> dict:
+    """--tol as the engine's rel_tol; without it the engine's default holds."""
+    return {} if args.tol is None else {"rel_tol": args.tol}
 
 
 def _read_data(args, cfg):
@@ -113,8 +143,8 @@ def _cmd_simulate(args) -> int:
     cfg = load_model_config(args.model)
     scheme = load_scheme_config(args.scheme, cfg.component_names)
     model = cfg.build(_theta(args, cfg))
-    times = simulate_cohort(model, scheme.horizon, args.n, args.seed)
-    write_dataset_and_truth(args.out, coarsen_cohort(scheme, times), args.truth,
+    times = _cli.simulate_cohort(model, scheme.horizon, args.n, args.seed)
+    write_dataset_and_truth(args.out, _cli.coarsen_cohort(scheme, times), args.truth,
                             times if args.truth else None, component_names=cfg.component_names)
     print(f"wrote {args.n} subjects to {args.out}"
           + (f" (truth: {args.truth})" if args.truth else ""))
@@ -128,8 +158,8 @@ def _cmd_loglik(args) -> int:
     model = cfg.build(_theta(args, cfg))
     # a non-finite value is reported below, so the warnings carry no news
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        per = _by_subject_id(args, data, lambda: per_subject_loglik(
-            model, data.codes, scheme.horizon, rel_tol=args.tol))
+        per = _by_subject_id(args, data, lambda: _cli.per_subject_loglik(
+            model, data.codes, scheme.horizon, **_tol(args)))
     # ids quoted as the cohort writer quotes them, so the report reads back as CSV
     rows = map(",".join, zip(_csv_fields(list(data.subject_ids)), map(repr, per.tolist())))
     text = "\n".join(["subject_id,loglik", *rows, f"total,{float(per.sum())!r}"]) + "\n"
@@ -156,8 +186,8 @@ def _cmd_fit(args) -> int:
     data = _read_data(args, cfg)
     init = _theta(args, cfg)
     try:
-        res = _by_subject_id(args, data, lambda: fit_mle(
-            cfg.family, data.codes, scheme.horizon, init, rel_tol=args.tol))
+        res = _by_subject_id(args, data, lambda: _cli.fit_mle(
+            cfg.family, data.codes, scheme.horizon, init, **_tol(args)))
     except InvalidStartError as err:    # name the subject by its id, as loglik does
         sid = data.subject_ids[err.subject_index]
         raise CoarselikError(f"{args.data}: log-likelihood is not finite at the starting "
@@ -190,7 +220,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = run_all(n_paths=args.n, seed=args.seed)
+    results = _cli.run_all(n_paths=args.n, seed=args.seed)
     for r in results:
         print(r.line())
     failed = sum(not r.passed for r in results)
@@ -199,9 +229,11 @@ def _cmd_validate(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The command line's parser, built once a process: parsing leaves it
     as it was."""
+    import argparse     # here: a process that only loads configs does without it
+
     ap = argparse.ArgumentParser(
         prog="coarselik",
         description="Exact likelihoods for coarsely observed irreversible multi-state data.",
@@ -225,8 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ll.add_argument("--scheme", required=True, help="scheme JSON (defines the horizon)")
     ll.add_argument("--data", required=True, help="cohort CSV")
     ll.add_argument("--theta", help="comma-separated parameter values (else config theta)")
-    ll.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
-                    help="relative quadrature tolerance")
+    ll.add_argument("--tol", type=float, help="relative quadrature tolerance")
     ll.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
     ll.add_argument("--out", help="also write the report to this CSV")
@@ -237,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--scheme", required=True)
     fit.add_argument("--data", required=True)
     fit.add_argument("--theta", help="starting values (else config theta)")
-    fit.add_argument("--tol", type=float, default=DEFAULT_REL_TOL)
+    fit.add_argument("--tol", type=float)
     fit.add_argument("--threads", type=int, default=1,
                      help="accepted for compatibility; has no effect")
     fit.add_argument("--out", help="write a JSON fit report here")
@@ -250,8 +281,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _theta_attached(argv: list[str]) -> list[str]:
+    """argv with each `--theta VALUE` as `--theta=VALUE`. argparse takes a
+    token that starts with "-" for an option unless it is a bare decimal, so
+    a vector such as -1e-3 or -0.3,0.2 would not reach --theta; an identity
+    slot (eta, gamma, coef) may be negative."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--theta":
+            out[-1] = f"--theta={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_theta_attached(sys.argv[1:] if argv is None else argv))
     try:
         _refuse_overwrites(args)
         return args.fn(args)

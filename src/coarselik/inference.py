@@ -1,8 +1,9 @@
 """Maximum likelihood fitting of parametric intensity models.
 
-A ParametricFamily maps a natural-scale parameter vector to a model.
-Positive parameters are searched on the log scale (declared via
-transforms), which keeps the optimizer unconstrained.
+A ParametricFamily (defined in models, so that loading a config needs no
+fitting code) maps a natural-scale parameter vector to a model. Positive
+parameters are searched on the log scale (declared via transforms), which
+keeps the optimizer unconstrained.
 
 Each distinct record is laid out once into the corner terms of
 likelihood's expansion (subjects with the same coded record share it), and
@@ -64,13 +65,13 @@ passes, one a trial point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidRecordError, InvalidStartError, ToleranceError
 from .likelihood import _density_at, _density_geometry, _layout_codes, _quad_opts
-from .models import IntensityModel
+from .models import IntensityModel, ParametricFamily  # ParametricFamily re-exported
 from .observation import PseudoAtomRecord, StatusCodes
 from .quadrature import (
     DEFAULT_ABS_TOL,
@@ -90,66 +91,6 @@ _CONVERGED = 1e-12      # g^T I^-1 g at a converged estimate
 _MAX_BLOCKED = 3        # iterations in a row whose step a -inf trial cut
 # the embedded Gauss-7 rule as weights on the 15 Kronrod nodes
 _G7_ON_K15 = np.bincount(G_INDEX, G_WEIGHTS, minlength=K_WEIGHTS.size)
-
-
-@dataclass(frozen=True)
-class ParametricFamily:
-    """Named parameters, their search transforms, and a model builder.
-
-    value_map, where given, takes P points, thetas as a (P, k) array, and
-    returns the values of their models (V, P) in IntensityModel.values
-    order, with no model built: bit for bit builder(thetas[p]).values, all
-    of one structure. Without it the evaluator builds each point, and reads
-    the values of one whose model has another structure than theta's as
-    nan.
-    """
-
-    param_names: tuple[str, ...]
-    transforms: tuple[str, ...]
-    builder: Callable[[np.ndarray], IntensityModel]
-    fixed_breakpoints: tuple[float, ...] = ()
-    value_map: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if len(self.param_names) != len(self.transforms):
-            raise InvalidInputError("one transform per parameter required")
-        for tr in self.transforms:
-            if tr not in ("log", "identity"):
-                raise InvalidInputError(f"unknown transform {tr!r}")
-
-    @property
-    def k(self) -> int:
-        return len(self.param_names)
-
-    @property
-    def is_log(self) -> np.ndarray:
-        """Which parameters are searched on the log scale."""
-        return np.array([tr == "log" for tr in self.transforms], dtype=bool)
-
-    def build(self, theta) -> IntensityModel:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.k,):
-            raise InvalidInputError(f"expected {self.k} parameters, got shape {theta.shape}")
-        return self.builder(theta)
-
-    def to_search(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        u = theta.copy()
-        for i, tr in enumerate(self.transforms):
-            if tr == "log":
-                if theta[i] <= 0:
-                    raise InvalidInputError(
-                        f"{self.param_names[i]} must be positive, got {theta[i]}"
-                    )
-                u[i] = np.log(theta[i])
-        return u
-
-    def from_search(self, u) -> np.ndarray:
-        """Natural-scale theta of a search point (k,), or of each row of (B, k)."""
-        u = np.asarray(u, dtype=float)
-        theta, is_log = u.copy(), self.is_log
-        theta[..., is_log] = np.exp(u[..., is_log])
-        return theta
 
 
 @dataclass

@@ -84,8 +84,7 @@ import numpy as np
 
 from .baselines import Constant, PiecewiseConstant, Weibull
 from .errors import InvalidInputError
-from .inference import ParametricFamily
-from .models import IntensityModel, ModifierTerm, MultiplicativeComponent
+from .models import IntensityModel, ModifierTerm, MultiplicativeComponent, ParametricFamily
 from .observation import (
     ComponentSchedule,
     ObservationScheme,

@@ -40,11 +40,15 @@ every derivative from one walk over pairs (S, D), D the at most two
 modifiers of S whose etas it differentiates (c_m in place of c_m - 1).
 
 Every value is one real number, as a baseline's: an array is refused.
+
+A ParametricFamily names a model's free parameters and their search
+transforms, and builds the model of a parameter vector; inference fits it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -651,3 +655,63 @@ def intensity_eval(model: IntensityModel, j: int, t, history):
 def cumulative_intensity(model: IntensityModel, j: int, t0, t1, history):
     """Integrated intensity of component j over (t0, t1], cut at its own jump."""
     return model.cum(j, t0, t1, _history_times(history, model.p))
+
+
+@dataclass(frozen=True)
+class ParametricFamily:
+    """Named parameters, their search transforms, and a model builder.
+
+    value_map, where given, takes P points, thetas as a (P, k) array, and
+    returns the values of their models (V, P) in IntensityModel.values
+    order, with no model built: bit for bit builder(thetas[p]).values, all
+    of one structure. Without it the evaluator builds each point, and reads
+    the values of one whose model has another structure than theta's as
+    nan.
+    """
+
+    param_names: tuple[str, ...]
+    transforms: tuple[str, ...]
+    builder: Callable[[np.ndarray], IntensityModel]
+    fixed_breakpoints: tuple[float, ...] = ()
+    value_map: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if len(self.param_names) != len(self.transforms):
+            raise InvalidInputError("one transform per parameter required")
+        for tr in self.transforms:
+            if tr not in ("log", "identity"):
+                raise InvalidInputError(f"unknown transform {tr!r}")
+
+    @property
+    def k(self) -> int:
+        return len(self.param_names)
+
+    @property
+    def is_log(self) -> np.ndarray:
+        """Which parameters are searched on the log scale."""
+        return np.array([tr == "log" for tr in self.transforms], dtype=bool)
+
+    def build(self, theta) -> IntensityModel:
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.k,):
+            raise InvalidInputError(f"expected {self.k} parameters, got shape {theta.shape}")
+        return self.builder(theta)
+
+    def to_search(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        u = theta.copy()
+        for i, tr in enumerate(self.transforms):
+            if tr == "log":
+                if theta[i] <= 0:
+                    raise InvalidInputError(
+                        f"{self.param_names[i]} must be positive, got {theta[i]}"
+                    )
+                u[i] = np.log(theta[i])
+        return u
+
+    def from_search(self, u) -> np.ndarray:
+        """Natural-scale theta of a search point (k,), or of each row of (B, k)."""
+        u = np.asarray(u, dtype=float)
+        theta, is_log = u.copy(), self.is_log
+        theta[..., is_log] = np.exp(u[..., is_log])
+        return theta

@@ -285,6 +285,42 @@ def test_loglik_reproduces_worked_total(tmp_path, configs, capsys):
     assert total == pytest.approx(-3.05219, abs=5e-5)
 
 
+def test_theta_values_may_start_with_a_minus(tmp_path, capsys):
+    # an identity slot (eta, gamma, coef) may be negative: the token after
+    # --theta is its value, as after --theta=, also where argparse would
+    # take it for an option (-1e-3 and -0.3,0.2 are not bare decimals)
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(SCHEME_JSON))
+    config = json.loads(json.dumps(MODEL_JSON))
+    config["intensities"][0]["baseline"]["rate"] = 0.1
+    config["intensities"][1]["baseline"]["rate"] = 0.2
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    one.write_text(json.dumps(dict(config, theta={"eta12": 0.5})))
+    config["intensities"][1]["modifiers"][0]["gamma"] = "gamma12"
+    two.write_text(json.dumps(dict(config, theta={"eta12": 0.5, "gamma12": 0.0})))
+    data = tmp_path / "cohort.csv"
+    for model, theta in ((one, "-1e-3"), (two, "-0.3,0.2")):
+        common = ["--model", str(model), "--scheme", str(scheme)]
+        outputs = []
+        for given in (["--theta", theta], [f"--theta={theta}"]):
+            assert main(["simulate", *common, "--n", "60", "--seed", "3",
+                         "--out", str(data), *given]) == 0
+            capsys.readouterr()
+            cohort = data.read_bytes()
+            assert main(["loglik", *common, "--data", str(data), *given]) == 0
+            report = capsys.readouterr().out
+            assert main(["fit", *common, "--data", str(data), *given]) in (0, 1)
+            outputs.append((cohort, report, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2].err == ""
+        # the report is the log-likelihood at the negative values given
+        cfg = load_model_config(model)
+        codes = coarselik.io.read_dataset(data, cfg.component_names).codes
+        model_at = cfg.build(cfg.theta_from([float(x) for x in theta.split(",")]))
+        total = float(per_subject_loglik(model_at, codes, SCHEME_JSON["horizon"]).sum())
+        assert outputs[0][1].splitlines()[-1] == f"total,{total!r}"
+
+
 def test_loglik_out_file_matches_stdout(tmp_path, configs, capsys):
     model, scheme = configs
     data = tmp_path / "one.csv"
@@ -542,6 +578,67 @@ def test_simulate_loglik_and_fit_never_import_scipy(tmp_path, configs):
     lines = proc.stdout.splitlines()
     assert "scipy after fit: []" in lines
     assert "scipy after its import: True" in lines
+
+
+IMPORT_SETS = """\
+import sys
+model, scheme, data, command = sys.argv[1:]
+import coarselik, coarselik.cli
+from coarselik.io import load_model_config, load_scheme_config
+cfg = load_model_config(model)
+load_scheme_config(scheme, cfg.component_names)
+if command != "setup":
+    argv = ["--model", model, "--scheme", scheme, "--data", data]
+    if command == "simulate":
+        argv = [*argv[:4], "--n", "20", "--seed", "3", "--out", data + ".sim"]
+    assert coarselik.cli.main([command, *argv]) in (0, 1)
+print(*sorted(m for m in sys.modules if m.partition(".")[0] == "coarselik"))
+"""
+
+# the submodules that the benchmark's set-up loads: the file formats and the CLI
+SETUP_MODULES = {"errors", "baselines", "models", "observation", "io", "cli"}
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path, configs):
+    # a fresh interpreter per command: importing the package and its CLI and
+    # loading both configs (the benchmark's set-up) loads the file formats
+    # alone, simulate no likelihood code, loglik and fit no simulator
+    model, scheme = configs
+    data = tmp_path / "cohort.csv"
+    assert main(["simulate", "--model", model, "--scheme", scheme,
+                 "--n", "60", "--seed", "3", "--out", str(data)]) == 0
+    src = Path(coarselik.__file__).resolve().parents[1]
+    loaded = {}
+    for command in ("setup", "simulate", "loglik", "fit"):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_SETS, model, scheme, str(data), command],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        names = proc.stdout.splitlines()[-1].split()
+        assert "coarselik" in names
+        loaded[command] = {name.partition(".")[2] for name in names} - {""}
+    assert loaded["setup"] == SETUP_MODULES
+    assert loaded["simulate"] == SETUP_MODULES | {"simulate"}
+    assert loaded["loglik"] == loaded["fit"] == SETUP_MODULES | {
+        "inference", "likelihood", "quadrature"}
+
+
+def test_python_m_coarselik_runs_the_command_line(tmp_path, configs):
+    # `python -m coarselik` from a source checkout is the installed script
+    model, scheme = configs
+    src = Path(coarselik.__file__).resolve().parents[1]
+    argv = ["simulate", "--model", model, "--scheme", scheme, "--n", "20", "--seed", "3"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "coarselik", *argv,
+                           "--out", str(tmp_path / "a.csv")],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    proc = subprocess.run([sys.executable, "-m", "coarselik"],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 2 and proc.stderr.startswith("usage: coarselik ")
 
 
 def test_fit_round_trip(tmp_path, configs, capsys):

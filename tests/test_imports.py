@@ -7,9 +7,15 @@ module is read by the package: one that only tests read has outlived its
 last caller."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import coarselik
+import coarselik.cli
 
 PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "coarselik").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -75,3 +81,49 @@ def test_the_check_finds_an_unread_private():
 
 def test_no_unread_private_top_level_name():
     assert unread_privates({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    assert len(set(coarselik.__all__)) == len(coarselik.__all__)
+    for name in coarselik.__all__:
+        obj = getattr(coarselik, name)
+        assert obj.__module__.startswith("coarselik."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+def test_star_import_and_dir_cover_every_public_name():
+    namespace = {}
+    exec("from coarselik import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(coarselik.__all__)
+    assert {namespace[name] for name in coarselik.__all__} == {
+        getattr(coarselik, name) for name in coarselik.__all__}
+    listed = dir(coarselik)
+    assert set(coarselik.__all__) <= set(listed)
+    assert {p.stem for p in SOURCES} - {"__main__"} <= set(listed)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    for module in (coarselik, coarselik.cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+        assert not hasattr(module, "__main__")
+
+
+FRESH_IMPORT = """\
+import sys
+import coarselik
+print(*sorted(m for m in sys.modules if m.startswith("coarselik") or m == "numpy"))
+print(coarselik.io.load_model_config.__module__)
+print(coarselik.fit_mle.__module__, coarselik.ParametricFamily.__module__)
+print("inference" in dir(coarselik), "quadrature" in dir(coarselik))
+"""
+
+
+def test_a_bare_import_loads_the_package_file_alone():
+    # a fresh interpreter: each submodule and public name loads on first access
+    src = PACKAGE[0].parents[1]
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "coarselik", "coarselik.io", "coarselik.inference coarselik.models", "True True"]
